@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--verbose", action="store_true")
 
     p_solve = sub.add_parser("solve", help="solve one instance")
     common(p_solve)
@@ -95,8 +94,7 @@ def _cmd_solve(args) -> int:
     report = solve_stackelberg(params, graph, start_p, start_i, config.solve)
     hbar = report.provider.investment_ratio
     print(f"instance: n={n} alpha={alpha:g} attacker_resource={a:g} tx_per_block={n_t}")
-    print(f"converged: {report.converged} after {report.rounds} rounds "
-          f"(last delta {report.trace[-1].delta:.3e})")
+    print(f"converged: {report.converged} after {report.rounds} provider passes")
     print(f"mean price       : {report.provider.mean_price:.6f}")
     print(f"investment ratio : {hbar:.6f}")
     print(f"premium coeff    : {report.insurer.gamma:.6f}")
@@ -105,10 +103,7 @@ def _cmd_solve(args) -> int:
     print(f"premium          : {premium(params.risk, report.insurer.gamma):.6f}")
     print(f"provider profit  : {report.profits[0]:.6f}")
     print(f"insurer profit   : {report.profits[1]:.6f}")
-    if args.verbose:
-        for record in report.trace:
-            print(f"  round {record.round:3d}: delta {record.delta:.3e}")
-    return 0 if report.converged else 1
+    return 0
 
 
 def _cmd_sweep(args) -> int:

@@ -87,11 +87,9 @@ class ExternalityGraph:
         return out
 
     @cached_property
-    def ones_image_t(self) -> np.ndarray:
-        """(I - alpha G)^{-T} 1 (column sums of the inverse)."""
-        out = self.solve(np.ones(self.n_users), transpose=True)
-        out.setflags(write=False)
-        return out
+    def rho(self) -> float:
+        """rho(G), the Perron root of the unscaled weights."""
+        return spectral_radius(self.weights)
 
     @cached_property
     def total_amplification(self) -> float:
@@ -163,7 +161,7 @@ def spectral_radius(matrix: np.ndarray, tol: float = POWER_ITER_TOL,
 
 def check_contraction(graph: ExternalityGraph) -> ContractionCheck:
     """Whether alpha * rho(G) < 1, the condition for a unique demand equilibrium."""
-    alpha_rho = graph.alpha * spectral_radius(graph.weights)
+    alpha_rho = graph.alpha * graph.rho
     return ContractionCheck(holds=alpha_rho < 1.0, alpha_rho=alpha_rho)
 
 

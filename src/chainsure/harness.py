@@ -74,6 +74,9 @@ class ExperimentConfig:
             raise ConfigurationError("seed must fit in an unsigned 64-bit integer")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be at least 1")
+        # MarketParams and RiskModel hold the range checks on these scalars
+        for a, n_t in itertools.product(self.attacker_resource, self.tx_per_block):
+            self.market_params(a, n_t)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -82,9 +85,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        if "solve" in kwargs and isinstance(kwargs["solve"], dict):
-            kwargs["solve"] = SolveOptions(**kwargs["solve"])
         try:
+            if "solve" in kwargs:
+                kwargs["solve"] = SolveOptions(**kwargs["solve"])
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(str(exc)) from exc
@@ -299,6 +302,7 @@ class _IncrementalCsv:
     """Writes rows 0, 1, 2, ... as soon as a contiguous prefix is complete."""
 
     def __init__(self, path: str | Path):
+        self._path = path
         try:
             self._handle = open(path, "w", encoding="utf-8", newline="")
         except OSError as exc:
@@ -308,13 +312,16 @@ class _IncrementalCsv:
         self._next = 0
 
     def advance(self, results: dict[int, SweepRow]) -> None:
-        while self._next in results:
-            row = results[self._next]
-            self._writer.writerow(
-                [_format_value(getattr(row, f.name)) for f in dataclasses.fields(SweepRow)]
-            )
+        try:
+            while self._next in results:
+                row = results[self._next]
+                self._writer.writerow(
+                    [_format_value(getattr(row, f.name)) for f in dataclasses.fields(SweepRow)]
+                )
+                self._next += 1
             self._handle.flush()
-            self._next += 1
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write CSV {self._path}: {exc}") from exc
 
     def close(self) -> None:
         self._handle.close()
@@ -322,39 +329,22 @@ class _IncrementalCsv:
 
 def emit_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
     """Write rows to a UTF-8 CSV: exact field-name header, 12 significant digits."""
+    writer = _IncrementalCsv(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([f.name for f in dataclasses.fields(SweepRow)])
-            for row in rows:
-                writer.writerow(
-                    [_format_value(getattr(row, f.name)) for f in dataclasses.fields(SweepRow)]
-                )
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write CSV {path}: {exc}") from exc
+        writer.advance(dict(enumerate(rows)))
+    finally:
+        writer.close()
+
+
+# SweepRow's annotations are strings: this module postpones their evaluation
+_PARSERS = {"int": int, "float": float, "bool": lambda text: text == "true"}
 
 
 def read_csv(path: str | Path) -> list[SweepRow]:
     """Parse a file produced by emit_csv back into rows."""
+    fields = dataclasses.fields(SweepRow)
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        rows = []
-        for record in reader:
-            rows.append(SweepRow(
-                n_users=int(record["n_users"]),
-                alpha=float(record["alpha"]),
-                attacker_resource=float(record["attacker_resource"]),
-                tx_per_block=int(record["tx_per_block"]),
-                mean_price=float(record["mean_price"]),
-                total_demand=float(record["total_demand"]),
-                hbar_star=float(record["hbar_star"]),
-                gamma_star=float(record["gamma_star"]),
-                investment=float(record["investment"]),
-                attack_prob=float(record["attack_prob"]),
-                premium=float(record["premium"]),
-                profit_provider=float(record["profit_provider"]),
-                profit_insurer=float(record["profit_insurer"]),
-                converged=record["converged"] == "true",
-                rounds=int(record["rounds"]),
-            ))
-    return rows
+        return [
+            SweepRow(**{f.name: _PARSERS[f.type](record[f.name]) for f in fields})
+            for record in csv.DictReader(handle)
+        ]

@@ -9,6 +9,7 @@ are finite-difference verified in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,15 @@ class MarketParams:
     gamma_cap: float
 
     def __post_init__(self):
-        if self.attacker_resource <= 0:
-            raise ValueError(f"attacker_resource must be positive, got {self.attacker_resource}")
-        if self.beta <= 1:
-            raise ValueError(f"beta must exceed 1, got {self.beta}")
-        if self.price_cap <= 0:
-            raise ValueError(f"price_cap must be positive, got {self.price_cap}")
-        if self.gamma_cap <= 1:
-            raise ValueError(f"gamma_cap must exceed 1, got {self.gamma_cap}")
+        # written so that NaN fails every check
+        if not 0 < self.attacker_resource < math.inf:
+            raise ValueError(f"attacker_resource must be positive and finite, got {self.attacker_resource}")
+        if not 1 < self.beta < math.inf:
+            raise ValueError(f"beta must exceed 1 and be finite, got {self.beta}")
+        if not 0 < self.price_cap < math.inf:
+            raise ValueError(f"price_cap must be positive and finite, got {self.price_cap}")
+        if not 1 < self.gamma_cap < math.inf:
+            raise ValueError(f"gamma_cap must exceed 1 and be finite, got {self.gamma_cap}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,8 +40,8 @@ class RiskModel:
             raise ValueError(f"tx_per_block must be positive, got {self.tx_per_block}")
         # compensation_rate == 0 is allowed: it degenerates the insurer out of
         # the game, which some boundary checks rely on.
-        if self.compensation_rate < 0 or self.mining_reward < 0:
-            raise ValueError("compensation_rate and mining_reward must be nonnegative")
+        if not (0 <= self.compensation_rate < np.inf and 0 <= self.mining_reward < np.inf):
+            raise ValueError("compensation_rate and mining_reward must be nonnegative and finite")
 
     @property
     def claim_scale(self) -> float:
@@ -105,16 +105,6 @@ def survival_grid(
 @functools.lru_cache(maxsize=64)
 def _model_survival(model: RiskModel, intervals: int) -> tuple[np.ndarray, np.ndarray, float]:
     return survival_grid(lambda t: attack_probability(model, t), intervals)
-
-
-def ph_transformed_integral(
-    p_fn: Callable[[float], float], gamma: float, intervals: int = DEFAULT_INTERVALS
-) -> float:
-    """integral_{1/2}^{1} B(t)^(1/gamma) dt on the shared midpoint grid."""
-    if gamma < 1.0:
-        raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
-    _, survival, width = survival_grid(p_fn, intervals)
-    return float(np.sum(survival ** (1.0 / gamma)) * width)
 
 
 def premium(model: RiskModel, gamma: float, intervals: int = DEFAULT_INTERVALS) -> float:

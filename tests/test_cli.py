@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from chainsure.cli import main
 from chainsure.harness import read_csv
+
+NAN = float("nan")
 
 
 @pytest.fixture
@@ -78,17 +81,18 @@ class TestSweep:
     def test_requires_output_path(self, fast_config_path, capsys):
         assert main(["sweep", "--config", fast_config_path]) == 2
 
-    def test_shipped_user_scaling_grid(self, tmp_path, capsys):
-        # the packaged 8 x 3 grid: users 50..120 at three externality levels
+    @pytest.mark.parametrize("grid", ["user_scaling", "attacker_resource"])
+    def test_shipped_grid_reproduces_results(self, tmp_path, capsys, grid):
+        # the packaged grids: users 50..120 at three externality levels, and
+        # five attacker resources at three block sizes
         out_csv = tmp_path / "grid.csv"
-        code = main(["sweep", "--config", "configs/user_scaling.json",
+        code = main(["sweep", "--config", f"configs/{grid}.json",
                      "--out", str(out_csv)])
         assert code == 0
-        rows = read_csv(out_csv)
-        assert len(rows) == 24
-        for row in rows:
+        for row in read_csv(out_csv):
             assert row.converged
             assert -1e-9 <= row.total_demand <= row.n_users + 1e-9
+        assert out_csv.read_bytes() == Path(f"results/{grid}.csv").read_bytes()
 
     def test_nonconvergence_exits_1(self, tmp_path, capsys):
         # an inner tolerance below the float noise floor with a one-iteration
@@ -102,6 +106,28 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 1
         rows = read_csv(out_csv)
         assert len(rows) == 1 and not rows[0].converged
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("bad", [
+        {"beta": 0.5},
+        {"beta": NAN},
+        {"price_cap": -1},
+        {"gamma_cap": 0.5},
+        {"attacker_resource": [NAN]},
+        {"solve": {"bogus": 1}},
+        {"solve": {"br_tolerance": 0}},
+    ], ids=["beta", "beta_nan", "price_cap", "gamma_cap", "attacker_nan",
+            "solve_key", "br_tolerance"])
+    def test_exit_2(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_users": [4], "alpha": [1e-3], **bad}))
+        argv = [command, "--config", str(path)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "rows.csv")]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestOracle:
