@@ -97,9 +97,15 @@ class ExternalityGraph:
         return float(np.sum(self.ones_image))
 
     @cached_property
-    def influence(self) -> np.ndarray:
-        """The full inverse (I - alpha G)^{-1}; materialized once for Hessians."""
-        out = lu_solve(self._lu, np.eye(self.n_users))
+    def symmetric_influence(self) -> np.ndarray:
+        """M + M^T with M = (I - alpha G)^{-1}: minus the provider's price Hessian.
+
+        Bitwise symmetric (a + b == b + a in floating point) and C-ordered,
+        so its transpose is a Fortran-ordered view that BLAS reads without
+        a copy. M itself is built in place of a local identity and dropped.
+        """
+        inverse = lu_solve(self._lu, np.eye(self.n_users, order="F"), overwrite_b=True)
+        out = np.add(inverse, inverse.T, order="C")
         out.setflags(write=False)
         return out
 
@@ -245,7 +251,11 @@ def brute_force_lcp(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> Dema
     Tries all 3^n assignments of users to opt-out / interior / saturated,
     solves the linear subsystem on the interior set, and keeps assignments
     whose sign conditions all hold. Exactly one must survive; anything else
-    is reported as a uniqueness violation. Verification oracle only (n <= 12).
+    is reported as a uniqueness violation. Assignments are grouped by their
+    interior set: its block is factored once for the right-hand sides of
+    every opt-out/saturated split of the other users, and the sign
+    conditions are checked for all splits at once. Verification oracle
+    only (n <= 12).
     """
     n = graph.n_users
     if n > BRUTE_FORCE_MAX_USERS:
@@ -255,32 +265,32 @@ def brute_force_lcp(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> Dema
     a_mat = graph.system_matrix
     b = (1.0 + hbar) - p
     consistent: list[tuple[np.ndarray, np.ndarray]] = []
-    labels = (Segment.OPT_OUT, Segment.INTERIOR, Segment.SATURATED)
-    for assign in itertools.product(labels, repeat=n):
-        partition = np.array(assign, dtype=np.int8)
-        free = partition == Segment.INTERIOR
-        ones = partition == Segment.SATURATED
-        x = np.zeros(n)
-        x[ones] = 1.0
+    for free in itertools.product((False, True), repeat=n):
+        free = np.array(free, dtype=bool)
+        rest = np.flatnonzero(~free)
+        # column k saturates the users of rest whose bit is set in k
+        splits = np.arange(2**rest.size)
+        ones = (splits[None, :] >> np.arange(rest.size)[:, None]) & 1 == 1
+        x = np.zeros((n, splits.size))
+        x[rest] = ones
+        keep = np.ones(splits.size, dtype=bool)
         if free.any():
             sub = a_mat[np.ix_(free, free)]
-            rhs = b[free] - a_mat[np.ix_(free, ones)] @ x[ones]
+            rhs = b[free, None] - a_mat[np.ix_(free, rest)] @ x[rest]
             try:
                 x_free = np.linalg.solve(sub, rhs)
             except np.linalg.LinAlgError:
                 continue
-            if not np.all(np.isfinite(x_free)):
-                continue
             # closed unit box, tiny slack for the solve's roundoff
-            if np.any(x_free < -1e-12) or np.any(x_free > 1.0 + 1e-12):
-                continue
+            keep &= np.all(np.isfinite(x_free), axis=0)
+            keep &= np.all((x_free >= -1e-12) & (x_free <= 1.0 + 1e-12), axis=0)
             x[free] = np.clip(x_free, 0.0, 1.0)
-        residual = b - a_mat @ x
-        if np.any(residual[partition == Segment.OPT_OUT] >= 0):
-            continue
-        if np.any(residual[ones] <= 0):
-            continue
-        consistent.append((partition, x))
+        residual = b[:, None] - a_mat @ x
+        keep &= np.all(np.where(ones, residual[rest] > 0, residual[rest] < 0), axis=0)
+        for k in np.flatnonzero(keep):
+            partition = np.full(n, Segment.INTERIOR, dtype=np.int8)
+            partition[rest] = np.where(ones[:, k], Segment.SATURATED, Segment.OPT_OUT)
+            consistent.append((partition, x[:, k].copy()))
     if len(consistent) != 1:
         raise UniquenessViolation(
             f"expected exactly one consistent partition, found {len(consistent)}"

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check behind config errors."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """True for an integer value; bool does not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ChainsureError(Exception):

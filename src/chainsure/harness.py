@@ -22,7 +22,7 @@ import numpy as np
 
 from .demand import ExternalityGraph, check_contraction
 from .equilibrium import EquilibriumReport, SolveOptions, solve_stackelberg
-from .errors import ChainsureError, ConfigurationError
+from .errors import ChainsureError, ConfigurationError, is_integer
 from .market import (
     GAMMA_FLOOR,
     InsurerStrategy,
@@ -68,12 +68,19 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha", _as_list(self.alpha, float))
         object.__setattr__(self, "attacker_resource", _as_list(self.attacker_resource, float))
         object.__setattr__(self, "tx_per_block", _as_list(self.tx_per_block, int))
-        if self.g_low > self.g_high:
-            raise ConfigurationError(f"g_low {self.g_low} exceeds g_high {self.g_high}")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise ConfigurationError("seed must fit in an unsigned 64-bit integer")
-        if self.replicates < 1:
-            raise ConfigurationError("replicates must be at least 1")
+        # written so that NaN fails every check
+        if not all(n >= 1 for n in self.n_users):
+            raise ConfigurationError(f"every n_users must be at least 1, got {self.n_users}")
+        if not all(0 <= a < math.inf for a in self.alpha):
+            raise ConfigurationError(f"every alpha must be nonnegative and finite, got {self.alpha}")
+        if not 0 <= self.g_low <= self.g_high < math.inf:
+            raise ConfigurationError(
+                f"need 0 <= g_low <= g_high < inf, got g_low={self.g_low}, g_high={self.g_high}"
+            )
+        if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        if not is_integer(self.replicates) or self.replicates < 1:
+            raise ConfigurationError(f"replicates must be an integer of at least 1, got {self.replicates!r}")
         # MarketParams and RiskModel hold the range checks on these scalars
         for a, n_t in itertools.product(self.attacker_resource, self.tx_per_block):
             self.market_params(a, n_t)
@@ -238,13 +245,44 @@ def _mean_rows(rows: Sequence[SweepRow]) -> SweepRow:
     )
 
 
+# (key, {replicate: graph}) for the graphs solve_point built last; see _point_graph.
+_last_graphs: tuple[tuple, dict[int, ExternalityGraph]] | None = None
+
+
+def _point_graph(config: ExperimentConfig, n: int, alpha: float,
+                 replicate: int) -> ExternalityGraph:
+    """generate_instance, reusing the previous point's graphs when they match.
+
+    The key holds everything the draw and its scaling depend on except the
+    replicate, and the entry keeps one graph per replicate. Sweep points
+    come in Cartesian order with n_users and alpha outermost, so points
+    that share their graphs arrive one after another and share the LU
+    factors, rho(G) and symmetric_influence. The entry is read and replaced
+    as one tuple, so concurrent points can at worst build a graph twice.
+    run_sweep drops the entry when it returns.
+    """
+    global _last_graphs
+    key = (config.seed, config.g_low, config.g_high, n, alpha)
+    last = _last_graphs
+    if last is not None and last[0] == key:
+        graphs = last[1]
+    else:
+        graphs = {}
+        _last_graphs = (key, graphs)
+    graph = graphs.get(replicate)
+    if graph is None:
+        graph = generate_instance(config, n, alpha, replicate=replicate)
+        graphs[replicate] = graph
+    return graph
+
+
 def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
                 n_t: int) -> SweepRow:
     """Solve one sweep point (averaging over replicates when configured)."""
     replicate_rows = []
     for rep in range(config.replicates):
         try:
-            graph = generate_instance(config, n, alpha, replicate=rep)
+            graph = _point_graph(config, n, alpha, rep)
             params = config.market_params(a, n_t)
             start_p, start_i = _default_starts(config, n)
             report = solve_stackelberg(params, graph, start_p, start_i, config.solve)
@@ -262,6 +300,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
     count. When csv_path (or config.output_path) is set, completed rows are
     flushed to the file incrementally in order.
     """
+    global _last_graphs
     points = sweep_points(config)
     target = csv_path if csv_path is not None else config.output_path
     writer = _IncrementalCsv(target) if target else None
@@ -283,6 +322,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1,
                     if writer:
                         writer.advance(results)
     finally:
+        _last_graphs = None
         if writer:
             writer.close()
     return [results[i] for i in range(len(points))]

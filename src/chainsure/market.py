@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -124,16 +125,31 @@ def provider_profit(params: MarketParams, graph: ExternalityGraph,
     return revenue - infrastructure_cost(params, hbar) + mining - premium(params.risk, s_i.gamma)
 
 
+def insurer_profit_curve(params: MarketParams,
+                         s_p: ProviderStrategy) -> Callable[[float], float]:
+    """The insurer's profit as a function of gamma against the provider's s_p.
+
+    Premium income minus the expected claim minus the overpricing penalty.
+    The expected claim depends on hbar only, so it is computed once here
+    rather than at every gamma a search tries.
+    """
+    hbar = s_p.investment_ratio
+    expected_claim = attack_probability(params.risk, hbar) * hbar * params.risk.claim_scale
+
+    def profit(gamma: float) -> float:
+        return (
+            premium(params.risk, gamma)
+            - expected_claim
+            - reputation_penalty(hbar, gamma, params.beta)
+        )
+
+    return profit
+
+
 def insurer_profit(params: MarketParams, s_p: ProviderStrategy,
                    s_i: InsurerStrategy) -> float:
     """Premium income minus the expected claim minus the overpricing penalty."""
-    hbar = s_p.investment_ratio
-    expected_claim = attack_probability(params.risk, hbar) * hbar * params.risk.claim_scale
-    return (
-        premium(params.risk, s_i.gamma)
-        - expected_claim
-        - reputation_penalty(hbar, s_i.gamma, params.beta)
-    )
+    return insurer_profit_curve(params, s_p)(s_i.gamma)
 
 
 def provider_gradient(params: MarketParams, graph: ExternalityGraph,
@@ -194,9 +210,8 @@ def provider_hessian(params: MarketParams, graph: ExternalityGraph,
     Negative definite whenever the existence condition holds.
     """
     n = graph.n_users
-    m = graph.influence
     hess = np.empty((n + 1, n + 1))
-    hess[:n, :n] = -(m + m.T)
+    hess[:n, :n] = -graph.symmetric_influence
     hess[:n, n] = graph.ones_image
     hess[n, :n] = graph.ones_image
     hess[n, n] = -2.0 * params.attacker_resource / (1.0 - s_p.investment_ratio) ** 3

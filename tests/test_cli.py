@@ -118,8 +118,18 @@ class TestConfigErrors:
         {"attacker_resource": [NAN]},
         {"solve": {"bogus": 1}},
         {"solve": {"br_tolerance": 0}},
+        {"seed": NAN},
+        {"solve": {"max_inner_iters": 2.5}},
+        {"g_low": -1},
+        {"g_high": NAN},
+        {"alpha": [-1]},
+        {"replicates": 1.5},
+        {"alpha": [NAN]},
+        {"n_users": [0]},
+        {"solve": {"br_tolerance": float("inf")}},
     ], ids=["beta", "beta_nan", "price_cap", "gamma_cap", "attacker_nan",
-            "solve_key", "br_tolerance"])
+            "solve_key", "br_tolerance", "seed_nan", "max_inner_iters", "g_low",
+            "g_high_nan", "alpha", "replicates", "alpha_nan", "n_users", "br_tolerance_inf"])
     def test_exit_2(self, tmp_path, capsys, command, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_users": [4], "alpha": [1e-3], **bad}))

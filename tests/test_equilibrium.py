@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from chainsure import equilibrium, market
 from chainsure.demand import ExternalityGraph, Segment
 from chainsure.equilibrium import (
     SolveOptions,
@@ -10,10 +13,13 @@ from chainsure.equilibrium import (
 )
 from chainsure.errors import ContractionViolation, ConvergenceError
 from chainsure.market import (
+    HBAR_CEILING,
+    PRICE_FLOOR,
     InsurerStrategy,
     MarketParams,
     ProviderStrategy,
     insurer_profit,
+    insurer_profit_curve,
     provider_gradient,
     provider_profit,
 )
@@ -113,7 +119,157 @@ class TestProviderBestResponse:
         assert info.value.last_iterate is not None
 
 
+def loop_best_response_provider(params, graph, s_i, start, opts=OPTS):
+    """The provider's best response with the price block swept user by user.
+
+    Oracle for best_response_provider's triangular sweeps: the same
+    block-coordinate ascent, with every price update taken in its own
+    Python step.
+    """
+    n = graph.n_users
+    lo, hi = PRICE_FLOOR, params.price_cap
+    quad = graph.symmetric_influence
+    diag = np.diagonal(quad)
+    prices = np.clip(start.prices.astype(float), lo, hi)
+    hbar = float(np.clip(start.investment_ratio, 0.5, HBAR_CEILING))
+    box_lo = np.append(np.full(n, lo), 0.5)
+    box_hi = np.append(np.full(n, hi), HBAR_CEILING)
+    for _ in range(opts.max_inner_iters):
+        target = (1.0 + hbar) * graph.ones_image
+        for _ in range(60 + 10 * n):
+            for i in range(n):
+                step = (target[i] - quad[i] @ prices) / diag[i]
+                prices[i] = min(hi, max(lo, prices[i] + step))
+            grad = target - quad @ prices
+            grad[(prices <= lo) & (grad < 0)] = 0.0
+            grad[(prices >= hi) & (grad > 0)] = 0.0
+            if np.max(np.abs(grad)) < 0.25 * opts.br_tolerance:
+                break
+        slope = float(prices @ graph.ones_image) + params.risk.reward_scale
+        root = 1.0 - math.sqrt(params.attacker_resource / slope) if slope > 0 else 0.5
+        hbar = float(np.clip(root, 0.5, HBAR_CEILING))
+        candidate = ProviderStrategy(prices.copy(), hbar)
+        joint = np.append(prices, hbar)
+        grad = provider_gradient(params, graph, candidate, s_i)
+        grad[(joint <= box_lo) & (grad < 0)] = 0.0
+        grad[(joint >= box_hi) & (grad > 0)] = 0.0
+        if np.max(np.abs(grad)) < opts.br_tolerance:
+            return candidate
+    raise AssertionError("oracle did not converge")
+
+
+def with_price_cap(cap):
+    return MarketParams(risk=RISK, attacker_resource=100.0, beta=10.0,
+                        price_cap=cap, gamma_cap=2.0)
+
+
+class TestTriangularPriceSweep:
+    """best_response_provider's BLAS sweeps reproduce the per-user sweeps."""
+
+    @pytest.fixture
+    def sweep_counts(self, monkeypatch):
+        calls = {"sweeps": 0, "fallbacks": 0}
+        price_sweep, element_sweep = equilibrium._price_sweep, equilibrium._element_sweep
+
+        def counted_price_sweep(*args):
+            calls["sweeps"] += 1
+            return price_sweep(*args)
+
+        def counted_element_sweep(*args):
+            calls["fallbacks"] += 1
+            return element_sweep(*args)
+
+        monkeypatch.setattr(equilibrium, "_price_sweep", counted_price_sweep)
+        monkeypatch.setattr(equilibrium, "_element_sweep", counted_element_sweep)
+        return calls
+
+    @staticmethod
+    def assert_matches_loop(params, graph, start):
+        s_i = InsurerStrategy(1.5)
+        fast = best_response_provider(params, graph, s_i, start, OPTS)
+        slow = loop_best_response_provider(params, graph, s_i, start)
+        np.testing.assert_allclose(fast.prices, slow.prices, rtol=0.0, atol=1e-12)
+        assert abs(fast.investment_ratio - slow.investment_ratio) <= 1e-12
+        return fast
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interior_starts(self, n, seed):
+        rng = np.random.default_rng(100 * n + seed)
+        graph = random_externality(rng, n, target_alpha_rho=float(rng.uniform(0.0, 0.9)))
+        start = ProviderStrategy(rng.uniform(0.1, 0.9, n), float(rng.uniform(0.5, 0.99)))
+        self.assert_matches_loop(PARAMS, graph, start)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_start_at_cap_with_interior_optimum(self, n, sweep_counts):
+        # every price starts clamped at the cap and ends inside the box, so
+        # the clamped set changes mid-solve and the per-user fallback runs
+        rng = np.random.default_rng(200 + n)
+        graph = random_externality(rng, n, target_alpha_rho=0.05)
+        start = ProviderStrategy(np.full(n, PARAMS.price_cap), 0.75)
+        fast = self.assert_matches_loop(PARAMS, graph, start)
+        assert np.all(fast.prices < PARAMS.price_cap)
+        assert sweep_counts["fallbacks"] > 0
+
+    @pytest.mark.parametrize("n", [2, 5, 30])
+    def test_cap_binds_at_optimum(self, n, sweep_counts):
+        # a cap at the median of the uncapped optimum clamps about half of
+        # the prices there; later sweeps hold them at the cap in BLAS
+        rng = np.random.default_rng(300 + n)
+        graph = random_externality(rng, n, target_alpha_rho=0.8)
+        start = ProviderStrategy(np.full(n, 0.5), 0.75)
+        uncapped = best_response_provider(with_price_cap(10.0), graph,
+                                          InsurerStrategy(1.5), start, OPTS)
+        params = with_price_cap(float(np.median(uncapped.prices)))
+        sweep_counts.update(sweeps=0, fallbacks=0)
+        fast = self.assert_matches_loop(params, graph, start)
+        at_cap = fast.prices == params.price_cap
+        assert at_cap.any() and not at_cap.all()
+        # the clamped set settles after a few sweeps; later sweeps stay in BLAS
+        assert 0 < 2 * sweep_counts["fallbacks"] < sweep_counts["sweeps"]
+
+    def test_sweep_holding_capped_prices_stays_in_blas(self, sweep_counts):
+        rng = np.random.default_rng(330)
+        graph = random_externality(rng, 30, target_alpha_rho=0.8)
+        start = ProviderStrategy(np.full(30, 0.5), 0.75)
+        params = with_price_cap(0.9)
+        optimum = best_response_provider(params, graph, InsurerStrategy(1.5), start, OPTS)
+        held = optimum.prices == params.price_cap
+        assert 0 < held.sum() < 30
+        prices = optimum.prices.copy()
+        prices[~held] -= rng.uniform(0.0, 1e-6, int((~held).sum()))
+        quad = graph.symmetric_influence
+        args = (quad, np.diagonal(quad), (1.0 + optimum.investment_ratio) * graph.ones_image)
+        bounds = (PRICE_FLOOR, params.price_cap)
+        sweep_counts.update(fallbacks=0)
+        swept = equilibrium._price_sweep(*args, prices.copy(), *bounds)
+        assert sweep_counts["fallbacks"] == 0
+        expected = equilibrium._element_sweep(*args, prices.copy(), *bounds)
+        np.testing.assert_allclose(swept, expected, rtol=0.0, atol=1e-14)
+        assert np.array_equal(swept == params.price_cap, held)
+
+    def test_whole_box_at_cap(self):
+        graph = random_externality(np.random.default_rng(5), 5, target_alpha_rho=0.5)
+        params = with_price_cap(0.3)
+        fast = self.assert_matches_loop(params, graph, ProviderStrategy(np.full(5, 0.2), 0.6))
+        assert np.all(fast.prices == 0.3)
+
+
 class TestInsurerBestResponse:
+    def test_expected_claim_computed_once(self, monkeypatch):
+        calls = []
+        attack_probability = market.attack_probability
+
+        def counted(*args):
+            calls.append(args)
+            return attack_probability(*args)
+
+        monkeypatch.setattr(market, "attack_probability", counted)
+        s_p = ProviderStrategy(np.full(3, 0.5), 0.8)
+        s_i = best_response_insurer(PARAMS, s_p, OPTS)
+        assert len(calls) == 1
+        assert insurer_profit_curve(PARAMS, s_p)(s_i.gamma) == insurer_profit(PARAMS, s_p, s_i)
+
     def test_cap_when_no_penalty(self):
         # at hbar = 1/2 the penalty vanishes and the premium rises in gamma
         s_p = ProviderStrategy(np.array([0.5]), 0.5)

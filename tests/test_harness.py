@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chainsure import harness
 from chainsure.errors import ConfigurationError
 from chainsure.harness import (
     ExperimentConfig,
@@ -148,6 +149,64 @@ class TestSweep:
             singles.append(graph.weights.sum())
         assert len({round(s, 6) for s in singles}) == 3  # distinct draws
         assert row.converged
+
+
+class TestGraphReuse:
+    """solve_point reuses the previous point's graph when its key matches."""
+
+    GRID = dict(n_users=[3, 4], alpha=[1e-3, 2e-3], attacker_resource=[50.0, 100.0],
+                tx_per_block=[100, 200])
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        monkeypatch.setattr(harness, "_last_graphs", None)
+        calls = []
+        generate = harness.generate_instance
+
+        def counted(config, n, alpha, replicate=0):
+            calls.append((n, alpha, replicate))
+            return generate(config, n, alpha, replicate=replicate)
+
+        monkeypatch.setattr(harness, "generate_instance", counted)
+        return calls
+
+    def cold_rows(self, cfg, monkeypatch):
+        rows = []
+        for point in sweep_points(cfg):
+            monkeypatch.setattr(harness, "_last_graphs", None)
+            rows.append(solve_point(cfg, *point))
+        return rows
+
+    def test_rows_equal_cold_solves(self, builds, monkeypatch):
+        cfg = fast_config(seed=17, **self.GRID)
+        assert run_sweep(cfg) == self.cold_rows(cfg, monkeypatch)
+
+    def test_one_build_per_graph(self, builds):
+        cfg = fast_config(seed=17, **self.GRID)
+        run_sweep(cfg)
+        assert builds == [(3, 1e-3, 0), (3, 2e-3, 0), (4, 1e-3, 0), (4, 2e-3, 0)]
+
+    def test_one_build_per_graph_and_replicate(self, builds):
+        cfg = fast_config(seed=17, replicates=2, **self.GRID)
+        run_sweep(cfg)
+        assert builds == [
+            (n, alpha, rep) for n in (3, 4) for alpha in (1e-3, 2e-3) for rep in (0, 1)
+        ]
+
+    def test_sweep_drops_its_graphs(self, builds):
+        run_sweep(fast_config(seed=17, **self.GRID))
+        assert harness._last_graphs is None
+
+    def test_key_includes_draw_settings(self, builds):
+        for cfg in (fast_config(seed=1), fast_config(seed=2), fast_config(seed=2, g_high=5.0)):
+            solve_point(cfg, 4, 1e-3, 100.0, 100)
+        assert len(builds) == 3
+
+    def test_replicates_and_threads_match_serial(self, builds, monkeypatch):
+        cfg = fast_config(seed=19, replicates=2, **self.GRID)
+        serial = run_sweep(cfg, threads=1)
+        assert run_sweep(cfg, threads=3) == serial
+        assert serial == self.cold_rows(cfg, monkeypatch)
 
 
 class TestCsv:
