@@ -5,17 +5,25 @@ complementarity system. Three solvers are provided: the closed form valid
 when every user is interior, a projected Gauss-Seidel iteration for the
 general clamped case, and an exhaustive partition enumeration used as the
 verification oracle on small instances.
+
+The projected Gauss-Seidel sweep itself (gauss_seidel_sweep) is shared:
+the clamped demand runs it on I - alpha G, and the provider's best
+response runs it on its price curvature M + M^T. A sweep is BLAS
+triangular kernels that read the matrix once and return the new
+iterate's residual with it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dtrmv, dtrsv
 
 from .errors import ContractionViolation, ConvergenceError, UniquenessViolation
 
@@ -139,19 +147,23 @@ def spectral_radius(matrix: np.ndarray, tol: float = POWER_ITER_TOL,
 
     The shift (5% of the max row sum) breaks the +/-rho eigenvalue tie of
     bipartite-like matrices; for a nonnegative matrix the Perron root moves
-    by exactly the shift, so it is subtracted back out.
+    by exactly the shift, so it is subtracted back out. When the max row
+    sum exceeds 1, each norm is taken of the iterate scaled by a power of
+    two near its inverse, which is exact, so weights near the float limit
+    do not overflow the squares.
     """
     g = np.asarray(matrix, dtype=float)
     n = g.shape[0]
     row_bound = float(g.sum(axis=1).max()) if n else 0.0
     if row_bound == 0.0:
         return 0.0
+    scale = math.ldexp(1.0, -max(math.frexp(row_bound)[1], 0))
     shift = 0.05 * row_bound
     x = np.full(n, 1.0 / np.sqrt(n))
     estimate = 0.0
     for _ in range(max_iters):
         y = g @ x + shift * x
-        norm = float(np.linalg.norm(y))
+        norm = float(np.linalg.norm(y * scale)) / scale
         if norm == 0.0:
             return 0.0
         x = y / norm
@@ -215,14 +227,87 @@ def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> D
     return _profile_from(graph, hbar, p, x)
 
 
+def _element_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
+                   x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """One projected Gauss-Seidel sweep, row by row, on a copy of x."""
+    x = x.copy()
+    for i in range(x.size):
+        step = (target[i] - matrix[i] @ x) / diag[i]
+        x[i] = min(hi, max(lo, x[i] + step))
+    return x
+
+
+def gauss_seidel_state(matrix: np.ndarray, target: np.ndarray,
+                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U x, target - K x) at x, the state gauss_seidel_sweep carries.
+
+    K = matrix, C-ordered, split as K = D + L + U (diagonal, strictly
+    lower, strictly upper).
+    """
+    kt = matrix.T  # Fortran-ordered: BLAS reads K through trans=1
+    upper = dtrmv(kt, x, lower=1, trans=1, diag=1) - x
+    return upper, target - upper - dtrmv(kt, x, trans=1)
+
+
+def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
+                       x: np.ndarray, upper: np.ndarray, residual: np.ndarray,
+                       lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One projected Gauss-Seidel sweep on K x = target over the box [lo, hi].
+
+    K = matrix (C-ordered, positive diagonal diag) splits as D + L + U.
+    upper = U x and residual = target - K x at the incoming x (see
+    gauss_seidel_state). Returns the new iterate with its U x and residual.
+
+    The sweep predicts which rows clamp from the Jacobi update
+    x + residual / diag. With no clamped row it is one forward substitution
+    (D + L) x' = target - U x; (D + L) x' is then that right-hand side, so
+    the new residual needs only U x', which the next sweep needs anyway.
+    Otherwise it holds the predicted rows at their bound
+    and solves the free rows. Either result is kept only when every free
+    row lands in the box and every held row's unclamped update lies past
+    its bound: then it is the row-by-row sweep's result up to round-off.
+    Failing that, this one sweep runs row by row. K is read through
+    K.T, a Fortran-ordered view, so no n x n array is copied.
+    """
+    kt = matrix.T
+    rhs = target - upper
+    jacobi = x + residual / diag
+    new = None
+    if lo < jacobi.min() and jacobi.max() < hi:
+        solved = dtrsv(kt, rhs, trans=1)
+        if lo <= solved.min() and solved.max() <= hi:
+            new, lower = solved, rhs  # (D + L) x' = rhs
+    else:
+        at_lo, at_hi = jacobi <= lo, jacobi >= hi
+        free = ~(at_lo | at_hi)
+        held = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+        solved = held.copy()
+        if free.any():
+            free_rhs = rhs - dtrmv(kt, held, trans=1) + diag * held  # rhs - L held
+            block = matrix[np.ix_(free, free)]
+            solved[free] = dtrsv(block.T, free_rhs[free], trans=1)
+        lower = dtrmv(kt, solved, trans=1)
+        unclamped = (rhs - lower + diag * solved) / diag
+        if (np.all((solved[free] >= lo) & (solved[free] <= hi))
+                and np.all(unclamped[at_hi] >= hi) and np.all(unclamped[at_lo] <= lo)):
+            new = solved
+    if new is None:
+        new = _element_sweep(matrix, diag, target, x, lo, hi)
+        lower = dtrmv(kt, new, trans=1)
+    upper = dtrmv(kt, new, lower=1, trans=1, diag=1) - new
+    return new, upper, target - upper - lower
+
+
 def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray,
                tol: float = LCP_TOL, max_iters: int = LCP_ITER_CAP) -> DemandProfile:
     """Unique clamped demand equilibrium via projected Gauss-Seidel.
 
-    Each sweep updates x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in place
-    (the system diagonal is 1 because the weight diagonal is zero), and the
+    Each sweep (gauss_seidel_sweep on A = I - alpha G, whose diagonal is 1)
+    updates x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order, and the
     iteration stops when the fixed-point residual
-    || x - clamp(b + alpha G x, 0, 1) ||_inf drops below tol.
+    || x - clamp(b + alpha G x, 0, 1) ||_inf drops below tol. The sweep
+    returns r = b - A x, so that residual is || x - clamp(x + r, 0, 1) ||_inf
+    and costs no further pass over A.
     """
     _require_contraction(graph)
     p = np.asarray(p, dtype=float)
@@ -230,13 +315,14 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray,
     if p.shape != (n,):
         raise ValueError(f"price vector has shape {p.shape}, expected ({n},)")
     b = (1.0 + hbar) - p
-    scaled = graph.alpha * graph.weights
+    a_mat = graph.system_matrix
+    diag = np.diagonal(a_mat)
     x = np.clip(b, 0.0, 1.0)
+    upper, r = gauss_seidel_state(a_mat, b, x)
     sweeps_cap = max(1, max_iters // max(n, 1))
     for _ in range(sweeps_cap):
-        for i in range(n):
-            x[i] = min(1.0, max(0.0, b[i] + scaled[i] @ x))
-        residual = float(np.max(np.abs(x - np.clip(b + scaled @ x, 0.0, 1.0))))
+        x, upper, r = gauss_seidel_sweep(a_mat, diag, b, x, upper, r, 0.0, 1.0)
+        residual = float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
         if residual < tol:
             return _profile_from(graph, hbar, p, x, tol=tol)
     raise ConvergenceError(

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmv, dtrsv
 
 from .demand import (
     ContractionCheck,
@@ -23,6 +22,8 @@ from .demand import (
     ExternalityGraph,
     check_contraction,
     closed_form_demand,
+    gauss_seidel_state,
+    gauss_seidel_sweep,
     lcp_demand,
 )
 from .errors import ContractionViolation, ConvergenceError, is_integer
@@ -39,7 +40,6 @@ from .market import (
     check_uniqueness,
     insurer_profit,
     insurer_profit_curve,
-    provider_gradient,
     provider_profit,
 )
 
@@ -83,57 +83,14 @@ class EquilibriumReport:
     converged: bool
 
 
-def _projected_gradient(x: np.ndarray, grad: np.ndarray,
-                        lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Gradient with components pointing out of the box zeroed."""
+def _projected_norm(x: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> float:
+    """Infinity norm of the gradient with components pointing out of the box zeroed."""
+    if lo < x.min() and x.max() < hi:
+        return float(np.abs(grad).max())
     pg = grad.copy()
     pg[(x <= lo) & (grad < 0)] = 0.0
     pg[(x >= hi) & (grad > 0)] = 0.0
-    return pg
-
-
-def _element_sweep(quad: np.ndarray, quad_diag: np.ndarray, target: np.ndarray,
-                   prices: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """One projected Gauss-Seidel sweep of the price block, user by user, in place."""
-    for i in range(prices.size):
-        step = (target[i] - quad[i] @ prices) / quad_diag[i]
-        prices[i] = min(hi, max(lo, prices[i] + step))
-    return prices
-
-
-def _price_sweep(quad: np.ndarray, quad_diag: np.ndarray, target: np.ndarray,
-                 prices: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """One projected Gauss-Seidel sweep of the price block, as BLAS triangular kernels.
-
-    Split Q = D + L + U. A sweep in which no price changes its clamp state
-    is the forward substitution (D + L) p' = t - U p over the free prices,
-    with the clamped ones held at their bound. The clamped set is guessed
-    from p, and the result is kept only when every free price lands in the
-    box and every clamped row's unclamped update still lies past its bound:
-    then it is the per-user sweep's result up to round-off. Otherwise this
-    one sweep runs user by user.
-    """
-    a = quad.T  # Q is symmetric and C-ordered: a Fortran-ordered view of Q
-    rhs = target - dtrmv(a, prices) + quad_diag * prices  # t - U p
-    if lo < prices.min() and prices.max() < hi:
-        new = dtrsv(a, rhs, lower=1)
-        if lo <= new.min() and new.max() <= hi:
-            return new
-        return _element_sweep(quad, quad_diag, target, prices, lo, hi)
-
-    at_lo, at_hi = prices <= lo, prices >= hi
-    free = ~(at_lo | at_hi)
-    held = np.where(free, 0.0, prices)
-    new = held.copy()
-    if free.any():
-        free_rhs = rhs - (dtrmv(a, held, lower=1) - quad_diag * held)  # minus L p_clamped
-        block = quad[np.ix_(free, free)]  # symmetric, so block.T is Fortran-ordered
-        new[free] = dtrsv(block.T, free_rhs[free], lower=1)
-    unclamped = (rhs - (dtrmv(a, new, lower=1) - quad_diag * new)) / quad_diag
-    if (np.all((new[free] >= lo) & (new[free] <= hi))
-            and np.all(unclamped[at_hi] >= hi) and np.all(unclamped[at_lo] <= lo)):
-        return new
-    return _element_sweep(quad, quad_diag, target, prices, lo, hi)
+    return float(np.abs(pg).max())
 
 
 def best_response_provider(params: MarketParams, graph: ExternalityGraph,
@@ -144,14 +101,17 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     Block-coordinate exact ascent. The profit is an exact quadratic in the
     prices, so the price block is a box-QP with curvature Q = M + M^T
     (graph.symmetric_influence, built once per graph), solved by projected
-    Gauss-Seidel on its stationarity system. Each sweep runs as a BLAS
-    forward substitution over the prices that stay off their bounds, and
-    falls back to a per-user sweep when a price enters or leaves a bound
-    (_price_sweep); the iterates are those of the per-user sweep. The
-    investment ratio then has a closed-form interior root (the cost pole
-    makes its slope strictly decreasing), clamped to the box. The two
-    blocks couple only through scalars, so the alternation contracts fast;
-    termination is on the true projected gradient's infinity norm.
+    Gauss-Seidel on its stationarity system Q p = (1 + hbar) M1. Each sweep
+    is demand.gauss_seidel_sweep: BLAS triangular kernels that read Q once,
+    predict the clamped prices from the Jacobi update, and fall back to a
+    per-user sweep when that prediction fails; the iterates are those of
+    the per-user sweep. The sweep returns the residual (1 + hbar) M1 - Q p,
+    which is the price block of the exact gradient. The investment ratio
+    then has a closed-form interior root (the cost pole makes its slope
+    strictly decreasing), clamped to the box. The two blocks couple only
+    through scalars, so the alternation contracts fast. Termination is on
+    the true projected gradient's infinity norm: moving hbar by dh shifts
+    the price gradient by dh * M1, so the check needs no linear solve.
 
     Plain projected gradient ascent was rejected here: the hbar curvature
     dwarfs the price curvature and capped prices make coupled Newton steps
@@ -172,38 +132,37 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     reward = params.risk.reward_scale
     attacker = params.attacker_resource
 
-    def price_residual(p: np.ndarray, target: np.ndarray) -> float:
-        grad = target - quad @ p
-        grad[(p <= price_lo) & (grad < 0)] = 0.0
-        grad[(p >= price_hi) & (grad > 0)] = 0.0
-        return float(np.max(np.abs(grad)))
-
+    # grad is the price gradient (1 + hbar) M1 - Q p at the current point
+    target = (1.0 + hbar) * m_ones
+    upper, grad = gauss_seidel_state(quad, target, prices)
     sweep_cap = 60 + 10 * n
     for _ in range(opts.max_inner_iters):
         # price block: maximize (1 + hbar) p.M1 - p.Mp over the price box
-        target = (1.0 + hbar) * m_ones
         for _ in range(sweep_cap):
-            prices = _price_sweep(quad, quad_diag, target, prices, price_lo, price_hi)
-            if price_residual(prices, target) < 0.25 * opts.br_tolerance:
+            prices, upper, grad = gauss_seidel_sweep(
+                quad, quad_diag, target, prices, upper, grad, price_lo, price_hi)
+            if _projected_norm(prices, grad, price_lo, price_hi) < 0.25 * opts.br_tolerance:
                 break
         # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
         # decreasing, so the box maximizer is the clamped root
-        slope_at_cost = float(prices @ m_ones) + reward
+        p_m_ones = float(prices @ m_ones)
+        slope_at_cost = p_m_ones + reward
         root = 1.0 - math.sqrt(attacker / slope_at_cost) if slope_at_cost > 0 else 0.5
-        hbar = float(np.clip(root, 0.5, HBAR_CEILING))
+        new_hbar = float(np.clip(root, 0.5, HBAR_CEILING))
+        grad = grad + (new_hbar - hbar) * m_ones
+        hbar = new_hbar
+        target = (1.0 + hbar) * m_ones
 
-        candidate = ProviderStrategy(prices=prices.copy(), investment_ratio=hbar)
-        grad = provider_gradient(params, graph, candidate, s_i)
-        joint = np.concatenate([prices, [hbar]])
-        lo = np.concatenate([np.full(n, price_lo), [0.5]])
-        hi = np.concatenate([np.full(n, price_hi), [HBAR_CEILING]])
-        pg = _projected_gradient(joint, grad, lo, hi)
-        if float(np.max(np.abs(pg))) < opts.br_tolerance:
-            return candidate
+        hbar_grad = p_m_ones - attacker / (1.0 - hbar) ** 2 + reward
+        if (hbar <= 0.5 and hbar_grad < 0) or (hbar >= HBAR_CEILING and hbar_grad > 0):
+            hbar_grad = 0.0
+        residual = max(_projected_norm(prices, grad, price_lo, price_hi), abs(hbar_grad))
+        if residual < opts.br_tolerance:
+            return ProviderStrategy(prices=prices, investment_ratio=hbar)
     raise ConvergenceError(
         "provider best response hit its iteration cap",
-        last_iterate=candidate,
-        residual=float(np.max(np.abs(pg))),
+        last_iterate=ProviderStrategy(prices=prices, investment_ratio=hbar),
+        residual=residual,
     )
 
 
@@ -213,15 +172,18 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
 
     The profit is concave in gamma on the domain, so golden section with an
     argument tolerance of br_tolerance finds the maximizer (possibly the cap).
+    The bracket cannot narrow below a few float spacings of the cap, so a
+    smaller br_tolerance stops there instead of looping forever.
     """
     lo, hi = GAMMA_FLOOR, params.gamma_cap
     profit = insurer_profit_curve(params, s_p)
+    tolerance = max(opts.br_tolerance, 4.0 * math.ulp(hi))
 
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = profit(c), profit(d)
-    while b - a > opts.br_tolerance:
+    while b - a > tolerance:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -96,7 +96,7 @@ class ExperimentConfig:
             if "solve" in kwargs:
                 kwargs["solve"] = SolveOptions(**kwargs["solve"])
             return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(str(exc)) from exc
 
     @classmethod
@@ -172,7 +172,10 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float,
         raise ConfigurationError(f"need at least one user, got {n}")
     seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, replicate))
     rng = np.random.default_rng(seq)
-    weights = rng.uniform(config.g_low, config.g_high, size=(n, n))
+    try:
+        weights = rng.uniform(config.g_low, config.g_high, size=(n, n))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigurationError(f"cannot draw an {n} x {n} externality matrix: {exc}") from exc
     np.fill_diagonal(weights, 0.0)
     graph = ExternalityGraph(weights=weights, alpha=alpha)
     chk = check_contraction(graph)

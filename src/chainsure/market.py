@@ -10,6 +10,7 @@ are finite-difference verified in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,6 +24,7 @@ from .risk import RiskModel, attack_probability, distorted_log_moments, premium,
 PRICE_FLOOR = 1e-9
 HBAR_CEILING = 1.0 - 1e-6
 GAMMA_FLOOR = 1.0 + 1e-9
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,23 @@ class MarketParams:
             raise ValueError(f"attacker_resource must be positive and finite, got {self.attacker_resource}")
         if not 1 < self.beta < math.inf:
             raise ValueError(f"beta must exceed 1 and be finite, got {self.beta}")
-        if not 0 < self.price_cap < math.inf:
-            raise ValueError(f"price_cap must be positive and finite, got {self.price_cap}")
-        if not 1 < self.gamma_cap < math.inf:
-            raise ValueError(f"gamma_cap must exceed 1 and be finite, got {self.gamma_cap}")
+        if not PRICE_FLOOR < self.price_cap < math.inf:
+            raise ValueError(
+                f"price_cap must exceed {PRICE_FLOOR!r} (the price floor) and be finite, "
+                f"got {self.price_cap}"
+            )
+        if not GAMMA_FLOOR < self.gamma_cap < math.inf:
+            raise ValueError(
+                f"gamma_cap must exceed {GAMMA_FLOOR!r} (the premium floor) and be finite, "
+                f"got {self.gamma_cap}"
+            )
+        # check_uniqueness forms 9 (beta + 1)^2 gamma_cap^(beta + 1); bound its log
+        log_threshold = (math.log(9.0) + 2.0 * math.log(self.beta + 1.0)
+                         + (self.beta + 1.0) * math.log(self.gamma_cap))
+        if not log_threshold < _LOG_FLOAT_MAX:
+            raise ValueError(
+                f"beta = {self.beta} overflows the uniqueness threshold at gamma_cap = {self.gamma_cap}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

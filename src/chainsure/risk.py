@@ -42,6 +42,9 @@ class RiskModel:
         # the game, which some boundary checks rely on.
         if not (0 <= self.compensation_rate < np.inf and 0 <= self.mining_reward < np.inf):
             raise ValueError("compensation_rate and mining_reward must be nonnegative and finite")
+        if not (np.isfinite(self.claim_scale) and np.isfinite(self.reward_scale)):
+            raise ValueError("blocks_per_period * tx_per_block * compensation_rate (or mining_reward) "
+                             "must be finite")
 
     @property
     def claim_scale(self) -> float:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .errors import ConvergenceError
+
 
 class Scheme(enum.Enum):
     RECTANGULAR_MIDPOINT = "rectangular_midpoint"
@@ -92,7 +94,7 @@ def _beta_contfrac(u: float, v: float, w: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise ArithmeticError(
+    raise ConvergenceError(
         f"incomplete Beta continued fraction failed to converge for u={u}, v={v}, w={w}"
     )
 

@@ -127,9 +127,16 @@ class TestConfigErrors:
         {"alpha": [NAN]},
         {"n_users": [0]},
         {"solve": {"br_tolerance": float("inf")}},
+        {"gamma_cap": 1.0000000000000002},
+        {"beta": 1e300},
+        {"price_cap": 1e-300},
+        {"tx_per_block": [float("inf")]},
+        {"compensation_rate": 1e300, "tx_per_block": [1e10]},
     ], ids=["beta", "beta_nan", "price_cap", "gamma_cap", "attacker_nan",
             "solve_key", "br_tolerance", "seed_nan", "max_inner_iters", "g_low",
-            "g_high_nan", "alpha", "replicates", "alpha_nan", "n_users", "br_tolerance_inf"])
+            "g_high_nan", "alpha", "replicates", "alpha_nan", "n_users", "br_tolerance_inf",
+            "gamma_cap_floor", "beta_overflow", "price_cap_floor", "tx_per_block_inf",
+            "claim_scale_inf"])
     def test_exit_2(self, tmp_path, capsys, command, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_users": [4], "alpha": [1e-3], **bad}))
@@ -138,6 +145,40 @@ class TestConfigErrors:
             argv += ["--out", str(tmp_path / "rows.csv")]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+
+class TestSolverErrors:
+    # with this many blocks per period the incomplete Beta's continued
+    # fraction does not converge
+    BLOCKS = {"n_users": [4], "alpha": [1e-3], "blocks_per_period": 1e300}
+
+    def test_solve_reports_error(self, tmp_path, capsys):
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(self.BLOCKS))
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: incomplete Beta continued fraction")
+
+    def test_sweep_writes_failed_row(self, tmp_path, capsys):
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(self.BLOCKS))
+        out_csv = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 1
+        rows = read_csv(out_csv)
+        assert len(rows) == 1 and not rows[0].converged
+
+    def test_externality_past_float_range_fails_contraction(self, tmp_path, capsys):
+        # squares of these weights overflow; the spectral radius must not
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps({"n_users": [3], "g_high": 1e300}))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "alpha * rho(G)" in capsys.readouterr().err
+
+    def test_unallocatable_user_count(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n_users": [1e300]}))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "externality matrix" in capsys.readouterr().err
 
 
 class TestOracle:

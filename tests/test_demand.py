@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsure import demand
 from chainsure.demand import (
     ExternalityGraph,
     Segment,
     brute_force_lcp,
     check_contraction,
     closed_form_demand,
+    gauss_seidel_state,
+    gauss_seidel_sweep,
     lcp_demand,
     spectral_radius,
     user_utility,
@@ -161,7 +164,101 @@ class TestClosedFormDemand:
         np.testing.assert_allclose(prof.x, 1.0 - np.clip(prof.thresholds, 0.0, 1.0), atol=1e-9)
 
 
+# the row-by-row sweep, kept unpatched as the reference
+row_by_row = demand._element_sweep
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the row-by-row sweeps gauss_seidel_sweep falls back to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return row_by_row(*args)
+
+    monkeypatch.setattr(demand, "_element_sweep", counted)
+    return calls
+
+
+# K = Q, symmetric with a non-unit diagonal, and K = I - alpha G with a
+# nonsymmetric G. Each case runs one sweep over the box [0, 1] from x and
+# names the branch it takes.
+SYMMETRIC = np.array([[2.0, 0.5], [0.5, 1.0]])
+NONSYMMETRIC = np.eye(2) - ExternalityGraph(np.array([[0.0, 0.2], [0.5, 0.0]]), 1.0).weights
+SWEEP_CASES = {
+    # every row's update stays inside the box: one forward substitution
+    "q_free": (SYMMETRIC, [0.8, 0.5], [0.2, 0.3], 0),
+    # row 0's Jacobi update is past the cap, so it is held there
+    "q_clamped": (SYMMETRIC, [3.0, 0.8], [0.0, 0.5], 0),
+    # both Jacobi updates lie inside, but row 1's Gauss-Seidel update,
+    # which sees row 0's new value, falls below the floor
+    "q_fallback": (SYMMETRIC, [1.3, 0.2], [0.0, 0.5], 1),
+    "a_free": (NONSYMMETRIC, [0.3, 0.3], [0.2, 0.3], 0),
+    "a_clamped": (NONSYMMETRIC, [2.0, 0.2], [0.0, 0.5], 0),
+    # row 1's Gauss-Seidel update rises past the cap
+    "a_fallback": (NONSYMMETRIC, [0.65, 0.8], [0.0, 0.5], 1),
+}
+
+
+def assert_sweep_state(matrix, target, x, upper, residual):
+    np.testing.assert_allclose(upper, np.triu(matrix, 1) @ x,
+                               rtol=0.0, atol=1e-12 * max(1.0, np.abs(target).max()))
+    np.testing.assert_allclose(residual, target - matrix @ x,
+                               rtol=0.0, atol=1e-12 * max(1.0, np.abs(target).max()))
+
+
+class TestGaussSeidelSweep:
+    """The shared sweep kernel against the row-by-row sweep and t - K x."""
+
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_branches(self, case, fallbacks):
+        matrix, target, x, expected_fallbacks = SWEEP_CASES[case]
+        target, x = np.array(target), np.array(x)
+        diag = np.diagonal(matrix).copy()
+        upper, residual = gauss_seidel_state(matrix, target, x)
+        assert_sweep_state(matrix, target, x, upper, residual)
+        new, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual, 0.0, 1.0)
+        assert len(fallbacks) == expected_fallbacks
+        expected = row_by_row(matrix, diag, target, x, 0.0, 1.0)
+        np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
+        assert_sweep_state(matrix, target, new, upper, residual)
+        if case.endswith("clamped"):
+            assert new[0] == 1.0 and 0.0 < new[1] < 1.0
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_trajectory(self, symmetric, fallbacks):
+        # the unconstrained solution leaves the box on both sides, so the
+        # sweeps clamp rows at both bounds
+        rng = np.random.default_rng(41 if symmetric else 42)
+        graph = random_externality(rng, 30, target_alpha_rho=0.8)
+        matrix = graph.symmetric_influence if symmetric else graph.system_matrix
+        diag = np.diagonal(matrix)
+        target = matrix @ rng.uniform(-0.2, 1.2, 30)
+        lo, hi = 0.1, 0.9
+        x = rng.uniform(lo, hi, 30)
+        upper, residual = gauss_seidel_state(matrix, target, x)
+        for _ in range(40):
+            expected = row_by_row(matrix, diag, target, x, lo, hi)
+            x, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual, lo, hi)
+            np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
+            assert_sweep_state(matrix, target, x, upper, residual)
+        assert np.any(x == lo) and np.any(x == hi)
+        assert 0 < len(fallbacks) < 20
+
+
 class TestLcpDemand:
+    def test_matches_brute_force_through_fallback(self, fallbacks):
+        rng = np.random.default_rng(2)
+        n = int(rng.integers(2, 9))
+        graph = random_externality(rng, n, target_alpha_rho=0.9)
+        p = rng.uniform(0.05, 2.2, n)
+        solved = lcp_demand(graph, 0.8, p)
+        assert fallbacks
+        reference = brute_force_lcp(graph, 0.8, p)
+        np.testing.assert_allclose(solved.x, reference.x, atol=1e-9)
+        assert np.array_equal(solved.partition, reference.partition)
+
     def test_decoupled_opt_out(self):
         graph = ExternalityGraph(np.zeros((3, 3)), 0.0)
         prof = lcp_demand(graph, 0.5, np.full(3, 2.0))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chainsure import equilibrium, market
-from chainsure.demand import ExternalityGraph, Segment
+from chainsure import demand, equilibrium, market
+from chainsure.demand import ExternalityGraph, Segment, gauss_seidel_state, gauss_seidel_sweep
 from chainsure.equilibrium import (
     SolveOptions,
     best_response_insurer,
@@ -124,8 +124,10 @@ def loop_best_response_provider(params, graph, s_i, start, opts=OPTS):
 
     Oracle for best_response_provider's triangular sweeps: the same
     block-coordinate ascent, with every price update taken in its own
-    Python step.
+    Python step and the exact gradient from provider_gradient. Returns
+    the best response and the number of price sweeps it ran.
     """
+    sweeps = 0
     n = graph.n_users
     lo, hi = PRICE_FLOOR, params.price_cap
     quad = graph.symmetric_influence
@@ -137,6 +139,7 @@ def loop_best_response_provider(params, graph, s_i, start, opts=OPTS):
     for _ in range(opts.max_inner_iters):
         target = (1.0 + hbar) * graph.ones_image
         for _ in range(60 + 10 * n):
+            sweeps += 1
             for i in range(n):
                 step = (target[i] - quad[i] @ prices) / diag[i]
                 prices[i] = min(hi, max(lo, prices[i] + step))
@@ -154,7 +157,7 @@ def loop_best_response_provider(params, graph, s_i, start, opts=OPTS):
         grad[(joint <= box_lo) & (grad < 0)] = 0.0
         grad[(joint >= box_hi) & (grad > 0)] = 0.0
         if np.max(np.abs(grad)) < opts.br_tolerance:
-            return candidate
+            return candidate, sweeps
     raise AssertionError("oracle did not converge")
 
 
@@ -166,30 +169,32 @@ def with_price_cap(cap):
 class TestTriangularPriceSweep:
     """best_response_provider's BLAS sweeps reproduce the per-user sweeps."""
 
-    @pytest.fixture
+    @pytest.fixture(autouse=True)
     def sweep_counts(self, monkeypatch):
-        calls = {"sweeps": 0, "fallbacks": 0}
-        price_sweep, element_sweep = equilibrium._price_sweep, equilibrium._element_sweep
+        # sweeps best_response_provider runs, and the per-user sweeps the
+        # kernel falls back to
+        self.calls = calls = {"sweeps": 0, "fallbacks": 0}
+        element_sweep = demand._element_sweep
 
-        def counted_price_sweep(*args):
+        def counted_sweep(*args):
             calls["sweeps"] += 1
-            return price_sweep(*args)
+            return gauss_seidel_sweep(*args)
 
         def counted_element_sweep(*args):
             calls["fallbacks"] += 1
             return element_sweep(*args)
 
-        monkeypatch.setattr(equilibrium, "_price_sweep", counted_price_sweep)
-        monkeypatch.setattr(equilibrium, "_element_sweep", counted_element_sweep)
-        return calls
+        monkeypatch.setattr(equilibrium, "gauss_seidel_sweep", counted_sweep)
+        monkeypatch.setattr(demand, "_element_sweep", counted_element_sweep)
 
-    @staticmethod
-    def assert_matches_loop(params, graph, start):
+    def assert_matches_loop(self, params, graph, start):
         s_i = InsurerStrategy(1.5)
+        self.calls.update(sweeps=0, fallbacks=0)
         fast = best_response_provider(params, graph, s_i, start, OPTS)
-        slow = loop_best_response_provider(params, graph, s_i, start)
+        slow, sweeps = loop_best_response_provider(params, graph, s_i, start)
         np.testing.assert_allclose(fast.prices, slow.prices, rtol=0.0, atol=1e-12)
         assert abs(fast.investment_ratio - slow.investment_ratio) <= 1e-12
+        assert self.calls["sweeps"] == sweeps
         return fast
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
@@ -201,18 +206,29 @@ class TestTriangularPriceSweep:
         self.assert_matches_loop(PARAMS, graph, start)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
-    def test_start_at_cap_with_interior_optimum(self, n, sweep_counts):
-        # every price starts clamped at the cap and ends inside the box, so
-        # the clamped set changes mid-solve and the per-user fallback runs
+    def test_start_at_cap_with_interior_optimum(self, n):
+        # every price starts at a cap 1 % above the largest optimal price,
+        # and ends inside the box. The Jacobi update of a price near the
+        # cap stays below it, but its Gauss-Seidel update, which sees the
+        # lower new prices of the users before it, rises above the cap; so
+        # the predicted clamp set is wrong and the per-user fallback runs.
+        # One user has no one before it: its sweep is its Jacobi update,
+        # the prediction is exact, and no fallback runs.
         rng = np.random.default_rng(200 + n)
         graph = random_externality(rng, n, target_alpha_rho=0.05)
-        start = ProviderStrategy(np.full(n, PARAMS.price_cap), 0.75)
-        fast = self.assert_matches_loop(PARAMS, graph, start)
-        assert np.all(fast.prices < PARAMS.price_cap)
-        assert sweep_counts["fallbacks"] > 0
+        uncapped = best_response_provider(with_price_cap(10.0), graph, InsurerStrategy(1.5),
+                                          ProviderStrategy(np.full(n, 0.5), 0.75), OPTS)
+        params = with_price_cap(1.01 * float(uncapped.prices.max()))
+        start = ProviderStrategy(np.full(n, params.price_cap), 0.5)
+        fast = self.assert_matches_loop(params, graph, start)
+        assert np.all(fast.prices < params.price_cap)
+        if n == 1:
+            assert self.calls["fallbacks"] == 0
+        else:
+            assert self.calls["fallbacks"] > 0
 
     @pytest.mark.parametrize("n", [2, 5, 30])
-    def test_cap_binds_at_optimum(self, n, sweep_counts):
+    def test_cap_binds_at_optimum(self, n):
         # a cap at the median of the uncapped optimum clamps about half of
         # the prices there; later sweeps hold them at the cap in BLAS
         rng = np.random.default_rng(300 + n)
@@ -221,14 +237,13 @@ class TestTriangularPriceSweep:
         uncapped = best_response_provider(with_price_cap(10.0), graph,
                                           InsurerStrategy(1.5), start, OPTS)
         params = with_price_cap(float(np.median(uncapped.prices)))
-        sweep_counts.update(sweeps=0, fallbacks=0)
         fast = self.assert_matches_loop(params, graph, start)
         at_cap = fast.prices == params.price_cap
         assert at_cap.any() and not at_cap.all()
         # the clamped set settles after a few sweeps; later sweeps stay in BLAS
-        assert 0 < 2 * sweep_counts["fallbacks"] < sweep_counts["sweeps"]
+        assert 0 < 2 * self.calls["fallbacks"] < self.calls["sweeps"]
 
-    def test_sweep_holding_capped_prices_stays_in_blas(self, sweep_counts):
+    def test_sweep_holding_capped_prices_stays_in_blas(self):
         rng = np.random.default_rng(330)
         graph = random_externality(rng, 30, target_alpha_rho=0.8)
         start = ProviderStrategy(np.full(30, 0.5), 0.75)
@@ -239,12 +254,14 @@ class TestTriangularPriceSweep:
         prices = optimum.prices.copy()
         prices[~held] -= rng.uniform(0.0, 1e-6, int((~held).sum()))
         quad = graph.symmetric_influence
-        args = (quad, np.diagonal(quad), (1.0 + optimum.investment_ratio) * graph.ones_image)
+        target = (1.0 + optimum.investment_ratio) * graph.ones_image
         bounds = (PRICE_FLOOR, params.price_cap)
-        sweep_counts.update(fallbacks=0)
-        swept = equilibrium._price_sweep(*args, prices.copy(), *bounds)
-        assert sweep_counts["fallbacks"] == 0
-        expected = equilibrium._element_sweep(*args, prices.copy(), *bounds)
+        upper, residual = gauss_seidel_state(quad, target, prices)
+        self.calls.update(fallbacks=0)
+        swept, _, _ = gauss_seidel_sweep(quad, np.diagonal(quad), target, prices,
+                                         upper, residual, *bounds)
+        assert self.calls["fallbacks"] == 0
+        expected = demand._element_sweep(quad, np.diagonal(quad), target, prices, *bounds)
         np.testing.assert_allclose(swept, expected, rtol=0.0, atol=1e-14)
         assert np.array_equal(swept == params.price_cap, held)
 
@@ -253,6 +270,26 @@ class TestTriangularPriceSweep:
         params = with_price_cap(0.3)
         fast = self.assert_matches_loop(params, graph, ProviderStrategy(np.full(5, 0.2), 0.6))
         assert np.all(fast.prices == 0.3)
+
+    def test_no_linear_solve(self, monkeypatch):
+        # the convergence check reads the sweep's residual, not provider_gradient
+        rng = np.random.default_rng(6)
+        graph = random_externality(rng, 12, target_alpha_rho=0.5)
+        graph.ones_image, graph.symmetric_influence  # built once per graph, outside the loop
+        solves = []
+        solve = ExternalityGraph.solve
+
+        def counted(self, *args, **kwargs):
+            solves.append(args)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExternalityGraph, "solve", counted)
+        self.assert_matches_loop(PARAMS, graph, ProviderStrategy(np.full(12, 0.5), 0.75))
+        assert solves  # the oracle's provider_gradient solves
+        solves.clear()
+        best_response_provider(PARAMS, graph, InsurerStrategy(1.5),
+                               ProviderStrategy(np.full(12, 0.5), 0.75), OPTS)
+        assert solves == []
 
 
 class TestInsurerBestResponse:
@@ -269,6 +306,12 @@ class TestInsurerBestResponse:
         s_i = best_response_insurer(PARAMS, s_p, OPTS)
         assert len(calls) == 1
         assert insurer_profit_curve(PARAMS, s_p)(s_i.gamma) == insurer_profit(PARAMS, s_p, s_i)
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        # golden section cannot narrow the bracket below the float spacing
+        s_p = ProviderStrategy(np.array([0.5]), 0.9)
+        tight = best_response_insurer(PARAMS, s_p, SolveOptions(br_tolerance=1e-300))
+        assert tight.gamma == pytest.approx(best_response_insurer(PARAMS, s_p, OPTS).gamma, abs=1e-7)
 
     def test_cap_when_no_penalty(self):
         # at hbar = 1/2 the penalty vanishes and the premium rises in gamma
