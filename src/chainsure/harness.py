@@ -32,14 +32,14 @@ from .market import (
 from .risk import RiskModel, attack_probability, premium
 
 
-def _as_list(value, kind) -> list:
-    if isinstance(value, (list, tuple)):
-        out = [kind(v) for v in value]
-    else:
-        out = [kind(value)]
-    if not out:
+def _as_list(name: str, value, kind) -> list:
+    values = list(value) if isinstance(value, (list, tuple)) else [value]
+    if not values:
         raise ConfigurationError("sweep lists must be nonempty")
-    return out
+    # int() would truncate 2.5 to 2; a count must be given as an integer
+    if kind is int and not all(is_integer(v) for v in values):
+        raise ConfigurationError(f"every {name} must be an integer, got {values!r}")
+    return [kind(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,11 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_users", _as_list(self.n_users, int))
-        object.__setattr__(self, "alpha", _as_list(self.alpha, float))
-        object.__setattr__(self, "attacker_resource", _as_list(self.attacker_resource, float))
-        object.__setattr__(self, "tx_per_block", _as_list(self.tx_per_block, int))
+        object.__setattr__(self, "n_users", _as_list("n_users", self.n_users, int))
+        object.__setattr__(self, "alpha", _as_list("alpha", self.alpha, float))
+        object.__setattr__(self, "attacker_resource",
+                           _as_list("attacker_resource", self.attacker_resource, float))
+        object.__setattr__(self, "tx_per_block", _as_list("tx_per_block", self.tx_per_block, int))
         # written so that NaN fails every check
         if not all(n >= 1 for n in self.n_users):
             raise ConfigurationError(f"every n_users must be at least 1, got {self.n_users}")
@@ -195,10 +196,9 @@ def _default_starts(config: ExperimentConfig, n: int) -> tuple[ProviderStrategy,
     return start_p, start_i
 
 
-def _report_row(config: ExperimentConfig, n: int, alpha: float, a: float,
+def _report_row(params: MarketParams, n: int, alpha: float, a: float,
                 n_t: int, report: EquilibriumReport) -> SweepRow:
     hbar = report.provider.investment_ratio
-    params = config.market_params(a, n_t)
     return SweepRow(
         n_users=n,
         alpha=alpha,
@@ -289,7 +289,7 @@ def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
             params = config.market_params(a, n_t)
             start_p, start_i = _default_starts(config, n)
             report = solve_stackelberg(params, graph, start_p, start_i, config.solve)
-            replicate_rows.append(_report_row(config, n, alpha, a, n_t, report))
+            replicate_rows.append(_report_row(params, n, alpha, a, n_t, report))
         except (ChainsureError, np.linalg.LinAlgError):
             replicate_rows.append(_failed_row(n, alpha, a, n_t))
     return _mean_rows(replicate_rows)

@@ -17,7 +17,14 @@ from typing import Callable
 import numpy as np
 
 from .demand import ExternalityGraph
-from .risk import RiskModel, attack_probability, distorted_log_moments, premium, reputation_penalty
+from .risk import (
+    RiskModel,
+    attack_probability,
+    distorted_log_moments,
+    premium,
+    premium_curve,
+    reputation_penalty,
+)
 
 # Numerical interiors for the open strategy bounds: the infrastructure cost
 # has a pole at hbar = 1 and the price/premium lower bounds are open.
@@ -145,15 +152,17 @@ def insurer_profit_curve(params: MarketParams,
     """The insurer's profit as a function of gamma against the provider's s_p.
 
     Premium income minus the expected claim minus the overpricing penalty.
-    The expected claim depends on hbar only, so it is computed once here
-    rather than at every gamma a search tries.
+    The expected claim depends on hbar only, and the premium curve on the
+    risk model only, so both are set up once here rather than at every
+    gamma a search tries.
     """
     hbar = s_p.investment_ratio
     expected_claim = attack_probability(params.risk, hbar) * hbar * params.risk.claim_scale
+    premium_of = premium_curve(params.risk)
 
     def profit(gamma: float) -> float:
         return (
-            premium(params.risk, gamma)
+            premium_of(gamma)
             - expected_claim
             - reputation_penalty(hbar, gamma, params.beta)
         )

@@ -92,11 +92,12 @@ def survival_grid(
     midpoint grid over [1/2, 1]. The inner integral reuses a prefix sum of
     the same p evaluations (O(n) instead of O(n^2) p calls): the prefix
     covers whole cells up to the node's left edge, plus half a cell at the
-    node's own value.
+    node's own value. p_fn receives each node as a Python float, so a scalar
+    kernel behind it runs on floats rather than numpy scalars.
     """
     width = 0.5 / intervals
     nodes = 0.5 + (np.arange(intervals) + 0.5) * width
-    values = np.array([p_fn(t) for t in nodes])
+    values = np.array([p_fn(t) for t in nodes.tolist()])
     prefix = np.concatenate(([0.0], np.cumsum(values) * width))
     inner = prefix[:-1] + 0.5 * width * values
     survival = 1.0 - inner
@@ -110,16 +111,32 @@ def _model_survival(model: RiskModel, intervals: int) -> tuple[np.ndarray, np.nd
     return survival_grid(lambda t: attack_probability(model, t), intervals)
 
 
+def premium_curve(model: RiskModel,
+                  intervals: int = DEFAULT_INTERVALS) -> Callable[[float], float]:
+    """The premium as a function of gamma for one model.
+
+    Fetches the survival table and the claim scale once, so a search that
+    prices many gammas against the same model skips the table lookup on
+    each of them.
+    """
+    _, survival, width = _model_survival(model, intervals)
+    claim_scale = model.claim_scale
+
+    def curve(gamma: float) -> float:
+        if gamma < 1.0:
+            raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
+        return claim_scale * float(np.sum(survival ** (1.0 / gamma)) * width)
+
+    return curve
+
+
 def premium(model: RiskModel, gamma: float, intervals: int = DEFAULT_INTERVALS) -> float:
     """Risk-adjusted premium: claim scale times the power-distorted survival mass.
 
     gamma = 1 reproduces the expected loss exactly (same code path); larger
     gamma inflates the premium toward claim_scale / 2.
     """
-    if gamma < 1.0:
-        raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
-    _, survival, width = _model_survival(model, intervals)
-    return model.claim_scale * float(np.sum(survival ** (1.0 / gamma)) * width)
+    return premium_curve(model, intervals)(gamma)
 
 
 def expected_loss(model: RiskModel, intervals: int = DEFAULT_INTERVALS) -> float:

@@ -131,12 +131,16 @@ class TestConfigErrors:
         {"beta": 1e300},
         {"price_cap": 1e-300},
         {"tx_per_block": [float("inf")]},
-        {"compensation_rate": 1e300, "tx_per_block": [1e10]},
+        {"compensation_rate": 1e300, "tx_per_block": [10**10]},
+        {"n_users": [2.5]},
+        {"tx_per_block": [99.9]},
+        {"n_users": [4.0]},
     ], ids=["beta", "beta_nan", "price_cap", "gamma_cap", "attacker_nan",
             "solve_key", "br_tolerance", "seed_nan", "max_inner_iters", "g_low",
             "g_high_nan", "alpha", "replicates", "alpha_nan", "n_users", "br_tolerance_inf",
             "gamma_cap_floor", "beta_overflow", "price_cap_floor", "tx_per_block_inf",
-            "claim_scale_inf"])
+            "claim_scale_inf", "n_users_fraction", "tx_per_block_fraction",
+            "n_users_float"])
     def test_exit_2(self, tmp_path, capsys, command, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_users": [4], "alpha": [1e-3], **bad}))
@@ -176,7 +180,7 @@ class TestSolverErrors:
 
     def test_unallocatable_user_count(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"n_users": [1e300]}))
+        path.write_text(json.dumps({"n_users": [10**300]}))
         assert main(["solve", "--config", str(path)]) == 2
         assert "externality matrix" in capsys.readouterr().err
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from chainsure import demand
 from chainsure.demand import (
@@ -51,6 +52,22 @@ class TestExternalityGraph:
         np.testing.assert_allclose(graph.system_matrix @ x, rhs, atol=1e-12)
         xt = graph.solve(rhs, transpose=True)
         np.testing.assert_allclose(graph.system_matrix.T @ xt, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 30, 100])
+    def test_solve_equals_scipy_lu_solve(self, n):
+        rng = np.random.default_rng(n)
+        graph = random_externality(rng, n)
+        rhs = rng.normal(size=n)
+        for trans in (0, 1):
+            expected = lu_solve(lu_factor(graph.system_matrix), rhs, trans=trans)
+            assert np.array_equal(graph.solve(rhs, transpose=bool(trans)), expected)
+
+    def test_solve_rejects_non_finite_rhs(self):
+        graph = ExternalityGraph(SWAP, 0.1)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            graph.solve(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            graph.solve(np.array([np.inf, 1.0]), transpose=True)
 
 
 class TestSpectralRadius:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from chainsure.risk import (
+    DEFAULT_INTERVALS,
     RiskModel,
+    _model_survival,
     attack_probability,
     distorted_log_moments,
     expected_loss,
     premium,
+    premium_curve,
     reputation_penalty,
     risk_cdf,
     survival_grid,
@@ -139,6 +142,39 @@ class TestPremium:
     def test_domain(self):
         with pytest.raises(ValueError):
             premium(DEFAULTS, 0.99)
+        with pytest.raises(ValueError):
+            premium_curve(DEFAULTS)(0.99)
+
+    def test_curve_matches_table_formula(self):
+        curve = premium_curve(DEFAULTS)
+        _, survival, width = _model_survival(DEFAULTS, DEFAULT_INTERVALS)
+        for gamma in np.linspace(1.0, 2.0, 50).tolist():
+            expected = DEFAULTS.claim_scale * float(np.sum(survival ** (1.0 / gamma)) * width)
+            assert curve(gamma) == expected
+            assert premium(DEFAULTS, gamma) == expected
+
+
+class TestSurvivalTableOnFloats:
+    """The table is built from Python-float nodes; numpy-scalar nodes, which
+    run the same arithmetic more slowly, must give the same bits."""
+
+    def test_p_fn_receives_python_floats(self):
+        seen = []
+        nodes, _, _ = survival_grid(lambda t: seen.append(type(t)) or 0.5, intervals=8)
+        assert seen == [float] * 8
+        assert nodes.dtype == np.float64
+
+    @pytest.mark.parametrize("blocks", [0.1, 1.0, 10.0, 37.3, 100.0, 1e3, 1e5])
+    def test_model_table_equals_numpy_scalar_nodes(self, blocks):
+        model = RiskModel(blocks, 100, 10.0, 10.0)
+        nodes, survival, width = _model_survival(model, DEFAULT_INTERVALS)
+        values = []
+        for t in nodes:
+            assert type(t) is np.float64
+            values.append(attack_probability(model, t))
+        values = np.array(values)
+        prefix = np.concatenate(([0.0], np.cumsum(values) * width))
+        assert np.array_equal(survival, 1.0 - (prefix[:-1] + 0.5 * width * values))
 
 
 class TestQuadratureAgreement:

@@ -5,8 +5,62 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsure.errors import ConvergenceError
 from chainsure.specfun import QuadratureSpec, Scheme, integrate, log_gamma, reg_inc_beta
 from conftest import beta_closed_form, beta_quadrature
+
+
+def abs_test_reg_inc_beta(w, u, v):
+    """Reference: the incomplete Beta written with abs() tests and the
+    checked log_gamma, as it was before the chained comparisons."""
+    if not (u > 0 and v > 0):
+        raise ValueError("u, v > 0")
+    if not 0.0 <= w <= 1.0:
+        raise ValueError("0 <= w <= 1")
+    if w == 0.0:
+        return 0.0
+    if w == 1.0:
+        return 1.0
+
+    def contfrac(u, v, w):
+        qab, qap, qam = u + v, u + 1.0, u - 1.0
+        c = 1.0
+        d = 1.0 - qab * w / qap
+        if abs(d) < 1e-300:
+            d = 1e-300
+        d = 1.0 / d
+        h = d
+        for m in range(1, 501):
+            m2 = 2 * m
+            aa = m * (v - m) * w / ((qam + m2) * (u + m2))
+            d = 1.0 + aa * d
+            if abs(d) < 1e-300:
+                d = 1e-300
+            c = 1.0 + aa / c
+            if abs(c) < 1e-300:
+                c = 1e-300
+            d = 1.0 / d
+            h *= d * c
+            aa = -(u + m) * (qab + m) * w / ((u + m2) * (qap + m2))
+            d = 1.0 + aa * d
+            if abs(d) < 1e-300:
+                d = 1e-300
+            c = 1.0 + aa / c
+            if abs(c) < 1e-300:
+                c = 1e-300
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < 1e-15:
+                return h
+        raise ConvergenceError("no convergence")
+
+    ln_front = (log_gamma(u + v) - log_gamma(u) - log_gamma(v)
+                + u * math.log(w) + v * math.log1p(-w))
+    front = math.exp(ln_front)
+    if w < (u + 1.0) / (u + v + 2.0):
+        return front * contfrac(u, v, w) / u
+    return 1.0 - front * contfrac(v, u, 1.0 - w) / v
 
 
 class TestLogGamma:
@@ -92,6 +146,23 @@ class TestRegIncBeta:
             assert math.isclose(
                 reg_inc_beta(w, u, v), float(betainc(u, v, w)), abs_tol=1e-10
             )
+
+    def test_bit_identical_to_abs_tests(self):
+        # both sides of the symmetry switch w = (u + 1) / (u + v + 2), the
+        # exact endpoints, and the attack curve's v = 1/2
+        branches = set()
+        for w in [0.0, 1e-12, 0.05, 0.3, 0.5, 0.75, 0.96, 1.0 - 1e-12, 1.0]:
+            for u in [0.1, 0.5, 1.0, 3.7, 7.5, 37.3, 1e3, 1e5]:
+                for v in [0.2, 0.5, 2.0, 11.0]:
+                    branches.add(w < (u + 1.0) / (u + v + 2.0))
+                    assert reg_inc_beta(w, u, v) == abs_test_reg_inc_beta(w, u, v)
+        assert branches == {True, False}
+
+    def test_nonconvergence_still_raises(self):
+        with pytest.raises(ConvergenceError):
+            abs_test_reg_inc_beta(0.75, 7.5e299, 0.5)
+        with pytest.raises(ConvergenceError, match="failed to converge"):
+            reg_inc_beta(0.75, 7.5e299, 0.5)
 
     def test_domain(self):
         with pytest.raises(ValueError):
