@@ -20,19 +20,19 @@ import sys
 import numpy as np
 
 from . import market
-from .demand import brute_force_lcp, check_contraction, lcp_demand
+from .demand import ExternalityGraph, brute_force_lcp, check_contraction, lcp_demand
 from .equilibrium import solve_stackelberg
-from .errors import ChainsureError, ConfigurationError
+from .errors import ChainsureError, ConfigurationError, check_seed
 from .harness import (
     ExperimentConfig,
-    _default_starts,
+    _default_start,
     generate_instance,
     run_sweep,
     sweep_points,
 )
 from .market import InsurerStrategy, MarketParams, ProviderStrategy, check_existence, check_uniqueness
 from .risk import RiskModel, attack_probability, expected_loss, premium
-from .specfun import QuadratureSpec, integrate
+from .specfun import adaptive_simpson
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,25 +73,16 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "replicates", None) is not None:
         overrides["replicates"] = args.replicates
     if overrides:
-        config = ExperimentConfig.from_dict({**_config_dict(config), **overrides})
+        config = ExperimentConfig.from_dict({**dataclasses.asdict(config), **overrides})
     return config
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def _first_point(config: ExperimentConfig):
-    return sweep_points(config)[0]
 
 
 def _cmd_solve(args) -> int:
     config = _load_config(args)
-    n, alpha, a, n_t = _first_point(config)
+    n, alpha, a, n_t = sweep_points(config)[0]
     graph = generate_instance(config, n, alpha)
     params = config.market_params(a, n_t)
-    start_p, start_i = _default_starts(config, n)
-    report = solve_stackelberg(params, graph, start_p, start_i, config.solve)
+    report = solve_stackelberg(params, graph, _default_start(config, n), config.solve)
     hbar = report.provider.investment_ratio
     print(f"instance: n={n} alpha={alpha:g} attacker_resource={a:g} tx_per_block={n_t}")
     print(f"converged: {report.converged} after {report.rounds} provider passes")
@@ -120,7 +111,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _load_config(args)
-    n, alpha, a, n_t = _first_point(config)
+    n, alpha, a, n_t = sweep_points(config)[0]
     params = config.market_params(a, n_t)
     try:
         graph = generate_instance(config, n, alpha)
@@ -155,8 +146,6 @@ def _oracle_lcp(rng: np.random.Generator, verbose: bool) -> bool:
         weights = rng.uniform(0.0, 1.0, (n, n))
         np.fill_diagonal(weights, 0.0)
         graph_alpha = 0.8 / max(float(np.abs(np.linalg.eigvals(weights)).max()), 1e-9)
-        from .demand import ExternalityGraph
-
         graph = ExternalityGraph(weights, rng.uniform(0.0, graph_alpha))
         hbar = rng.uniform(0.5, 0.999)
         p = rng.uniform(0.05, 2.0, n)
@@ -169,8 +158,6 @@ def _oracle_lcp(rng: np.random.Generator, verbose: bool) -> bool:
 
 
 def _oracle_gradients(rng: np.random.Generator, verbose: bool) -> bool:
-    from .demand import ExternalityGraph
-
     worst = 0.0
     for _ in range(10):
         n = 4
@@ -206,19 +193,19 @@ def _oracle_gradients(rng: np.random.Generator, verbose: bool) -> bool:
 
 def _oracle_quadrature(verbose: bool) -> bool:
     risk = RiskModel(10.0, 100, 10.0, 10.0)
-    adaptive = QuadratureSpec.adaptive(1e-10)
 
     def p_fn(theta):
         return attack_probability(risk, theta)
 
+    def survival(t):
+        return 1.0 - adaptive_simpson(p_fn, 0.5, t, 1e-10)
+
     worst = 0.0
     mid = expected_loss(risk)
-    ora = risk.claim_scale * integrate(
-        lambda t: 1.0 - integrate(p_fn, 0.5, t, adaptive), 0.5, 1.0, adaptive)
+    ora = risk.claim_scale * adaptive_simpson(survival, 0.5, 1.0, 1e-10)
     worst = max(worst, abs(mid - ora) / abs(ora))
     mid2 = premium(risk, 2.0)
-    ora2 = risk.claim_scale * integrate(
-        lambda t: (1.0 - integrate(p_fn, 0.5, t, adaptive)) ** 0.5, 0.5, 1.0, adaptive)
+    ora2 = risk.claim_scale * adaptive_simpson(lambda t: survival(t) ** 0.5, 0.5, 1.0, 1e-10)
     worst = max(worst, abs(mid2 - ora2) / abs(ora2))
     if verbose:
         print(f"  worst quadrature deviation: {worst:.3e}")
@@ -226,6 +213,7 @@ def _oracle_quadrature(verbose: bool) -> bool:
 
 
 def _cmd_oracle(args) -> int:
+    check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     checks = [
         ("demand solvers agree (partition enumeration vs projected Gauss-Seidel)",

@@ -152,8 +152,7 @@ class ContractionCheck:
     alpha_rho: float
 
 
-def spectral_radius(matrix: np.ndarray, tol: float = POWER_ITER_TOL,
-                    max_iters: int = POWER_ITER_CAP) -> float:
+def spectral_radius(matrix: np.ndarray) -> float:
     """Perron root of a nonnegative matrix by shifted power iteration.
 
     The shift (5% of the max row sum) breaks the +/-rho eigenvalue tie of
@@ -172,19 +171,20 @@ def spectral_radius(matrix: np.ndarray, tol: float = POWER_ITER_TOL,
     shift = 0.05 * row_bound
     x = np.full(n, 1.0 / np.sqrt(n))
     estimate = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_ITER_CAP):
         y = g @ x + shift * x
         norm = float(np.linalg.norm(y * scale)) / scale
         if norm == 0.0:
             return 0.0
         x = y / norm
         new_estimate = float(x @ (g @ x)) + shift
-        if abs(new_estimate - estimate) <= tol * max(abs(new_estimate), 1e-300):
+        change = abs(new_estimate - estimate)
+        if change <= POWER_ITER_TOL * max(abs(new_estimate), 1e-300):
             return new_estimate - shift
         estimate = new_estimate
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iters} iterations",
-        residual=abs(new_estimate - estimate),
+        f"power iteration did not converge within {POWER_ITER_CAP} iterations",
+        residual=change,
     )
 
 
@@ -309,14 +309,13 @@ def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
     return new, upper, target - upper - lower
 
 
-def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray,
-               tol: float = LCP_TOL, max_iters: int = LCP_ITER_CAP) -> DemandProfile:
+def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:
     """Unique clamped demand equilibrium via projected Gauss-Seidel.
 
     Each sweep (gauss_seidel_sweep on A = I - alpha G, whose diagonal is 1)
     updates x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order, and the
     iteration stops when the fixed-point residual
-    || x - clamp(b + alpha G x, 0, 1) ||_inf drops below tol. The sweep
+    || x - clamp(b + alpha G x, 0, 1) ||_inf drops below LCP_TOL. The sweep
     returns r = b - A x, so that residual is || x - clamp(x + r, 0, 1) ||_inf
     and costs no further pass over A.
     """
@@ -330,12 +329,12 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray,
     diag = np.diagonal(a_mat)
     x = np.clip(b, 0.0, 1.0)
     upper, r = gauss_seidel_state(a_mat, b, x)
-    sweeps_cap = max(1, max_iters // max(n, 1))
+    sweeps_cap = max(1, LCP_ITER_CAP // max(n, 1))
     for _ in range(sweeps_cap):
         x, upper, r = gauss_seidel_sweep(a_mat, diag, b, x, upper, r, 0.0, 1.0)
         residual = float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
-        if residual < tol:
-            return _profile_from(graph, hbar, p, x, tol=tol)
+        if residual < LCP_TOL:
+            return _profile_from(graph, hbar, p, x, tol=LCP_TOL)
     raise ConvergenceError(
         "projected Gauss-Seidel hit its iteration cap",
         last_iterate=x, residual=residual,

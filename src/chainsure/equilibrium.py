@@ -94,9 +94,12 @@ def _projected_norm(x: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> fl
 
 
 def best_response_provider(params: MarketParams, graph: ExternalityGraph,
-                           s_i: InsurerStrategy, start: ProviderStrategy,
+                           start: ProviderStrategy,
                            opts: SolveOptions = SolveOptions()) -> ProviderStrategy:
     """Maximize the provider's profit over its price/investment box.
+
+    The premium does not depend on the provider's variables, so neither
+    does this best response: it takes no insurer strategy.
 
     Block-coordinate exact ascent. The profit is an exact quadratic in the
     prices, so the price block is a box-QP with curvature Q = M + M^T
@@ -199,24 +202,23 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
     return InsurerStrategy(float(np.clip(gamma, lo, hi)))
 
 
-def _refresh_demand(graph: ExternalityGraph, s_p: ProviderStrategy,
-                    box_tol: float = 1e-9) -> DemandProfile:
+def _refresh_demand(graph: ExternalityGraph, s_p: ProviderStrategy) -> DemandProfile:
     profile = closed_form_demand(graph, s_p.investment_ratio, s_p.prices)
-    if profile.out_of_box(box_tol):
+    if profile.out_of_box():
         profile = lcp_demand(graph, s_p.investment_ratio, s_p.prices)
     return profile
 
 
 def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
-                      start_p: ProviderStrategy, start_i: InsurerStrategy,
+                      start_p: ProviderStrategy,
                       opts: SolveOptions = SolveOptions()) -> EquilibriumReport:
     """The provider's optimum, then the insurer's reply, then the demand.
 
-    The provider's best response ignores gamma, so it is computed once
-    against start_i and the insurer replies to it; no outer iteration is
-    needed. The provider pass runs twice: the second restarts from the
-    first pass's optimum and moves the prices only in about the tenth
-    significant digit, which shows in the 12-digit sweep CSVs.
+    The provider's best response ignores gamma, so it is computed first,
+    with no insurer start, and the insurer replies to it; no outer
+    iteration is needed. The provider pass runs twice: the second restarts
+    from the first pass's optimum and moves the prices only in about the
+    tenth significant digit, which shows in the 12-digit sweep CSVs.
     The demand comes from the closed form, falling back to the clamped
     solver when a component leaves [0, 1].
 
@@ -232,8 +234,8 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
         uniqueness=check_uniqueness(params),
     )
 
-    s_p = best_response_provider(params, graph, start_i, start_p, opts)
-    s_p = best_response_provider(params, graph, start_i, s_p, opts)
+    s_p = best_response_provider(params, graph, start_p, opts)
+    s_p = best_response_provider(params, graph, s_p, opts)
     s_i = best_response_insurer(params, s_p, opts)
     return EquilibriumReport(
         provider=s_p,

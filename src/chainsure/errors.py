@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer check behind config errors."""
+"""Exception types shared across the package, and the integer and seed checks
+behind config errors."""
 
 import numbers
 
@@ -6,6 +7,12 @@ import numbers
 def is_integer(value) -> bool:
     """True for an integer value; bool does not count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise ConfigurationError unless seed is an unsigned 64-bit integer."""
+    if not is_integer(seed) or not 0 <= seed < 2**64:
+        raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
 class ChainsureError(Exception):

@@ -22,13 +22,8 @@ import numpy as np
 
 from .demand import ExternalityGraph, check_contraction
 from .equilibrium import EquilibriumReport, SolveOptions, solve_stackelberg
-from .errors import ChainsureError, ConfigurationError, is_integer
-from .market import (
-    GAMMA_FLOOR,
-    InsurerStrategy,
-    MarketParams,
-    ProviderStrategy,
-)
+from .errors import ChainsureError, ConfigurationError, check_seed, is_integer
+from .market import MarketParams, ProviderStrategy
 from .risk import RiskModel, attack_probability, premium
 
 
@@ -78,8 +73,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"need 0 <= g_low <= g_high < inf, got g_low={self.g_low}, g_high={self.g_high}"
             )
-        if not is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_seed(self.seed)
         if not is_integer(self.replicates) or self.replicates < 1:
             raise ConfigurationError(f"replicates must be an integer of at least 1, got {self.replicates!r}")
         # MarketParams and RiskModel hold the range checks on these scalars
@@ -124,11 +118,6 @@ class ExperimentConfig:
             price_cap=self.price_cap,
             gamma_cap=self.gamma_cap,
         )
-
-
-def default_config(**overrides) -> ExperimentConfig:
-    """The default coefficient set used throughout the evaluation sweeps."""
-    return ExperimentConfig(**overrides)
 
 
 @dataclass(frozen=True)
@@ -187,13 +176,8 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float,
     return graph
 
 
-def _default_starts(config: ExperimentConfig, n: int) -> tuple[ProviderStrategy, InsurerStrategy]:
-    start_p = ProviderStrategy(
-        prices=np.full(n, 0.75 * config.price_cap),
-        investment_ratio=0.75,
-    )
-    start_i = InsurerStrategy(0.5 * (GAMMA_FLOOR + config.gamma_cap))
-    return start_p, start_i
+def _default_start(config: ExperimentConfig, n: int) -> ProviderStrategy:
+    return ProviderStrategy(prices=np.full(n, 0.75 * config.price_cap), investment_ratio=0.75)
 
 
 def _report_row(params: MarketParams, n: int, alpha: float, a: float,
@@ -287,8 +271,7 @@ def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
         try:
             graph = _point_graph(config, n, alpha, rep)
             params = config.market_params(a, n_t)
-            start_p, start_i = _default_starts(config, n)
-            report = solve_stackelberg(params, graph, start_p, start_i, config.solve)
+            report = solve_stackelberg(params, graph, _default_start(config, n), config.solve)
             replicate_rows.append(_report_row(params, n, alpha, a, n_t, report))
         except (ChainsureError, np.linalg.LinAlgError):
             replicate_rows.append(_failed_row(n, alpha, a, n_t))

@@ -14,9 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .specfun import QuadratureSpec, integrate, reg_inc_beta
+from .specfun import reg_inc_beta
 
-DEFAULT_INTERVALS = 100
+# cells of the midpoint grid over [1/2, 1] behind every premium integral
+GRID_INTERVALS = 100
 
 
 @dataclass(frozen=True)
@@ -72,31 +73,18 @@ def attack_probability(model: RiskModel, hbar: float) -> float:
     return reg_inc_beta(w, model.blocks_per_period * hbar, 0.5)
 
 
-def risk_cdf(model: RiskModel, hbar: float, intervals: int = DEFAULT_INTERVALS) -> float:
-    """Cumulative attack-weight below hbar: 1/2 plus the midpoint-rule integral
-    of the success probability over [1/2, hbar]."""
-    if not 0.5 <= hbar <= 1.0:
-        raise ValueError(f"risk_cdf requires hbar in [1/2, 1], got {hbar}")
-    if hbar == 0.5:
-        return 0.5
-    spec = QuadratureSpec.midpoint(intervals)
-    return 0.5 + integrate(lambda theta: attack_probability(model, theta), 0.5, hbar, spec)
-
-
-def survival_grid(
-    p_fn: Callable[[float], float], intervals: int = DEFAULT_INTERVALS
-) -> tuple[np.ndarray, np.ndarray, float]:
+def survival_grid(p_fn: Callable[[float], float]) -> tuple[np.ndarray, np.ndarray, float]:
     """Midpoint-grid table of B(t) = 1 - integral_{1/2}^{t} p(theta) dtheta.
 
-    Returns (nodes, B values, cell width) for t on the 'intervals'-cell
+    Returns (nodes, B values, cell width) for t on the GRID_INTERVALS-cell
     midpoint grid over [1/2, 1]. The inner integral reuses a prefix sum of
     the same p evaluations (O(n) instead of O(n^2) p calls): the prefix
     covers whole cells up to the node's left edge, plus half a cell at the
     node's own value. p_fn receives each node as a Python float, so a scalar
     kernel behind it runs on floats rather than numpy scalars.
     """
-    width = 0.5 / intervals
-    nodes = 0.5 + (np.arange(intervals) + 0.5) * width
+    width = 0.5 / GRID_INTERVALS
+    nodes = 0.5 + (np.arange(GRID_INTERVALS) + 0.5) * width
     values = np.array([p_fn(t) for t in nodes.tolist()])
     prefix = np.concatenate(([0.0], np.cumsum(values) * width))
     inner = prefix[:-1] + 0.5 * width * values
@@ -107,19 +95,18 @@ def survival_grid(
 
 
 @functools.lru_cache(maxsize=64)
-def _model_survival(model: RiskModel, intervals: int) -> tuple[np.ndarray, np.ndarray, float]:
-    return survival_grid(lambda t: attack_probability(model, t), intervals)
+def _model_survival(model: RiskModel) -> tuple[np.ndarray, np.ndarray, float]:
+    return survival_grid(lambda t: attack_probability(model, t))
 
 
-def premium_curve(model: RiskModel,
-                  intervals: int = DEFAULT_INTERVALS) -> Callable[[float], float]:
+def premium_curve(model: RiskModel) -> Callable[[float], float]:
     """The premium as a function of gamma for one model.
 
     Fetches the survival table and the claim scale once, so a search that
     prices many gammas against the same model skips the table lookup on
     each of them.
     """
-    _, survival, width = _model_survival(model, intervals)
+    _, survival, width = _model_survival(model)
     claim_scale = model.claim_scale
 
     def curve(gamma: float) -> float:
@@ -130,23 +117,21 @@ def premium_curve(model: RiskModel,
     return curve
 
 
-def premium(model: RiskModel, gamma: float, intervals: int = DEFAULT_INTERVALS) -> float:
+def premium(model: RiskModel, gamma: float) -> float:
     """Risk-adjusted premium: claim scale times the power-distorted survival mass.
 
     gamma = 1 reproduces the expected loss exactly (same code path); larger
     gamma inflates the premium toward claim_scale / 2.
     """
-    return premium_curve(model, intervals)(gamma)
+    return premium_curve(model)(gamma)
 
 
-def expected_loss(model: RiskModel, intervals: int = DEFAULT_INTERVALS) -> float:
+def expected_loss(model: RiskModel) -> float:
     """Insurer's expected claim payout (the undistorted premium)."""
-    return premium(model, 1.0, intervals)
+    return premium(model, 1.0)
 
 
-def distorted_log_moments(
-    model: RiskModel, gamma: float, intervals: int = DEFAULT_INTERVALS
-) -> tuple[float, float, float]:
+def distorted_log_moments(model: RiskModel, gamma: float) -> tuple[float, float, float]:
     """The three survival integrals behind the premium's gamma derivatives.
 
     Returns (integral B^(1/g), integral B^(1/g) ln B, integral B^(1/g) ln^2 B)
@@ -154,7 +139,7 @@ def distorted_log_moments(
     """
     if gamma < 1.0:
         raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
-    _, survival, width = _model_survival(model, intervals)
+    _, survival, width = _model_survival(model)
     powered = survival ** (1.0 / gamma)
     logs = np.log(survival)
     i0 = float(np.sum(powered) * width)

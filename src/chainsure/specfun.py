@@ -1,59 +1,22 @@
-"""Special functions and quadrature primitives.
+"""Special functions and the quadrature oracle.
 
-Everything downstream integrates through this module: the regularized
-incomplete Beta function that drives the attack-probability curve, a
-fixed-grid midpoint rule (the production integrator), and an adaptive
-Simpson rule kept solely as an independent verification oracle.
+The regularized incomplete Beta function drives the attack-probability
+curve. The production integral is the midpoint grid in risk.survival_grid;
+the adaptive Simpson rule here is kept solely as an independent
+verification oracle for it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConvergenceError
 
-
-class Scheme(enum.Enum):
-    RECTANGULAR_MIDPOINT = "rectangular_midpoint"
-    ADAPTIVE = "adaptive"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to evaluate an integral: fixed midpoint grid or adaptive Simpson."""
-
-    scheme: Scheme
-    intervals: int = 100
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.scheme is Scheme.RECTANGULAR_MIDPOINT and self.intervals < 1:
-            raise ValueError(f"intervals must be >= 1, got {self.intervals}")
-        if self.scheme is Scheme.ADAPTIVE and not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-
-    @classmethod
-    def midpoint(cls, intervals: int = 100) -> "QuadratureSpec":
-        return cls(Scheme.RECTANGULAR_MIDPOINT, intervals=intervals)
-
-    @classmethod
-    def adaptive(cls, tolerance: float = 1e-10) -> "QuadratureSpec":
-        return cls(Scheme.ADAPTIVE, tolerance=tolerance)
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
+_SIMPSON_MAX_DEPTH = 50
 
 
 def _beta_contfrac(u: float, v: float, w: float) -> float:
@@ -130,23 +93,24 @@ def reg_inc_beta(w: float, u: float, v: float) -> float:
     return 1.0 - front * _beta_contfrac(v, u, 1.0 - w) / v
 
 
-def _midpoint(f: Callable[[float], float], lo: float, hi: float, intervals: int) -> float:
-    width = (hi - lo) / intervals
-    return math.fsum(f(lo + (k + 0.5) * width) for k in range(intervals)) * width
-
-
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h / 3.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive_simpson(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tolerance: float,
-    max_depth: int = 50,
-) -> float:
-    """Adaptive Simpson with Richardson extrapolation, recursion depth cap 50."""
+def adaptive_simpson(f: Callable[[float], float], lo: float, hi: float,
+                     tolerance: float) -> float:
+    """Integral of f over [lo, hi] by adaptive Simpson with Richardson
+    extrapolation, recursion depth capped at 50.
+
+    The verification oracle for the risk layer's midpoint grid; no
+    production path calls it.
+    """
+    if lo > hi:
+        raise ValueError(f"integration bounds out of order: lo={lo} > hi={hi}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    if lo == hi:
+        return 0.0
 
     def recurse(a, b, fa, fb, fm, whole, tol, depth):
         m = 0.5 * (a + b)
@@ -159,29 +123,14 @@ def _adaptive_simpson(
         right = _simpson(fm, frm, fb, 0.5 * h)
         refined = left + right
         err = (refined - whole) / 15.0
-        if depth >= max_depth or abs(err) <= tol:
+        if depth >= _SIMPSON_MAX_DEPTH or abs(err) <= tol:
             return refined + err
         return recurse(a, m, fa, fm, flm, left, 0.5 * tol, depth + 1) + recurse(
             m, b, fm, fb, frm, right, 0.5 * tol, depth + 1
         )
 
-    if lo == hi:
-        return 0.0
     fa, fb = f(lo), f(hi)
     mid = 0.5 * (lo + hi)
     fm = f(mid)
     whole = _simpson(fa, fm, fb, 0.5 * (hi - lo))
     return recurse(lo, hi, fa, fb, fm, whole, tolerance, 0)
-
-
-def integrate(
-    f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
-) -> float:
-    """Integrate f over [lo, hi] with the requested scheme."""
-    if lo > hi:
-        raise ValueError(f"integration bounds out of order: lo={lo} > hi={hi}")
-    if lo == hi:
-        return 0.0
-    if spec.scheme is Scheme.RECTANGULAR_MIDPOINT:
-        return _midpoint(f, lo, hi, spec.intervals)
-    return _adaptive_simpson(f, lo, hi, spec.tolerance)

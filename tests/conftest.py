@@ -12,11 +12,12 @@ import math
 
 import numpy as np
 
-from chainsure import ExternalityGraph, QuadratureSpec, integrate
-from chainsure.specfun import log_gamma
+from chainsure import ExternalityGraph
+from chainsure.specfun import adaptive_simpson
 
-ADAPTIVE = QuadratureSpec.adaptive(1e-10)
-ADAPTIVE_FAST = QuadratureSpec.adaptive(1e-8)
+# adaptive Simpson tolerances: the tight one, and a looser one for nested integrals
+ADAPTIVE = 1e-10
+ADAPTIVE_FAST = 1e-8
 
 
 def beta_closed_form(w: float, u: int, v: int) -> float:
@@ -34,26 +35,26 @@ def beta_quadrature(w: float, u: float, v: float, tol: float = 1e-11) -> float:
     Only valid away from the w = 1 endpoint when v < 1 (integrable
     singularity there).
     """
-    ln_norm = log_gamma(u + v) - log_gamma(u) - log_gamma(v)
+    ln_norm = math.lgamma(u + v) - math.lgamma(u) - math.lgamma(v)
 
     def integrand(t: float) -> float:
         if t <= 0.0 or t >= 1.0:
             return 0.0
         return math.exp(ln_norm + (u - 1.0) * math.log(t) + (v - 1.0) * math.log1p(-t))
 
-    return integrate(integrand, 0.0, w, QuadratureSpec.adaptive(tol))
+    return adaptive_simpson(integrand, 0.0, w, tol)
 
 
 def nested_adaptive_premium(p_fn, scale: float, gamma: float,
-                            spec: QuadratureSpec = ADAPTIVE_FAST) -> float:
+                            tolerance: float = ADAPTIVE_FAST) -> float:
     """scale * integral_{1/2}^1 [1 - integral_{1/2}^t p]^(1/gamma) dt,
     both levels adaptive; the independent route for the premium family."""
 
     def outer(t: float) -> float:
-        inner = integrate(p_fn, 0.5, t, spec)
+        inner = adaptive_simpson(p_fn, 0.5, t, tolerance)
         return max(1.0 - inner, 0.0) ** (1.0 / gamma)
 
-    return scale * integrate(outer, 0.5, 1.0, spec)
+    return scale * adaptive_simpson(outer, 0.5, 1.0, tolerance)
 
 
 def random_externality(rng: np.random.Generator, n: int,

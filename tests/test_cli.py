@@ -193,6 +193,11 @@ class TestOracle:
         assert out.count("[PASS]") == 3
         assert "[FAIL]" not in out
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["oracle", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: seed must be an unsigned 64-bit integer")
+
 
 class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):

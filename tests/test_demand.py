@@ -17,7 +17,7 @@ from chainsure.demand import (
     spectral_radius,
     user_utility,
 )
-from chainsure.errors import ContractionViolation
+from chainsure.errors import ContractionViolation, ConvergenceError
 from conftest import random_externality
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -90,6 +90,15 @@ class TestSpectralRadius:
         w = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [1.5, 0.0, 0.0]])
         exact = float(np.max(np.abs(np.linalg.eigvals(w))))
         assert spectral_radius(w) == pytest.approx(exact, rel=1e-8)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # two steps leave the estimate moving by far more than the tolerance
+        monkeypatch.setattr(demand, "POWER_ITER_CAP", 2)
+        w = np.random.default_rng(8).uniform(0.0, 10.0, (6, 6))
+        np.fill_diagonal(w, 0.0)
+        with pytest.raises(ConvergenceError, match="within 2 iterations") as info:
+            spectral_radius(w)
+        assert info.value.residual > demand.POWER_ITER_TOL
 
 
 class TestCheckContraction:
@@ -315,6 +324,16 @@ class TestLcpDemand:
                 if previous is not None:
                     assert np.all(x >= previous - 1e-9)
                 previous = x
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a cap below the user count still allows one sweep, which cannot
+        # reach the interior solution x = 0.3 (I - alpha G)^{-1} 1
+        monkeypatch.setattr(demand, "LCP_ITER_CAP", 1)
+        graph = random_externality(np.random.default_rng(41), 6, target_alpha_rho=0.5)
+        with pytest.raises(ConvergenceError, match="iteration cap") as info:
+            lcp_demand(graph, 0.5, np.full(6, 1.2))
+        assert info.value.residual > demand.LCP_TOL
+        assert info.value.last_iterate.shape == (6,)
 
 
 class TestBruteForce:

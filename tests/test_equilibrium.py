@@ -47,7 +47,7 @@ class TestProviderBestResponse:
         # at alpha = 0 the stationary price is (1 + hbar)/2 per user
         graph = zero_graph(3)
         start = ProviderStrategy(np.full(3, 0.2), 0.6)
-        br = best_response_provider(PARAMS, graph, InsurerStrategy(1.5), start, OPTS)
+        br = best_response_provider(PARAMS, graph, start, OPTS)
         expected = (1.0 + br.investment_ratio) / 2.0
         np.testing.assert_allclose(br.prices, expected, atol=1e-7)
 
@@ -55,14 +55,13 @@ class TestProviderBestResponse:
         capped = MarketParams(risk=RISK, attacker_resource=100.0, beta=10.0,
                               price_cap=0.6, gamma_cap=2.0)
         graph = zero_graph(2)
-        br = best_response_provider(capped, graph, InsurerStrategy(1.5),
-                                    ProviderStrategy(np.full(2, 0.3), 0.6), OPTS)
+        br = best_response_provider(capped, graph, ProviderStrategy(np.full(2, 0.3), 0.6), OPTS)
         np.testing.assert_allclose(br.prices, 0.6, atol=1e-12)
 
     def test_investment_stays_below_one(self):
         graph = zero_graph(2)
         for start_h in (0.5, 0.75, 0.999):
-            br = best_response_provider(PARAMS, graph, InsurerStrategy(1.5),
+            br = best_response_provider(PARAMS, graph,
                                         ProviderStrategy(np.full(2, 0.5), start_h), OPTS)
             assert br.investment_ratio < 1.0
 
@@ -70,7 +69,7 @@ class TestProviderBestResponse:
         rng = np.random.default_rng(1)
         graph = random_externality(rng, 6, target_alpha_rho=0.5)
         start = ProviderStrategy(rng.uniform(0.1, 1.0, 6), 0.7)
-        br = best_response_provider(PARAMS, graph, InsurerStrategy(1.5), start, OPTS)
+        br = best_response_provider(PARAMS, graph, start, OPTS)
         grad = provider_gradient(PARAMS, graph, br, InsurerStrategy(1.5))
         interior = (br.prices > 1e-8) & (br.prices < PARAMS.price_cap - 1e-8)
         assert np.all(np.abs(grad[:6][interior]) < OPTS.br_tolerance)
@@ -82,8 +81,7 @@ class TestProviderBestResponse:
         np.fill_diagonal(w, 0.0)
         graph = ExternalityGraph(w, 0.02)
         s_i = InsurerStrategy(1.5)
-        br = best_response_provider(PARAMS, graph, s_i,
-                                    ProviderStrategy(np.full(n, 0.5), 0.7), OPTS)
+        br = best_response_provider(PARAMS, graph, ProviderStrategy(np.full(n, 0.5), 0.7), OPTS)
         # dense grid over (p1, p2, p3, hbar), 50 points per axis
         m = np.linalg.inv(graph.system_matrix)
         m_ones = m @ np.ones(n)
@@ -114,12 +112,11 @@ class TestProviderBestResponse:
         graph = zero_graph(2)
         tight = SolveOptions(br_tolerance=1e-12, max_inner_iters=1)
         with pytest.raises(ConvergenceError) as info:
-            best_response_provider(PARAMS, graph, InsurerStrategy(1.5),
-                                   ProviderStrategy(np.full(2, 0.01), 0.99), tight)
+            best_response_provider(PARAMS, graph, ProviderStrategy(np.full(2, 0.01), 0.99), tight)
         assert info.value.last_iterate is not None
 
 
-def loop_best_response_provider(params, graph, s_i, start, opts=OPTS):
+def loop_best_response_provider(params, graph, start, opts=OPTS):
     """The provider's best response with the price block swept user by user.
 
     Oracle for best_response_provider's triangular sweeps: the same
@@ -153,7 +150,8 @@ def loop_best_response_provider(params, graph, s_i, start, opts=OPTS):
         hbar = float(np.clip(root, 0.5, HBAR_CEILING))
         candidate = ProviderStrategy(prices.copy(), hbar)
         joint = np.append(prices, hbar)
-        grad = provider_gradient(params, graph, candidate, s_i)
+        # the provider's gradient does not depend on gamma
+        grad = provider_gradient(params, graph, candidate, InsurerStrategy(1.5))
         grad[(joint <= box_lo) & (grad < 0)] = 0.0
         grad[(joint >= box_hi) & (grad > 0)] = 0.0
         if np.max(np.abs(grad)) < opts.br_tolerance:
@@ -188,10 +186,9 @@ class TestTriangularPriceSweep:
         monkeypatch.setattr(demand, "_element_sweep", counted_element_sweep)
 
     def assert_matches_loop(self, params, graph, start):
-        s_i = InsurerStrategy(1.5)
         self.calls.update(sweeps=0, fallbacks=0)
-        fast = best_response_provider(params, graph, s_i, start, OPTS)
-        slow, sweeps = loop_best_response_provider(params, graph, s_i, start)
+        fast = best_response_provider(params, graph, start, OPTS)
+        slow, sweeps = loop_best_response_provider(params, graph, start)
         np.testing.assert_allclose(fast.prices, slow.prices, rtol=0.0, atol=1e-12)
         assert abs(fast.investment_ratio - slow.investment_ratio) <= 1e-12
         assert self.calls["sweeps"] == sweeps
@@ -216,7 +213,7 @@ class TestTriangularPriceSweep:
         # the prediction is exact, and no fallback runs.
         rng = np.random.default_rng(200 + n)
         graph = random_externality(rng, n, target_alpha_rho=0.05)
-        uncapped = best_response_provider(with_price_cap(10.0), graph, InsurerStrategy(1.5),
+        uncapped = best_response_provider(with_price_cap(10.0), graph,
                                           ProviderStrategy(np.full(n, 0.5), 0.75), OPTS)
         params = with_price_cap(1.01 * float(uncapped.prices.max()))
         start = ProviderStrategy(np.full(n, params.price_cap), 0.5)
@@ -234,8 +231,7 @@ class TestTriangularPriceSweep:
         rng = np.random.default_rng(300 + n)
         graph = random_externality(rng, n, target_alpha_rho=0.8)
         start = ProviderStrategy(np.full(n, 0.5), 0.75)
-        uncapped = best_response_provider(with_price_cap(10.0), graph,
-                                          InsurerStrategy(1.5), start, OPTS)
+        uncapped = best_response_provider(with_price_cap(10.0), graph, start, OPTS)
         params = with_price_cap(float(np.median(uncapped.prices)))
         fast = self.assert_matches_loop(params, graph, start)
         at_cap = fast.prices == params.price_cap
@@ -248,7 +244,7 @@ class TestTriangularPriceSweep:
         graph = random_externality(rng, 30, target_alpha_rho=0.8)
         start = ProviderStrategy(np.full(30, 0.5), 0.75)
         params = with_price_cap(0.9)
-        optimum = best_response_provider(params, graph, InsurerStrategy(1.5), start, OPTS)
+        optimum = best_response_provider(params, graph, start, OPTS)
         held = optimum.prices == params.price_cap
         assert 0 < held.sum() < 30
         prices = optimum.prices.copy()
@@ -287,8 +283,7 @@ class TestTriangularPriceSweep:
         self.assert_matches_loop(PARAMS, graph, ProviderStrategy(np.full(12, 0.5), 0.75))
         assert solves  # the oracle's provider_gradient solves
         solves.clear()
-        best_response_provider(PARAMS, graph, InsurerStrategy(1.5),
-                               ProviderStrategy(np.full(12, 0.5), 0.75), OPTS)
+        best_response_provider(PARAMS, graph, ProviderStrategy(np.full(12, 0.5), 0.75), OPTS)
         assert solves == []
 
 
@@ -346,8 +341,7 @@ class TestSolveStackelberg:
                               price_cap=1.0, gamma_cap=2.0)
         graph = zero_graph(1)
         report = solve_stackelberg(params, graph,
-                                   ProviderStrategy(np.array([0.3]), 0.6),
-                                   InsurerStrategy(1.5), OPTS)
+                                   ProviderStrategy(np.array([0.3]), 0.6), OPTS)
         assert report.converged
         assert report.rounds <= 3
         expected_price = min((1.0 + report.provider.investment_ratio) / 2.0, 1.0)
@@ -357,8 +351,7 @@ class TestSolveStackelberg:
         rng = np.random.default_rng(0)
         graph = random_externality(rng, 30, target_alpha_rho=0.3)
         report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(30, 0.75), 0.75),
-                                   InsurerStrategy(1.5), OPTS)
+                                   ProviderStrategy(np.full(30, 0.75), 0.75), OPTS)
         assert report.converged
         assert report.rounds <= 500
         assert report.conditions.contraction.holds
@@ -372,10 +365,9 @@ class TestSolveStackelberg:
         rng = np.random.default_rng(3)
         graph = random_externality(rng, 8, target_alpha_rho=0.4)
         report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(8, 0.5), 0.8),
-                                   InsurerStrategy(1.2), OPTS)
+                                   ProviderStrategy(np.full(8, 0.5), 0.8), OPTS)
         assert report.converged
-        again_p = best_response_provider(PARAMS, graph, report.insurer, report.provider, OPTS)
+        again_p = best_response_provider(PARAMS, graph, report.provider, OPTS)
         again_i = best_response_insurer(PARAMS, report.provider, OPTS)
         assert float(np.max(np.abs(again_p.prices - report.provider.prices))) < 1e-6
         assert abs(again_p.investment_ratio - report.provider.investment_ratio) < 1e-6
@@ -385,8 +377,7 @@ class TestSolveStackelberg:
         rng = np.random.default_rng(5)
         graph = random_externality(rng, 5, target_alpha_rho=0.4)
         report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(5, 0.5), 0.8),
-                                   InsurerStrategy(1.2), OPTS)
+                                   ProviderStrategy(np.full(5, 0.5), 0.8), OPTS)
         base_p = provider_profit(PARAMS, graph, report.provider, report.insurer)
         base_i = insurer_profit(PARAMS, report.provider, report.insurer)
         worst_p, worst_i = 0.0, 0.0
@@ -404,9 +395,8 @@ class TestSolveStackelberg:
         rng_a = np.random.default_rng(21)
         graph = random_externality(rng_a, 12, target_alpha_rho=0.5)
         start_p = ProviderStrategy(np.full(12, 0.6), 0.8)
-        start_i = InsurerStrategy(1.7)
-        first = solve_stackelberg(PARAMS, graph, start_p, start_i, OPTS)
-        second = solve_stackelberg(PARAMS, graph, start_p, start_i, OPTS)
+        first = solve_stackelberg(PARAMS, graph, start_p, OPTS)
+        second = solve_stackelberg(PARAMS, graph, start_p, OPTS)
         assert np.array_equal(first.provider.prices, second.provider.prices)
         assert first.provider.investment_ratio == second.provider.investment_ratio
         assert first.insurer.gamma == second.insurer.gamma
@@ -416,8 +406,7 @@ class TestSolveStackelberg:
         graph = ExternalityGraph(np.array([[0.0, 2.0], [2.0, 0.0]]), 0.6)
         with pytest.raises(ContractionViolation):
             solve_stackelberg(PARAMS, graph,
-                              ProviderStrategy(np.full(2, 0.5), 0.7),
-                              InsurerStrategy(1.5), OPTS)
+                              ProviderStrategy(np.full(2, 0.5), 0.7), OPTS)
 
     def test_demand_refresh_uses_clamped_solver_when_saturated(self):
         # strong externality at moderate prices saturates every user; the
@@ -425,8 +414,7 @@ class TestSolveStackelberg:
         rng = np.random.default_rng(31)
         graph = random_externality(rng, 20, target_alpha_rho=0.6)
         report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(20, 0.75), 0.75),
-                                   InsurerStrategy(1.5), OPTS)
+                                   ProviderStrategy(np.full(20, 0.75), 0.75), OPTS)
         assert not report.demand.out_of_box()
         assert np.all(report.demand.x <= 1.0 + 1e-12)
         if np.all(report.demand.partition == Segment.SATURATED):

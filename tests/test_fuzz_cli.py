@@ -1,4 +1,5 @@
-"""Fuzz `cli.main` over JSON configs: every input keeps the exit-code contract.
+"""Fuzz `cli.main` over JSON configs and flags: every input keeps the
+exit-code contract.
 
 Exit 0 (ok), 1 (solver failure) or 2 (config or usage error), never a
 traceback, and exit 0 only with finite printed numbers and CSV rows. The
@@ -15,6 +16,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,27 +75,36 @@ configs = st.fixed_dictionaries({"n_users": CONFIG_FIELDS["n_users"]},
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
-def run_and_check(command: str, config: dict) -> int:
-    """Run one `chainsure <command>` on config; assert the exit-code contract."""
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """Run `chainsure <argv>`; assert the exit-code contract and return
+    the exit code with the printed output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert not NON_FINITE.search(stdout.getvalue()), stdout.getvalue()
+    return code, stdout.getvalue()
+
+
+def run_and_check(command: str, config: dict, flags: tuple[str, ...] = (),
+                  out: str = "rows.csv") -> int:
+    """Run one `chainsure <command>` on config with extra flags; assert the
+    exit-code contract. out is the sweep's CSV path inside a scratch directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        out_csv = Path(tmp) / "rows.csv"
-        argv = [command, "--config", str(path)]
+        out_csv = Path(tmp) / out
+        argv = [command, "--config", str(path), *flags]
         if command == "sweep":
             argv += ["--out", str(out_csv)]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in stderr.getvalue()
-        if code == 0:
-            assert not NON_FINITE.search(stdout.getvalue()), stdout.getvalue()
-            if command == "sweep":
-                for row in read_csv(out_csv):
-                    assert row.converged
-                    assert all(math.isfinite(value) for value in vars(row).values()
-                               if isinstance(value, float)), row
+        code, _ = run_main(argv)
+        if code == 0 and command == "sweep":
+            for row in read_csv(out_csv):
+                assert row.converged
+                assert all(math.isfinite(value) for value in vars(row).values()
+                           if isinstance(value, float)), row
     return code
 
 
@@ -101,3 +112,40 @@ def run_and_check(command: str, config: dict) -> int:
 @settings(max_examples=120, derandomize=True, deadline=None)
 def test_exit_code_contract(command, config):
     run_and_check(command, config)
+
+
+@given(config=configs)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_check_exit_code_contract(config):
+    run_and_check("check", config)
+
+
+# seeds past either end of the unsigned 64-bit range, and its two ends
+SEEDS = [-1, -(2**64), 2**64, 2**64 + 1, 0, 2**64 - 1]
+# a writable file, the scratch directory itself, a file in a missing directory
+OUT_PATHS = ["rows.csv", ".", "missing/rows.csv"]
+
+
+@given(
+    command=st.sampled_from(["solve", "sweep", "check"]),
+    seed=st.one_of(st.none(), st.sampled_from(SEEDS)),
+    replicates=st.one_of(st.none(), st.sampled_from([0, -1, 1, 2])),
+    out=st.sampled_from(OUT_PATHS),
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_flag_exit_code_contract(command, seed, replicates, out):
+    flags = () if seed is None else ("--seed", str(seed))
+    if command == "sweep" and replicates is not None:
+        flags += ("--replicates", str(replicates))
+    code = run_and_check(command, {"n_users": [3], "alpha": [1e-3]}, flags, out)
+    bad_seed = seed is not None and not 0 <= seed < 2**64
+    bad_sweep = command == "sweep" and (out != "rows.csv" or replicates in (0, -1))
+    assert code == (2 if bad_seed or bad_sweep else 0)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4] + [2**64 - 1])
+def test_oracle_seed_exit_code_contract(seed):
+    # each seed in range runs the whole oracle suite (about a second), so
+    # only the top of the range does
+    code, _ = run_main(["oracle", "--seed", str(seed)])
+    assert code == (0 if 0 <= seed < 2**64 else 2)

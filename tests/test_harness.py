@@ -12,7 +12,6 @@ from chainsure.harness import (
     SweepRow,
     emit_csv,
     generate_instance,
-    default_config,
     read_csv,
     run_sweep,
     solve_point,
@@ -35,7 +34,7 @@ class TestConfig:
         assert cfg.alpha == [7e-4]
 
     def test_defaults_match_evaluation_setup(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         assert cfg.blocks_per_period == 10.0
         assert cfg.beta == 10.0 and cfg.price_cap == 1.0 and cfg.gamma_cap == 2.0
         assert cfg.compensation_rate == 10.0 and cfg.mining_reward == 10.0
@@ -83,13 +82,13 @@ class TestGenerateInstance:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_contraction_holds_at_paper_scale(self):
-        cfg = default_config(seed=0)
+        cfg = ExperimentConfig(seed=0)
         graph = generate_instance(cfg, 100, 7e-4)
         exact = 7e-4 * float(np.max(np.abs(np.linalg.eigvals(np.asarray(graph.weights)))))
         assert exact < 1.0
 
     def test_rejects_excess_externality(self):
-        cfg = default_config(seed=0)
+        cfg = ExperimentConfig(seed=0)
         with pytest.raises(ConfigurationError) as info:
             generate_instance(cfg, 100, 3e-3)
         assert "rho" in str(info.value)

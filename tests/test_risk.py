@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainsure.risk import (
-    DEFAULT_INTERVALS,
+    GRID_INTERVALS,
     RiskModel,
     _model_survival,
     attack_probability,
@@ -13,10 +13,9 @@ from chainsure.risk import (
     premium,
     premium_curve,
     reputation_penalty,
-    risk_cdf,
     survival_grid,
 )
-from chainsure.specfun import QuadratureSpec, integrate
+from chainsure.specfun import adaptive_simpson
 from conftest import ADAPTIVE, ADAPTIVE_FAST, beta_quadrature, nested_adaptive_premium
 
 DEFAULTS = RiskModel(blocks_per_period=10.0, tx_per_block=100,
@@ -72,22 +71,6 @@ class TestAttackProbability:
         grid = np.linspace(0.0, 1.0, 200)
         values = [attack_probability(model, float(h)) for h in grid]
         assert np.all(np.diff(values) <= 1e-12)
-
-
-class TestRiskCdf:
-    def test_at_half(self):
-        assert risk_cdf(DEFAULTS, 0.5) == 0.5
-
-    def test_against_double_quadrature(self):
-        for hbar in (0.6, 0.75, 1.0):
-            oracle = 0.5 + integrate(default_p, 0.5, hbar, ADAPTIVE)
-            assert math.isclose(risk_cdf(DEFAULTS, hbar), oracle, rel_tol=1e-3)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            risk_cdf(DEFAULTS, 0.4)
-        with pytest.raises(ValueError):
-            risk_cdf(DEFAULTS, 1.1)
 
 
 class TestExpectedLoss:
@@ -147,7 +130,7 @@ class TestPremium:
 
     def test_curve_matches_table_formula(self):
         curve = premium_curve(DEFAULTS)
-        _, survival, width = _model_survival(DEFAULTS, DEFAULT_INTERVALS)
+        _, survival, width = _model_survival(DEFAULTS)
         for gamma in np.linspace(1.0, 2.0, 50).tolist():
             expected = DEFAULTS.claim_scale * float(np.sum(survival ** (1.0 / gamma)) * width)
             assert curve(gamma) == expected
@@ -160,14 +143,14 @@ class TestSurvivalTableOnFloats:
 
     def test_p_fn_receives_python_floats(self):
         seen = []
-        nodes, _, _ = survival_grid(lambda t: seen.append(type(t)) or 0.5, intervals=8)
-        assert seen == [float] * 8
+        nodes, _, _ = survival_grid(lambda t: seen.append(type(t)) or 0.5)
+        assert seen == [float] * GRID_INTERVALS
         assert nodes.dtype == np.float64
 
     @pytest.mark.parametrize("blocks", [0.1, 1.0, 10.0, 37.3, 100.0, 1e3, 1e5])
     def test_model_table_equals_numpy_scalar_nodes(self, blocks):
         model = RiskModel(blocks, 100, 10.0, 10.0)
-        nodes, survival, width = _model_survival(model, DEFAULT_INTERVALS)
+        nodes, survival, width = _model_survival(model)
         values = []
         for t in nodes:
             assert type(t) is np.float64
@@ -182,9 +165,10 @@ class TestQuadratureAgreement:
     integrand the model actually uses."""
 
     def test_attack_probability_integrand(self):
-        mid = integrate(default_p, 0.5, 1.0, QuadratureSpec.midpoint(100))
-        ora = integrate(default_p, 0.5, 1.0, ADAPTIVE)
-        assert math.isclose(mid, ora, rel_tol=1e-3)
+        # the table's inner integral of p at every node, to 1e-3 of the whole
+        nodes, survival, _ = _model_survival(DEFAULTS)
+        oracle = np.array([adaptive_simpson(default_p, 0.5, t, ADAPTIVE) for t in nodes.tolist()])
+        np.testing.assert_allclose(1.0 - survival, oracle, rtol=0.0, atol=1e-3 * oracle[-1])
 
     @pytest.mark.parametrize("gamma", [1.0, 1.3, 2.0])
     def test_distorted_survival_integrand(self, gamma):
@@ -197,13 +181,13 @@ class TestQuadratureAgreement:
         i0, i1, i2 = distorted_log_moments(DEFAULTS, gamma)
 
         def survival(t):
-            return 1.0 - integrate(default_p, 0.5, t, ADAPTIVE_FAST)
+            return 1.0 - adaptive_simpson(default_p, 0.5, t, ADAPTIVE_FAST)
 
-        o0 = integrate(lambda t: survival(t) ** (1 / gamma), 0.5, 1.0, ADAPTIVE_FAST)
-        o1 = integrate(
+        o0 = adaptive_simpson(lambda t: survival(t) ** (1 / gamma), 0.5, 1.0, ADAPTIVE_FAST)
+        o1 = adaptive_simpson(
             lambda t: survival(t) ** (1 / gamma) * math.log(survival(t)), 0.5, 1.0, ADAPTIVE_FAST
         )
-        o2 = integrate(
+        o2 = adaptive_simpson(
             lambda t: survival(t) ** (1 / gamma) * math.log(survival(t)) ** 2,
             0.5, 1.0, ADAPTIVE_FAST,
         )

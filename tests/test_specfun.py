@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsure.errors import ConvergenceError
-from chainsure.specfun import QuadratureSpec, Scheme, integrate, log_gamma, reg_inc_beta
+from chainsure.risk import survival_grid
+from chainsure.specfun import adaptive_simpson, reg_inc_beta
 from conftest import beta_closed_form, beta_quadrature
 
 
 def abs_test_reg_inc_beta(w, u, v):
-    """Reference: the incomplete Beta written with abs() tests and the
-    checked log_gamma, as it was before the chained comparisons."""
+    """Reference: the incomplete Beta written with abs() tests, as it was
+    before the chained comparisons."""
     if not (u > 0 and v > 0):
         raise ValueError("u, v > 0")
     if not 0.0 <= w <= 1.0:
@@ -55,32 +56,12 @@ def abs_test_reg_inc_beta(w, u, v):
                 return h
         raise ConvergenceError("no convergence")
 
-    ln_front = (log_gamma(u + v) - log_gamma(u) - log_gamma(v)
+    ln_front = (math.lgamma(u + v) - math.lgamma(u) - math.lgamma(v)
                 + u * math.log(w) + v * math.log1p(-w))
     front = math.exp(ln_front)
     if w < (u + 1.0) / (u + v + 2.0):
         return front * contfrac(u, v, w) / u
     return 1.0 - front * contfrac(v, u, 1.0 - w) / v
-
-
-class TestLogGamma:
-    def test_known_points(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-        # factorial oracle: Gamma(5) = 4!
-        assert math.isclose(log_gamma(5.0), math.log(24.0), rel_tol=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.2)
-
-    def test_against_mpmath_grid(self):
-        mpmath = pytest.importorskip("mpmath")
-        for x in np.linspace(0.5, 200.0, 400):
-            exact = float(mpmath.loggamma(mpmath.mpf(float(x))).real)
-            assert np.isclose(log_gamma(float(x)), exact, rtol=1e-12, atol=1e-13)
 
 
 class TestRegIncBeta:
@@ -147,6 +128,18 @@ class TestRegIncBeta:
                 reg_inc_beta(w, u, v), float(betainc(u, v, w)), abs_tol=1e-10
             )
 
+    def test_against_mpmath(self):
+        # arbitrary precision: random parameters, and the attack curve's
+        # I_{4(1-h)h}(b h, 1/2) over h in (1/2, 1) for several b
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(13)
+        cases = [tuple(rng.uniform((0.0, 0.2, 0.2), (1.0, 40.0, 40.0))) for _ in range(100)]
+        for b in (0.1, 10.0, 1e3):
+            cases += [(4.0 * (1.0 - h) * h, b * h, 0.5) for h in np.linspace(0.5, 1.0, 21)[1:-1]]
+        for w, u, v in cases:
+            exact = float(mpmath.betainc(u, v, 0, w, regularized=True))
+            assert math.isclose(reg_inc_beta(float(w), float(u), float(v)), exact, abs_tol=1e-12)
+
     def test_bit_identical_to_abs_tests(self):
         # both sides of the symmetry switch w = (u + 1) / (u + v + 2), the
         # exact endpoints, and the attack curve's v = 1/2
@@ -176,35 +169,41 @@ class TestRegIncBeta:
 
 
 class TestIntegrate:
+    """The package's two integrators: the midpoint grid behind every premium
+    integral (risk.survival_grid) and the adaptive Simpson oracle."""
+
     def test_midpoint_constant(self):
-        spec = QuadratureSpec.midpoint(100)
-        assert math.isclose(integrate(lambda t: 1.0, 0.0, 1.0, spec), 1.0, abs_tol=1e-14)
+        # the inner integral of a constant is exact on the grid
+        nodes, survival, _ = survival_grid(lambda t: 0.8)
+        np.testing.assert_allclose(survival, 1.0 - 0.8 * (nodes - 0.5), rtol=0.0, atol=1e-14)
 
     def test_midpoint_exact_for_linear(self):
-        spec = QuadratureSpec.midpoint(100)
-        assert math.isclose(integrate(lambda t: t, 0.0, 1.0, spec), 0.5, abs_tol=1e-14)
+        # B(t) = 1 - 0.8 (t - 1/2) is linear, so the outer sum is its exact integral
+        _, survival, width = survival_grid(lambda t: 0.8)
+        assert math.isclose(float(np.sum(survival) * width), 0.5 - 0.8 / 8, abs_tol=1e-14)
 
     def test_adaptive_against_antiderivative(self):
-        spec = QuadratureSpec.adaptive(1e-10)
-        assert math.isclose(integrate(lambda t: t * t, 0.0, 1.0, spec), 1.0 / 3.0, abs_tol=1e-10)
-        value = integrate(math.sin, 0.0, 2.0, spec)
+        assert math.isclose(adaptive_simpson(lambda t: t * t, 0.0, 1.0, 1e-10), 1.0 / 3.0,
+                            abs_tol=1e-10)
+        value = adaptive_simpson(math.sin, 0.0, 2.0, 1e-10)
         assert math.isclose(value, 1.0 - math.cos(2.0), abs_tol=1e-10)
 
     def test_empty_interval(self):
-        assert integrate(lambda t: t, 2.0, 2.0, QuadratureSpec.midpoint(10)) == 0.0
+        assert adaptive_simpson(lambda t: t, 2.0, 2.0, 1e-10) == 0.0
 
     def test_bounds_order(self):
         with pytest.raises(ValueError):
-            integrate(lambda t: t, 1.0, 0.0, QuadratureSpec.midpoint(10))
+            adaptive_simpson(lambda t: t, 1.0, 0.0, 1e-10)
 
     def test_midpoint_reproducible(self):
-        spec = QuadratureSpec.midpoint(37)
         f = lambda t: math.exp(-t) * math.sin(3 * t)
-        first = integrate(f, 0.2, 1.7, spec)
-        assert all(integrate(f, 0.2, 1.7, spec) == first for _ in range(5))
+        first = survival_grid(f)
+        for _ in range(5):
+            again = survival_grid(f)
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
-    def test_spec_validation(self):
+    def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(Scheme.RECTANGULAR_MIDPOINT, intervals=0)
+            adaptive_simpson(lambda t: t, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(Scheme.ADAPTIVE, tolerance=0.0)
+            adaptive_simpson(lambda t: t, 0.0, 1.0, math.nan)
