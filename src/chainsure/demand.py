@@ -11,6 +11,11 @@ the clamped demand runs it on I - alpha G, and the provider's best
 response runs it on its price curvature M + M^T. A sweep is BLAS
 triangular kernels that read the matrix once and return the new
 iterate's residual with it.
+
+The four Fortran routines used here (BLAS trmv and trsv, LAPACK getrf
+and getrs) are bound from scipy's compiled f2py wrapper modules, loaded
+by _scipy_linalg_extension without running scipy.linalg's package
+import, which costs more than a whole paper sweep.
 """
 
 from __future__ import annotations
@@ -18,13 +23,15 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import dtrmv, dtrsv
-from scipy.linalg.lapack import dgetrs
+import scipy
 
 from .errors import ContractionViolation, ConvergenceError, UniquenessViolation
 
@@ -33,6 +40,62 @@ POWER_ITER_CAP = 100_000
 LCP_TOL = 1e-10
 LCP_ITER_CAP = 10**6
 BRUTE_FORCE_MAX_USERS = 12
+
+
+def _scipy_linalg_extension(name: str):
+    """scipy.linalg's compiled module `name`, without importing scipy.linalg.
+
+    The plain `import scipy` above sets up the bundled BLAS/LAPACK library
+    path where a platform needs it; the extension file itself is found
+    next to scipy/linalg/__init__.py, which is not run. The module goes
+    into sys.modules under its own name, so a later `import scipy.linalg`
+    shares it, and one loaded already is reused.
+    """
+    qualified = f"scipy.linalg.{name}"
+    module = sys.modules.get(qualified)
+    if module is not None:
+        return module
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(qualified)
+    if spec is None:
+        raise ImportError(f"no compiled module {name} in {directory}", name=qualified,
+                          path=directory)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[qualified] = module
+    return module
+
+
+_fblas = _scipy_linalg_extension("_fblas")
+_flapack = _scipy_linalg_extension("_flapack")
+dtrmv, dtrsv = _fblas.dtrmv, _fblas.dtrsv
+dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+
+
+def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of a square matrix with partial pivoting, as scipy's lu_factor.
+
+    LAPACK getrf on a Fortran-ordered copy, so a is never overwritten.
+    Where scipy only warns on an exactly zero pivot, this raises.
+    """
+    a = np.asarray_chkfinite(a)
+    lu, piv, info = dgetrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK getrf")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"diagonal number {info} of the LU factor is exactly zero")
+    return lu, piv
+
+
+def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
+             overwrite_b: bool = False) -> np.ndarray:
+    """Solve a x = b from lu_factor(a), as scipy's lu_solve (LAPACK getrs)."""
+    lu, piv = lu_and_piv
+    b = np.asarray_chkfinite(b)
+    x, info = dgetrs(lu, piv, b, overwrite_b=overwrite_b)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+    return x
 
 
 class Segment(enum.IntEnum):
@@ -84,8 +147,8 @@ class ExternalityGraph:
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Solve (I - alpha G) x = rhs (or its transpose) via the cached LU.
 
-        Calls LAPACK getrs directly: the same solve as scipy's lu_solve,
-        with its finite check on rhs, without the wrapper's per-call cost.
+        Calls LAPACK getrs directly, as lu_solve does, with a finite check
+        on rhs and on the result.
         """
         b = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(b)):

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use: load it here, not in the first sweep point
 
 from .demand import ExternalityGraph, check_contraction
 from .equilibrium import EquilibriumReport, SolveOptions, solve_stackelberg
@@ -273,7 +274,8 @@ def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
             params = config.market_params(a, n_t)
             report = solve_stackelberg(params, graph, _default_start(config, n), config.solve)
             replicate_rows.append(_report_row(params, n, alpha, a, n_t, report))
-        except (ChainsureError, np.linalg.LinAlgError):
+        # LinAlgError is a ValueError; a numerical error fails this point's row, not the sweep
+        except (ChainsureError, ValueError, ArithmeticError):
             replicate_rows.append(_failed_row(n, alpha, a, n_t))
     return _mean_rows(replicate_rows)
 

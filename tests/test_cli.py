@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from chainsure import demand, harness
 from chainsure.cli import main
 from chainsure.harness import read_csv
 
@@ -170,6 +173,35 @@ class TestSolverErrors:
         assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 1
         rows = read_csv(out_csv)
         assert len(rows) == 1 and not rows[0].converged
+
+    def test_singular_factor_reports_error(self, fast_config_path, monkeypatch, capsys):
+        def singular(a):
+            raise np.linalg.LinAlgError("diagonal number 1 of the LU factor is exactly zero")
+
+        monkeypatch.setattr(demand, "lu_factor", singular)
+        assert main(["solve", "--config", fast_config_path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: diagonal number 1 of the LU factor is exactly zero\n"
+
+    def test_sweep_point_value_error_fails_its_row(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"n_users": [4], "alpha": [1e-3], "seed": 7,
+                                    "attacker_resource": [50.0, 100.0, 200.0]}))
+        solve = harness.solve_stackelberg
+
+        def failing(params, *args, **kwargs):
+            if params.attacker_resource == 100.0:
+                raise ValueError("injected")
+            return solve(params, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_stackelberg", failing)
+        out_csv = tmp_path / "rows.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "1 non-converged" in captured.out
+        rows = read_csv(out_csv)
+        assert [r.converged for r in rows] == [True, False, True]
+        assert math.isnan(rows[1].mean_price)
 
     def test_externality_past_float_range_fails_contraction(self, tmp_path, capsys):
         # squares of these weights overflow; the spectral radius must not

@@ -1,9 +1,17 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import blas, lapack, lu_factor, lu_solve
 
+import chainsure
 from chainsure import demand
 from chainsure.demand import (
     ExternalityGraph,
@@ -68,6 +76,99 @@ class TestExternalityGraph:
             graph.solve(np.array([1.0, np.nan]))
         with pytest.raises(ValueError, match="infs or NaNs"):
             graph.solve(np.array([np.inf, 1.0]), transpose=True)
+
+
+class TestBoundRoutines:
+    """demand binds scipy's compiled BLAS/LAPACK wrappers without scipy.linalg.
+
+    scipy.linalg, imported here, is the oracle: every result must be
+    bit-equal to the same call through its public modules.
+    """
+
+    def test_import_skips_scipy_linalg(self):
+        src = str(Path(chainsure.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, chainsure.cli; "
+                 "print('scipy.linalg' in sys.modules, 'numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["False", "True"]
+
+    def test_missing_module_names_its_directory(self):
+        with pytest.raises(ImportError, match="no compiled module _absent in .*linalg"):
+            demand._scipy_linalg_extension("_absent")
+
+    @pytest.mark.parametrize("lower, trans, diag", itertools.product((0, 1), repeat=3))
+    def test_triangular_blas(self, lower, trans, diag):
+        rng = np.random.default_rng(4 * lower + 2 * trans + diag)
+        n = 40
+        matrix = rng.normal(size=(n, n)) + n * np.eye(n)
+        x = rng.normal(size=n)
+        # C-ordered and, as the Gauss-Seidel kernels pass it, the transposed view
+        for a in (matrix, matrix.T):
+            flags = dict(lower=lower, trans=trans, diag=diag)
+            assert np.array_equal(demand.dtrmv(a, x, **flags), blas.dtrmv(a, x, **flags))
+            assert np.array_equal(demand.dtrsv(a, x, **flags), blas.dtrsv(a, x, **flags))
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_lapack_lu(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        b = rng.normal(size=(n, 3))
+        lu, piv, info = demand.dgetrf(a)
+        expected_lu, expected_piv, expected_info = lapack.dgetrf(a)
+        assert info == expected_info == 0
+        assert np.array_equal(lu, expected_lu) and np.array_equal(piv, expected_piv)
+        for trans in (0, 1):
+            x, info = demand.dgetrs(lu, piv, b, trans=trans)
+            expected, _ = lapack.dgetrs(lu, piv, b, trans=trans)
+            assert info == 0 and np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("n", [1, 30, 100])
+    def test_lu_factor_and_solve_equal_scipy(self, n):
+        graph = random_externality(np.random.default_rng(n), n)
+        a = graph.system_matrix
+        factors = demand.lu_factor(a)
+        expected = lu_factor(a)
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(factors, expected))
+        rhs = np.random.default_rng(n + 1).normal(size=n)
+        assert np.array_equal(demand.lu_solve(factors, rhs), lu_solve(expected, rhs))
+        identity = np.eye(n, order="F")
+        inverse = demand.lu_solve(factors, identity, overwrite_b=True)
+        assert inverse is identity  # solved in place, as symmetric_influence asks
+        assert np.array_equal(inverse, lu_solve(expected, np.eye(n)))
+
+    def test_lu_factor_leaves_input(self):
+        graph = random_externality(np.random.default_rng(5), 20)
+        before = graph.system_matrix.copy()
+        fortran = np.asfortranarray(before)  # getrf's own layout: no conversion copy
+        demand.lu_factor(graph.system_matrix)
+        demand.lu_factor(fortran)
+        assert np.array_equal(graph.system_matrix, before)
+        assert np.array_equal(fortran, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_as_by_scipy(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError) as expected:
+            lu_factor(a)
+        with pytest.raises(ValueError, match="infs or NaNs") as raised:
+            demand.lu_factor(a)
+        assert str(raised.value) == str(expected.value)
+        factors = demand.lu_factor(np.eye(3))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            demand.lu_solve(factors, np.array([1.0, bad, 0.0]))
+
+    def test_exactly_singular_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal number 2"):
+            demand.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_shared_with_scipy_linalg(self):
+        # whichever is imported first, the other reuses its compiled modules
+        assert demand.dtrmv is scipy.linalg.blas.dtrmv
+        assert demand.dgetrs is scipy.linalg.lapack.dgetrs
 
 
 class TestSpectralRadius:

@@ -133,6 +133,25 @@ class TestSweep:
         assert not rows[1].converged
         assert math.isnan(rows[1].mean_price)
 
+    @pytest.mark.parametrize("error", [ValueError, OverflowError, ZeroDivisionError,
+                                       FloatingPointError])
+    def test_point_error_fails_only_its_row(self, monkeypatch, error):
+        cfg = fast_config(seed=7, attacker_resource=[50.0, 100.0, 200.0])
+        clean = run_sweep(cfg)
+        solve = harness.solve_stackelberg
+
+        def failing(params, *args, **kwargs):
+            if params.attacker_resource == 100.0:
+                raise error("injected")
+            return solve(params, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_stackelberg", failing)
+        rows = run_sweep(cfg)
+        failed = dataclasses.astuple(rows[1])
+        assert failed[:4] == (4, 1e-3, 100.0, 100) and failed[-2:] == (False, 0)
+        assert all(math.isnan(v) for v in failed[4:-2])
+        assert [rows[0], rows[2]] == [clean[0], clean[2]]
+
     def test_threads_match_serial(self, tmp_path):
         cfg = fast_config(n_users=[3, 4], alpha=[1e-3, 2e-3], seed=5)
         serial = run_sweep(cfg, threads=1)
