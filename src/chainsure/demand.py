@@ -87,12 +87,15 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
-             overwrite_b: bool = False) -> np.ndarray:
-    """Solve a x = b from lu_factor(a), as scipy's lu_solve (LAPACK getrs)."""
+def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve a x = b from lu_factor(a), as scipy's lu_solve (LAPACK getrs).
+
+    b may be overwritten: getrs solves in place when b is already a
+    Fortran-contiguous float array.
+    """
     lu, piv = lu_and_piv
     b = np.asarray_chkfinite(b)
-    x, info = dgetrs(lu, piv, b, overwrite_b=overwrite_b)
+    x, info = dgetrs(lu, piv, b, overwrite_b=True)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
     return x
@@ -186,7 +189,7 @@ class ExternalityGraph:
         so its transpose is a Fortran-ordered view that BLAS reads without
         a copy. M itself is built in place of a local identity and dropped.
         """
-        inverse = lu_solve(self._lu, np.eye(self.n_users, order="F"), overwrite_b=True)
+        inverse = lu_solve(self._lu, np.eye(self.n_users, order="F"))
         out = np.add(inverse, inverse.T, order="C")
         out.setflags(write=False)
         return out

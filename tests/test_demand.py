@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import blas, lapack, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 import chainsure
 from chainsure import demand
@@ -99,32 +98,6 @@ class TestBoundRoutines:
         with pytest.raises(ImportError, match="no compiled module _absent in .*linalg"):
             demand._scipy_linalg_extension("_absent")
 
-    @pytest.mark.parametrize("lower, trans, diag", itertools.product((0, 1), repeat=3))
-    def test_triangular_blas(self, lower, trans, diag):
-        rng = np.random.default_rng(4 * lower + 2 * trans + diag)
-        n = 40
-        matrix = rng.normal(size=(n, n)) + n * np.eye(n)
-        x = rng.normal(size=n)
-        # C-ordered and, as the Gauss-Seidel kernels pass it, the transposed view
-        for a in (matrix, matrix.T):
-            flags = dict(lower=lower, trans=trans, diag=diag)
-            assert np.array_equal(demand.dtrmv(a, x, **flags), blas.dtrmv(a, x, **flags))
-            assert np.array_equal(demand.dtrsv(a, x, **flags), blas.dtrsv(a, x, **flags))
-
-    @pytest.mark.parametrize("n", [1, 7, 60])
-    def test_lapack_lu(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n))
-        b = rng.normal(size=(n, 3))
-        lu, piv, info = demand.dgetrf(a)
-        expected_lu, expected_piv, expected_info = lapack.dgetrf(a)
-        assert info == expected_info == 0
-        assert np.array_equal(lu, expected_lu) and np.array_equal(piv, expected_piv)
-        for trans in (0, 1):
-            x, info = demand.dgetrs(lu, piv, b, trans=trans)
-            expected, _ = lapack.dgetrs(lu, piv, b, trans=trans)
-            assert info == 0 and np.array_equal(x, expected)
-
     @pytest.mark.parametrize("n", [1, 30, 100])
     def test_lu_factor_and_solve_equal_scipy(self, n):
         graph = random_externality(np.random.default_rng(n), n)
@@ -133,9 +106,9 @@ class TestBoundRoutines:
         expected = lu_factor(a)
         assert all(np.array_equal(mine, theirs) for mine, theirs in zip(factors, expected))
         rhs = np.random.default_rng(n + 1).normal(size=n)
-        assert np.array_equal(demand.lu_solve(factors, rhs), lu_solve(expected, rhs))
+        assert np.array_equal(demand.lu_solve(factors, rhs.copy()), lu_solve(expected, rhs))
         identity = np.eye(n, order="F")
-        inverse = demand.lu_solve(factors, identity, overwrite_b=True)
+        inverse = demand.lu_solve(factors, identity)
         assert inverse is identity  # solved in place, as symmetric_influence asks
         assert np.array_equal(inverse, lu_solve(expected, np.eye(n)))
 
@@ -168,6 +141,8 @@ class TestBoundRoutines:
     def test_shared_with_scipy_linalg(self):
         # whichever is imported first, the other reuses its compiled modules
         assert demand.dtrmv is scipy.linalg.blas.dtrmv
+        assert demand.dtrsv is scipy.linalg.blas.dtrsv
+        assert demand.dgetrf is scipy.linalg.lapack.dgetrf
         assert demand.dgetrs is scipy.linalg.lapack.dgetrs
 
 
