@@ -7,8 +7,8 @@ Subcommands:
   oracle  - run the built-in cross-verification suites (brute force,
             finite differences, quadrature) and report pass/fail
 
-Exit codes: 0 success, 1 solver non-convergence / oracle failure,
-2 configuration or usage error.
+Exit codes: 0 success, 1 solver non-convergence, solver error or oracle
+failure, 2 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ import numpy as np
 from . import market
 from .demand import ExternalityGraph, brute_force_lcp, check_contraction, lcp_demand
 from .equilibrium import solve_stackelberg
-from .errors import ChainsureError, ConfigurationError, check_seed
+from .errors import ConfigurationError, check_seed
 from .harness import (
+    SOLVER_ERRORS,
     ExperimentConfig,
     _default_start,
     generate_instance,
@@ -52,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the configured sweep and write CSV")
     common(p_sweep)
     p_sweep.add_argument("--out", default=None, help="CSV output path (overrides config)")
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--threads", type=int, choices=(1,), default=1,
+                         help="sweeps always run on one thread; the flag is kept "
+                              "only so that existing command lines still parse")
     p_sweep.add_argument("--replicates", type=int, default=None,
                          help="override the config replicate count")
 
@@ -103,7 +106,7 @@ def _cmd_sweep(args) -> int:
     if not out:
         print("error: no output path (--out or config output_path)", file=sys.stderr)
         return 2
-    rows = run_sweep(config, threads=max(1, args.threads), csv_path=out)
+    rows = run_sweep(config, csv_path=out)
     failed = [r for r in rows if not r.converged]
     print(f"wrote {len(rows)} rows to {out} ({len(failed)} non-converged)")
     return 0 if not failed else 1
@@ -248,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ChainsureError, np.linalg.LinAlgError) as exc:
+    except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,7 +13,6 @@ import dataclasses
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -157,7 +156,7 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float,
 
     The stream is derived from (seed, n, replicate) only, so sweep points
     that differ in alpha, attacker resource, or block size share the same
-    draw and stay comparable; parallel execution order cannot change it.
+    draw and stay comparable.
     """
     if n < 1:
         raise ConfigurationError(f"need at least one user, got {n}")
@@ -233,6 +232,10 @@ def _mean_rows(rows: Sequence[SweepRow]) -> SweepRow:
     )
 
 
+# What a failed solve raises: solve_point records it as a failed row and the
+# CLI exits 1 on it. numpy's LinAlgError is a ValueError.
+SOLVER_ERRORS = (ChainsureError, ValueError, ArithmeticError)
+
 # (key, {replicate: graph}) for the graphs solve_point built last; see _point_graph.
 _last_graphs: tuple[tuple, dict[int, ExternalityGraph]] | None = None
 
@@ -245,15 +248,13 @@ def _point_graph(config: ExperimentConfig, n: int, alpha: float,
     replicate, and the entry keeps one graph per replicate. Sweep points
     come in Cartesian order with n_users and alpha outermost, so points
     that share their graphs arrive one after another and share the LU
-    factors, rho(G) and symmetric_influence. The entry is read and replaced
-    as one tuple, so concurrent points can at worst build a graph twice.
-    run_sweep drops the entry when it returns.
+    factors, rho(G) and symmetric_influence. run_sweep drops the entry
+    when it returns.
     """
     global _last_graphs
     key = (config.seed, config.g_low, config.g_high, n, alpha)
-    last = _last_graphs
-    if last is not None and last[0] == key:
-        graphs = last[1]
+    if _last_graphs is not None and _last_graphs[0] == key:
+        graphs = _last_graphs[1]
     else:
         graphs = {}
         _last_graphs = (key, graphs)
@@ -274,46 +275,34 @@ def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
             params = config.market_params(a, n_t)
             report = solve_stackelberg(params, graph, _default_start(config, n), config.solve)
             replicate_rows.append(_report_row(params, n, alpha, a, n_t, report))
-        # LinAlgError is a ValueError; a numerical error fails this point's row, not the sweep
-        except (ChainsureError, ValueError, ArithmeticError):
+        # a numerical error fails this point's row, not the sweep
+        except SOLVER_ERRORS:
             replicate_rows.append(_failed_row(n, alpha, a, n_t))
     return _mean_rows(replicate_rows)
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1,
+def run_sweep(config: ExperimentConfig,
               csv_path: str | Path | None = None) -> list[SweepRow]:
-    """Solve every sweep point; failures become non-converged rows.
+    """Solve every sweep point in order; failures become non-converged rows.
 
-    Rows come back in the deterministic point order regardless of thread
-    count. When csv_path (or config.output_path) is set, completed rows are
-    flushed to the file incrementally in order.
+    When csv_path (or config.output_path) is set, each row is written and
+    flushed to the file as soon as its point is solved.
     """
     global _last_graphs
-    points = sweep_points(config)
     target = csv_path if csv_path is not None else config.output_path
     writer = _IncrementalCsv(target) if target else None
-    results: dict[int, SweepRow] = {}
+    rows = []
     try:
-        if threads <= 1:
-            for idx, point in enumerate(points):
-                results[idx] = solve_point(config, *point)
-                if writer:
-                    writer.advance(results)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {
-                    pool.submit(solve_point, config, *point): idx
-                    for idx, point in enumerate(points)
-                }
-                for future, idx in futures.items():
-                    results[idx] = future.result()
-                    if writer:
-                        writer.advance(results)
+        for point in sweep_points(config):
+            row = solve_point(config, *point)
+            rows.append(row)
+            if writer:
+                writer.write(row)
     finally:
         _last_graphs = None
         if writer:
             writer.close()
-    return [results[i] for i in range(len(points))]
+    return rows
 
 
 def _format_value(value) -> str:
@@ -327,7 +316,7 @@ def _format_value(value) -> str:
 
 
 class _IncrementalCsv:
-    """Writes rows 0, 1, 2, ... as soon as a contiguous prefix is complete."""
+    """The header on open, then one flushed line per row."""
 
     def __init__(self, path: str | Path):
         self._path = path
@@ -336,30 +325,38 @@ class _IncrementalCsv:
         except OSError as exc:
             raise ConfigurationError(f"cannot write CSV {path}: {exc}") from exc
         self._writer = csv.writer(self._handle)
-        self._writer.writerow([f.name for f in dataclasses.fields(SweepRow)])
-        self._next = 0
-
-    def advance(self, results: dict[int, SweepRow]) -> None:
         try:
-            while self._next in results:
-                row = results[self._next]
-                self._writer.writerow(
-                    [_format_value(getattr(row, f.name)) for f in dataclasses.fields(SweepRow)]
-                )
-                self._next += 1
+            self._write_line([f.name for f in dataclasses.fields(SweepRow)])
+        except ConfigurationError:
+            self.close()
+            raise
+
+    def write(self, row: SweepRow) -> None:
+        self._write_line(
+            [_format_value(getattr(row, f.name)) for f in dataclasses.fields(SweepRow)]
+        )
+
+    def _write_line(self, values: list[str]) -> None:
+        try:
+            self._writer.writerow(values)
             self._handle.flush()
         except OSError as exc:
             raise ConfigurationError(f"cannot write CSV {self._path}: {exc}") from exc
 
     def close(self) -> None:
-        self._handle.close()
+        # closing flushes what a failed write left buffered; the file is closed even if that fails
+        try:
+            self._handle.close()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write CSV {self._path}: {exc}") from exc
 
 
 def emit_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
     """Write rows to a UTF-8 CSV: exact field-name header, 12 significant digits."""
     writer = _IncrementalCsv(path)
     try:
-        writer.advance(dict(enumerate(rows)))
+        for row in rows:
+            writer.write(row)
     finally:
         writer.close()
 

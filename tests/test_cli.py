@@ -174,12 +174,15 @@ class TestSolverErrors:
         rows = read_csv(out_csv)
         assert len(rows) == 1 and not rows[0].converged
 
-    def test_singular_factor_reports_error(self, fast_config_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, OverflowError])
+    def test_singular_factor_reports_error(self, fast_config_path, monkeypatch, capsys,
+                                           error, command):
         def singular(a):
-            raise np.linalg.LinAlgError("diagonal number 1 of the LU factor is exactly zero")
+            raise error("diagonal number 1 of the LU factor is exactly zero")
 
         monkeypatch.setattr(demand, "lu_factor", singular)
-        assert main(["solve", "--config", fast_config_path]) == 1
+        assert main([command, "--config", fast_config_path]) == 1
         err = capsys.readouterr().err
         assert err == "error: diagonal number 1 of the LU factor is exactly zero\n"
 

@@ -122,24 +122,29 @@ def test_check_exit_code_contract(config):
 
 # seeds past either end of the unsigned 64-bit range, and its two ends
 SEEDS = [-1, -(2**64), 2**64, 2**64 + 1, 0, 2**64 - 1]
-# a writable file, the scratch directory itself, a file in a missing directory
-OUT_PATHS = ["rows.csv", ".", "missing/rows.csv"]
+# a writable file, the scratch directory itself, a file in a missing directory,
+# and a device on which every write fails (an absolute path replaces the directory)
+OUT_PATHS = ["rows.csv", ".", "missing/rows.csv", "/dev/full"]
 
 
 @given(
     command=st.sampled_from(["solve", "sweep", "check"]),
     seed=st.one_of(st.none(), st.sampled_from(SEEDS)),
     replicates=st.one_of(st.none(), st.sampled_from([0, -1, 1, 2])),
+    threads=st.one_of(st.none(), st.sampled_from([0, 1, 2])),
     out=st.sampled_from(OUT_PATHS),
 )
 @settings(max_examples=60, derandomize=True, deadline=None)
-def test_flag_exit_code_contract(command, seed, replicates, out):
+def test_flag_exit_code_contract(command, seed, replicates, threads, out):
     flags = () if seed is None else ("--seed", str(seed))
     if command == "sweep" and replicates is not None:
         flags += ("--replicates", str(replicates))
+    if command == "sweep" and threads is not None:
+        flags += ("--threads", str(threads))
     code = run_and_check(command, {"n_users": [3], "alpha": [1e-3]}, flags, out)
     bad_seed = seed is not None and not 0 <= seed < 2**64
-    bad_sweep = command == "sweep" and (out != "rows.csv" or replicates in (0, -1))
+    bad_sweep = command == "sweep" and (out != "rows.csv" or replicates in (0, -1)
+                                        or threads in (0, 2))
     assert code == (2 if bad_seed or bad_sweep else 0)
 
 
