@@ -22,7 +22,7 @@ import numpy as np
 from . import market
 from .demand import ExternalityGraph, brute_force_lcp, check_contraction, lcp_demand
 from .equilibrium import solve_stackelberg
-from .errors import ConfigurationError, check_seed
+from .errors import ConfigurationError, ContractionViolation, check_seed
 from .harness import (
     SOLVER_ERRORS,
     ExperimentConfig,
@@ -118,22 +118,23 @@ def _cmd_check(args) -> int:
     params = config.market_params(a, n_t)
     try:
         graph = generate_instance(config, n, alpha)
-        contraction = check_contraction(graph)
-        existence = check_existence(params, graph)
-    except ConfigurationError as exc:
-        # still diagnostic: report the spectral failure and the closed-form checks
-        print(f"externality spectral condition : FAIL ({exc})")
-        uniq = check_uniqueness(params)
-        _print_uniqueness(uniq)
+    except ContractionViolation as exc:
+        # still diagnostic: report the spectral failure and the closed-form check
+        _print_contraction("FAIL", exc.alpha_rho)
+        _print_uniqueness(check_uniqueness(params))
         return 0
-    status = "PASS" if contraction.holds else "FAIL"
-    print(f"externality spectral condition : {status} "
-          f"(alpha * rho(G) = {contraction.alpha_rho:.6g}, needs < 1)")
+    _print_contraction("PASS", check_contraction(graph).alpha_rho)
+    existence = check_existence(params, graph)
     status = "PASS" if existence.holds else "FAIL"
     print(f"equilibrium existence          : {status} "
           f"(attacker resource {existence.lhs:g} vs threshold {existence.rhs:.6g})")
     _print_uniqueness(check_uniqueness(params))
     return 0
+
+
+def _print_contraction(status: str, alpha_rho: float) -> None:
+    print(f"externality spectral condition : {status} "
+          f"(alpha * rho(G) = {alpha_rho:.6g}, needs < 1)")
 
 
 def _print_uniqueness(check) -> None:

@@ -90,12 +90,13 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     """Solve a x = b from lu_factor(a), as scipy's lu_solve (LAPACK getrs).
 
-    b may be overwritten: getrs solves in place when b is already a
-    Fortran-contiguous float array.
+    A writeable b may be overwritten: getrs solves in place when b is
+    already a Fortran-contiguous float array. A read-only b is copied,
+    since scipy's wrapper would write into it regardless of its flag.
     """
     lu, piv = lu_and_piv
     b = np.asarray_chkfinite(b)
-    x, info = dgetrs(lu, piv, b, overwrite_b=True)
+    x, info = dgetrs(lu, piv, b, overwrite_b=b.flags.writeable)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
     return x
@@ -197,10 +198,9 @@ class ExternalityGraph:
 
 @dataclass(frozen=True, eq=False)
 class DemandProfile:
-    """Solved purchase probabilities with their thresholds and branch labels."""
+    """Solved purchase probabilities with their branch labels."""
 
     x: np.ndarray
-    thresholds: np.ndarray
     partition: np.ndarray
 
     @property
@@ -260,15 +260,6 @@ def check_contraction(graph: ExternalityGraph) -> ContractionCheck:
     return ContractionCheck(holds=alpha_rho < 1.0, alpha_rho=alpha_rho)
 
 
-def user_utility(graph: ExternalityGraph, i: int, theta_i: float, hbar: float,
-                 p_i: float, x: np.ndarray) -> float:
-    """Utility of user i: security + private value - price + network pull."""
-    x = np.asarray(x, dtype=float)
-    if not 0 <= i < graph.n_users:
-        raise IndexError(f"user index {i} out of range for {graph.n_users} users")
-    return hbar + theta_i - p_i + graph.alpha * float(graph.weights[i] @ x)
-
-
 def _require_contraction(graph: ExternalityGraph) -> None:
     chk = check_contraction(graph)
     if not chk.holds:
@@ -279,15 +270,14 @@ def _profile_from(graph: ExternalityGraph, hbar: float, p: np.ndarray,
                   x: np.ndarray, partition: np.ndarray | None = None,
                   tol: float = 1e-9) -> DemandProfile:
     p = np.asarray(p, dtype=float)
-    thresholds = p - hbar - graph.alpha * (graph.weights @ x)
     if partition is None:
         residual = (1.0 + hbar) - p - graph.system_matrix @ x
         partition = np.full(graph.n_users, Segment.INTERIOR, dtype=np.int8)
         partition[residual < -tol] = Segment.OPT_OUT
         partition[residual > tol] = Segment.SATURATED
-    for arr in (x, thresholds, partition):
+    for arr in (x, partition):
         arr.setflags(write=False)
-    return DemandProfile(x=x, thresholds=thresholds, partition=partition)
+    return DemandProfile(x=x, partition=partition)
 
 
 def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:

@@ -23,7 +23,7 @@ class ConfigurationError(ChainsureError):
     """A config value is out of range or mutually inconsistent."""
 
 
-class ContractionViolation(ChainsureError):
+class ContractionViolation(ConfigurationError):
     """The externality feedback is too strong: alpha * rho(G) >= 1."""
 
     def __init__(self, alpha_rho: float):

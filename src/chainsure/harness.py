@@ -22,7 +22,7 @@ import numpy.random  # numpy 2 loads it on first use: load it here, not in the f
 
 from .demand import ExternalityGraph, check_contraction
 from .equilibrium import EquilibriumReport, SolveOptions, solve_stackelberg
-from .errors import ChainsureError, ConfigurationError, check_seed, is_integer
+from .errors import ChainsureError, ConfigurationError, ContractionViolation, check_seed, is_integer
 from .market import MarketParams, ProviderStrategy
 from .risk import RiskModel, attack_probability, premium
 
@@ -170,9 +170,7 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float,
     graph = ExternalityGraph(weights=weights, alpha=alpha)
     chk = check_contraction(graph)
     if not chk.holds:
-        raise ConfigurationError(
-            f"externality too strong for n={n}: alpha * rho(G) = {chk.alpha_rho:.6g} >= 1"
-        )
+        raise ContractionViolation(chk.alpha_rho)
     return graph
 
 
@@ -290,18 +288,21 @@ def run_sweep(config: ExperimentConfig,
     """
     global _last_graphs
     target = csv_path if csv_path is not None else config.output_path
-    writer = _IncrementalCsv(target) if target else None
-    rows = []
-    try:
+    rows: list[SweepRow] = []
+
+    def solved():
         for point in sweep_points(config):
-            row = solve_point(config, *point)
-            rows.append(row)
-            if writer:
-                writer.write(row)
+            rows.append(solve_point(config, *point))
+            yield rows[-1]
+
+    try:
+        if target:
+            emit_csv(solved(), target)
+        else:
+            for _ in solved():
+                pass
     finally:
         _last_graphs = None
-        if writer:
-            writer.close()
     return rows
 
 
@@ -315,50 +316,24 @@ def _format_value(value) -> str:
     return str(value)
 
 
-class _IncrementalCsv:
-    """The header on open, then one flushed line per row."""
-
-    def __init__(self, path: str | Path):
-        self._path = path
-        try:
-            self._handle = open(path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write CSV {path}: {exc}") from exc
-        self._writer = csv.writer(self._handle)
-        try:
-            self._write_line([f.name for f in dataclasses.fields(SweepRow)])
-        except ConfigurationError:
-            self.close()
-            raise
-
-    def write(self, row: SweepRow) -> None:
-        self._write_line(
-            [_format_value(getattr(row, f.name)) for f in dataclasses.fields(SweepRow)]
-        )
-
-    def _write_line(self, values: list[str]) -> None:
-        try:
-            self._writer.writerow(values)
-            self._handle.flush()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write CSV {self._path}: {exc}") from exc
-
-    def close(self) -> None:
-        # closing flushes what a failed write left buffered; the file is closed even if that fails
-        try:
-            self._handle.close()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write CSV {self._path}: {exc}") from exc
-
-
 def emit_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
-    """Write rows to a UTF-8 CSV: exact field-name header, 12 significant digits."""
-    writer = _IncrementalCsv(path)
+    """Write rows to a UTF-8 CSV: exact field-name header, 12 significant digits.
+
+    The header, then each row as rows yields it, is flushed to the file at
+    once, so a sweep's CSV grows point by point.
+    """
+    names = [f.name for f in dataclasses.fields(SweepRow)]
     try:
-        for row in rows:
-            writer.write(row)
-    finally:
-        writer.close()
+        # closing flushes what a failed write left buffered, so it can fail too
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(names)
+            handle.flush()
+            for row in rows:
+                writer.writerow([_format_value(getattr(row, name)) for name in names])
+                handle.flush()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write CSV {path}: {exc}") from exc
 
 
 # SweepRow's annotations are strings: this module postpones their evaluation

@@ -43,6 +43,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
 
+    def test_contraction_failure_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "strong_externality.json"
+        path.write_text(json.dumps({"n_users": [100], "alpha": [3e-3], "seed": 0}))
+        assert main(["check", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("externality spectral condition : FAIL")
+        assert "alpha * rho(G) = 1.47607" in lines[0]
+        assert lines[1].startswith("equilibrium uniqueness         : FAIL")
+
 
 class TestSolve:
     def test_summary_and_exit_zero(self, fast_config_path, capsys):
@@ -213,10 +223,11 @@ class TestSolverErrors:
         assert main(["solve", "--config", str(path)]) == 2
         assert "alpha * rho(G)" in capsys.readouterr().err
 
-    def test_unallocatable_user_count(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_unallocatable_user_count(self, tmp_path, capsys, command):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n_users": [10**300]}))
-        assert main(["solve", "--config", str(path)]) == 2
+        assert main([command, "--config", str(path)]) == 2
         assert "externality matrix" in capsys.readouterr().err
 
 

@@ -22,7 +22,6 @@ from chainsure.demand import (
     gauss_seidel_sweep,
     lcp_demand,
     spectral_radius,
-    user_utility,
 )
 from chainsure.errors import ContractionViolation, ConvergenceError
 from conftest import random_externality
@@ -112,6 +111,16 @@ class TestBoundRoutines:
         assert inverse is identity  # solved in place, as symmetric_influence asks
         assert np.array_equal(inverse, lu_solve(expected, np.eye(n)))
 
+    def test_lu_solve_leaves_read_only_rhs(self):
+        graph = random_externality(np.random.default_rng(4), 6)
+        factors = demand.lu_factor(graph.system_matrix)
+        for rhs in (np.arange(1.0, 7.0), np.asfortranarray(np.eye(6))):
+            before = rhs.copy()
+            rhs.setflags(write=False)
+            x = demand.lu_solve(factors, rhs)
+            assert np.array_equal(rhs, before)
+            assert np.array_equal(x, lu_solve(lu_factor(graph.system_matrix), before))
+
     def test_lu_factor_leaves_input(self):
         graph = random_externality(np.random.default_rng(5), 20)
         before = graph.system_matrix.copy()
@@ -195,29 +204,6 @@ class TestCheckContraction:
         assert chk.alpha_rho == pytest.approx(exact, rel=1e-8)
 
 
-class TestUserUtility:
-    def test_no_externality(self):
-        graph = ExternalityGraph(np.zeros((1, 1)), 0.0)
-        assert user_utility(graph, 0, 0.5, 0.5, 1.0, np.array([0.0])) == pytest.approx(0.0)
-
-    def test_threshold_gives_zero(self):
-        graph = ExternalityGraph(SWAP, 0.1)
-        x = np.array([0.4, 0.7])
-        p = np.array([0.8, 0.9])
-        prof_threshold = p[0] - 0.6 - 0.1 * (SWAP[0] @ x)
-        assert user_utility(graph, 0, prof_threshold, 0.6, p[0], x) == pytest.approx(0.0, abs=1e-14)
-
-    def test_hand_value(self):
-        graph = ExternalityGraph(SWAP, 0.1)
-        value = user_utility(graph, 0, 0.2, 0.5, 0.6, np.array([1.0, 1.0]))
-        assert value == pytest.approx(0.2, abs=1e-14)
-
-    def test_index_error(self):
-        graph = ExternalityGraph(SWAP, 0.1)
-        with pytest.raises(IndexError):
-            user_utility(graph, 2, 0.2, 0.5, 0.6, np.array([1.0, 1.0]))
-
-
 class TestClosedFormDemand:
     def test_decoupled(self):
         graph = ExternalityGraph(np.zeros((4, 4)), 0.0)
@@ -255,15 +241,6 @@ class TestClosedFormDemand:
             clamped = lcp_demand(graph, hbar, p)
             np.testing.assert_allclose(closed.x, clamped.x, atol=1e-10)
             assert np.all(clamped.partition == Segment.INTERIOR)
-
-    def test_thresholds_consistent(self):
-        rng = np.random.default_rng(23)
-        graph = random_externality(rng, 5)
-        hbar, p = 0.7, random_prices(rng, 5)
-        prof = lcp_demand(graph, hbar, p)
-        expected = p - hbar - graph.alpha * (graph.weights @ prof.x)
-        np.testing.assert_allclose(prof.thresholds, expected, atol=1e-12)
-        np.testing.assert_allclose(prof.x, 1.0 - np.clip(prof.thresholds, 0.0, 1.0), atol=1e-9)
 
 
 # the row-by-row sweep, kept unpatched as the reference

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -276,3 +277,11 @@ class TestCsv:
         # when point k starts, the file holds the header and k rows
         assert seen == [1, 2, 3, 4]
         assert len(path.read_text(encoding="utf-8").splitlines()) == 5
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="cannot write CSV /dev/full"):
+            emit_csv([], "/dev/full")
+        with pytest.raises(ConfigurationError, match="cannot write CSV /dev/full"):
+            run_sweep(fast_config(seed=7), csv_path="/dev/full")
+        assert harness._last_graphs is None
