@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import market
-from .demand import ExternalityGraph, brute_force_lcp, check_contraction, lcp_demand
+from .demand import ExternalityGraph, brute_force_lcp, lcp_demand
 from .equilibrium import solve_stackelberg
 from .errors import ConfigurationError, ContractionViolation, check_seed
 from .harness import (
@@ -75,9 +75,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if getattr(args, "replicates", None) is not None:
         overrides["replicates"] = args.replicates
-    if overrides:
-        config = ExperimentConfig.from_dict({**dataclasses.asdict(config), **overrides})
-    return config
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _cmd_solve(args) -> int:
@@ -121,14 +119,11 @@ def _cmd_check(args) -> int:
     except ContractionViolation as exc:
         # still diagnostic: report the spectral failure and the closed-form check
         _print_contraction("FAIL", exc.alpha_rho)
-        _print_uniqueness(check_uniqueness(params))
+        _print_threshold("uniqueness", check_uniqueness(params))
         return 0
-    _print_contraction("PASS", check_contraction(graph).alpha_rho)
-    existence = check_existence(params, graph)
-    status = "PASS" if existence.holds else "FAIL"
-    print(f"equilibrium existence          : {status} "
-          f"(attacker resource {existence.lhs:g} vs threshold {existence.rhs:.6g})")
-    _print_uniqueness(check_uniqueness(params))
+    _print_contraction("PASS", graph.alpha_rho)
+    _print_threshold("existence", check_existence(params, graph))
+    _print_threshold("uniqueness", check_uniqueness(params))
     return 0
 
 
@@ -137,9 +132,9 @@ def _print_contraction(status: str, alpha_rho: float) -> None:
           f"(alpha * rho(G) = {alpha_rho:.6g}, needs < 1)")
 
 
-def _print_uniqueness(check) -> None:
+def _print_threshold(label: str, check: market.ThresholdCheck) -> None:
     status = "PASS" if check.holds else "FAIL"
-    print(f"equilibrium uniqueness         : {status} "
+    print(f"{'equilibrium ' + label:<31}: {status} "
           f"(attacker resource {check.lhs:g} vs threshold {check.rhs:.6g})")
 
 

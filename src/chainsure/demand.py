@@ -116,6 +116,8 @@ class ExternalityGraph:
 
     weights[i, j] is how strongly user j's purchase decision raises user i's
     utility; the diagonal must be zero. alpha scales the whole network.
+    A graph exists only when alpha * rho(G) < 1, the condition for a unique
+    demand equilibrium, so every solver may assume it.
     """
 
     weights: np.ndarray
@@ -125,15 +127,21 @@ class ExternalityGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
+        # checked before rho: power iteration on a NaN never converges
+        if not np.all(np.isfinite(w)):
+            raise ValueError("externality weights must be finite")
         if np.any(w < 0):
             raise ValueError("externality weights must be nonnegative")
         if np.any(np.diagonal(w) != 0):
             raise ValueError("externality weights must have a zero diagonal")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        # written so that NaN fails
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        if not self.alpha_rho < 1.0:
+            raise ContractionViolation(self.alpha_rho)
 
     @property
     def n_users(self) -> int:
@@ -177,6 +185,11 @@ class ExternalityGraph:
         """rho(G), the Perron root of the unscaled weights."""
         return spectral_radius(self.weights)
 
+    @property
+    def alpha_rho(self) -> float:
+        """alpha * rho(G), below 1 for every graph."""
+        return self.alpha * self.rho
+
     @cached_property
     def total_amplification(self) -> float:
         """1^T (I - alpha G)^{-1} 1."""
@@ -210,12 +223,6 @@ class DemandProfile:
     def out_of_box(self, tol: float = 1e-9) -> bool:
         """True when any component leaves [0, 1] by more than tol."""
         return bool(np.any(self.x < -tol) or np.any(self.x > 1.0 + tol))
-
-
-@dataclass(frozen=True)
-class ContractionCheck:
-    holds: bool
-    alpha_rho: float
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -254,18 +261,6 @@ def spectral_radius(matrix: np.ndarray) -> float:
     )
 
 
-def check_contraction(graph: ExternalityGraph) -> ContractionCheck:
-    """Whether alpha * rho(G) < 1, the condition for a unique demand equilibrium."""
-    alpha_rho = graph.alpha * graph.rho
-    return ContractionCheck(holds=alpha_rho < 1.0, alpha_rho=alpha_rho)
-
-
-def _require_contraction(graph: ExternalityGraph) -> None:
-    chk = check_contraction(graph)
-    if not chk.holds:
-        raise ContractionViolation(chk.alpha_rho)
-
-
 def _profile_from(graph: ExternalityGraph, hbar: float, p: np.ndarray,
                   x: np.ndarray, partition: np.ndarray | None = None,
                   tol: float = 1e-9) -> DemandProfile:
@@ -286,7 +281,6 @@ def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> D
     No clamping: components outside [0, 1] are returned as-is so callers can
     detect when the interior regime does not apply (DemandProfile.out_of_box).
     """
-    _require_contraction(graph)
     p = np.asarray(p, dtype=float)
     if p.shape != (graph.n_users,):
         raise ValueError(f"price vector has shape {p.shape}, expected ({graph.n_users},)")
@@ -375,7 +369,6 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     returns r = b - A x, so that residual is || x - clamp(x + r, 0, 1) ||_inf
     and costs no further pass over A.
     """
-    _require_contraction(graph)
     p = np.asarray(p, dtype=float)
     n = graph.n_users
     if p.shape != (n,):
@@ -412,7 +405,6 @@ def brute_force_lcp(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> Dema
     n = graph.n_users
     if n > BRUTE_FORCE_MAX_USERS:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_USERS} users, got {n}")
-    _require_contraction(graph)
     p = np.asarray(p, dtype=float)
     a_mat = graph.system_matrix
     b = (1.0 + hbar) - p

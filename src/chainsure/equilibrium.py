@@ -17,25 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import (
-    ContractionCheck,
     DemandProfile,
     ExternalityGraph,
-    check_contraction,
     closed_form_demand,
     gauss_seidel_state,
     gauss_seidel_sweep,
     lcp_demand,
 )
-from .errors import ContractionViolation, ConvergenceError, is_integer
+from .errors import ConvergenceError
 from .market import (
     GAMMA_FLOOR,
     HBAR_CEILING,
     PRICE_FLOOR,
-    ExistenceCheck,
     InsurerStrategy,
     MarketParams,
     ProviderStrategy,
-    UniquenessCheck,
+    ThresholdCheck,
     check_existence,
     check_uniqueness,
     insurer_profit,
@@ -44,29 +41,24 @@ from .market import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+PROVIDER_ITER_CAP = 200
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerance and iteration cap for the leaders' best responses."""
+    """Tolerance for the leaders' best responses."""
 
     br_tolerance: float = 1e-8
-    max_inner_iters: int = 200
 
     def __post_init__(self):
         if not 0 < self.br_tolerance < math.inf:
             raise ValueError(f"br_tolerance must be positive and finite, got {self.br_tolerance}")
-        if not is_integer(self.max_inner_iters) or self.max_inner_iters < 1:
-            raise ValueError(
-                f"max_inner_iters must be an integer of at least 1, got {self.max_inner_iters!r}"
-            )
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    contraction: ContractionCheck
-    existence: ExistenceCheck
-    uniqueness: UniquenessCheck
+    existence: ThresholdCheck
+    uniqueness: ThresholdCheck
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,7 +131,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     target = (1.0 + hbar) * m_ones
     upper, grad = gauss_seidel_state(quad, target, prices)
     sweep_cap = 60 + 10 * n
-    for _ in range(opts.max_inner_iters):
+    for _ in range(PROVIDER_ITER_CAP):
         # price block: maximize (1 + hbar) p.M1 - p.Mp over the price box
         for _ in range(sweep_cap):
             prices, upper, grad = gauss_seidel_sweep(
@@ -222,14 +214,9 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
     The demand comes from the closed form, falling back to the clamped
     solver when a component leaves [0, 1].
 
-    Raises ContractionViolation when alpha * rho(G) >= 1 and
-    ConvergenceError when a best response hits its iteration cap.
+    Raises ConvergenceError when a best response hits its iteration cap.
     """
-    contraction = check_contraction(graph)
-    if not contraction.holds:
-        raise ContractionViolation(contraction.alpha_rho)
     conditions = ConditionReport(
-        contraction=contraction,
         existence=check_existence(params, graph),
         uniqueness=check_uniqueness(params),
     )

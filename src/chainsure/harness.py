@@ -20,10 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it here, not in the first sweep point
 
-from .demand import ExternalityGraph, check_contraction
+from .demand import ExternalityGraph
 from .equilibrium import EquilibriumReport, SolveOptions, solve_stackelberg
-from .errors import ChainsureError, ConfigurationError, ContractionViolation, check_seed, is_integer
-from .market import MarketParams, ProviderStrategy
+from .errors import ChainsureError, ConfigurationError, check_seed, is_integer
+from .market import MarketParams, ProviderStrategy, infrastructure_cost
 from .risk import RiskModel, attack_probability, premium
 
 
@@ -156,7 +156,8 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float,
 
     The stream is derived from (seed, n, replicate) only, so sweep points
     that differ in alpha, attacker resource, or block size share the same
-    draw and stay comparable.
+    draw and stay comparable. Raises ContractionViolation when
+    alpha * rho(G) >= 1.
     """
     if n < 1:
         raise ConfigurationError(f"need at least one user, got {n}")
@@ -167,11 +168,7 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float,
     except (ValueError, MemoryError) as exc:
         raise ConfigurationError(f"cannot draw an {n} x {n} externality matrix: {exc}") from exc
     np.fill_diagonal(weights, 0.0)
-    graph = ExternalityGraph(weights=weights, alpha=alpha)
-    chk = check_contraction(graph)
-    if not chk.holds:
-        raise ContractionViolation(chk.alpha_rho)
-    return graph
+    return ExternalityGraph(weights=weights, alpha=alpha)
 
 
 def _default_start(config: ExperimentConfig, n: int) -> ProviderStrategy:
@@ -190,7 +187,7 @@ def _report_row(params: MarketParams, n: int, alpha: float, a: float,
         total_demand=report.demand.total,
         hbar_star=hbar,
         gamma_star=report.insurer.gamma,
-        investment=a * hbar / (1.0 - hbar),
+        investment=infrastructure_cost(params, hbar),
         attack_prob=attack_probability(params.risk, hbar),
         premium=premium(params.risk, report.insurer.gamma),
         profit_provider=report.profits[0],
@@ -200,14 +197,13 @@ def _report_row(params: MarketParams, n: int, alpha: float, a: float,
     )
 
 
+# The solved columns: SweepRow's float fields after the four point coordinates
+_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow)[4:] if f.type == "float")
+
+
 def _failed_row(n: int, alpha: float, a: float, n_t: int) -> SweepRow:
-    nan = float("nan")
-    return SweepRow(
-        n_users=n, alpha=alpha, attacker_resource=a, tx_per_block=n_t,
-        mean_price=nan, total_demand=nan, hbar_star=nan, gamma_star=nan,
-        investment=nan, attack_prob=nan, premium=nan,
-        profit_provider=nan, profit_insurer=nan, converged=False, rounds=0,
-    )
+    return SweepRow(n, alpha, a, n_t, **dict.fromkeys(_RESULT_FIELDS, float("nan")),
+                    converged=False, rounds=0)
 
 
 def _mean_rows(rows: Sequence[SweepRow]) -> SweepRow:
@@ -216,10 +212,7 @@ def _mean_rows(rows: Sequence[SweepRow]) -> SweepRow:
     first = rows[0]
     numeric = {
         name: float(np.mean([getattr(r, name) for r in rows]))
-        for name in (
-            "mean_price", "total_demand", "hbar_star", "gamma_star", "investment",
-            "attack_prob", "premium", "profit_provider", "profit_insurer",
-        )
+        for name in _RESULT_FIELDS
     }
     return SweepRow(
         n_users=first.n_users, alpha=first.alpha,

@@ -104,14 +104,9 @@ class InsurerStrategy:
 
 
 @dataclass(frozen=True)
-class ExistenceCheck:
-    holds: bool
-    lhs: float
-    rhs: float
+class ThresholdCheck:
+    """A leader condition: it holds when lhs, the attacker resource, exceeds rhs."""
 
-
-@dataclass(frozen=True)
-class UniquenessCheck:
     holds: bool
     lhs: float
     rhs: float
@@ -264,17 +259,17 @@ def leader_jacobian(params: MarketParams, graph: ExternalityGraph,
     return jac
 
 
-def check_existence(params: MarketParams, graph: ExternalityGraph) -> ExistenceCheck:
+def check_existence(params: MarketParams, graph: ExternalityGraph) -> ThresholdCheck:
     """Leader equilibrium existence: attacker resource must dominate one
     eighth of the total demand amplification."""
     rhs = graph.total_amplification / 8.0
-    return ExistenceCheck(holds=params.attacker_resource > rhs,
+    return ThresholdCheck(holds=params.attacker_resource > rhs,
                           lhs=params.attacker_resource, rhs=rhs)
 
 
-def check_uniqueness(params: MarketParams) -> UniquenessCheck:
+def check_uniqueness(params: MarketParams) -> ThresholdCheck:
     """Leader equilibrium uniqueness: a > 9 (beta+1)^2 gamma_cap^(beta+1) / (128 beta)."""
     beta = params.beta
     rhs = 9.0 * (beta + 1.0) ** 2 * params.gamma_cap ** (beta + 1.0) / (128.0 * beta)
-    return UniquenessCheck(holds=params.attacker_resource > rhs,
-                           lhs=params.attacker_resource, rhs=rhs)
+    return ThresholdCheck(holds=params.attacker_resource > rhs,
+                          lhs=params.attacker_resource, rhs=rhs)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainsure import demand, harness
+from chainsure import demand, equilibrium, harness
 from chainsure.cli import main
 from chainsure.harness import read_csv
 
@@ -107,13 +107,14 @@ class TestSweep:
             assert -1e-9 <= row.total_demand <= row.n_users + 1e-9
         assert out_csv.read_bytes() == Path(f"results/{grid}.csv").read_bytes()
 
-    def test_nonconvergence_exits_1(self, tmp_path, capsys):
+    def test_nonconvergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # an inner tolerance below the float noise floor with a one-iteration
         # cap cannot be met; the failure must land in the row, not abort
+        monkeypatch.setattr(equilibrium, "PROVIDER_ITER_CAP", 1)
         path = tmp_path / "strict.json"
         path.write_text(json.dumps({
             "n_users": [3], "alpha": [1e-3], "seed": 1,
-            "solve": {"br_tolerance": 1e-14, "max_inner_iters": 1},
+            "solve": {"br_tolerance": 1e-14},
         }))
         out_csv = tmp_path / "strict.csv"
         assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 1

@@ -16,7 +16,6 @@ from chainsure.demand import (
     ExternalityGraph,
     Segment,
     brute_force_lcp,
-    check_contraction,
     closed_form_demand,
     gauss_seidel_state,
     gauss_seidel_sweep,
@@ -27,6 +26,8 @@ from chainsure.errors import ContractionViolation, ConvergenceError
 from conftest import random_externality
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+ONE_NAN_IN_100 = np.ones((100, 100)) - np.eye(100)
+ONE_NAN_IN_100[7, 3] = np.nan
 
 
 def random_prices(rng, n):
@@ -44,6 +45,49 @@ class TestExternalityGraph:
             ExternalityGraph(np.zeros((2, 3)), 0.1)  # not square
         with pytest.raises(ValueError):
             ExternalityGraph(SWAP, -0.1)
+
+    @pytest.fixture
+    def radius_calls(self, monkeypatch):
+        """Counts the calls to demand.spectral_radius."""
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return spectral_radius(matrix)
+
+        monkeypatch.setattr(demand, "spectral_radius", counted)
+        return calls
+
+    @pytest.mark.parametrize("weights, alpha", [
+        ([[0.0, np.nan], [1.0, 0.0]], 0.1),
+        ([[0.0, np.inf], [1.0, 0.0]], 0.1),
+        (ONE_NAN_IN_100, 1e-3),
+        (SWAP, np.nan),
+        (SWAP, np.inf),
+    ], ids=["nan_weight", "inf_weight", "one_nan_in_100", "nan_alpha", "inf_alpha"])
+    def test_non_finite_rejected_before_rho(self, radius_calls, weights, alpha):
+        # power iteration on a NaN spins to its cap: it must not start
+        with pytest.raises(ValueError, match="finite"):
+            ExternalityGraph(np.array(weights), alpha)
+        assert radius_calls == []
+
+    def test_rho_computed_once(self, radius_calls):
+        graph = ExternalityGraph(SWAP, 0.5)
+        assert graph.alpha_rho == pytest.approx(0.5, abs=1e-9)
+        assert graph.rho == pytest.approx(1.0, abs=1e-9)
+        assert len(radius_calls) == 1
+
+    @pytest.mark.parametrize("weights, alpha, alpha_rho", [
+        (SWAP, 1.01, 1.01),
+        (SWAP, 1.2, 1.2),
+        (SWAP, 1.5, 1.5),
+        ([[0.0, 2.0], [2.0, 0.0]], 0.6, 1.2),
+    ], ids=["swap-1.01", "swap-1.2", "swap-1.5", "double_swap-0.6"])
+    def test_contraction_violation(self, weights, alpha, alpha_rho):
+        # no graph exists for a solver to reject: alpha * rho >= 1 fails construction
+        with pytest.raises(ContractionViolation) as info:
+            ExternalityGraph(np.array(weights), alpha)
+        assert info.value.alpha_rho == pytest.approx(alpha_rho, abs=1e-9)
 
     def test_weights_read_only(self):
         graph = ExternalityGraph(SWAP, 0.1)
@@ -188,20 +232,16 @@ class TestSpectralRadius:
 
 class TestCheckContraction:
     def test_swap_examples(self):
-        chk = check_contraction(ExternalityGraph(SWAP, 0.5))
-        assert chk.holds and chk.alpha_rho == pytest.approx(0.5, abs=1e-9)
-        chk = check_contraction(ExternalityGraph(SWAP, 1.2))
-        assert not chk.holds and chk.alpha_rho == pytest.approx(1.2, abs=1e-9)
+        assert ExternalityGraph(SWAP, 0.5).alpha_rho == pytest.approx(0.5, abs=1e-9)
+        assert ExternalityGraph(SWAP, 0.99).alpha_rho == pytest.approx(0.99, abs=1e-9)
 
     def test_paper_scale_instance(self):
         rng = np.random.default_rng(0)
         w = rng.uniform(0.0, 10.0, (100, 100))
         np.fill_diagonal(w, 0.0)
         graph = ExternalityGraph(w, 7e-4)
-        chk = check_contraction(graph)
         exact = 7e-4 * float(np.max(np.abs(np.linalg.eigvals(w))))
-        assert chk.holds
-        assert chk.alpha_rho == pytest.approx(exact, rel=1e-8)
+        assert graph.alpha_rho == pytest.approx(exact, rel=1e-8)
 
 
 class TestClosedFormDemand:
@@ -221,11 +261,6 @@ class TestClosedFormDemand:
         prof = closed_form_demand(graph, 0.5, np.array([0.1, 2.5]))
         assert prof.out_of_box()
         assert prof.x[0] > 1.0 and prof.x[1] < 0.0
-
-    def test_contraction_precondition(self):
-        graph = ExternalityGraph(SWAP, 1.5)
-        with pytest.raises(ContractionViolation):
-            closed_form_demand(graph, 0.5, np.array([0.9, 0.9]))
 
     def test_matches_lcp_when_interior(self):
         rng = np.random.default_rng(17)
@@ -420,9 +455,3 @@ class TestBruteForce:
         solved = lcp_demand(graph, hbar, p)
         np.testing.assert_allclose(solved.x, reference.x, atol=1e-9)
         assert np.array_equal(solved.partition, reference.partition)
-
-    def test_detects_nonunique(self):
-        # alpha * rho >= 1 is rejected before enumeration even starts
-        graph = ExternalityGraph(SWAP, 1.01)
-        with pytest.raises(ContractionViolation):
-            brute_force_lcp(graph, 0.5, np.array([0.9, 0.9]))

@@ -64,7 +64,6 @@ CONFIG_FIELDS = {
     "replicates": integer(1, 2),
     "solve": st.fixed_dictionaries({}, optional={
         "br_tolerance": scalar(1e-10, 1e-4),
-        "max_inner_iters": integer(1, 300),
     }),
 }
 
