@@ -21,14 +21,13 @@ import numpy as np
 
 from . import market
 from .demand import ExternalityGraph, brute_force_lcp, lcp_demand
-from .equilibrium import solve_stackelberg
 from .errors import ConfigurationError, ContractionViolation, check_seed
 from .harness import (
     SOLVER_ERRORS,
     ExperimentConfig,
-    _default_start,
     generate_instance,
     run_sweep,
+    solve_row,
     sweep_points,
 )
 from .market import InsurerStrategy, MarketParams, ProviderStrategy, check_existence, check_uniqueness
@@ -81,20 +80,17 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_solve(args) -> int:
     config = _load_config(args)
     n, alpha, a, n_t = sweep_points(config)[0]
-    graph = generate_instance(config, n, alpha)
-    params = config.market_params(a, n_t)
-    report = solve_stackelberg(params, graph, _default_start(config, n), config.solve)
-    hbar = report.provider.investment_ratio
+    row = solve_row(config, generate_instance(config, n, alpha), n, alpha, a, n_t)
     print(f"instance: n={n} alpha={alpha:g} attacker_resource={a:g} tx_per_block={n_t}")
-    print(f"converged: {report.converged} after {report.rounds} provider passes")
-    print(f"mean price       : {report.provider.mean_price:.6f}")
-    print(f"investment ratio : {hbar:.6f}")
-    print(f"premium coeff    : {report.insurer.gamma:.6f}")
-    print(f"total demand     : {report.demand.total:.6f}")
-    print(f"attack prob      : {attack_probability(params.risk, hbar):.6e}")
-    print(f"premium          : {premium(params.risk, report.insurer.gamma):.6f}")
-    print(f"provider profit  : {report.profits[0]:.6f}")
-    print(f"insurer profit   : {report.profits[1]:.6f}")
+    print(f"converged: {row.converged} after {row.rounds} provider passes")
+    print(f"mean price       : {row.mean_price:.6f}")
+    print(f"investment ratio : {row.hbar_star:.6f}")
+    print(f"premium coeff    : {row.gamma_star:.6f}")
+    print(f"total demand     : {row.total_demand:.6f}")
+    print(f"attack prob      : {row.attack_prob:.6e}")
+    print(f"premium          : {row.premium:.6f}")
+    print(f"provider profit  : {row.profit_provider:.6f}")
+    print(f"insurer profit   : {row.profit_insurer:.6f}")
     return 0
 
 

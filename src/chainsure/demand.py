@@ -87,8 +87,10 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """Solve a x = b from lu_factor(a), as scipy's lu_solve (LAPACK getrs).
+def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
+             trans: int = 0) -> np.ndarray:
+    """Solve a x = b (trans=1: a^T x = b) from lu_factor(a), as scipy's
+    lu_solve (LAPACK getrs).
 
     A writeable b may be overwritten: getrs solves in place when b is
     already a Fortran-contiguous float array. A read-only b is copied,
@@ -96,7 +98,7 @@ def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.nda
     """
     lu, piv = lu_and_piv
     b = np.asarray_chkfinite(b)
-    x, info = dgetrs(lu, piv, b, overwrite_b=b.flags.writeable)
+    x, info = dgetrs(lu, piv, b, trans=trans, overwrite_b=b.flags.writeable)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
     return x
@@ -159,16 +161,9 @@ class ExternalityGraph:
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Solve (I - alpha G) x = rhs (or its transpose) via the cached LU.
 
-        Calls LAPACK getrs directly, as lu_solve does, with a finite check
-        on rhs and on the result.
+        rhs is copied first, since lu_solve may solve in place.
         """
-        b = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise ValueError("right-hand side must not contain infs or NaNs")
-        lu, piv = self._lu
-        out, info = dgetrs(lu, piv, b, trans=1 if transpose else 0)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        out = lu_solve(self._lu, np.array(rhs, dtype=float), trans=1 if transpose else 0)
         if not np.all(np.isfinite(out)):
             raise np.linalg.LinAlgError("demand system is numerically singular")
         return out

@@ -32,9 +32,6 @@ from .market import (
     InsurerStrategy,
     MarketParams,
     ProviderStrategy,
-    ThresholdCheck,
-    check_existence,
-    check_uniqueness,
     insurer_profit,
     insurer_profit_curve,
     provider_profit,
@@ -55,12 +52,6 @@ class SolveOptions:
             raise ValueError(f"br_tolerance must be positive and finite, got {self.br_tolerance}")
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    existence: ThresholdCheck
-    uniqueness: ThresholdCheck
-
-
 @dataclass(frozen=True, eq=False)
 class EquilibriumReport:
     """A solved market. rounds counts the provider passes (always 2); a solve
@@ -71,7 +62,6 @@ class EquilibriumReport:
     demand: DemandProfile
     profits: tuple[float, float]
     rounds: int
-    conditions: ConditionReport
     converged: bool
 
 
@@ -216,11 +206,6 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
 
     Raises ConvergenceError when a best response hits its iteration cap.
     """
-    conditions = ConditionReport(
-        existence=check_existence(params, graph),
-        uniqueness=check_uniqueness(params),
-    )
-
     s_p = best_response_provider(params, graph, start_p, opts)
     s_p = best_response_provider(params, graph, s_p, opts)
     s_i = best_response_insurer(params, s_p, opts)
@@ -233,6 +218,5 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
             insurer_profit(params, s_p, s_i),
         ),
         rounds=2,
-        conditions=conditions,
         converged=True,
     )

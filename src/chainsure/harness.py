@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it here, not in the first sweep point
 
 from .demand import ExternalityGraph
-from .equilibrium import EquilibriumReport, SolveOptions, solve_stackelberg
+from .equilibrium import SolveOptions, solve_stackelberg
 from .errors import ChainsureError, ConfigurationError, check_seed, is_integer
 from .market import MarketParams, ProviderStrategy, infrastructure_cost
 from .risk import RiskModel, attack_probability, premium
@@ -171,12 +171,12 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float,
     return ExternalityGraph(weights=weights, alpha=alpha)
 
 
-def _default_start(config: ExperimentConfig, n: int) -> ProviderStrategy:
-    return ProviderStrategy(prices=np.full(n, 0.75 * config.price_cap), investment_ratio=0.75)
-
-
-def _report_row(params: MarketParams, n: int, alpha: float, a: float,
-                n_t: int, report: EquilibriumReport) -> SweepRow:
+def solve_row(config: ExperimentConfig, graph: ExternalityGraph, n: int, alpha: float,
+              a: float, n_t: int) -> SweepRow:
+    """Solve the market at one point on the given graph; solver errors propagate."""
+    params = config.market_params(a, n_t)
+    start = ProviderStrategy(prices=np.full(n, 0.75 * config.price_cap), investment_ratio=0.75)
+    report = solve_stackelberg(params, graph, start, config.solve)
     hbar = report.provider.investment_ratio
     return SweepRow(
         n_users=n,
@@ -262,10 +262,8 @@ def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
     replicate_rows = []
     for rep in range(config.replicates):
         try:
-            graph = _point_graph(config, n, alpha, rep)
-            params = config.market_params(a, n_t)
-            report = solve_stackelberg(params, graph, _default_start(config, n), config.solve)
-            replicate_rows.append(_report_row(params, n, alpha, a, n_t, report))
+            replicate_rows.append(solve_row(config, _point_graph(config, n, alpha, rep),
+                                            n, alpha, a, n_t))
         # a numerical error fails this point's row, not the sweep
         except SOLVER_ERRORS:
             replicate_rows.append(_failed_row(n, alpha, a, n_t))

@@ -78,8 +78,9 @@ class ProviderStrategy:
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.prices, dtype=float)).copy()
-        if np.any(p <= 0):
-            raise ValueError("prices must be strictly positive")
+        # written so that NaN fails
+        if not np.all((p > 0) & (p < math.inf)):
+            raise ValueError("prices must be strictly positive and finite")
         if not 0.5 <= self.investment_ratio < 1.0:
             raise ValueError(
                 f"investment ratio must lie in [1/2, 1), got {self.investment_ratio}"
@@ -99,8 +100,9 @@ class InsurerStrategy:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 1.0:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        # written so that NaN fails
+        if not 1.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 1 and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -192,9 +194,9 @@ def provider_gradient(params: MarketParams, graph: ExternalityGraph,
     return grad
 
 
-def _penalty_gamma_slope(hbar: float, gamma: float, beta: float) -> float:
-    # d/dgamma of (gamma - 1) gamma^beta, times the hbar factor
-    return (hbar - 0.5) ** 3 * ((beta + 1.0) * gamma**beta - beta * gamma ** (beta - 1.0))
+def _penalty_gamma_factor(gamma: float, beta: float) -> float:
+    # d/dgamma of (gamma - 1) gamma^beta, the penalty's gamma factor
+    return (beta + 1.0) * gamma**beta - beta * gamma ** (beta - 1.0)
 
 
 def insurer_gradient(params: MarketParams, s_p: ProviderStrategy,
@@ -203,7 +205,8 @@ def insurer_gradient(params: MarketParams, s_p: ProviderStrategy,
     gamma = s_i.gamma
     _, log_moment, _ = distorted_log_moments(params.risk, gamma)
     premium_slope = -params.risk.claim_scale * log_moment / gamma**2
-    return premium_slope - _penalty_gamma_slope(s_p.investment_ratio, gamma, params.beta)
+    penalty_slope = (s_p.investment_ratio - 0.5) ** 3 * _penalty_gamma_factor(gamma, params.beta)
+    return premium_slope - penalty_slope
 
 
 def insurer_curvature(params: MarketParams, s_p: ProviderStrategy,
@@ -250,9 +253,7 @@ def leader_jacobian(params: MarketParams, graph: ExternalityGraph,
     gamma = s_i.gamma
     jac = np.zeros((n + 2, n + 2))
     jac[: n + 1, : n + 1] = 2.0 * provider_hessian(params, graph, s_p)
-    cross = -3.0 * (hbar - 0.5) ** 2 * (
-        (params.beta + 1.0) * gamma**params.beta - params.beta * gamma ** (params.beta - 1.0)
-    )
+    cross = -3.0 * (hbar - 0.5) ** 2 * _penalty_gamma_factor(gamma, params.beta)
     jac[n, n + 1] = cross
     jac[n + 1, n] = cross
     jac[n + 1, n + 1] = 2.0 * insurer_curvature(params, s_p, s_i)

@@ -62,6 +62,25 @@ class TestSolve:
         assert "converged: True" in out
         assert "investment ratio" in out and "premium coeff" in out
 
+    def test_prints_the_sweeps_first_row(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"n_users": [4, 6], "alpha": [1e-3],
+                                    "attacker_resource": [150.0, 100.0], "seed": 3}))
+        assert main(["solve", "--config", str(path)]) == 0
+        printed = dict(line.split(" : ") for line in capsys.readouterr().out.splitlines()[2:])
+        row = harness.run_sweep(harness.ExperimentConfig.from_json(path))[0]
+        assert (row.n_users, row.attacker_resource) == (4, 150.0)
+        assert {label.strip(): value for label, value in printed.items()} == {
+            "mean price": f"{row.mean_price:.6f}",
+            "investment ratio": f"{row.hbar_star:.6f}",
+            "premium coeff": f"{row.gamma_star:.6f}",
+            "total demand": f"{row.total_demand:.6f}",
+            "attack prob": f"{row.attack_prob:.6e}",
+            "premium": f"{row.premium:.6f}",
+            "provider profit": f"{row.profit_provider:.6f}",
+            "insurer profit": f"{row.profit_insurer:.6f}",
+        }
+
     def test_contraction_failure_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_users": [100], "alpha": [3e-3], "seed": 0}))

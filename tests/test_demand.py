@@ -112,6 +112,13 @@ class TestExternalityGraph:
             expected = lu_solve(lu_factor(graph.system_matrix), rhs, trans=trans)
             assert np.array_equal(graph.solve(rhs, transpose=bool(trans)), expected)
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_solve_leaves_rhs(self, transpose):
+        graph = random_externality(np.random.default_rng(6), 6)
+        rhs = np.arange(1.0, 7.0)
+        graph.solve(rhs, transpose=transpose)
+        assert np.array_equal(rhs, np.arange(1.0, 7.0))
+
     def test_solve_rejects_non_finite_rhs(self):
         graph = ExternalityGraph(SWAP, 0.1)
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -149,7 +156,9 @@ class TestBoundRoutines:
         expected = lu_factor(a)
         assert all(np.array_equal(mine, theirs) for mine, theirs in zip(factors, expected))
         rhs = np.random.default_rng(n + 1).normal(size=n)
-        assert np.array_equal(demand.lu_solve(factors, rhs.copy()), lu_solve(expected, rhs))
+        for trans in (0, 1):
+            assert np.array_equal(demand.lu_solve(factors, rhs.copy(), trans=trans),
+                                  lu_solve(expected, rhs, trans=trans))
         identity = np.eye(n, order="F")
         inverse = demand.lu_solve(factors, identity)
         assert inverse is identity  # solved in place, as symmetric_influence asks

@@ -60,10 +60,14 @@ class TestTypes:
             ProviderStrategy(np.array([0.5]), 0.4)
         with pytest.raises(ValueError):
             ProviderStrategy(np.array([0.5]), 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ProviderStrategy(np.array([0.5, bad]), 0.7)
 
     def test_insurer_validation(self):
-        with pytest.raises(ValueError):
-            InsurerStrategy(0.9)
+        for bad in (0.9, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                InsurerStrategy(bad)
         assert InsurerStrategy(1.0).gamma == 1.0  # break-even policy is expressible
 
 
