@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--threads", type=int, choices=(1,), default=1,
                          help="sweeps always run on one thread; the flag is kept "
                               "only so that existing command lines still parse")
-    p_sweep.add_argument("--replicates", type=int, default=None,
-                         help="override the config replicate count")
 
     p_check = sub.add_parser("check", help="print equilibrium condition diagnostics")
     common(p_check)
@@ -69,12 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        overrides["replicates"] = args.replicates
-    return dataclasses.replace(config, **overrides) if overrides else config
+    return config if args.seed is None else dataclasses.replace(config, seed=args.seed)
 
 
 def _cmd_solve(args) -> int:

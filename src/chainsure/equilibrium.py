@@ -24,7 +24,7 @@ from .demand import (
     gauss_seidel_sweep,
     lcp_demand,
 )
-from .errors import ConvergenceError
+from .errors import ConvergenceError, is_real
 from .market import (
     GAMMA_FLOOR,
     HBAR_CEILING,
@@ -48,8 +48,8 @@ class SolveOptions:
     br_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.br_tolerance < math.inf:
-            raise ValueError(f"br_tolerance must be positive and finite, got {self.br_tolerance}")
+        if not is_real(self.br_tolerance) or not 0 < self.br_tolerance < math.inf:
+            raise ValueError(f"br_tolerance must be a positive finite number, got {self.br_tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and seed checks
+"""Exception types shared across the package, and the number and seed checks
 behind config errors."""
 
 import numbers
@@ -7,6 +7,11 @@ import numbers
 def is_integer(value) -> bool:
     """True for an integer value; bool does not count."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """True for a real number, integers included; bool does not count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_seed(seed) -> None:

@@ -15,14 +15,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it here, not in the first sweep point
 
 from .demand import ExternalityGraph
 from .equilibrium import SolveOptions, solve_stackelberg
-from .errors import ChainsureError, ConfigurationError, check_seed, is_integer
+from .errors import ChainsureError, ConfigurationError, check_seed, is_integer, is_real
 from .market import MarketParams, ProviderStrategy, infrastructure_cost
 from .risk import RiskModel, attack_probability, premium
 
@@ -31,9 +31,10 @@ def _as_list(name: str, value, kind) -> list:
     values = list(value) if isinstance(value, (list, tuple)) else [value]
     if not values:
         raise ConfigurationError("sweep lists must be nonempty")
-    # int() would truncate 2.5 to 2; a count must be given as an integer
-    if kind is int and not all(is_integer(v) for v in values):
-        raise ConfigurationError(f"every {name} must be an integer, got {values!r}")
+    # int() would truncate 2.5 to 2 and float() would parse "7e-4" or take True as 1.0
+    is_kind, label = (is_integer, "an integer") if kind is int else (is_real, "a number")
+    if not all(is_kind(v) for v in values):
+        raise ConfigurationError(f"every {name} must be {label}, got {values!r}")
     return [kind(v) for v in values]
 
 
@@ -54,16 +55,20 @@ class ExperimentConfig:
     g_low: float = 0.0
     g_high: float = 10.0
     seed: int = 0
-    replicates: int = 1
     solve: SolveOptions = field(default_factory=SolveOptions)
     output_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_users", _as_list("n_users", self.n_users, int))
-        object.__setattr__(self, "alpha", _as_list("alpha", self.alpha, float))
-        object.__setattr__(self, "attacker_resource",
-                           _as_list("attacker_resource", self.attacker_resource, float))
-        object.__setattr__(self, "tx_per_block", _as_list("tx_per_block", self.tx_per_block, int))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("list["):
+                kind = int if f.type == "list[int]" else float
+                object.__setattr__(self, f.name, _as_list(f.name, value, kind))
+            elif f.type == "float" and not is_real(value):
+                raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+        # open() would take an int or bool as a file descriptor
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigurationError(f"output_path must be a string, got {self.output_path!r}")
         # written so that NaN fails every check
         if not all(n >= 1 for n in self.n_users):
             raise ConfigurationError(f"every n_users must be at least 1, got {self.n_users}")
@@ -74,8 +79,6 @@ class ExperimentConfig:
                 f"need 0 <= g_low <= g_high < inf, got g_low={self.g_low}, g_high={self.g_high}"
             )
         check_seed(self.seed)
-        if not is_integer(self.replicates) or self.replicates < 1:
-            raise ConfigurationError(f"replicates must be an integer of at least 1, got {self.replicates!r}")
         # MarketParams and RiskModel hold the range checks on these scalars
         for a, n_t in itertools.product(self.attacker_resource, self.tx_per_block):
             self.market_params(a, n_t)
@@ -150,18 +153,17 @@ def sweep_points(config: ExperimentConfig) -> list[tuple[int, float, float, int]
     )
 
 
-def generate_instance(config: ExperimentConfig, n: int, alpha: float,
-                      replicate: int = 0) -> ExternalityGraph:
+def generate_instance(config: ExperimentConfig, n: int, alpha: float) -> ExternalityGraph:
     """Seeded externality matrix: off-diagonal U[g_low, g_high], zero diagonal.
 
-    The stream is derived from (seed, n, replicate) only, so sweep points
-    that differ in alpha, attacker resource, or block size share the same
-    draw and stay comparable. Raises ContractionViolation when
-    alpha * rho(G) >= 1.
+    The stream is derived from (seed, n) only, so sweep points that differ
+    in alpha, attacker resource, or block size share the same draw and stay
+    comparable. Raises ContractionViolation when alpha * rho(G) >= 1.
     """
     if n < 1:
         raise ConfigurationError(f"need at least one user, got {n}")
-    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, replicate))
+    # spawn_key (n,) would draw another stream: the 0 keeps every shipped result's draw
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(n, 0))
     rng = np.random.default_rng(seq)
     try:
         weights = rng.uniform(config.g_low, config.g_high, size=(n, n))
@@ -197,77 +199,42 @@ def solve_row(config: ExperimentConfig, graph: ExternalityGraph, n: int, alpha: 
     )
 
 
-# The solved columns: SweepRow's float fields after the four point coordinates
-_RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow)[4:] if f.type == "float")
-
-
 def _failed_row(n: int, alpha: float, a: float, n_t: int) -> SweepRow:
-    return SweepRow(n, alpha, a, n_t, **dict.fromkeys(_RESULT_FIELDS, float("nan")),
-                    converged=False, rounds=0)
-
-
-def _mean_rows(rows: Sequence[SweepRow]) -> SweepRow:
-    if len(rows) == 1:
-        return rows[0]
-    first = rows[0]
-    numeric = {
-        name: float(np.mean([getattr(r, name) for r in rows]))
-        for name in _RESULT_FIELDS
-    }
-    return SweepRow(
-        n_users=first.n_users, alpha=first.alpha,
-        attacker_resource=first.attacker_resource, tx_per_block=first.tx_per_block,
-        converged=all(r.converged for r in rows),
-        rounds=max(r.rounds for r in rows),
-        **numeric,
-    )
+    # the solved columns are SweepRow's float fields after the four point coordinates
+    solved = (f.name for f in dataclasses.fields(SweepRow)[4:] if f.type == "float")
+    return SweepRow(n, alpha, a, n_t, **dict.fromkeys(solved, math.nan), converged=False, rounds=0)
 
 
 # What a failed solve raises: solve_point records it as a failed row and the
 # CLI exits 1 on it. numpy's LinAlgError is a ValueError.
 SOLVER_ERRORS = (ChainsureError, ValueError, ArithmeticError)
 
-# (key, {replicate: graph}) for the graphs solve_point built last; see _point_graph.
-_last_graphs: tuple[tuple, dict[int, ExternalityGraph]] | None = None
+# (key, graph) for the graph solve_point built last; see _point_graph.
+_last_graph: tuple[tuple, ExternalityGraph] | None = None
 
 
-def _point_graph(config: ExperimentConfig, n: int, alpha: float,
-                 replicate: int) -> ExternalityGraph:
-    """generate_instance, reusing the previous point's graphs when they match.
+def _point_graph(config: ExperimentConfig, n: int, alpha: float) -> ExternalityGraph:
+    """generate_instance, reusing the previous point's graph when its key matches.
 
-    The key holds everything the draw and its scaling depend on except the
-    replicate, and the entry keeps one graph per replicate. Sweep points
-    come in Cartesian order with n_users and alpha outermost, so points
-    that share their graphs arrive one after another and share the LU
-    factors, rho(G) and symmetric_influence. run_sweep drops the entry
-    when it returns.
+    The key holds everything the draw and its scaling depend on. Sweep points
+    come in Cartesian order with n_users and alpha outermost, so points that
+    share a graph arrive one after another and share its LU factors, rho(G)
+    and symmetric_influence. run_sweep drops the entry when it returns.
     """
-    global _last_graphs
+    global _last_graph
     key = (config.seed, config.g_low, config.g_high, n, alpha)
-    if _last_graphs is not None and _last_graphs[0] == key:
-        graphs = _last_graphs[1]
-    else:
-        graphs = {}
-        _last_graphs = (key, graphs)
-    graph = graphs.get(replicate)
-    if graph is None:
-        graph = generate_instance(config, n, alpha, replicate=replicate)
-        graphs[replicate] = graph
-    return graph
+    if _last_graph is None or _last_graph[0] != key:
+        _last_graph = (key, generate_instance(config, n, alpha))
+    return _last_graph[1]
 
 
 def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
                 n_t: int) -> SweepRow:
-    """Solve one sweep point (averaging over replicates when configured)."""
-    replicate_rows = []
-    for rep in range(config.replicates):
-        try:
-            replicate_rows.append(solve_row(config, _point_graph(config, n, alpha, rep),
-                                            n, alpha, a, n_t))
-        # a numerical error fails this point's row, not the sweep
-        except SOLVER_ERRORS:
-            replicate_rows.append(_failed_row(n, alpha, a, n_t))
-    return _mean_rows(replicate_rows)
+    """Solve one sweep point; a solver error gives a failed row, not a failed sweep."""
+    try:
+        return solve_row(config, _point_graph(config, n, alpha), n, alpha, a, n_t)
+    except SOLVER_ERRORS:
+        return _failed_row(n, alpha, a, n_t)
 
 
 def run_sweep(config: ExperimentConfig,
@@ -277,7 +244,7 @@ def run_sweep(config: ExperimentConfig,
     When csv_path (or config.output_path) is set, each row is written and
     flushed to the file as soon as its point is solved.
     """
-    global _last_graphs
+    global _last_graph
     target = csv_path if csv_path is not None else config.output_path
     rows: list[SweepRow] = []
 
@@ -293,7 +260,7 @@ def run_sweep(config: ExperimentConfig,
             for _ in solved():
                 pass
     finally:
-        _last_graphs = None
+        _last_graph = None
     return rows
 
 

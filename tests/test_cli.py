@@ -168,12 +168,23 @@ class TestConfigErrors:
         {"n_users": [2.5]},
         {"tx_per_block": [99.9]},
         {"n_users": [4.0]},
+        {"output_path": 1},
+        {"output_path": True},
+        {"output_path": ["a"]},
+        {"alpha": ["7e-4"]},
+        {"attacker_resource": "100"},
+        {"attacker_resource": [True]},
+        {"blocks_per_period": True},
+        {"price_cap": "1"},
+        {"solve": {"br_tolerance": True}},
     ], ids=["beta", "beta_nan", "price_cap", "gamma_cap", "attacker_nan",
             "solve_key", "br_tolerance", "seed_nan", "max_inner_iters", "g_low",
             "g_high_nan", "alpha", "replicates", "alpha_nan", "n_users", "br_tolerance_inf",
             "gamma_cap_floor", "beta_overflow", "price_cap_floor", "tx_per_block_inf",
             "claim_scale_inf", "n_users_fraction", "tx_per_block_fraction",
-            "n_users_float"])
+            "n_users_float", "output_path_int", "output_path_bool", "output_path_list",
+            "alpha_string", "attacker_string", "attacker_bool", "blocks_bool",
+            "price_cap_string", "br_tolerance_bool"])
     def test_exit_2(self, tmp_path, capsys, command, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_users": [4], "alpha": [1e-3], **bad}))

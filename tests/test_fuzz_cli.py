@@ -61,7 +61,6 @@ CONFIG_FIELDS = {
     "g_low": scalar(0.0, 1.0),
     "g_high": scalar(0.0, 20.0),
     "seed": integer(0, 2**32),
-    "replicates": integer(1, 2),
     "solve": st.fixed_dictionaries({}, optional={
         "br_tolerance": scalar(1e-10, 1e-4),
     }),
@@ -129,22 +128,22 @@ OUT_PATHS = ["rows.csv", ".", "missing/rows.csv", "/dev/full"]
 @given(
     command=st.sampled_from(["solve", "sweep", "check"]),
     seed=st.one_of(st.none(), st.sampled_from(SEEDS)),
-    replicates=st.one_of(st.none(), st.sampled_from([0, -1, 1, 2])),
     threads=st.one_of(st.none(), st.sampled_from([0, 1, 2])),
     out=st.sampled_from(OUT_PATHS),
 )
 @settings(max_examples=60, derandomize=True, deadline=None)
-def test_flag_exit_code_contract(command, seed, replicates, threads, out):
+def test_flag_exit_code_contract(command, seed, threads, out):
     flags = () if seed is None else ("--seed", str(seed))
-    if command == "sweep" and replicates is not None:
-        flags += ("--replicates", str(replicates))
     if command == "sweep" and threads is not None:
         flags += ("--threads", str(threads))
     code = run_and_check(command, {"n_users": [3], "alpha": [1e-3]}, flags, out)
     bad_seed = seed is not None and not 0 <= seed < 2**64
-    bad_sweep = command == "sweep" and (out != "rows.csv" or replicates in (0, -1)
-                                        or threads in (0, 2))
+    bad_sweep = command == "sweep" and (out != "rows.csv" or threads in (0, 2))
     assert code == (2 if bad_seed or bad_sweep else 0)
+
+
+def test_removed_replicates_flag_exits_2():
+    assert run_and_check("sweep", {"n_users": [3], "alpha": [1e-3]}, ("--replicates", "2")) == 2
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4] + [2**64 - 1])

@@ -153,16 +153,6 @@ class TestSweep:
         assert all(math.isnan(v) for v in failed[4:-2])
         assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
-    def test_replicates_average(self):
-        cfg = fast_config(seed=11, replicates=3)
-        row = run_sweep(cfg)[0]
-        singles = []
-        for rep in range(3):
-            graph = generate_instance(cfg, 4, 1e-3, replicate=rep)
-            singles.append(graph.weights.sum())
-        assert len({round(s, 6) for s in singles}) == 3  # distinct draws
-        assert row.converged
-
 
 class TestGraphReuse:
     """solve_point reuses the previous point's graph when its key matches."""
@@ -172,13 +162,13 @@ class TestGraphReuse:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        monkeypatch.setattr(harness, "_last_graphs", None)
+        monkeypatch.setattr(harness, "_last_graph", None)
         calls = []
         generate = harness.generate_instance
 
-        def counted(config, n, alpha, replicate=0):
-            calls.append((n, alpha, replicate))
-            return generate(config, n, alpha, replicate=replicate)
+        def counted(config, n, alpha):
+            calls.append((n, alpha))
+            return generate(config, n, alpha)
 
         monkeypatch.setattr(harness, "generate_instance", counted)
         return calls
@@ -186,30 +176,22 @@ class TestGraphReuse:
     def cold_rows(self, cfg, monkeypatch):
         rows = []
         for point in sweep_points(cfg):
-            monkeypatch.setattr(harness, "_last_graphs", None)
+            monkeypatch.setattr(harness, "_last_graph", None)
             rows.append(solve_point(cfg, *point))
         return rows
 
-    @pytest.mark.parametrize("replicates", [1, 2])
-    def test_rows_equal_cold_solves(self, builds, monkeypatch, replicates):
-        cfg = fast_config(seed=17, replicates=replicates, **self.GRID)
+    def test_rows_equal_cold_solves(self, builds, monkeypatch):
+        cfg = fast_config(seed=17, **self.GRID)
         assert run_sweep(cfg) == self.cold_rows(cfg, monkeypatch)
 
     def test_one_build_per_graph(self, builds):
         cfg = fast_config(seed=17, **self.GRID)
         run_sweep(cfg)
-        assert builds == [(3, 1e-3, 0), (3, 2e-3, 0), (4, 1e-3, 0), (4, 2e-3, 0)]
-
-    def test_one_build_per_graph_and_replicate(self, builds):
-        cfg = fast_config(seed=17, replicates=2, **self.GRID)
-        run_sweep(cfg)
-        assert builds == [
-            (n, alpha, rep) for n in (3, 4) for alpha in (1e-3, 2e-3) for rep in (0, 1)
-        ]
+        assert builds == [(3, 1e-3), (3, 2e-3), (4, 1e-3), (4, 2e-3)]
 
     def test_sweep_drops_its_graphs(self, builds):
         run_sweep(fast_config(seed=17, **self.GRID))
-        assert harness._last_graphs is None
+        assert harness._last_graph is None
 
     def test_key_includes_draw_settings(self, builds):
         for cfg in (fast_config(seed=1), fast_config(seed=2), fast_config(seed=2, g_high=5.0)):
@@ -284,4 +266,4 @@ class TestCsv:
             emit_csv([], "/dev/full")
         with pytest.raises(ConfigurationError, match="cannot write CSV /dev/full"):
             run_sweep(fast_config(seed=7), csv_path="/dev/full")
-        assert harness._last_graphs is None
+        assert harness._last_graph is None
