@@ -206,10 +206,16 @@ class ExternalityGraph:
 
 @dataclass(frozen=True, eq=False)
 class DemandProfile:
-    """Solved purchase probabilities with their branch labels."""
+    """Solved purchase probabilities with their Segment labels, as read-only copies."""
 
     x: np.ndarray
     partition: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x", "partition"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def total(self) -> float:
@@ -256,31 +262,25 @@ def spectral_radius(matrix: np.ndarray) -> float:
     )
 
 
-def _profile_from(graph: ExternalityGraph, hbar: float, p: np.ndarray,
-                  x: np.ndarray, partition: np.ndarray | None = None,
-                  tol: float = 1e-9) -> DemandProfile:
+def _demand_rhs(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> np.ndarray:
+    """b = (1 + hbar) 1 - p for every follower solver; ValueError on a bad shape or a NaN/inf."""
     p = np.asarray(p, dtype=float)
-    if partition is None:
-        residual = (1.0 + hbar) - p - graph.system_matrix @ x
-        partition = np.full(graph.n_users, Segment.INTERIOR, dtype=np.int8)
-        partition[residual < -tol] = Segment.OPT_OUT
-        partition[residual > tol] = Segment.SATURATED
-    for arr in (x, partition):
-        arr.setflags(write=False)
-    return DemandProfile(x=x, partition=partition)
+    if p.shape != (graph.n_users,):
+        raise ValueError(f"price vector has shape {p.shape}, expected ({graph.n_users},)")
+    b = (1.0 + hbar) - p
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"demand right-hand side (1 + hbar) - p is not finite (hbar = {hbar})")
+    return b
 
 
 def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:
     """Interior demand solution x = (I - alpha G)^{-1} [(1 + hbar) 1 - p].
 
-    No clamping: components outside [0, 1] are returned as-is so callers can
-    detect when the interior regime does not apply (DemandProfile.out_of_box).
+    Every user is labelled interior, the branch it solves. No clamping:
+    DemandProfile.out_of_box tells callers when that assumption fails.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (graph.n_users,):
-        raise ValueError(f"price vector has shape {p.shape}, expected ({graph.n_users},)")
-    x = graph.solve((1.0 + hbar) * np.ones(graph.n_users) - p)
-    return _profile_from(graph, hbar, p, x)
+    x = graph.solve(_demand_rhs(graph, hbar, p))
+    return DemandProfile(x, np.full(graph.n_users, Segment.INTERIOR, dtype=np.int8))
 
 
 def _element_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
@@ -362,23 +362,21 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     iteration stops when the fixed-point residual
     || x - clamp(b + alpha G x, 0, 1) ||_inf drops below LCP_TOL. The sweep
     returns r = b - A x, so that residual is || x - clamp(x + r, 0, 1) ||_inf
-    and costs no further pass over A.
+    and costs no further pass over A. The same r labels the users: below
+    -LCP_TOL opt-out, above LCP_TOL saturated, interior between.
     """
-    p = np.asarray(p, dtype=float)
-    n = graph.n_users
-    if p.shape != (n,):
-        raise ValueError(f"price vector has shape {p.shape}, expected ({n},)")
-    b = (1.0 + hbar) - p
+    b = _demand_rhs(graph, hbar, p)
     a_mat = graph.system_matrix
     diag = np.diagonal(a_mat)
     x = np.clip(b, 0.0, 1.0)
     upper, r = gauss_seidel_state(a_mat, b, x)
-    sweeps_cap = max(1, LCP_ITER_CAP // max(n, 1))
+    sweeps_cap = max(1, LCP_ITER_CAP // max(graph.n_users, 1))
     for _ in range(sweeps_cap):
         x, upper, r = gauss_seidel_sweep(a_mat, diag, b, x, upper, r, 0.0, 1.0)
         residual = float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
         if residual < LCP_TOL:
-            return _profile_from(graph, hbar, p, x, tol=LCP_TOL)
+            # Segment codes: OPT_OUT 0, INTERIOR 1, SATURATED 2
+            return DemandProfile(x, (r >= -LCP_TOL).astype(np.int8) + (r > LCP_TOL))
     raise ConvergenceError(
         "projected Gauss-Seidel hit its iteration cap",
         last_iterate=x, residual=residual,
@@ -400,9 +398,8 @@ def brute_force_lcp(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> Dema
     n = graph.n_users
     if n > BRUTE_FORCE_MAX_USERS:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_USERS} users, got {n}")
-    p = np.asarray(p, dtype=float)
+    b = _demand_rhs(graph, hbar, p)
     a_mat = graph.system_matrix
-    b = (1.0 + hbar) - p
     consistent: list[tuple[np.ndarray, np.ndarray]] = []
     for free in itertools.product((False, True), repeat=n):
         free = np.array(free, dtype=bool)
@@ -429,10 +426,9 @@ def brute_force_lcp(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> Dema
         for k in np.flatnonzero(keep):
             partition = np.full(n, Segment.INTERIOR, dtype=np.int8)
             partition[rest] = np.where(ones[:, k], Segment.SATURATED, Segment.OPT_OUT)
-            consistent.append((partition, x[:, k].copy()))
+            consistent.append((x[:, k], partition))
     if len(consistent) != 1:
         raise UniquenessViolation(
             f"expected exactly one consistent partition, found {len(consistent)}"
         )
-    partition, x = consistent[0]
-    return _profile_from(graph, hbar, p, x, partition=partition)
+    return DemandProfile(*consistent[0])  # copies x out of its batch

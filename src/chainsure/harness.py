@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 import numpy.random  # numpy 2 loads it on first use: load it here, not in the first sweep point
@@ -59,6 +59,16 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        try:
+            self._check_fields()
+        except (TypeError, ValueError, OverflowError) as exc:  # SolveOptions, MarketParams, float()
+            raise ConfigurationError(str(exc)) from exc
+
+    def _check_fields(self):
+        if isinstance(self.solve, Mapping):
+            object.__setattr__(self, "solve", SolveOptions(**self.solve))
+        elif not isinstance(self.solve, SolveOptions):
+            raise ConfigurationError(f"solve must be a mapping of solve options, got {self.solve!r}")
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type.startswith("list["):
@@ -89,13 +99,7 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        try:
-            if "solve" in kwargs:
-                kwargs["solve"] = SolveOptions(**kwargs["solve"])
-            return cls(**kwargs)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(str(exc)) from exc
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from chainsure import demand, equilibrium, harness
 from chainsure.cli import main
+from chainsure.errors import ConfigurationError
 from chainsure.harness import read_csv
 
 NAN = float("nan")
@@ -141,50 +143,52 @@ class TestSweep:
         assert len(rows) == 1 and not rows[0].converged
 
 
+# id -> config entries that make every command exit 2
+BAD_CONFIGS = {
+    "beta": {"beta": 0.5},
+    "beta_nan": {"beta": NAN},
+    "price_cap": {"price_cap": -1},
+    "gamma_cap": {"gamma_cap": 0.5},
+    "attacker_nan": {"attacker_resource": [NAN]},
+    "solve_key": {"solve": {"bogus": 1}},
+    "br_tolerance": {"solve": {"br_tolerance": 0}},
+    "seed_nan": {"seed": NAN},
+    "max_inner_iters": {"solve": {"max_inner_iters": 2.5}},
+    "g_low": {"g_low": -1},
+    "g_high_nan": {"g_high": NAN},
+    "alpha": {"alpha": [-1]},
+    "replicates": {"replicates": 1.5},
+    "alpha_nan": {"alpha": [NAN]},
+    "n_users": {"n_users": [0]},
+    "br_tolerance_inf": {"solve": {"br_tolerance": float("inf")}},
+    "gamma_cap_floor": {"gamma_cap": 1.0000000000000002},
+    "beta_overflow": {"beta": 1e300},
+    "price_cap_floor": {"price_cap": 1e-300},
+    "tx_per_block_inf": {"tx_per_block": [float("inf")]},
+    "claim_scale_inf": {"compensation_rate": 1e300, "tx_per_block": [10**10]},
+    "n_users_fraction": {"n_users": [2.5]},
+    "tx_per_block_fraction": {"tx_per_block": [99.9]},
+    "n_users_float": {"n_users": [4.0]},
+    "output_path_int": {"output_path": 1},
+    "output_path_bool": {"output_path": True},
+    "output_path_list": {"output_path": ["a"]},
+    "alpha_string": {"alpha": ["7e-4"]},
+    "attacker_string": {"attacker_resource": "100"},
+    "attacker_bool": {"attacker_resource": [True]},
+    "blocks_bool": {"blocks_per_period": True},
+    "price_cap_string": {"price_cap": "1"},
+    "br_tolerance_bool": {"solve": {"br_tolerance": True}},
+    "solve_null": {"solve": None},
+    "solve_number": {"solve": 1e-8},
+}
+# an unknown top-level key is the constructor's TypeError, which only from_dict catches
+CONFIG_KEYS = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+BAD_FIELDS = {key: bad for key, bad in BAD_CONFIGS.items() if set(bad) <= CONFIG_KEYS}
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize("command", ["solve", "sweep"])
-    @pytest.mark.parametrize("bad", [
-        {"beta": 0.5},
-        {"beta": NAN},
-        {"price_cap": -1},
-        {"gamma_cap": 0.5},
-        {"attacker_resource": [NAN]},
-        {"solve": {"bogus": 1}},
-        {"solve": {"br_tolerance": 0}},
-        {"seed": NAN},
-        {"solve": {"max_inner_iters": 2.5}},
-        {"g_low": -1},
-        {"g_high": NAN},
-        {"alpha": [-1]},
-        {"replicates": 1.5},
-        {"alpha": [NAN]},
-        {"n_users": [0]},
-        {"solve": {"br_tolerance": float("inf")}},
-        {"gamma_cap": 1.0000000000000002},
-        {"beta": 1e300},
-        {"price_cap": 1e-300},
-        {"tx_per_block": [float("inf")]},
-        {"compensation_rate": 1e300, "tx_per_block": [10**10]},
-        {"n_users": [2.5]},
-        {"tx_per_block": [99.9]},
-        {"n_users": [4.0]},
-        {"output_path": 1},
-        {"output_path": True},
-        {"output_path": ["a"]},
-        {"alpha": ["7e-4"]},
-        {"attacker_resource": "100"},
-        {"attacker_resource": [True]},
-        {"blocks_per_period": True},
-        {"price_cap": "1"},
-        {"solve": {"br_tolerance": True}},
-    ], ids=["beta", "beta_nan", "price_cap", "gamma_cap", "attacker_nan",
-            "solve_key", "br_tolerance", "seed_nan", "max_inner_iters", "g_low",
-            "g_high_nan", "alpha", "replicates", "alpha_nan", "n_users", "br_tolerance_inf",
-            "gamma_cap_floor", "beta_overflow", "price_cap_floor", "tx_per_block_inf",
-            "claim_scale_inf", "n_users_fraction", "tx_per_block_fraction",
-            "n_users_float", "output_path_int", "output_path_bool", "output_path_list",
-            "alpha_string", "attacker_string", "attacker_bool", "blocks_bool",
-            "price_cap_string", "br_tolerance_bool"])
+    @pytest.mark.parametrize("bad", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
     def test_exit_2(self, tmp_path, capsys, command, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_users": [4], "alpha": [1e-3], **bad}))
@@ -193,6 +197,17 @@ class TestConfigErrors:
             argv += ["--out", str(tmp_path / "rows.csv")]
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", list(BAD_FIELDS.values()), ids=list(BAD_FIELDS))
+    def test_direct_construction(self, bad):
+        with pytest.raises(ConfigurationError):
+            harness.ExperimentConfig(**{"n_users": [4], "alpha": [1e-3], **bad})
+
+    def test_json_array_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "must contain a JSON object" in capsys.readouterr().err
 
 
 class TestSolverErrors:
@@ -269,6 +284,15 @@ class TestOracle:
         assert code == 0
         assert out.count("[PASS]") == 3
         assert "[FAIL]" not in out
+
+    def test_verbose_prints_each_worst_deviation(self, capsys):
+        assert main(["oracle", "--seed", "0", "--verbose"]) == 0
+        out = capsys.readouterr().out
+        thresholds = {"demand-solver": 1e-9, "gradient": 1e-6, "quadrature": 1e-3}
+        for name, threshold in thresholds.items():
+            line, = [ln for ln in out.splitlines()
+                     if ln.startswith(f"  worst {name} deviation: ")]
+            assert float(line.rsplit(" ", 1)[1]) < threshold
 
     def test_negative_seed_exits_2(self, capsys):
         assert main(["oracle", "--seed", "-1"]) == 2

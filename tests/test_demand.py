@@ -13,6 +13,8 @@ from scipy.linalg import lu_factor, lu_solve
 import chainsure
 from chainsure import demand
 from chainsure.demand import (
+    LCP_TOL,
+    DemandProfile,
     ExternalityGraph,
     Segment,
     brute_force_lcp,
@@ -270,6 +272,7 @@ class TestClosedFormDemand:
         prof = closed_form_demand(graph, 0.5, np.array([0.1, 2.5]))
         assert prof.out_of_box()
         assert prof.x[0] > 1.0 and prof.x[1] < 0.0
+        assert np.all(prof.partition == Segment.INTERIOR)
 
     def test_matches_lcp_when_interior(self):
         rng = np.random.default_rng(17)
@@ -406,6 +409,10 @@ class TestLcpDemand:
                 (1.0 + hbar) - p + graph.alpha * (graph.weights @ prof.x), 0.0, 1.0
             )
             assert float(np.max(np.abs(prof.x - image))) < 1e-9
+            r = (1.0 + hbar) - p - graph.system_matrix @ prof.x
+            labels = np.where(r < -LCP_TOL, Segment.OPT_OUT,
+                              np.where(r > LCP_TOL, Segment.SATURATED, Segment.INTERIOR))
+            assert np.array_equal(prof.partition, labels)
 
     def test_monotone_in_externality_strength(self):
         rng = np.random.default_rng(37)
@@ -464,3 +471,42 @@ class TestBruteForce:
         solved = lcp_demand(graph, hbar, p)
         np.testing.assert_allclose(solved.x, reference.x, atol=1e-9)
         assert np.array_equal(solved.partition, reference.partition)
+
+
+SOLVERS = [closed_form_demand, lcp_demand, brute_force_lcp]
+
+
+class TestFollowerInputs:
+    """What all three follower solvers share: the checked right-hand side
+    (1 + hbar) 1 - p and read-only profiles."""
+
+    GRAPH = ExternalityGraph(0.1 * (np.ones((3, 3)) - np.eye(3)), 1.0)
+    PRICES = np.array([0.3, 1.2, 2.0])
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("hbar, prices", [
+        (np.nan, PRICES),
+        (np.inf, PRICES),
+        (-np.inf, PRICES),
+        (0.5, np.array([0.3, np.nan, 2.0])),
+        (0.5, np.array([0.3, 1.2])),
+        (0.5, PRICES[:, None]),
+    ], ids=["nan_hbar", "inf_hbar", "minus_inf_hbar", "nan_price", "short_prices",
+            "column_prices"])
+    def test_bad_input_raises_value_error(self, solver, hbar, prices):
+        with pytest.raises(ValueError, match="price vector has shape|not finite"):
+            solver(self.GRAPH, hbar, prices)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_profile_is_read_only(self, solver):
+        prof = solver(self.GRAPH, 0.5, self.PRICES)
+        assert not prof.x.flags.writeable
+        assert not prof.partition.flags.writeable
+
+    def test_profile_copies_callers_arrays(self):
+        x = np.array([0.0, 0.5, 1.0])
+        partition = np.array([0, 1, 2], dtype=np.int8)
+        prof = DemandProfile(x, partition)
+        assert x.flags.writeable and partition.flags.writeable
+        x[0], partition[0] = 9.0, 2
+        assert prof.x[0] == 0.0 and prof.partition[0] == Segment.OPT_OUT

@@ -87,6 +87,16 @@ class TestProfits:
         expected = -100.0 + 5000.0 - premium(RISK, 1.4)
         assert math.isclose(value, expected, abs_tol=1e-6)
 
+    @pytest.mark.parametrize("prices, gamma, message", [
+        (np.full(2, 0.5), 1.5, "price vector has shape"),
+        (np.array([0.5, 1.1, 0.5]), 1.5, "a price exceeds the regulated cap"),
+        (np.full(3, 0.5), 2.5, "gamma exceeds the regulated cap"),
+    ], ids=["shape", "price_cap", "gamma_cap"])
+    def test_provider_profit_validates_strategies(self, prices, gamma, message):
+        graph = ExternalityGraph(np.zeros((3, 3)), 0.0)
+        with pytest.raises(ValueError, match=message):
+            provider_profit(PARAMS, graph, ProviderStrategy(prices, 0.75), InsurerStrategy(gamma))
+
     def test_provider_profit_termwise_oracle(self):
         rng = np.random.default_rng(12)
         n = 8
