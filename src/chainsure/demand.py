@@ -267,7 +267,8 @@ def _demand_rhs(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> np.ndarr
     p = np.asarray(p, dtype=float)
     if p.shape != (graph.n_users,):
         raise ValueError(f"price vector has shape {p.shape}, expected ({graph.n_users},)")
-    b = (1.0 + hbar) - p
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (1.0 + hbar) - p
     if not np.all(np.isfinite(b)):
         raise ValueError(f"demand right-hand side (1 + hbar) - p is not finite (hbar = {hbar})")
     return b

@@ -94,17 +94,18 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     which is the price block of the exact gradient. The investment ratio
     then has a closed-form interior root (the cost pole makes its slope
     strictly decreasing), clamped to the box. The two blocks couple only
-    through scalars, so the alternation contracts fast. Termination is on
-    the true projected gradient's infinity norm: moving hbar by dh shifts
-    the price gradient by dh * M1, so the check needs no linear solve.
+    through scalars, so the alternation contracts fast. Each pass ends on
+    hbar's exact root, so the stopping test reads only the projected price
+    gradient, floored at its round-off in (1 + hbar) M1. Moving hbar by dh
+    shifts that gradient by dh * M1, so the test needs no linear solve.
 
     Plain projected gradient ascent was rejected here: the hbar curvature
     dwarfs the price curvature and capped prices make coupled Newton steps
     stall against the box. The closed-form price block (prices
     (1 + hbar) A^T (A + A^T)^{-1} 1 with A = I - alpha G) is not used
-    either: it lands on the exact optimum, about 3e-9 from the point where
-    Gauss-Seidel stops, which moves the 12-digit sweep CSVs in the 9th to
-    10th digit.
+    either: it lands on the exact optimum, up to 7.9e-10 from where
+    Gauss-Seidel stops on the shipped grids, which moves the 12-digit sweep
+    CSVs in the 9th to 10th digit.
     """
     n = graph.n_users
     price_lo, price_hi = PRICE_FLOOR, params.price_cap
@@ -114,8 +115,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
 
     prices = np.clip(start.prices.astype(float), price_lo, price_hi)
     hbar = float(np.clip(start.investment_ratio, 0.5, HBAR_CEILING))
-    reward = params.risk.reward_scale
-    attacker = params.attacker_resource
+    tolerance = max(opts.br_tolerance, 16.0 * math.ulp(2.0 * float(m_ones.max())))
 
     # grad is the price gradient (1 + hbar) M1 - Q p at the current point
     target = (1.0 + hbar) * m_ones
@@ -126,23 +126,19 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
         for _ in range(sweep_cap):
             prices, upper, grad = gauss_seidel_sweep(
                 quad, quad_diag, target, prices, upper, grad, price_lo, price_hi)
-            if _projected_norm(prices, grad, price_lo, price_hi) < 0.25 * opts.br_tolerance:
+            if _projected_norm(prices, grad, price_lo, price_hi) < 0.25 * tolerance:
                 break
         # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
-        # decreasing, so the box maximizer is the clamped root
-        p_m_ones = float(prices @ m_ones)
-        slope_at_cost = p_m_ones + reward
-        root = 1.0 - math.sqrt(attacker / slope_at_cost) if slope_at_cost > 0 else 0.5
+        # decreasing, so the box maximizer is the clamped root (p, M1 > 0)
+        slope_at_cost = float(prices @ m_ones) + params.risk.reward_scale
+        root = 1.0 - math.sqrt(params.attacker_resource / slope_at_cost)
         new_hbar = float(np.clip(root, 0.5, HBAR_CEILING))
         grad = grad + (new_hbar - hbar) * m_ones
         hbar = new_hbar
         target = (1.0 + hbar) * m_ones
 
-        hbar_grad = p_m_ones - attacker / (1.0 - hbar) ** 2 + reward
-        if (hbar <= 0.5 and hbar_grad < 0) or (hbar >= HBAR_CEILING and hbar_grad > 0):
-            hbar_grad = 0.0
-        residual = max(_projected_norm(prices, grad, price_lo, price_hi), abs(hbar_grad))
-        if residual < opts.br_tolerance:
+        residual = _projected_norm(prices, grad, price_lo, price_hi)
+        if residual < tolerance:
             return ProviderStrategy(prices=prices, investment_ratio=hbar)
     raise ConvergenceError(
         "provider best response hit its iteration cap",
@@ -181,7 +177,7 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
     # the maximum may sit exactly on the cap; prefer the boundary when tied
     if profit(hi) >= profit(gamma):
         gamma = hi
-    return InsurerStrategy(float(np.clip(gamma, lo, hi)))
+    return InsurerStrategy(float(gamma))
 
 
 def _refresh_demand(graph: ExternalityGraph, s_p: ProviderStrategy) -> DemandProfile:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .demand import ExternalityGraph
+from .demand import ExternalityGraph, _demand_rhs
 from .risk import (
     RiskModel,
     attack_probability,
@@ -138,7 +138,7 @@ def provider_profit(params: MarketParams, graph: ExternalityGraph,
     income, minus the insurance premium."""
     validate_strategies(params, graph, s_p, s_i)
     hbar = s_p.investment_ratio
-    x = graph.solve((1.0 + hbar) * np.ones(graph.n_users) - s_p.prices)
+    x = graph.solve(_demand_rhs(graph, hbar, s_p.prices))
     revenue = float(s_p.prices @ x)
     mining = hbar * params.risk.reward_scale
     return revenue - infrastructure_cost(params, hbar) + mining - premium(params.risk, s_i.gamma)
@@ -229,7 +229,9 @@ def provider_hessian(params: MarketParams, graph: ExternalityGraph,
     """Exact Hessian of provider_profit in (prices, hbar).
 
     Price block -(M + M^T), mixed block M 1, corner -2a / (1 - hbar)^3.
-    Negative definite whenever the existence condition holds.
+    Negative definite at every hbar in [1/2, 1) exactly when A + A^T is positive
+    definite (A = I - alpha G) and 16a > 1^T (A + A^T)^{-1} 1: for an asymmetric
+    G, alpha * rho(G) < 1 and the existence condition do not imply that.
     """
     n = graph.n_users
     hess = np.empty((n + 1, n + 1))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,23 @@ class TestSolve:
         path.write_text(json.dumps({"n_users": [100], "alpha": [3e-3], "seed": 0}))
         assert main(["solve", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        {"attacker_resource": [1e-5]},
+        {"mining_reward": 10000.0},
+        {"solve": {"br_tolerance": 1e-12}},
+        {"solve": {"br_tolerance": 1e-16}},
+        {"solve": {"br_tolerance": 1e-300}},
+    ], ids=["weak_attacker", "large_reward", "tolerance_1e-12", "tolerance_1e-16",
+            "tolerance_1e-300"])
+    def test_in_range_default_variants_exit_0(self, tmp_path, capsys, extra):
+        # in range: neither round-off in the investment ratio's slope nor a
+        # tolerance under the float spacing may hold the provider at its cap
+        path = tmp_path / "variant.json"
+        path.write_text(json.dumps({"n_users": [100], "alpha": [7e-4], "seed": 0, **extra}))
+        start = time.perf_counter()
+        assert main(["solve", "--config", str(path)]) == 0
+        assert time.perf_counter() - start < 2.0
+
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "/does/not/exist.json"]) == 2
 
@@ -129,8 +147,8 @@ class TestSweep:
         assert out_csv.read_bytes() == Path(f"results/{grid}.csv").read_bytes()
 
     def test_nonconvergence_exits_1(self, tmp_path, capsys, monkeypatch):
-        # an inner tolerance below the float noise floor with a one-iteration
-        # cap cannot be met; the failure must land in the row, not abort
+        # one provider pass cannot absorb its own investment step; the
+        # failure must land in the row, not abort
         monkeypatch.setattr(equilibrium, "PROVIDER_ITER_CAP", 1)
         path = tmp_path / "strict.json"
         path.write_text(json.dumps({

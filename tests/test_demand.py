@@ -483,6 +483,9 @@ class TestFollowerInputs:
     GRAPH = ExternalityGraph(0.1 * (np.ones((3, 3)) - np.eye(3)), 1.0)
     PRICES = np.array([0.3, 1.2, 2.0])
 
+    # numpy warnings are errors here, so the ValueError must come first;
+    # inf - inf and 1e308 + 1e308 warn while b is formed
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("hbar, prices", [
         (np.nan, PRICES),
@@ -491,8 +494,10 @@ class TestFollowerInputs:
         (0.5, np.array([0.3, np.nan, 2.0])),
         (0.5, np.array([0.3, 1.2])),
         (0.5, PRICES[:, None]),
+        (np.inf, np.array([np.inf, 1.0, 1.0])),
+        (1e308, np.array([-1e308, 1.0, 1.0])),
     ], ids=["nan_hbar", "inf_hbar", "minus_inf_hbar", "nan_price", "short_prices",
-            "column_prices"])
+            "column_prices", "inf_minus_inf", "overflow"])
     def test_bad_input_raises_value_error(self, solver, hbar, prices):
         with pytest.raises(ValueError, match="price vector has shape|not finite"):
             solver(self.GRAPH, hbar, prices)

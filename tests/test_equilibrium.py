@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainsure import demand, equilibrium, market
+from chainsure import demand, equilibrium, harness, market
 from chainsure.demand import ExternalityGraph, Segment, gauss_seidel_state, gauss_seidel_sweep
 from chainsure.equilibrium import (
     SolveOptions,
@@ -34,6 +36,24 @@ OPTS = SolveOptions()
 
 def zero_graph(n):
     return ExternalityGraph(np.zeros((n, n)), 0.0)
+
+
+def clamped_root(params, graph, prices):
+    """The investment ratio that maximizes the provider's profit at these prices."""
+    slope = float(prices @ graph.ones_image) + params.risk.reward_scale
+    return float(np.clip(1.0 - math.sqrt(params.attacker_resource / slope), 0.5, HBAR_CEILING))
+
+
+def projected_price_gradient(params, graph, s_p, s_i):
+    grad = provider_gradient(params, graph, s_p, s_i)[:-1]
+    grad[(s_p.prices <= PRICE_FLOOR) & (grad < 0)] = 0.0
+    grad[(s_p.prices >= params.price_cap) & (grad > 0)] = 0.0
+    return grad
+
+
+def price_round_off(graph):
+    """The floor below which best_response_provider's price residual is round-off."""
+    return 16.0 * math.ulp(2.0 * float(graph.ones_image.max()))
 
 
 class TestSolveOptions:
@@ -107,6 +127,26 @@ class TestProviderBestResponse:
         from chainsure.risk import premium
 
         assert solver_value >= grid_value - premium(RISK, 1.5) - 1e-9
+
+    @pytest.mark.parametrize("tolerance", [1e-12, 1e-16, 1e-300])
+    def test_tolerance_below_round_off_stops_at_it(self, tolerance):
+        graph = random_externality(np.random.default_rng(2), 20, target_alpha_rho=0.35)
+        start = ProviderStrategy(np.full(20, 0.75), 0.75)
+        tight = best_response_provider(PARAMS, graph, start, SolveOptions(br_tolerance=tolerance))
+        loose = best_response_provider(PARAMS, graph, start, OPTS)
+        grad = projected_price_gradient(PARAMS, graph, tight, InsurerStrategy(1.5))
+        assert np.max(np.abs(grad)) < max(tolerance, price_round_off(graph))
+        np.testing.assert_allclose(tight.prices, loose.prices, rtol=0, atol=1e-8)
+        assert tight.investment_ratio == pytest.approx(loose.investment_ratio, abs=1e-10)
+
+    @pytest.mark.parametrize("attacker", [1e-8, 100.0, 1e5])
+    def test_investment_is_the_clamped_root_of_its_prices(self, attacker):
+        # the root lands at the ceiling, inside the box, and at 1/2
+        params = MarketParams(risk=RISK, attacker_resource=attacker, beta=10.0,
+                              price_cap=1.0, gamma_cap=2.0)
+        graph = random_externality(np.random.default_rng(4), 6, target_alpha_rho=0.35)
+        br = best_response_provider(params, graph, ProviderStrategy(np.full(6, 0.75), 0.75), OPTS)
+        assert br.investment_ratio == clamped_root(params, graph, br.prices)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(equilibrium, "PROVIDER_ITER_CAP", 1)
@@ -348,6 +388,47 @@ class TestSolveStackelberg:
         expected_price = min((1.0 + report.provider.investment_ratio) / 2.0, 1.0)
         assert report.provider.prices[0] == pytest.approx(expected_price, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [50, 500])
+    def test_decoupled_closed_form(self, n):
+        # at alpha = 0 each price is (1 + hbar)/2, under the cap, and hbar is
+        # the root of n (1 + hbar)/2 + reward_scale = a / (1 - hbar)^2
+        weights = np.random.default_rng(n).uniform(0.0, 10.0, (n, n))
+        np.fill_diagonal(weights, 0.0)
+        report = solve_stackelberg(PARAMS, ExternalityGraph(weights, 0.0),
+                                   ProviderStrategy(np.full(n, 0.75), 0.75), OPTS)
+
+        def slope(h):
+            return n * (1.0 + h) / 2.0 + RISK.reward_scale - PARAMS.attacker_resource / (1.0 - h) ** 2
+
+        lo, hi = 0.5, HBAR_CEILING
+        assert slope(lo) > 0 > slope(hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        assert report.provider.investment_ratio == pytest.approx(lo, abs=1e-14)
+        np.testing.assert_allclose(report.provider.prices, (1.0 + lo) / 2.0, rtol=0, atol=1e-12)
+        assert report.insurer == best_response_insurer(PARAMS, report.provider, OPTS)
+
+    def test_permutation_equivariance(self):
+        # relabelling the users permutes the prices and moves nothing else;
+        # some prices sit at the cap, so the clamped sweeps run too
+        rng = np.random.default_rng(3)
+        n = 100
+        graph = random_externality(rng, n, target_alpha_rho=0.35)
+        perm = rng.permutation(n)
+        relabelled = ExternalityGraph(graph.weights[np.ix_(perm, perm)], graph.alpha)
+        params = with_price_cap(0.95)
+        start = ProviderStrategy(np.full(n, 0.75), 0.75)
+        first = solve_stackelberg(params, graph, start, OPTS)
+        second = solve_stackelberg(params, relabelled, start, OPTS)
+        assert 0 < np.sum(first.provider.prices == 0.95) < n
+        np.testing.assert_allclose(second.provider.prices, first.provider.prices[perm],
+                                   rtol=0, atol=1e-9)
+        assert second.provider.investment_ratio == pytest.approx(
+            first.provider.investment_ratio, abs=1e-14)
+        # golden section resolves the insurer's flat maximum only to about
+        # sqrt(machine epsilon), so a round-off move in hbar can shift gamma that far
+        assert second.insurer.gamma == pytest.approx(first.insurer.gamma, abs=1e-6)
+
     def test_defaults_converge(self):
         rng = np.random.default_rng(0)
         graph = random_externality(rng, 30, target_alpha_rho=0.3)
@@ -413,3 +494,41 @@ class TestSolveStackelberg:
         assert np.all(report.demand.x <= 1.0 + 1e-12)
         if np.all(report.demand.partition == Segment.SATURATED):
             assert report.demand.total == pytest.approx(20.0)
+
+
+class TestInRangeConfigs:
+    """Every in-range config solves, at any br_tolerance: the provider's best
+    response stops on round-off instead of running into its iteration cap."""
+
+    @given(
+        n=st.integers(1, 6),
+        alpha=st.sampled_from([0.0, 1e-3, 1e-2]),
+        log_attacker=st.floats(-8.0, 4.0),
+        log_reward=st.floats(-3.0, 5.0),
+        log_tolerance=st.floats(-300.0, -4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_solves_to_the_floored_tolerance(self, n, alpha, log_attacker, log_reward,
+                                              log_tolerance, seed):
+        config = harness.ExperimentConfig.from_dict({
+            "n_users": [n], "alpha": [alpha], "attacker_resource": [10.0**log_attacker],
+            "mining_reward": 10.0**log_reward, "seed": seed,
+            "solve": {"br_tolerance": 10.0**log_tolerance},
+        })
+        point = harness.sweep_points(config)[0]
+        graph = harness.generate_instance(config, n, alpha)
+        reports = []
+
+        def recorded(*args):
+            reports.append(solve_stackelberg(*args))
+            return reports[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "solve_stackelberg", recorded)
+            row = harness.solve_row(config, graph, *point)
+        params = config.market_params(*point[2:])
+        s_p, s_i = reports[0].provider, reports[0].insurer
+        assert row.hbar_star == s_p.investment_ratio == clamped_root(params, graph, s_p.prices)
+        grad = projected_price_gradient(params, graph, s_p, s_i)
+        assert np.max(np.abs(grad)) < max(config.solve.br_tolerance, price_round_off(graph))
