@@ -151,10 +151,15 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
                           opts: SolveOptions = SolveOptions()) -> InsurerStrategy:
     """Maximize the insurer's profit over gamma by golden-section search.
 
-    The profit is concave in gamma on the domain, so golden section with an
-    argument tolerance of br_tolerance finds the maximizer (possibly the cap).
-    The bracket cannot narrow below a few float spacings of the cap, so a
-    smaller br_tolerance stops there instead of looping forever.
+    The profit is concave in gamma on the domain, so golden section narrows
+    a bracket around the maximizer (possibly the cap) until it is narrower
+    than br_tolerance. That bracket does not bound the error in gamma: near
+    the flat maximum the compared profits differ only in round-off, so
+    gamma is resolved only to about sqrt(machine epsilon), whatever
+    br_tolerance is below about 1e-8 (relabelling the users of one n = 100
+    instance moved gamma by 6e-8 at the default 1e-8). The bracket cannot
+    narrow below a few float spacings of the cap, so a smaller br_tolerance
+    stops there instead of looping forever.
     """
     lo, hi = GAMMA_FLOOR, params.gamma_cap
     profit = insurer_profit_curve(params, s_p)

@@ -18,6 +18,9 @@ from .specfun import reg_inc_beta
 
 # cells of the midpoint grid over [1/2, 1] behind every premium integral
 GRID_INTERVALS = 100
+_WIDTH = 0.5 / GRID_INTERVALS
+# the grid's nodes as Python floats, the form the scalar kernels run fastest on
+_NODES = tuple((0.5 + (np.arange(GRID_INTERVALS) + 0.5) * _WIDTH).tolist())
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,17 @@ def attack_probability(model: RiskModel, hbar: float) -> float:
     the regularized incomplete Beta I_w(b*hbar, 1/2) at w = 4(1-hbar)hbar,
     which decays to 0 as hbar approaches 1.
     """
+    return _attack_curve(model.blocks_per_period, hbar)
+
+
+def _attack_curve(blocks_per_period: float, hbar: float) -> float:
+    # the model enters the attack probability only through its block count
     if not 0.0 <= hbar <= 1.0:
         raise ValueError(f"investment ratio must lie in [0, 1], got {hbar}")
     if hbar < 0.5:
         return 1.0
     w = 4.0 * (1.0 - hbar) * hbar
-    return reg_inc_beta(w, model.blocks_per_period * hbar, 0.5)
+    return reg_inc_beta(w, blocks_per_period * hbar, 0.5)
 
 
 def survival_grid(p_fn: Callable[[float], float]) -> tuple[np.ndarray, np.ndarray, float]:
@@ -83,20 +91,29 @@ def survival_grid(p_fn: Callable[[float], float]) -> tuple[np.ndarray, np.ndarra
     node's own value. p_fn receives each node as a Python float, so a scalar
     kernel behind it runs on floats rather than numpy scalars.
     """
-    width = 0.5 / GRID_INTERVALS
-    nodes = 0.5 + (np.arange(GRID_INTERVALS) + 0.5) * width
-    values = np.array([p_fn(t) for t in nodes.tolist()])
-    prefix = np.concatenate(([0.0], np.cumsum(values) * width))
-    inner = prefix[:-1] + 0.5 * width * values
+    nodes = np.array(_NODES)
+    values = np.array([p_fn(t) for t in _NODES])
+    prefix = np.concatenate(([0.0], np.cumsum(values) * _WIDTH))
+    inner = prefix[:-1] + 0.5 * _WIDTH * values
     survival = 1.0 - inner
     nodes.setflags(write=False)
     survival.setflags(write=False)
-    return nodes, survival, width
+    return nodes, survival, _WIDTH
+
+
+@functools.lru_cache(maxsize=64)
+def _attack_at_nodes(blocks_per_period: float) -> dict[float, float]:
+    """Attack probability at each survival-grid node, keyed by the node.
+
+    Every RiskModel with this block count shares these values, so the
+    incomplete Beta runs GRID_INTERVALS times per block count, not per model.
+    """
+    return {t: _attack_curve(blocks_per_period, t) for t in _NODES}
 
 
 @functools.lru_cache(maxsize=64)
 def _model_survival(model: RiskModel) -> tuple[np.ndarray, np.ndarray, float]:
-    return survival_grid(lambda t: attack_probability(model, t))
+    return survival_grid(_attack_at_nodes(model.blocks_per_period).__getitem__)
 
 
 def premium_curve(model: RiskModel) -> Callable[[float], float]:
@@ -112,7 +129,7 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
     def curve(gamma: float) -> float:
         if gamma < 1.0:
             raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
-        return claim_scale * float(np.sum(survival ** (1.0 / gamma)) * width)
+        return claim_scale * float((survival ** (1.0 / gamma)).sum() * width)
 
     return curve
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from chainsure import risk
 from chainsure.risk import (
     GRID_INTERVALS,
     RiskModel,
@@ -158,6 +159,40 @@ class TestSurvivalTableOnFloats:
         values = np.array(values)
         prefix = np.concatenate(([0.0], np.cumsum(values) * width))
         assert np.array_equal(survival, 1.0 - (prefix[:-1] + 0.5 * width * values))
+
+
+class TestAttackNodeCache:
+    """The incomplete Beta runs once per grid node and block count; each
+    RiskModel still gets its own survival_grid call over those values."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"reg_inc_beta": 0, "survival_grid": 0}
+
+        def counted(name):
+            fn = getattr(risk, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(risk, name, wrapper)
+
+        counted("reg_inc_beta")
+        counted("survival_grid")
+        risk._attack_at_nodes.cache_clear()
+        _model_survival.cache_clear()
+        yield calls
+        risk._attack_at_nodes.cache_clear()
+        _model_survival.cache_clear()
+
+    def test_models_sharing_a_block_count_share_the_incomplete_beta(self, counts):
+        models = [RiskModel(10.0, 100, 10.0, 10.0), RiskModel(10.0, 250, 10.0, 10.0),
+                  RiskModel(10.0, 100, 3.5, 0.25)]
+        tables = [_model_survival(model)[1] for model in models]
+        assert counts == {"reg_inc_beta": GRID_INTERVALS, "survival_grid": 3}
+        assert all(np.array_equal(tables[0], table) for table in tables[1:])
+        _model_survival(RiskModel(37.3, 100, 10.0, 10.0))
+        assert counts == {"reg_inc_beta": 2 * GRID_INTERVALS, "survival_grid": 4}
 
 
 class TestQuadratureAgreement:
