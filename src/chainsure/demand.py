@@ -1,10 +1,12 @@
 """Follower subgame: user demand under social externality.
 
 The users' purchase probabilities solve a box-bounded linear
-complementarity system. Three solvers are provided: the closed form valid
-when every user is interior, a projected Gauss-Seidel iteration for the
-general clamped case, and an exhaustive partition enumeration used as the
-verification oracle on small instances.
+complementarity system, whose solution is unique when alpha * rho(G) < 1;
+ExternalityGraph certifies that from the LU factors of I - alpha G that
+the solvers use, so no solve computes rho. Three solvers are provided:
+the closed form valid when every user is interior, a projected
+Gauss-Seidel iteration for the general clamped case, and an exhaustive
+partition enumeration used as the verification oracle on small instances.
 
 The projected Gauss-Seidel sweep itself (gauss_seidel_sweep) is shared:
 the clamped demand runs it on I - alpha G, and the provider's best
@@ -120,6 +122,15 @@ class ExternalityGraph:
     utility; the diagonal must be zero. alpha scales the whole network.
     A graph exists only when alpha * rho(G) < 1, the condition for a unique
     demand equilibrium, so every solver may assume it.
+
+    The constructor decides that condition from the factorization every
+    solver needs. No off-diagonal entry of A = I - alpha G is positive,
+    and for such a matrix alpha * rho(G) < 1 holds exactly when some
+    x > 0 has A x > 0 (Berman & Plemmons 1994, ch. 6). ones_image,
+    x = A^{-1} 1, is that certificate: construction requires x > 0 and
+    the product A x above 1/2 (it is 1 up to round-off), else it raises
+    ContractionViolation. rho and alpha_rho are computed only when read,
+    by `check`, the error message and library users.
     """
 
     weights: np.ndarray
@@ -127,9 +138,9 @@ class ExternalityGraph:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
-        # checked before rho: power iteration on a NaN never converges
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+            raise ValueError(f"weights must be a nonempty square matrix, got shape {w.shape}")
+        # checked before the factorization, whose own check names no field
         if not np.all(np.isfinite(w)):
             raise ValueError("externality weights must be finite")
         if np.any(w < 0):
@@ -142,7 +153,13 @@ class ExternalityGraph:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        if not self.alpha_rho < 1.0:
+        try:
+            x = self.ones_image
+        except (ValueError, ArithmeticError):
+            if self.alpha_rho >= 1.0:
+                raise ContractionViolation(self.alpha_rho) from None
+            raise
+        if not (np.all(x > 0.0) and np.all(self.system_matrix @ x > 0.5)):
             raise ContractionViolation(self.alpha_rho)
 
     @property
@@ -227,34 +244,43 @@ class DemandProfile:
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
-    """Perron root of a nonnegative matrix by shifted power iteration.
+    """Perron root of a nonnegative matrix; exactly 0.0 when its digraph is acyclic.
 
-    The shift (5% of the max row sum) breaks the +/-rho eigenvalue tie of
-    bipartite-like matrices; for a nonnegative matrix the Perron root moves
-    by exactly the shift, so it is subtracted back out. When the max row
-    sum exceeds 1, each norm is taken of the iterate scaled by a power of
-    two near its inverse, which is exact, so weights near the float limit
-    do not overflow the squares.
+    Rows with no edge to the rows still left are peeled off first. Each
+    peeled row closes a block-triangular split with a zero diagonal
+    block, so the rows that remain have the same Perron root, and when
+    every row peels the digraph is acyclic and that root is 0. The rest
+    is scaled once by its largest entry, so no iterate overflows, and
+    goes to shifted power iteration. The shift (5% of the max row sum)
+    breaks the +/-rho eigenvalue tie of bipartite-like matrices; for a
+    nonnegative matrix the Perron root moves by exactly the shift, so it
+    is subtracted back out. This is a diagnostic: no graph computes it
+    unless rho is read.
     """
     g = np.asarray(matrix, dtype=float)
-    n = g.shape[0]
-    row_bound = float(g.sum(axis=1).max()) if n else 0.0
-    if row_bound == 0.0:
+    edges = g != 0.0
+    out_degree = edges.sum(axis=1)
+    live = np.ones(g.shape[0], dtype=bool)
+    peel = out_degree == 0
+    while peel.any():
+        live &= ~peel
+        out_degree -= edges[:, peel].sum(axis=1)
+        peel = live & (out_degree == 0)
+    if not live.any():
         return 0.0
-    scale = math.ldexp(1.0, -max(math.frexp(row_bound)[1], 0))
-    shift = 0.05 * row_bound
-    x = np.full(n, 1.0 / np.sqrt(n))
+    g = g[np.ix_(live, live)]
+    scale = float(g.max())
+    g = g / scale
+    shift = 0.05 * float(g.sum(axis=1).max())
+    x = np.full(g.shape[0], 1.0 / np.sqrt(g.shape[0]))
     estimate = 0.0
     for _ in range(POWER_ITER_CAP):
         y = g @ x + shift * x
-        norm = float(np.linalg.norm(y * scale)) / scale
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
+        x = y / np.linalg.norm(y)
         new_estimate = float(x @ (g @ x)) + shift
         change = abs(new_estimate - estimate)
-        if change <= POWER_ITER_TOL * max(abs(new_estimate), 1e-300):
-            return new_estimate - shift
+        if change <= POWER_ITER_TOL * new_estimate:
+            return scale * (new_estimate - shift)
         estimate = new_estimate
     raise ConvergenceError(
         f"power iteration did not converge within {POWER_ITER_CAP} iterations",

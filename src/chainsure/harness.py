@@ -162,7 +162,9 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float) -> Externa
 
     The stream is derived from (seed, n) only, so sweep points that differ
     in alpha, attacker resource, or block size share the same draw and stay
-    comparable. Raises ContractionViolation when alpha * rho(G) >= 1.
+    comparable. Raises ContractionViolation when alpha * rho(G) >= 1: the
+    graph factors I - alpha G as it is built, and checks the condition on
+    that factorization (see ExternalityGraph).
     """
     if n < 1:
         raise ConfigurationError(f"need at least one user, got {n}")
@@ -222,8 +224,8 @@ def _point_graph(config: ExperimentConfig, n: int, alpha: float) -> ExternalityG
 
     The key holds everything the draw and its scaling depend on. Sweep points
     come in Cartesian order with n_users and alpha outermost, so points that
-    share a graph arrive one after another and share its LU factors, rho(G)
-    and symmetric_influence. run_sweep drops the entry when it returns.
+    share a graph arrive one after another and share its LU factors and
+    symmetric_influence. run_sweep drops the entry when it returns.
     """
     global _last_graph
     key = (config.seed, config.g_low, config.g_high, n, alpha)

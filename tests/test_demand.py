@@ -1,12 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
@@ -28,6 +29,7 @@ from chainsure.errors import ContractionViolation, ConvergenceError
 from conftest import random_externality
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+CHAIN_4 = np.triu(np.ones((4, 4)), 1)  # user i influenced by every later user: acyclic
 ONE_NAN_IN_100 = np.ones((100, 100)) - np.eye(100)
 ONE_NAN_IN_100[7, 3] = np.nan
 
@@ -45,6 +47,8 @@ class TestExternalityGraph:
             ExternalityGraph(np.array([[0.0, -1.0], [0.0, 0.0]]), 0.1)  # negative
         with pytest.raises(ValueError):
             ExternalityGraph(np.zeros((2, 3)), 0.1)  # not square
+        with pytest.raises(ValueError, match="nonempty"):
+            ExternalityGraph(np.zeros((0, 0)), 0.1)
         with pytest.raises(ValueError):
             ExternalityGraph(SWAP, -0.1)
 
@@ -73,8 +77,55 @@ class TestExternalityGraph:
             ExternalityGraph(np.array(weights), alpha)
         assert radius_calls == []
 
+    def test_acyclic_chain(self):
+        # rho = 0 exactly: power iteration converges only algebraically here
+        start = time.perf_counter()
+        graph = ExternalityGraph(CHAIN_4, 0.5)
+        assert time.perf_counter() - start < 0.01
+        assert graph.alpha_rho == 0.0
+
+    def test_exactly_singular_boundary_raises(self):
+        # alpha * rho = 1 exactly: A = I - SWAP has a zero pivot, so no solve could run
+        with pytest.raises((ContractionViolation, np.linalg.LinAlgError)):
+            ExternalityGraph(SWAP, 1.0)
+
+    def test_certificate_checks_its_residual(self, monkeypatch):
+        # a positive x that does not solve A x = 1 certifies nothing: here
+        # x = 1 gives A x = 1 - 1.5 < 0 on SWAP at alpha = 1.5
+        monkeypatch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: np.ones_like(b))
+        with pytest.raises(ContractionViolation):
+            ExternalityGraph(SWAP, 1.5)
+
+    @staticmethod
+    def _family_weights(family: str, n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.0, 1.0, (n, n))
+        if family == "sparse":
+            w *= rng.uniform(size=(n, n)) < 0.2
+        elif family != "dense":
+            w = np.triu(w, 1) + (0.02 if family == "upper+0.02" else 0.0)
+        np.fill_diagonal(w, 0.0)
+        return w
+
+    @given(family=st.sampled_from(["dense", "upper", "sparse", "upper+0.02"]),
+           n=st.integers(1, 12), seed=st.integers(0, 2**32), target=st.floats(0.0, 2.0))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_gate_matches_eigenvalue_oracle(self, family, n, seed, target):
+        # the certificate accepts exactly the graphs with alpha * rho(G) < 1
+        w = self._family_weights(family, n, seed)
+        rho = float(np.max(np.abs(np.linalg.eigvals(w))))
+        alpha = target / rho if rho > 1e-12 else target
+        assume(abs(alpha * rho - 1.0) >= 1e-6)
+        try:
+            ExternalityGraph(w, alpha)
+            accepted = True
+        except ContractionViolation:
+            accepted = False
+        assert accepted == (alpha * rho < 1.0)
+
     def test_rho_computed_once(self, radius_calls):
         graph = ExternalityGraph(SWAP, 0.5)
+        assert radius_calls == []  # the gate reads the LU certificate, not rho
         assert graph.alpha_rho == pytest.approx(0.5, abs=1e-9)
         assert graph.rho == pytest.approx(1.0, abs=1e-9)
         assert len(radius_calls) == 1
@@ -216,6 +267,25 @@ class TestSpectralRadius:
 
     def test_zero_matrix(self):
         assert spectral_radius(np.zeros((4, 4))) == 0.0
+
+    def test_acyclic_is_exactly_zero(self):
+        perm = np.random.default_rng(2).permutation(6)
+        upper = np.triu(np.random.default_rng(3).uniform(0.5, 1.0, (6, 6)), 1)
+        assert spectral_radius(CHAIN_4) == 0.0
+        assert spectral_radius(upper[np.ix_(perm, perm)]) == 0.0
+        assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == 0.0
+
+    def test_peeled_rows_keep_the_cycle(self):
+        # a 2-cycle of weight 3 feeding an acyclic tail: rho = 3
+        w = np.zeros((5, 5))
+        w[0, 1] = w[1, 0] = 3.0
+        w[1, 2] = w[2, 3] = w[3, 4] = w[0, 4] = 1.0
+        assert spectral_radius(w) == pytest.approx(3.0, rel=1e-9)
+
+    def test_row_sum_past_float_range(self):
+        # row 0 sums to 2e308, which overflows, yet rho = sqrt(2) 1e308 is finite
+        w = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
+        assert spectral_radius(w) == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-8)
 
     def test_against_dense_eigensolver(self):
         rng = np.random.default_rng(5)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ RISK = RiskModel(10.0, 100, 10.0, 10.0)
 PARAMS = MarketParams(risk=RISK, attacker_resource=100.0, beta=10.0,
                       price_cap=1.0, gamma_cap=2.0)
 OPTS = SolveOptions()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def zero_graph(n):
@@ -42,6 +44,20 @@ def clamped_root(params, graph, prices):
     """The investment ratio that maximizes the provider's profit at these prices."""
     slope = float(prices @ graph.ones_image) + params.risk.reward_scale
     return float(np.clip(1.0 - math.sqrt(params.attacker_resource / slope), 0.5, HBAR_CEILING))
+
+
+def hbar_root(params, slope_per_unit):
+    """The investment ratio with no capped price: the root, by bisection, of
+    (1 + hbar) slope_per_unit + reward_scale = a / (1 - hbar)^2 on [1/2, HBAR_CEILING]."""
+    def slope(h):
+        return ((1.0 + h) * slope_per_unit + params.risk.reward_scale
+                - params.attacker_resource / (1.0 - h) ** 2)
+
+    lo, hi = 0.5, HBAR_CEILING
+    assert slope(lo) > 0 > slope(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+    return lo
 
 
 def projected_price_gradient(params, graph, s_p, s_i):
@@ -397,16 +413,28 @@ class TestSolveStackelberg:
         report = solve_stackelberg(PARAMS, ExternalityGraph(weights, 0.0),
                                    ProviderStrategy(np.full(n, 0.75), 0.75), OPTS)
 
-        def slope(h):
-            return n * (1.0 + h) / 2.0 + RISK.reward_scale - PARAMS.attacker_resource / (1.0 - h) ** 2
-
-        lo, hi = 0.5, HBAR_CEILING
-        assert slope(lo) > 0 > slope(hi)
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
-        assert report.provider.investment_ratio == pytest.approx(lo, abs=1e-14)
-        np.testing.assert_allclose(report.provider.prices, (1.0 + lo) / 2.0, rtol=0, atol=1e-12)
+        hbar = hbar_root(PARAMS, n / 2.0)
+        assert report.provider.investment_ratio == pytest.approx(hbar, abs=1e-14)
+        np.testing.assert_allclose(report.provider.prices, (1.0 + hbar) / 2.0, rtol=0, atol=1e-12)
         assert report.insurer == best_response_insurer(PARAMS, report.provider, OPTS)
+
+    @pytest.mark.parametrize("n, alpha", [(50, 6.5e-4), (60, 7.5e-4), (80, 7e-4), (100, 6.5e-4)])
+    def test_interior_closed_form(self, n, alpha):
+        # with no price capped, the provider's optimum is p = (1 + hbar) A^T w with
+        # (A + A^T) w = 1, and hbar the root of (1 + hbar) 1^T w + reward_scale
+        # = a / (1 - hbar)^2; shipped user_scaling points at seed 0
+        config = harness.ExperimentConfig.from_json(CONFIGS / "user_scaling.json")
+        params = config.market_params(config.attacker_resource[0], config.tx_per_block[0])
+        graph = harness.generate_instance(config, n, alpha)
+        a_mat = graph.system_matrix
+        w = np.linalg.solve(a_mat + a_mat.T, np.ones(n))
+        hbar = hbar_root(params, float(w.sum()))
+        prices = (1.0 + hbar) * (a_mat.T @ w)
+        assert prices.max() < params.price_cap
+        start = ProviderStrategy(np.full(n, 0.75 * config.price_cap), 0.75)
+        report = solve_stackelberg(params, graph, start, config.solve)
+        np.testing.assert_allclose(report.provider.prices, prices, rtol=0, atol=1e-8)
+        assert report.provider.investment_ratio == pytest.approx(hbar, abs=1e-10)
 
     def test_permutation_equivariance(self):
         # relabelling the users permutes the prices and moves nothing else;
