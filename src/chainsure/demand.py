@@ -42,6 +42,8 @@ POWER_ITER_CAP = 100_000
 LCP_TOL = 1e-10
 LCP_ITER_CAP = 10**6
 BRUTE_FORCE_MAX_USERS = 12
+# side of the square tiles symmetric_influence adds M^T into M by
+INFLUENCE_TILE = 128
 
 
 def _scipy_linalg_extension(name: str):
@@ -156,7 +158,9 @@ class ExternalityGraph:
         try:
             x = self.ones_image
         except (ValueError, ArithmeticError):
-            if self.alpha_rho >= 1.0:
+            # an exactly singular A is itself alpha * rho(G) >= 1, which
+            # power iteration may estimate a round-off below 1
+            if self.alpha_rho >= 1.0 - POWER_ITER_TOL:
                 raise ContractionViolation(self.alpha_rho) from None
             raise
         if not (np.all(x > 0.0) and np.all(self.system_matrix @ x > 0.5)):
@@ -213,12 +217,33 @@ class ExternalityGraph:
 
         Bitwise symmetric (a + b == b + a in floating point) and C-ordered,
         so its transpose is a Fortran-ordered view that BLAS reads without
-        a copy. M itself is built in place of a local identity and dropped.
+        a copy. M is solved in place of a Fortran-ordered identity, and
+        M + M^T overwrites it one pair of mirrored tiles at a time, both
+        read before either is written, so no second n x n array is made.
+        Being symmetric, the Fortran-ordered result's transpose is the
+        C-ordered M + M^T.
         """
-        inverse = lu_solve(self._lu, np.eye(self.n_users, order="F"))
-        out = np.add(inverse, inverse.T, order="C")
+        n = self.n_users
+        out = lu_solve(self._lu, np.eye(n, order="F"))
+        for i in range(0, n, INFLUENCE_TILE):
+            rows = slice(i, i + INFLUENCE_TILE)
+            for j in range(i, n, INFLUENCE_TILE):
+                cols = slice(j, j + INFLUENCE_TILE)
+                tile = out[rows, cols] + out[cols, rows].T
+                out[rows, cols] = tile
+                out[cols, rows] = tile.T
+        out = out.T
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def memo(self) -> dict:
+        """Results that solvers derive from this graph, kept as long as it lives.
+
+        Each solver keys its entries by every other input they depend on,
+        so an entry is exactly what recomputing it would give.
+        """
+        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,12 +337,16 @@ def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> D
 
 def _element_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
                    x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """One projected Gauss-Seidel sweep, row by row, on a copy of x."""
-    x = x.copy()
-    for i in range(x.size):
-        step = (target[i] - matrix[i] @ x) / diag[i]
-        x[i] = min(hi, max(lo, x[i] + step))
-    return x
+    """One projected Gauss-Seidel sweep, row by row, on a copy of x.
+
+    Each row's dot product is numpy's matrix[i] @ x; the scalar steps
+    around it run on Python floats, which round exactly as numpy's do.
+    """
+    out = x.copy()
+    for i, (x_i, t_i, d_i) in enumerate(zip(x.tolist(), target.tolist(), diag.tolist())):
+        step = (t_i - float(matrix[i] @ out)) / d_i
+        out[i] = min(hi, max(lo, x_i + step))
+    return out
 
 
 def gauss_seidel_state(matrix: np.ndarray, target: np.ndarray,
@@ -332,14 +361,33 @@ def gauss_seidel_state(matrix: np.ndarray, target: np.ndarray,
     return upper, target - upper - dtrmv(kt, x, trans=1)
 
 
+class FreeBlock:
+    """The clamped sweep's free block K[free, free], carried between the
+    sweeps of one matrix so that it is gathered again only when the
+    predicted free rows change."""
+
+    __slots__ = ("free", "block")
+
+    def __init__(self):
+        self.free = self.block = None
+
+    def of(self, matrix: np.ndarray, free: np.ndarray) -> np.ndarray:
+        if self.free is None or not np.array_equal(self.free, free):
+            self.free, self.block = free, matrix[np.ix_(free, free)]
+        return self.block
+
+
 def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
                        x: np.ndarray, upper: np.ndarray, residual: np.ndarray,
-                       lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       lo: float, hi: float, free_block: FreeBlock | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One projected Gauss-Seidel sweep on K x = target over the box [lo, hi].
 
     K = matrix (C-ordered, positive diagonal diag) splits as D + L + U.
     upper = U x and residual = target - K x at the incoming x (see
     gauss_seidel_state). Returns the new iterate with its U x and residual.
+    A FreeBlock passed as free_block, one per matrix, carries the clamped
+    branch's free block from this sweep to the next.
 
     The sweep predicts which rows clamp from the Jacobi update
     x + residual / diag. With no clamped row it is one forward substitution
@@ -367,7 +415,7 @@ def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
         solved = held.copy()
         if free.any():
             free_rhs = rhs - dtrmv(kt, held, trans=1) + diag * held  # rhs - L held
-            block = matrix[np.ix_(free, free)]
+            block = (free_block or FreeBlock()).of(matrix, free)
             solved[free] = dtrsv(block.T, free_rhs[free], trans=1)
         lower = dtrmv(kt, solved, trans=1)
         unclamped = (rhs - lower + diag * solved) / diag
@@ -397,9 +445,10 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     diag = np.diagonal(a_mat)
     x = np.clip(b, 0.0, 1.0)
     upper, r = gauss_seidel_state(a_mat, b, x)
+    free_block = FreeBlock()
     sweeps_cap = max(1, LCP_ITER_CAP // max(graph.n_users, 1))
     for _ in range(sweeps_cap):
-        x, upper, r = gauss_seidel_sweep(a_mat, diag, b, x, upper, r, 0.0, 1.0)
+        x, upper, r = gauss_seidel_sweep(a_mat, diag, b, x, upper, r, 0.0, 1.0, free_block)
         residual = float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
         if residual < LCP_TOL:
             # Segment codes: OPT_OUT 0, INTERIOR 1, SATURATED 2

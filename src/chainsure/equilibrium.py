@@ -19,6 +19,7 @@ import numpy as np
 from .demand import (
     DemandProfile,
     ExternalityGraph,
+    FreeBlock,
     closed_form_demand,
     gauss_seidel_state,
     gauss_seidel_sweep,
@@ -39,6 +40,10 @@ from .market import (
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PROVIDER_ITER_CAP = 200
+# First price blocks kept per graph, least recently used dropped first.
+# solve_stackelberg's two passes touch two: the start every point shares
+# and the point's own second start, so the shared one is never dropped.
+FIRST_BLOCKS_KEPT = 2
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,10 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     hbar's exact root, so the stopping test reads only the projected price
     gradient, floored at its round-off in (1 + hbar) M1. Moving hbar by dh
     shifts that gradient by dh * M1, so the test needs no linear solve.
+    The first price block depends only on the graph, the start, the price
+    box and the tolerance, so it runs once per graph for each such start
+    (kept in graph.memo) and every later call resumes from its exact
+    (prices, U p, residual).
 
     Plain projected gradient ascent was rejected here: the hbar curvature
     dwarfs the price curvature and capped prices make coupled Newton steps
@@ -112,27 +121,48 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     m_ones = graph.ones_image
     quad = graph.symmetric_influence
     quad_diag = np.diagonal(quad)
+    free_block = FreeBlock()
+    sweep_cap = 60 + 10 * n
 
     prices = np.clip(start.prices.astype(float), price_lo, price_hi)
-    hbar = float(np.clip(start.investment_ratio, 0.5, HBAR_CEILING))
+    hbar = float(min(max(start.investment_ratio, 0.5), HBAR_CEILING))
     tolerance = max(opts.br_tolerance, 16.0 * math.ulp(2.0 * float(m_ones.max())))
 
-    # grad is the price gradient (1 + hbar) M1 - Q p at the current point
-    target = (1.0 + hbar) * m_ones
-    upper, grad = gauss_seidel_state(quad, target, prices)
-    sweep_cap = 60 + 10 * n
-    for _ in range(PROVIDER_ITER_CAP):
-        # price block: maximize (1 + hbar) p.M1 - p.Mp over the price box
+    def price_block(target, prices, upper, grad):
+        # maximize (1 + hbar) p.M1 - p.Mp over the price box; grad is the
+        # price gradient (1 + hbar) M1 - Q p at the current point
         for _ in range(sweep_cap):
             prices, upper, grad = gauss_seidel_sweep(
-                quad, quad_diag, target, prices, upper, grad, price_lo, price_hi)
+                quad, quad_diag, target, prices, upper, grad, price_lo, price_hi, free_block)
             if _projected_norm(prices, grad, price_lo, price_hi) < 0.25 * tolerance:
                 break
+        return prices, upper, grad
+
+    # The first price block sees no point-specific input, so every point
+    # on this graph with the same start, box and tolerance shares it. The
+    # carried state is kept as it was returned: a residual recomputed at
+    # those prices could differ in round-off.
+    target = (1.0 + hbar) * m_ones
+    first_blocks = graph.memo.setdefault("provider first price blocks", {})
+    key = (prices.tobytes(), hbar, price_lo, price_hi, tolerance)
+    state = first_blocks.pop(key, None)
+    if state is None:
+        state = price_block(target, prices, *gauss_seidel_state(quad, target, prices))
+        for array in state:
+            array.setflags(write=False)
+    first_blocks[key] = state
+    while len(first_blocks) > FIRST_BLOCKS_KEPT:
+        del first_blocks[next(iter(first_blocks))]
+    prices, upper, grad = state
+
+    for passes in range(PROVIDER_ITER_CAP):
+        if passes:
+            prices, upper, grad = price_block(target, prices, upper, grad)
         # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
         # decreasing, so the box maximizer is the clamped root (p, M1 > 0)
         slope_at_cost = float(prices @ m_ones) + params.risk.reward_scale
         root = 1.0 - math.sqrt(params.attacker_resource / slope_at_cost)
-        new_hbar = float(np.clip(root, 0.5, HBAR_CEILING))
+        new_hbar = float(min(max(root, 0.5), HBAR_CEILING))
         grad = grad + (new_hbar - hbar) * m_ones
         hbar = new_hbar
         target = (1.0 + hbar) * m_ones

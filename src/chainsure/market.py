@@ -23,7 +23,6 @@ from .risk import (
     distorted_log_moments,
     premium,
     premium_curve,
-    reputation_penalty,
 )
 
 # Numerical interiors for the open strategy bounds: the infrastructure cost
@@ -149,20 +148,21 @@ def insurer_profit_curve(params: MarketParams,
     """The insurer's profit as a function of gamma against the provider's s_p.
 
     Premium income minus the expected claim minus the overpricing penalty.
-    The expected claim depends on hbar only, and the premium curve on the
-    risk model only, so both are set up once here rather than at every
-    gamma a search tries.
+    The expected claim and the penalty's hbar factor depend on hbar only,
+    and the premium curve on the risk model only, so they are set up once
+    here rather than at every gamma a search tries.
     """
     hbar = s_p.investment_ratio
     expected_claim = attack_probability(params.risk, hbar) * hbar * params.risk.claim_scale
     premium_of = premium_curve(params.risk)
+    # reputation_penalty's (hbar - 1/2)^3, evaluated in its order; MarketParams
+    # and ProviderStrategy hold its checks on beta and hbar, and premium_of
+    # the one on gamma
+    cube = (hbar - 0.5) ** 3
+    beta = params.beta
 
     def profit(gamma: float) -> float:
-        return (
-            premium_of(gamma)
-            - expected_claim
-            - reputation_penalty(hbar, gamma, params.beta)
-        )
+        return premium_of(gamma) - expected_claim - cube * (gamma - 1.0) * gamma**beta
 
     return profit
 

@@ -21,6 +21,10 @@ GRID_INTERVALS = 100
 _WIDTH = 0.5 / GRID_INTERVALS
 # the grid's nodes as Python floats, the form the scalar kernels run fastest on
 _NODES = tuple((0.5 + (np.arange(GRID_INTERVALS) + 0.5) * _WIDTH).tolist())
+# premium_curve's memo: distorted survival mass per (blocks_per_period,
+# gamma), at most DISTORTED_MASSES_KEPT of them, the oldest dropped first
+DISTORTED_MASSES_KEPT = 1024
+_distorted_masses: dict[tuple[float, float], float] = {}
 
 
 @dataclass(frozen=True)
@@ -121,15 +125,27 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
 
     Fetches the survival table and the claim scale once, so a search that
     prices many gammas against the same model skips the table lookup on
-    each of them.
+    each of them. The table depends on the model only through
+    blocks_per_period (see _attack_at_nodes), so the distorted survival
+    mass at each gamma is memoized per (blocks_per_period, gamma): a gamma
+    that a search revisits, on this model or on another with the same
+    block count, is read back rather than recomputed.
     """
     _, survival, width = _model_survival(model)
     claim_scale = model.claim_scale
+    blocks = model.blocks_per_period
 
     def curve(gamma: float) -> float:
         if gamma < 1.0:
             raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
-        return claim_scale * float((survival ** (1.0 / gamma)).sum() * width)
+        key = (blocks, gamma)
+        mass = _distorted_masses.get(key)
+        if mass is None:
+            mass = float((survival ** (1.0 / gamma)).sum() * width)
+            if len(_distorted_masses) >= DISTORTED_MASSES_KEPT:
+                del _distorted_masses[next(iter(_distorted_masses))]
+            _distorted_masses[key] = mass
+        return claim_scale * mass
 
     return curve
 

@@ -228,6 +228,38 @@ class TestConfigErrors:
         assert "must contain a JSON object" in capsys.readouterr().err
 
 
+class TestSingularBoundary:
+    """alpha * rho(G) = 1 exactly, where A = I - alpha G has a zero pivot,
+    fails as alpha * rho(G) = 1.5 does: a contraction violation."""
+
+    @staticmethod
+    def config(tmp_path, alpha):
+        # two users at weight 5 each way: rho(G) = 5
+        path = tmp_path / f"two_users_{alpha}.json"
+        path.write_text(json.dumps({"n_users": [2], "alpha": [alpha], "g_low": 5.0, "g_high": 5.0}))
+        return str(path)
+
+    def run(self, tmp_path, capsys, command, alpha):
+        out_csv = tmp_path / "rows.csv"
+        extra = ["--out", str(out_csv)] if command == "sweep" else []
+        code = main([command, "--config", self.config(tmp_path, alpha)] + extra)
+        out, err = capsys.readouterr()
+        rows = [dataclasses.astuple(row)[2:] for row in read_csv(out_csv)] if extra else None
+        return code, out.replace("= 1.5,", "= 1,"), err.replace("= 1.5 >=", "= 1 >="), rows
+
+    @pytest.mark.parametrize("command, code", [("solve", 2), ("check", 0), ("sweep", 1)])
+    def test_behaves_like_alpha_rho_above_one(self, tmp_path, capsys, command, code):
+        above = self.run(tmp_path, capsys, command, 0.3)
+        boundary = self.run(tmp_path, capsys, command, 0.2)
+        assert boundary[0] == code
+        # NaN != NaN: compare the failed rows' text
+        assert repr(boundary) == repr(above)
+        if command == "solve":
+            assert boundary[2].startswith("configuration error: externality spectral condition")
+        if command == "sweep":
+            assert len(boundary[3]) == 1 and boundary[3][0][-2:] == (False, 0)
+
+
 class TestSolverErrors:
     # with this many blocks per period the incomplete Beta's continued
     # fraction does not converge

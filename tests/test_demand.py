@@ -7,16 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import chainsure
 from chainsure import demand
 from chainsure.demand import (
+    INFLUENCE_TILE,
     LCP_TOL,
     DemandProfile,
     ExternalityGraph,
+    FreeBlock,
     Segment,
     brute_force_lcp,
     closed_form_demand,
@@ -26,6 +28,7 @@ from chainsure.demand import (
     spectral_radius,
 )
 from chainsure.errors import ContractionViolation, ConvergenceError
+from chainsure.market import PRICE_FLOOR
 from conftest import random_externality
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -85,9 +88,12 @@ class TestExternalityGraph:
         assert graph.alpha_rho == 0.0
 
     def test_exactly_singular_boundary_raises(self):
-        # alpha * rho = 1 exactly: A = I - SWAP has a zero pivot, so no solve could run
-        with pytest.raises((ContractionViolation, np.linalg.LinAlgError)):
+        # alpha * rho = 1 exactly: A = I - SWAP has a zero pivot, so no solve
+        # could run; power iteration may put rho a round-off below 1
+        with pytest.raises(ContractionViolation):
             ExternalityGraph(SWAP, 1.0)
+        with pytest.raises(ContractionViolation):
+            ExternalityGraph(np.array([[0.0, 5.0], [5.0, 0.0]]), 0.2)
 
     def test_certificate_checks_its_residual(self, monkeypatch):
         # a positive x that does not solve A x = 1 certifies nothing: here
@@ -404,6 +410,17 @@ def assert_sweep_state(matrix, target, x, upper, residual):
                                rtol=0.0, atol=1e-12 * max(1.0, np.abs(target).max()))
 
 
+def sweep_problem(n, seed, symmetric):
+    """A matrix of either kind the sweep runs on, a target whose
+    unconstrained solution leaves the box [0.1, 0.9] on both sides, and a
+    start inside the box."""
+    rng = np.random.default_rng(seed)
+    graph = random_externality(rng, n, target_alpha_rho=0.8)
+    matrix = graph.symmetric_influence if symmetric else graph.system_matrix
+    target = matrix @ rng.uniform(-0.2, 1.2, n)
+    return matrix, target, rng.uniform(0.1, 0.9, n)
+
+
 class TestGaussSeidelSweep:
     """The shared sweep kernel against the row-by-row sweep and t - K x."""
 
@@ -426,13 +443,9 @@ class TestGaussSeidelSweep:
     def test_trajectory(self, symmetric, fallbacks):
         # the unconstrained solution leaves the box on both sides, so the
         # sweeps clamp rows at both bounds
-        rng = np.random.default_rng(41 if symmetric else 42)
-        graph = random_externality(rng, 30, target_alpha_rho=0.8)
-        matrix = graph.symmetric_influence if symmetric else graph.system_matrix
+        matrix, target, x = sweep_problem(30, 41 if symmetric else 42, symmetric)
         diag = np.diagonal(matrix)
-        target = matrix @ rng.uniform(-0.2, 1.2, 30)
         lo, hi = 0.1, 0.9
-        x = rng.uniform(lo, hi, 30)
         upper, residual = gauss_seidel_state(matrix, target, x)
         for _ in range(40):
             expected = row_by_row(matrix, diag, target, x, lo, hi)
@@ -441,6 +454,84 @@ class TestGaussSeidelSweep:
             assert_sweep_state(matrix, target, x, upper, residual)
         assert np.any(x == lo) and np.any(x == hi)
         assert 0 < len(fallbacks) < 20
+
+
+def numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi):
+    """The row-by-row sweep as first written, on numpy scalars: the frozen
+    reference that demand._element_sweep, on Python floats, must equal."""
+    x = x.copy()
+    for i in range(x.size):
+        step = (target[i] - matrix[i] @ x) / diag[i]
+        x[i] = min(hi, max(lo, x[i] + step))
+    return x
+
+
+class TestKernelsBitIdentical:
+    """The kernels' faster forms give the bits of the forms they replace."""
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
+           lo=st.sampled_from([0.0, 0.1, PRICE_FLOOR]), hi=st.sampled_from([0.9, 1.0, 2.0]))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_element_sweep_equals_numpy_scalar_sweep(self, n, seed, symmetric, lo, hi):
+        matrix, target, x = sweep_problem(n, seed, symmetric)
+        diag = np.diagonal(matrix)
+        swept = demand._element_sweep(matrix, diag, target, x, lo, hi)
+        assert np.array_equal(swept, numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi))
+
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
+           switch=st.integers(1, 15))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_carried_free_block_equals_regathering(self, n, seed, symmetric, switch):
+        # after `switch` sweeps the target moves, and with it the free set
+        matrix, target, x = sweep_problem(n, seed, symmetric)
+        second = target[::-1].copy()
+        diag = np.diagonal(matrix)
+        lo, hi = 0.1, 0.9
+        carried = FreeBlock()
+        with_carry = regathering = (x,) + gauss_seidel_state(matrix, target, x)
+        for k in range(30):
+            t = target if k < switch else second
+            if k == switch:
+                with_carry = (with_carry[0],) + gauss_seidel_state(matrix, t, with_carry[0])
+                regathering = (regathering[0],) + gauss_seidel_state(matrix, t, regathering[0])
+            before = (carried.free, carried.block)
+            with_carry = gauss_seidel_sweep(matrix, diag, t, *with_carry, lo, hi, carried)
+            regathering = gauss_seidel_sweep(matrix, diag, t, *regathering, lo, hi)
+            assert all(np.array_equal(a, b) for a, b in zip(with_carry, regathering))
+            if before[0] is not None and np.array_equal(before[0], carried.free):
+                assert carried.block is before[1]  # gathered only when the free set moves
+
+    def test_free_set_change_regathers(self):
+        matrix, target, x = sweep_problem(30, 42, symmetric=False)
+        diag = np.diagonal(matrix)
+        carried = FreeBlock()
+        state = (x,) + gauss_seidel_state(matrix, target, x)
+        masks = []
+        for _ in range(40):
+            state = gauss_seidel_sweep(matrix, diag, target, *state, 0.1, 0.9, carried)
+            if carried.free is not None and (not masks or masks[-1] is not carried.free):
+                masks.append(carried.free)
+                free = carried.free
+                np.testing.assert_array_equal(carried.block, matrix[np.ix_(free, free)])
+        assert 1 < len(masks) < 40
+
+    @given(n=st.integers(1, 2 * INFLUENCE_TILE + 2), seed=st.integers(0, 2**32))
+    @example(n=INFLUENCE_TILE - 1, seed=1)
+    @example(n=INFLUENCE_TILE, seed=2)
+    @example(n=INFLUENCE_TILE + 1, seed=3)
+    @example(n=2 * INFLUENCE_TILE + 1, seed=4)
+    @example(n=1000, seed=5)
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_tiled_symmetric_influence_equals_add(self, n, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(weights, 0.0)
+        # the row sums bound rho, so alpha * rho(G) < 0.6
+        graph = ExternalityGraph(weights, 0.6 / max(n - 1, 1))
+        inverse = lu_solve(lu_factor(graph.system_matrix), np.eye(n))
+        quad = graph.symmetric_influence
+        assert np.array_equal(quad, np.add(inverse, inverse.T, order="C"))
+        assert quad.flags.c_contiguous and not quad.flags.writeable
 
 
 class TestLcpDemand:

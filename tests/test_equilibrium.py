@@ -344,6 +344,73 @@ class TestTriangularPriceSweep:
         assert solves == []
 
 
+class TestSharedFirstBlock:
+    """The first price block runs once per graph and start, box and
+    tolerance; later calls resume from the exact state it returned."""
+
+    @pytest.fixture(autouse=True)
+    def counts(self, monkeypatch):
+        self.calls = calls = {"sweeps": 0, "states": 0}
+
+        def counted(name):
+            fn = getattr(equilibrium, name)
+
+            def wrapper(*args):
+                calls[name.split("_")[-1] + "s"] += 1
+                return fn(*args)
+            monkeypatch.setattr(equilibrium, name, wrapper)
+
+        counted("gauss_seidel_sweep")
+        counted("gauss_seidel_state")
+
+    def solve(self, params, graph, start, opts=OPTS):
+        self.calls.update(sweeps=0, states=0)
+        return best_response_provider(params, graph, start, opts)
+
+    def test_second_call_resumes_from_the_kept_state(self):
+        graph = random_externality(np.random.default_rng(7), 30, target_alpha_rho=0.8)
+        start = ProviderStrategy(np.full(30, 0.5), 0.75)
+        params = with_price_cap(0.95)
+        cold = self.solve(params, graph, start)
+        cold_sweeps = self.calls["sweeps"]
+        assert self.calls["states"] == 1
+        (state,) = graph.memo["provider first price blocks"].values()
+        assert not any(array.flags.writeable for array in state)
+        warm = self.solve(params, graph, start)
+        assert self.calls["states"] == 0  # no state is recomputed
+        assert 0 < self.calls["sweeps"] < cold_sweeps
+        assert np.array_equal(warm.prices, cold.prices)
+        assert warm.investment_ratio == cold.investment_ratio
+
+    @pytest.mark.parametrize("change", ["start_prices", "start_hbar", "price_cap", "tolerance"])
+    def test_each_input_is_part_of_the_key(self, change):
+        graph = random_externality(np.random.default_rng(8), 12, target_alpha_rho=0.5)
+        start = ProviderStrategy(np.full(12, 0.5), 0.75)
+        params, opts = with_price_cap(0.95), OPTS
+        self.solve(params, graph, start, opts)
+        if change == "start_prices":
+            start = ProviderStrategy(np.full(12, 0.6), 0.75)
+        elif change == "start_hbar":
+            start = ProviderStrategy(np.full(12, 0.5), 0.8)
+        elif change == "price_cap":
+            params = with_price_cap(0.9)
+        else:
+            opts = SolveOptions(br_tolerance=1e-9)
+        self.solve(params, graph, start, opts)
+        assert self.calls["states"] == 1
+
+    def test_a_sweep_keeps_the_shared_start_within_the_bound(self):
+        graph = random_externality(np.random.default_rng(9), 12, target_alpha_rho=0.5)
+        start = ProviderStrategy(np.full(12, 0.75), 0.75)
+        for attacker in np.linspace(20.0, 200.0, 10):
+            params = MarketParams(risk=RISK, attacker_resource=float(attacker), beta=10.0,
+                                  price_cap=1.0, gamma_cap=2.0)
+            self.solve(params, graph, start)  # the shared first pass
+            assert self.calls["states"] == (1 if attacker == 20.0 else 0)
+            solve_stackelberg(params, graph, start, OPTS)
+            assert len(graph.memo["provider first price blocks"]) <= equilibrium.FIRST_BLOCKS_KEPT
+
+
 class TestInsurerBestResponse:
     def test_expected_claim_computed_once(self, monkeypatch):
         calls = []

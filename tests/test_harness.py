@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from chainsure import harness
+from chainsure import harness, risk
 from chainsure.errors import ConfigurationError
 from chainsure.harness import (
     ExperimentConfig,
@@ -197,6 +197,49 @@ class TestGraphReuse:
         for cfg in (fast_config(seed=1), fast_config(seed=2), fast_config(seed=2, g_high=5.0)):
             solve_point(cfg, 4, 1e-3, 100.0, 100)
         assert len(builds) == 3
+
+
+class TestSharedWork:
+    """Points that share a graph and a block count share the provider's
+    first price block and the premium's distorted masses; no row moves."""
+
+    # two graphs; at this cap a point holds 3 to all 30 of its prices there
+    GRID = dict(n_users=[30], alpha=[2e-3, 4e-3], price_cap=0.95,
+                attacker_resource=[20.0, 50.0, 80.0, 110.0, 140.0, 170.0],
+                tx_per_block=[50, 100, 150, 200], seed=5)
+
+    @staticmethod
+    def clear_caches(monkeypatch):
+        monkeypatch.setattr(harness, "_last_graph", None)
+        risk._attack_at_nodes.cache_clear()
+        risk._model_survival.cache_clear()
+        risk._distorted_masses.clear()
+
+    def test_rows_equal_cold_solves(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(self.GRID)
+        capped = []
+        solve = harness.solve_stackelberg
+
+        def counted(params, *args, **kwargs):
+            report = solve(params, *args, **kwargs)
+            capped.append(int(np.sum(report.provider.prices == params.price_cap)))
+            return report
+
+        monkeypatch.setattr(harness, "solve_stackelberg", counted)
+        self.clear_caches(monkeypatch)
+        shared = run_sweep(cfg)
+        assert any(0 < k < 30 for k in capped)
+        cold = []
+        for point in sweep_points(cfg):
+            self.clear_caches(monkeypatch)  # a fresh graph, with an empty memo
+            cold.append(solve_point(cfg, *point))
+        assert all(row.converged for row in cold)
+        assert shared == cold
+
+    def test_second_sweep_in_one_process_equals_the_first(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(self.GRID)
+        self.clear_caches(monkeypatch)
+        assert run_sweep(cfg) == run_sweep(cfg)
 
 
 class TestCsv:

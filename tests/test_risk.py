@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chainsure import risk
+from chainsure.harness import ExperimentConfig, run_sweep
 from chainsure.risk import (
     GRID_INTERVALS,
     RiskModel,
@@ -193,6 +194,43 @@ class TestAttackNodeCache:
         assert all(np.array_equal(tables[0], table) for table in tables[1:])
         _model_survival(RiskModel(37.3, 100, 10.0, 10.0))
         assert counts == {"reg_inc_beta": 2 * GRID_INTERVALS, "survival_grid": 4}
+
+
+class TestDistortedMassMemo:
+    """premium_curve reads the distorted survival mass back per
+    (blocks_per_period, gamma), bit for bit, within a fixed bound."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        risk._distorted_masses.clear()
+        yield
+        risk._distorted_masses.clear()
+
+    def test_models_sharing_a_block_count_read_the_same_masses(self):
+        models = [RiskModel(10.0, 100, 10.0, 10.0), RiskModel(10.0, 250, 3.5, 10.0)]
+        gammas = np.linspace(1.0, 2.0, 200).tolist()
+        for model in models + models:  # the second model and the second round read the memo
+            self.assert_uncached(model, gammas)
+            assert len(risk._distorted_masses) == len(gammas)
+        # another block count has a table, and masses, of its own
+        self.assert_uncached(RiskModel(37.3, 100, 10.0, 10.0), gammas)
+        assert len(risk._distorted_masses) == 2 * len(gammas)
+
+    @staticmethod
+    def assert_uncached(model, gammas):
+        curve = premium_curve(model)
+        _, survival, width = _model_survival(model)
+        for gamma in gammas:
+            mass = float((survival ** (1.0 / gamma)).sum() * width)
+            assert curve(gamma) == model.claim_scale * mass
+
+    def test_bound_holds_over_a_long_sweep(self):
+        cfg = ExperimentConfig.from_dict({
+            "n_users": [1], "attacker_resource": np.linspace(20.0, 200.0, 20).tolist(),
+            "tx_per_block": list(range(50, 150)), "seed": 3})
+        rows = run_sweep(cfg)
+        assert len(rows) == 2000 and all(row.converged for row in rows)
+        assert len(risk._distorted_masses) == risk.DISTORTED_MASSES_KEPT
 
 
 class TestQuadratureAgreement:
