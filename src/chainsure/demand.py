@@ -275,12 +275,21 @@ def spectral_radius(matrix: np.ndarray) -> float:
     peeled row closes a block-triangular split with a zero diagonal
     block, so the rows that remain have the same Perron root, and when
     every row peels the digraph is acyclic and that root is 0. The rest
-    is scaled once by its largest entry, so no iterate overflows, and
-    goes to shifted power iteration. The shift (5% of the max row sum)
-    breaks the +/-rho eigenvalue tie of bipartite-like matrices; for a
-    nonnegative matrix the Perron root moves by exactly the shift, so it
-    is subtracted back out. This is a diagnostic: no graph computes it
-    unless rho is read.
+    is scaled once by its largest entry, so no iterate overflows; weights
+    so far apart that the scaling pushes one below the normal float range
+    raise ConvergenceError.
+
+    Shifted power iteration then stops on the Collatz-Wielandt bracket,
+    min_i (g x)_i / x_i <= rho <= max_i (g x)_i / x_i for any x > 0, once
+    it is narrower than POWER_ITER_TOL relative; at the iteration cap it
+    raises ConvergenceError, so no value it returns is further from rho.
+    Rows whose ratio lags the upper bound may reach only a cycle of
+    smaller root and never rise to rho: the lower bound is taken on x
+    with them set to 0, which is still a bound. The shift, half the upper
+    bound, breaks the tie between rho and the other eigenvalues of modulus
+    rho of a periodic matrix; tied to rho rather than to the row sums, it
+    finds a small root as fast as a large one. This is a diagnostic: no
+    graph computes it unless rho is read.
     """
     g = np.asarray(matrix, dtype=float)
     edges = g != 0.0
@@ -295,21 +304,31 @@ def spectral_radius(matrix: np.ndarray) -> float:
         return 0.0
     g = g[np.ix_(live, live)]
     scale = float(g.max())
-    g = g / scale
-    shift = 0.05 * float(g.sum(axis=1).max())
-    x = np.full(g.shape[0], 1.0 / np.sqrt(g.shape[0]))
-    estimate = 0.0
+    scaled = g / scale
+    if np.any((g > 0.0) & (scaled < np.finfo(float).tiny)):
+        # a weight pushed below the normal range has lost its digits, so
+        # the scaled matrix no longer has the Perron root asked for
+        raise ConvergenceError(f"weights from {g[g > 0.0].min():.3g} to {scale:.3g} span "
+                               "more than the float range")
+    g = scaled
+    x = np.ones(g.shape[0])
     for _ in range(POWER_ITER_CAP):
-        y = g @ x + shift * x
-        x = y / np.linalg.norm(y)
-        new_estimate = float(x @ (g @ x)) + shift
-        change = abs(new_estimate - estimate)
-        if change <= POWER_ITER_TOL * new_estimate:
-            return scale * (new_estimate - shift)
-        estimate = new_estimate
+        y = g @ x
+        ratios = y / x
+        upper = float(ratios.max())
+        lagging = ratios < (1.0 - POWER_ITER_TOL) * upper
+        if lagging.any():
+            kept = ~lagging
+            ratios = (g @ np.where(lagging, 0.0, x))[kept] / x[kept]
+        lower = float(ratios.min())
+        width = (upper - lower) / upper
+        if width <= POWER_ITER_TOL:
+            return scale * 0.5 * (lower + upper)
+        x = y + 0.5 * upper * x
+        x /= x.max()
     raise ConvergenceError(
         f"power iteration did not converge within {POWER_ITER_CAP} iterations",
-        residual=change,
+        residual=width,
     )
 
 
@@ -339,12 +358,14 @@ def _element_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
                    x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """One projected Gauss-Seidel sweep, row by row, on a copy of x.
 
-    Each row's dot product is numpy's matrix[i] @ x; the scalar steps
-    around it run on Python floats, which round exactly as numpy's do.
+    Each row's dot product is the row view's .dot, the same BLAS ddot as
+    matrix[i] @ x at less call overhead; the scalar steps around it run
+    on Python floats, which round exactly as numpy's do.
     """
     out = x.copy()
-    for i, (x_i, t_i, d_i) in enumerate(zip(x.tolist(), target.tolist(), diag.tolist())):
-        step = (t_i - float(matrix[i] @ out)) / d_i
+    for i, (row, x_i, t_i, d_i) in enumerate(zip(matrix, x.tolist(), target.tolist(),
+                                                   diag.tolist())):
+        step = (t_i - float(row.dot(out))) / d_i
         out[i] = min(hi, max(lo, x_i + step))
     return out
 
@@ -366,15 +387,29 @@ class FreeBlock:
     sweeps of one matrix so that it is gathered again only when the
     predicted free rows change."""
 
-    __slots__ = ("free", "block")
+    __slots__ = ("free", "key", "block")
 
     def __init__(self):
-        self.free = self.block = None
+        self.free = self.key = self.block = None
 
     def of(self, matrix: np.ndarray, free: np.ndarray) -> np.ndarray:
-        if self.free is None or not np.array_equal(self.free, free):
-            self.free, self.block = free, matrix[np.ix_(free, free)]
+        key = free.tobytes()  # one byte per row, compared at C speed
+        if key != self.key:
+            self.free, self.key, self.block = free, key, matrix[np.ix_(free, free)]
         return self.block
+
+
+def _clamped_solve_kept(free: np.ndarray, solved: np.ndarray, unclamped: np.ndarray,
+                        lo: float, hi: float) -> bool:
+    """Whether the clamped branch's result is the row-by-row sweep's.
+
+    solved holds every row outside free at the bound it is held at. A free
+    row is kept when it lies in the box, a held row when its unclamped
+    update lies past its bound. Both say that clipping to [lo, hi] gives
+    solved back, so the test is one clip over every row.
+    """
+    checked = np.where(free, solved, unclamped)
+    return bool(np.logical_and.reduce(np.minimum(np.maximum(checked, lo), hi) == solved))
 
 
 def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
@@ -404,29 +439,35 @@ def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
     rhs = target - upper
     jacobi = x + residual / diag
     new = None
-    if lo < jacobi.min() and jacobi.max() < hi:
+    if lo < np.minimum.reduce(jacobi) and np.maximum.reduce(jacobi) < hi:
         solved = dtrsv(kt, rhs, trans=1)
-        if lo <= solved.min() and solved.max() <= hi:
+        if lo <= np.minimum.reduce(solved) and np.maximum.reduce(solved) <= hi:
             new, lower = solved, rhs  # (D + L) x' = rhs
     else:
         at_lo, at_hi = jacobi <= lo, jacobi >= hi
         free = ~(at_lo | at_hi)
-        held = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-        solved = held.copy()
-        if free.any():
-            free_rhs = rhs - dtrmv(kt, held, trans=1) + diag * held  # rhs - L held
+        solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+        if np.logical_or.reduce(free):
+            # rhs - L held, read before the free rows are written in
+            free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
             block = (free_block or FreeBlock()).of(matrix, free)
             solved[free] = dtrsv(block.T, free_rhs[free], trans=1)
         lower = dtrmv(kt, solved, trans=1)
         unclamped = (rhs - lower + diag * solved) / diag
-        if (np.all((solved[free] >= lo) & (solved[free] <= hi))
-                and np.all(unclamped[at_hi] >= hi) and np.all(unclamped[at_lo] <= lo)):
+        if _clamped_solve_kept(free, solved, unclamped, lo, hi):
             new = solved
     if new is None:
         new = _element_sweep(matrix, diag, target, x, lo, hi)
         lower = dtrmv(kt, new, trans=1)
     upper = dtrmv(kt, new, lower=1, trans=1, diag=1) - new
     return new, upper, target - upper - lower
+
+
+def _fixed_point_residual(x: np.ndarray, r: np.ndarray) -> float:
+    """|| x - clip(x + r, 0, 1) ||_inf, in ufuncs rather than np.clip's
+    Python wrapper. Where the two clips differ, in the sign of a zero,
+    the absolute value erases it."""
+    return float(np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x + r, 0.0), 1.0))))
 
 
 def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:
@@ -449,7 +490,7 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     sweeps_cap = max(1, LCP_ITER_CAP // max(graph.n_users, 1))
     for _ in range(sweeps_cap):
         x, upper, r = gauss_seidel_sweep(a_mat, diag, b, x, upper, r, 0.0, 1.0, free_block)
-        residual = float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
+        residual = _fixed_point_residual(x, r)
         if residual < LCP_TOL:
             # Segment codes: OPT_OUT 0, INTERIOR 1, SATURATED 2
             return DemandProfile(x, (r >= -LCP_TOL).astype(np.int8) + (r > LCP_TOL))

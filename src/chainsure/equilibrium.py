@@ -71,13 +71,15 @@ class EquilibriumReport:
 
 
 def _projected_norm(x: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> float:
-    """Infinity norm of the gradient with components pointing out of the box zeroed."""
-    if lo < x.min() and x.max() < hi:
-        return float(np.abs(grad).max())
-    pg = grad.copy()
-    pg[(x <= lo) & (grad < 0)] = 0.0
-    pg[(x >= hi) & (grad > 0)] = 0.0
-    return float(np.abs(pg).max())
+    """Infinity norm of the gradient with components pointing out of the box zeroed.
+
+    The box has lo < hi. A component at a bound it points past is clipped
+    to 0 there, whose absolute value is the zero it is replaced by.
+    """
+    if lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
+        return float(np.maximum.reduce(np.abs(grad)))
+    pg = np.where(x <= lo, np.maximum(grad, 0.0), np.where(x >= hi, np.minimum(grad, 0.0), grad))
+    return float(np.maximum.reduce(np.abs(pg)))
 
 
 def best_response_provider(params: MarketParams, graph: ExternalityGraph,
@@ -124,7 +126,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     free_block = FreeBlock()
     sweep_cap = 60 + 10 * n
 
-    prices = np.clip(start.prices.astype(float), price_lo, price_hi)
+    prices = np.minimum(np.maximum(start.prices, price_lo), price_hi)
     hbar = float(min(max(start.investment_ratio, 0.5), HBAR_CEILING))
     tolerance = max(opts.br_tolerance, 16.0 * math.ulp(2.0 * float(m_ones.max())))
 
@@ -160,7 +162,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
             prices, upper, grad = price_block(target, prices, upper, grad)
         # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
         # decreasing, so the box maximizer is the clamped root (p, M1 > 0)
-        slope_at_cost = float(prices @ m_ones) + params.risk.reward_scale
+        slope_at_cost = float(prices.dot(m_ones)) + params.risk.reward_scale
         root = 1.0 - math.sqrt(params.attacker_resource / slope_at_cost)
         new_hbar = float(min(max(root, 0.5), HBAR_CEILING))
         grad = grad + (new_hbar - hbar) * m_ones

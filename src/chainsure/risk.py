@@ -9,6 +9,7 @@ premium with its penalty for overpricing a well-defended chain.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,8 +137,9 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
     blocks = model.blocks_per_period
 
     def curve(gamma: float) -> float:
-        if gamma < 1.0:
-            raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
+        # written so that NaN fails
+        if not 1.0 <= gamma < math.inf:
+            raise ValueError(f"premium coefficient must be >= 1 and finite, got {gamma}")
         key = (blocks, gamma)
         mass = _distorted_masses.get(key)
         if mass is None:
@@ -170,8 +172,9 @@ def distorted_log_moments(model: RiskModel, gamma: float) -> tuple[float, float,
     Returns (integral B^(1/g), integral B^(1/g) ln B, integral B^(1/g) ln^2 B)
     over [1/2, 1] on the shared midpoint grid.
     """
-    if gamma < 1.0:
-        raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
+    # written so that NaN fails
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"premium coefficient must be >= 1 and finite, got {gamma}")
     _, survival, width = _model_survival(model)
     powered = survival ** (1.0 / gamma)
     logs = np.log(survival)
@@ -191,6 +194,7 @@ def reputation_penalty(hbar: float, gamma: float, beta: float) -> float:
         raise ValueError(f"penalty exponent must exceed 1, got {beta}")
     if not 0.5 <= hbar <= 1.0:
         raise ValueError(f"investment ratio must lie in [1/2, 1], got {hbar}")
-    if gamma < 1.0:
-        raise ValueError(f"premium coefficient must be >= 1, got {gamma}")
+    # written so that NaN fails
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"premium coefficient must be >= 1 and finite, got {gamma}")
     return (hbar - 0.5) ** 3 * (gamma - 1.0) * gamma**beta

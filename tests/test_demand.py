@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from chainsure.demand import (
     lcp_demand,
     spectral_radius,
 )
+from chainsure.equilibrium import _projected_norm
 from chainsure.errors import ContractionViolation, ConvergenceError
 from chainsure.market import PRICE_FLOOR
 from conftest import random_externality
@@ -268,6 +270,43 @@ class TestBoundRoutines:
 
 
 class TestSpectralRadius:
+    @pytest.fixture(autouse=True)
+    def under_two_seconds(self):
+        start = time.perf_counter()
+        yield
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("back_edge", [1e-12, 1e-8, 1e-4])
+    def test_weak_back_edge(self, back_edge):
+        # rho = sqrt(back_edge), far below the max row sum 1
+        w = np.array([[0.0, 1.0], [back_edge, 0.0]])
+        exact = float(np.max(np.abs(np.linalg.eigvals(w))))
+        assert spectral_radius(w) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("spread", [1e100, 1e160, 1e300])
+    def test_weights_far_apart_give_rho_or_raise(self, spread):
+        # rho = 1 for every spread; scaling by the largest weight pushes the
+        # smaller one toward or past the bottom of the float range
+        w = np.array([[0.0, spread], [1.0 / spread, 0.0]])
+        try:
+            rho = spectral_radius(w)
+        except ConvergenceError:
+            assert spread > 1e150
+        else:
+            assert rho == pytest.approx(1.0, rel=1e-9)
+
+    def test_cycle_not_reached_by_every_row(self):
+        # rows 0 and 1 form a 2-cycle of root 1, rows 2 and 3 one of root 2.
+        # Apart, rows 0 and 1 never reach the larger cycle, so their ratios
+        # stay at 1; the edge 0 -> 2 lets them reach it
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 1.0
+        w[2, 3] = w[3, 2] = 2.0
+        apart = w.copy()
+        w[0, 2] = 0.3
+        assert spectral_radius(w) == pytest.approx(2.0, rel=1e-9)
+        assert spectral_radius(apart) == pytest.approx(2.0, rel=1e-9)
+
     def test_swap_matrix(self):
         assert spectral_radius(SWAP) == pytest.approx(1.0, abs=1e-9)
 
@@ -299,16 +338,16 @@ class TestSpectralRadius:
             w = rng.uniform(0.0, 10.0, (n, n))
             np.fill_diagonal(w, 0.0)
             exact = float(np.max(np.abs(np.linalg.eigvals(w))))
-            assert spectral_radius(w) == pytest.approx(exact, rel=1e-8)
+            assert spectral_radius(w) == pytest.approx(exact, rel=1e-9)
 
     def test_bipartite_tie(self):
         # +/-rho eigenvalue pairs must not stall the iteration
         w = np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [1.5, 0.0, 0.0]])
         exact = float(np.max(np.abs(np.linalg.eigvals(w))))
-        assert spectral_radius(w) == pytest.approx(exact, rel=1e-8)
+        assert spectral_radius(w) == pytest.approx(exact, rel=1e-9)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        # two steps leave the estimate moving by far more than the tolerance
+        # two steps leave the bracket far wider than the tolerance
         monkeypatch.setattr(demand, "POWER_ITER_CAP", 2)
         w = np.random.default_rng(8).uniform(0.0, 10.0, (6, 6))
         np.fill_diagonal(w, 0.0)
@@ -466,17 +505,159 @@ def numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi):
     return x
 
 
+def frozen_element_sweep(matrix, diag, target, x, lo, hi):
+    """The row-by-row sweep as it was before it used the row view's .dot."""
+    out = x.copy()
+    for i, (x_i, t_i, d_i) in enumerate(zip(x.tolist(), target.tolist(), diag.tolist())):
+        step = (t_i - float(matrix[i] @ out)) / d_i
+        out[i] = min(hi, max(lo, x_i + step))
+    return out
+
+
+def frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi):
+    """The clamped branch's acceptance test as three gathered tests."""
+    free = ~(at_lo | at_hi)
+    return bool(np.all((solved[free] >= lo) & (solved[free] <= hi))
+                and np.all(unclamped[at_hi] >= hi) and np.all(unclamped[at_lo] <= lo))
+
+
+def frozen_projected_norm(x, grad, lo, hi):
+    """equilibrium._projected_norm as a copy with two masked writes."""
+    if lo < x.min() and x.max() < hi:
+        return float(np.abs(grad).max())
+    pg = grad.copy()
+    pg[(x <= lo) & (grad < 0)] = 0.0
+    pg[(x >= hi) & (grad > 0)] = 0.0
+    return float(np.abs(pg).max())
+
+
+def frozen_fixed_point_residual(x, r):
+    """lcp_demand's stopping residual through np.clip."""
+    return float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
+
+
+def frozen_gauss_seidel_sweep(matrix, diag, target, x, upper, residual, lo, hi):
+    """gauss_seidel_sweep with the three gathered acceptance tests, the
+    free block gathered on every clamped sweep and the frozen row-by-row
+    sweep."""
+    kt = matrix.T
+    rhs = target - upper
+    jacobi = x + residual / diag
+    new = None
+    if lo < jacobi.min() and jacobi.max() < hi:
+        solved = demand.dtrsv(kt, rhs, trans=1)
+        if lo <= solved.min() and solved.max() <= hi:
+            new, lower = solved, rhs
+    else:
+        at_lo, at_hi = jacobi <= lo, jacobi >= hi
+        free = ~(at_lo | at_hi)
+        held = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+        solved = held.copy()
+        if free.any():
+            free_rhs = rhs - demand.dtrmv(kt, held, trans=1) + diag * held
+            block = matrix[np.ix_(free, free)]
+            solved[free] = demand.dtrsv(block.T, free_rhs[free], trans=1)
+        lower = demand.dtrmv(kt, solved, trans=1)
+        unclamped = (rhs - lower + diag * solved) / diag
+        if frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi):
+            new = solved
+    if new is None:
+        new = frozen_element_sweep(matrix, diag, target, x, lo, hi)
+        lower = demand.dtrmv(kt, new, trans=1)
+    upper = demand.dtrmv(kt, new, lower=1, trans=1, diag=1) - new
+    return new, upper, target - upper - lower
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# the boxes the solvers sweep over: demand's, the provider's at the shipped
+# price cap, and the trajectory tests'
+BOXES = [(0.0, 1.0), (PRICE_FLOOR, 0.95), (0.1, 0.9)]
+
+
+def edge_floats(lo, hi):
+    """Each bound, its neighbours either side, signed zeros, NaN, or a plain
+    value; the quotients have full mantissas, so sums of them round."""
+    specials = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf), 0.0, -0.0, math.nan]
+    return (st.sampled_from([float(v) for v in specials]) | st.floats(-2.0, 3.0)
+            | st.integers(-2 * 999_983, 3 * 999_983).map(lambda k: k / 999_983))
+
+
+@st.composite
+def box_vectors(draw, count):
+    """A box and `count` vectors of one length drawn from edge_floats."""
+    lo, hi = draw(st.sampled_from(BOXES))
+    n = draw(st.integers(1, 12))
+    vectors = [np.array(draw(st.lists(edge_floats(lo, hi), min_size=n, max_size=n)))
+               for _ in range(count)]
+    return lo, hi, vectors
+
+
 class TestKernelsBitIdentical:
     """The kernels' faster forms give the bits of the forms they replace."""
 
+    @given(data=st.data())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_clamped_acceptance_equals_gathered_tests(self, data):
+        lo, hi, (free_values, unclamped) = data.draw(box_vectors(2))
+        # every row free, every row held, or a mix
+        rows = data.draw(st.lists(st.sampled_from(["lo", "hi", "free"]),
+                                  min_size=free_values.size, max_size=free_values.size))
+        at_lo, at_hi = np.array(rows) == "lo", np.array(rows) == "hi"
+        free = ~(at_lo | at_hi)
+        solved = np.where(at_lo, lo, np.where(at_hi, hi, free_values))
+        kept = demand._clamped_solve_kept(free, solved, unclamped, lo, hi)
+        assert kept == frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi)
+
+    @given(box_vectors(2))
+    @example((0.0, 1.0, [np.array([0.0, 1.0]), np.array([-0.0, 0.0])]))
+    @example((0.0, 1.0, [np.array([0.0, 0.5, 1.0]), np.array([-0.0, math.nan, 0.0])]))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_projected_norm_equals_masked_writes(self, box):
+        lo, hi, (x, grad) = box
+        assert same_bits(_projected_norm(x, grad, lo, hi), frozen_projected_norm(x, grad, lo, hi))
+
+    @given(box_vectors(2))
+    @example((0.0, 1.0, [np.array([-0.0, 0.0]), np.array([-0.0, -0.0])]))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_fixed_point_residual_equals_clip(self, box):
+        _, _, (x, r) = box
+        assert same_bits(demand._fixed_point_residual(x, r), frozen_fixed_point_residual(x, r))
+
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
-           lo=st.sampled_from([0.0, 0.1, PRICE_FLOOR]), hi=st.sampled_from([0.9, 1.0, 2.0]))
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    def test_element_sweep_equals_numpy_scalar_sweep(self, n, seed, symmetric, lo, hi):
+           box=st.sampled_from(BOXES))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_sweeps_equal_frozen_sweeps(self, n, seed, symmetric, box):
+        # every branch, as the trajectory meets it, against the frozen kernel
+        lo, hi = box
         matrix, target, x = sweep_problem(n, seed, symmetric)
         diag = np.diagonal(matrix)
+        state = frozen = (x,) + gauss_seidel_state(matrix, target, x)
+        carried = FreeBlock()
+        for _ in range(30):
+            state = gauss_seidel_sweep(matrix, diag, target, *state, lo, hi, carried)
+            frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *frozen, lo, hi)
+            for a, b in zip(state, frozen):
+                assert a.tobytes() == b.tobytes()
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
+           lo=st.sampled_from([0.0, 0.1, PRICE_FLOOR]), hi=st.sampled_from([0.9, 1.0, 2.0]),
+           snapped=st.integers(0, 2**40))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_element_sweep_equals_numpy_scalar_sweep(self, n, seed, symmetric, lo, hi, snapped):
+        # the bits of snapped put some iterates exactly on a bound and make
+        # some targets signed zeros
+        matrix, target, x = sweep_problem(n, seed, symmetric)
+        rows = np.arange(n)
+        x = np.where(snapped >> rows & 1 == 1, np.where(rows % 2 == 0, lo, hi), x)
+        target = np.where(snapped >> (rows + 20) & 1 == 1, np.where(rows % 3 == 0, -0.0, 0.0), target)
+        diag = np.diagonal(matrix)
         swept = demand._element_sweep(matrix, diag, target, x, lo, hi)
-        assert np.array_equal(swept, numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi))
+        for reference in (numpy_scalar_element_sweep, frozen_element_sweep):
+            assert swept.tobytes() == reference(matrix, diag, target, x, lo, hi).tobytes()
 
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
            switch=st.integers(1, 15))

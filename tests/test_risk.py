@@ -130,6 +130,18 @@ class TestPremium:
         with pytest.raises(ValueError):
             premium_curve(DEFAULTS)(0.99)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    @pytest.mark.parametrize("gamma_function", [
+        lambda g: premium(DEFAULTS, g),
+        lambda g: premium_curve(DEFAULTS)(g),
+        lambda g: distorted_log_moments(DEFAULTS, g),
+        lambda g: reputation_penalty(0.75, g, 10.0),
+    ], ids=["premium", "premium_curve", "distorted_log_moments", "reputation_penalty"])
+    def test_non_finite_gamma_rejected(self, gamma_function, gamma):
+        # NaN fails no `gamma < 1` test, and inf priced at claim_scale / 2
+        with pytest.raises(ValueError, match="finite"):
+            gamma_function(gamma)
+
     def test_curve_matches_table_formula(self):
         curve = premium_curve(DEFAULTS)
         _, survival, width = _model_survival(DEFAULTS)
