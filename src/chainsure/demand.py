@@ -39,6 +39,9 @@ from .errors import ContractionViolation, ConvergenceError, UniquenessViolation
 
 POWER_ITER_TOL = 1e-10
 POWER_ITER_CAP = 100_000
+# sweeps spectral_radius's balancing may take; stopping early leaves a
+# similar matrix that is only less well balanced
+BALANCE_SWEEP_CAP = 100
 LCP_TOL = 1e-10
 LCP_ITER_CAP = 10**6
 BRUTE_FORCE_MAX_USERS = 12
@@ -185,7 +188,7 @@ class ExternalityGraph:
         rhs is copied first, since lu_solve may solve in place.
         """
         out = lu_solve(self._lu, np.array(rhs, dtype=float), trans=1 if transpose else 0)
-        if not np.all(np.isfinite(out)):
+        if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise np.linalg.LinAlgError("demand system is numerically singular")
         return out
 
@@ -261,11 +264,14 @@ class DemandProfile:
 
     @property
     def total(self) -> float:
-        return float(np.sum(self.x))
+        # np.sum's reduction, without its Python wrapper
+        return float(np.add.reduce(self.x, axis=None))
 
     def out_of_box(self, tol: float = 1e-9) -> bool:
         """True when any component leaves [0, 1] by more than tol."""
-        return bool(np.any(self.x < -tol) or np.any(self.x > 1.0 + tol))
+        # np.any's reductions, without its Python wrapper
+        return bool(np.logical_or.reduce(self.x < -tol, axis=None)
+                    or np.logical_or.reduce(self.x > 1.0 + tol, axis=None))
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -275,9 +281,11 @@ def spectral_radius(matrix: np.ndarray) -> float:
     peeled row closes a block-triangular split with a zero diagonal
     block, so the rows that remain have the same Perron root, and when
     every row peels the digraph is acyclic and that root is 0. The rest
-    is scaled once by its largest entry, so no iterate overflows; weights
-    so far apart that the scaling pushes one below the normal float range
-    raise ConvergenceError.
+    is balanced (see _balance), which brings weights that span more than
+    the float range back within it where a diagonal similarity can, and
+    then scaled once by its largest entry, so no iterate overflows;
+    weights still so far apart that the scaling pushes one below the
+    normal float range raise ConvergenceError.
 
     Shifted power iteration then stops on the Collatz-Wielandt bracket,
     min_i (g x)_i / x_i <= rho <= max_i (g x)_i / x_i for any x > 0, once
@@ -291,10 +299,10 @@ def spectral_radius(matrix: np.ndarray) -> float:
     finds a small root as fast as a large one. This is a diagnostic: no
     graph computes it unless rho is read.
     """
-    g = np.asarray(matrix, dtype=float)
-    edges = g != 0.0
+    weights = np.asarray(matrix, dtype=float)
+    edges = weights != 0.0
     out_degree = edges.sum(axis=1)
-    live = np.ones(g.shape[0], dtype=bool)
+    live = np.ones(weights.shape[0], dtype=bool)
     peel = out_degree == 0
     while peel.any():
         live &= ~peel
@@ -302,13 +310,16 @@ def spectral_radius(matrix: np.ndarray) -> float:
         peel = live & (out_degree == 0)
     if not live.any():
         return 0.0
-    g = g[np.ix_(live, live)]
+    g = weights[np.ix_(live, live)]  # a copy, balanced in place
+    positive = g > 0.0
+    _balance(g)
     scale = float(g.max())
     scaled = g / scale
-    if np.any((g > 0.0) & (scaled < np.finfo(float).tiny)):
+    if np.any(positive & (scaled < np.finfo(float).tiny)):
         # a weight pushed below the normal range has lost its digits, so
         # the scaled matrix no longer has the Perron root asked for
-        raise ConvergenceError(f"weights from {g[g > 0.0].min():.3g} to {scale:.3g} span "
+        nonzero = weights[np.ix_(live, live)][positive]
+        raise ConvergenceError(f"weights from {nonzero.min():.3g} to {nonzero.max():.3g} span "
                                "more than the float range")
     g = scaled
     x = np.ones(g.shape[0])
@@ -332,6 +343,46 @@ def spectral_radius(matrix: np.ndarray) -> float:
     )
 
 
+def _balance(g: np.ndarray) -> None:
+    """Replace g by D^-1 g D, in place, for a diagonal D of powers of two
+    that brings each row's off-diagonal sum within a factor of about 2 of
+    its column's (Parlett & Reinsch 1969, as in LAPACK dgebal).
+
+    A similarity keeps the spectrum, and powers of two scale exactly
+    unless an entry leaves the normal float range, so balancing costs no
+    digits. It shrinks the span of weights such as [[0, s], [1/s, 0]],
+    which no single scaling brings within the float range for s = 1e160.
+    A step is kept only when it lowers its row's and column's sums
+    together by at least 5 %, which lowers the sum of all off-diagonal
+    weights by as much; the diagonal is left out, since D does not
+    change it. g must be nonnegative.
+    """
+    diagonal = np.diagonal(g).copy()
+    np.fill_diagonal(g, 0.0)
+    with np.errstate(over="ignore"):  # a sum past the float range is skipped below
+        for _ in range(BALANCE_SWEEP_CAP):
+            moved = False
+            for i in range(g.shape[0]):
+                col, row = float(np.add.reduce(g[:, i])), float(np.add.reduce(g[i]))
+                # a row or column with no weight, or one whose sum overflows, stays
+                if not (0.0 < col < math.inf and 0.0 < row < math.inf):
+                    continue
+                # the power of two f with col * f^2 in [row / 2, 2 row); col
+                # holds col * f^2 as it goes
+                f, total = 1.0, col + row
+                while col < 0.5 * row:
+                    f, col = 2.0 * f, 4.0 * col
+                while col >= 2.0 * row:
+                    f, col = 0.5 * f, 0.25 * col
+                if (col + row) / f < 0.95 * total:
+                    g[i] /= f
+                    g[:, i] *= f
+                    moved = True
+            if not moved:
+                break
+    np.fill_diagonal(g, diagonal)
+
+
 def _demand_rhs(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> np.ndarray:
     """b = (1 + hbar) 1 - p for every follower solver; ValueError on a bad shape or a NaN/inf."""
     p = np.asarray(p, dtype=float)
@@ -339,7 +390,7 @@ def _demand_rhs(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> np.ndarr
         raise ValueError(f"price vector has shape {p.shape}, expected ({graph.n_users},)")
     with np.errstate(over="ignore", invalid="ignore"):
         b = (1.0 + hbar) - p
-    if not np.all(np.isfinite(b)):
+    if not np.logical_and.reduce(np.isfinite(b)):
         raise ValueError(f"demand right-hand side (1 + hbar) - p is not finite (hbar = {hbar})")
     return b
 

@@ -33,9 +33,8 @@ from .market import (
     InsurerStrategy,
     MarketParams,
     ProviderStrategy,
-    insurer_profit,
     insurer_profit_curve,
-    provider_profit,
+    provider_profit_at,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -59,13 +58,23 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumReport:
-    """A solved market. rounds counts the provider passes (always 2); a solve
-    that fails raises, so a returned report has converged=True."""
+    """A solved market: both leaders' strategies and what they give.
+
+    demand is the users' response at the provider's prices. profits holds
+    (provider, insurer), each evaluated as market.provider_profit and
+    market.insurer_profit would, premium is the premium at the insurer's
+    gamma and attack_probability the attack probability at the provider's
+    investment ratio; each is computed once, at the returned strategies.
+    rounds counts the provider passes (always 2); a solve that fails
+    raises, so a returned report has converged=True.
+    """
 
     provider: ProviderStrategy
     insurer: InsurerStrategy
     demand: DemandProfile
     profits: tuple[float, float]
+    premium: float
+    attack_probability: float
     rounds: int
     converged: bool
 
@@ -217,13 +226,6 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
     return InsurerStrategy(float(gamma))
 
 
-def _refresh_demand(graph: ExternalityGraph, s_p: ProviderStrategy) -> DemandProfile:
-    profile = closed_form_demand(graph, s_p.investment_ratio, s_p.prices)
-    if profile.out_of_box():
-        profile = lcp_demand(graph, s_p.investment_ratio, s_p.prices)
-    return profile
-
-
 def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
                       start_p: ProviderStrategy,
                       opts: SolveOptions = SolveOptions()) -> EquilibriumReport:
@@ -237,19 +239,32 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
     The demand comes from the closed form, falling back to the clamped
     solver when a component leaves [0, 1].
 
+    The report's numbers are evaluated once each: the provider's profit
+    reads the closed form's interior demand (the profit is defined on it
+    even when the clamped solver replaces it), and the insurer's profit,
+    the premium and the attack probability come from one insurer profit
+    curve at the returned strategies.
+
     Raises ConvergenceError when a best response hits its iteration cap.
     """
     s_p = best_response_provider(params, graph, start_p, opts)
     s_p = best_response_provider(params, graph, s_p, opts)
     s_i = best_response_insurer(params, s_p, opts)
+    hbar, prices = s_p.investment_ratio, s_p.prices
+    interior = closed_form_demand(graph, hbar, prices)
+    demand = lcp_demand(graph, hbar, prices) if interior.out_of_box() else interior
+    insurer_curve = insurer_profit_curve(params, s_p)
+    premium = insurer_curve.premium(s_i.gamma)
     return EquilibriumReport(
         provider=s_p,
         insurer=s_i,
-        demand=_refresh_demand(graph, s_p),
+        demand=demand,
         profits=(
-            provider_profit(params, graph, s_p, s_i),
-            insurer_profit(params, s_p, s_i),
+            provider_profit_at(params, s_p, interior.x, premium),
+            insurer_curve(s_i.gamma),
         ),
+        premium=premium,
+        attack_probability=insurer_curve.attack_probability,
         rounds=2,
         converged=True,
     )

@@ -24,7 +24,7 @@ from .demand import ExternalityGraph
 from .equilibrium import SolveOptions, solve_stackelberg
 from .errors import ChainsureError, ConfigurationError, check_seed, is_integer, is_real
 from .market import MarketParams, ProviderStrategy, infrastructure_cost
-from .risk import RiskModel, attack_probability, premium
+from .risk import RiskModel
 
 
 def _as_list(name: str, value, kind) -> list:
@@ -196,8 +196,8 @@ def solve_row(config: ExperimentConfig, graph: ExternalityGraph, n: int, alpha: 
         hbar_star=hbar,
         gamma_star=report.insurer.gamma,
         investment=infrastructure_cost(params, hbar),
-        attack_prob=attack_probability(params.risk, hbar),
-        premium=premium(params.risk, report.insurer.gamma),
+        attack_prob=report.attack_probability,
+        premium=report.premium,
         profit_provider=report.profits[0],
         profit_insurer=report.profits[1],
         converged=report.converged,

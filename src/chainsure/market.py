@@ -77,8 +77,8 @@ class ProviderStrategy:
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.prices, dtype=float)).copy()
-        # written so that NaN fails
-        if not np.all((p > 0) & (p < math.inf)):
+        # written so that NaN fails; np.all's reduction, without its wrapper
+        if not np.logical_and.reduce((p > 0) & (p < math.inf), axis=None):
             raise ValueError("prices must be strictly positive and finite")
         if not 0.5 <= self.investment_ratio < 1.0:
             raise ValueError(
@@ -89,7 +89,8 @@ class ProviderStrategy:
 
     @property
     def mean_price(self) -> float:
-        return float(np.mean(self.prices))
+        # np.mean's sum and division, without its wrapper
+        return float(np.add.reduce(self.prices, axis=None) / self.prices.size)
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def validate_strategies(params: MarketParams, graph: ExternalityGraph,
         raise ValueError(
             f"price vector has shape {s_p.prices.shape}, expected ({graph.n_users},)"
         )
-    if np.any(s_p.prices > params.price_cap + 1e-12):
+    if np.logical_or.reduce(s_p.prices > params.price_cap + 1e-12):
         raise ValueError("a price exceeds the regulated cap")
     if s_i.gamma > params.gamma_cap + 1e-12:
         raise ValueError("gamma exceeds the regulated cap")
@@ -136,11 +137,18 @@ def provider_profit(params: MarketParams, graph: ExternalityGraph,
     """Revenue on interior demand, minus infrastructure cost, plus mining
     income, minus the insurance premium."""
     validate_strategies(params, graph, s_p, s_i)
+    x = graph.solve(_demand_rhs(graph, s_p.investment_ratio, s_p.prices))
+    return provider_profit_at(params, s_p, x, premium(params.risk, s_i.gamma))
+
+
+def provider_profit_at(params: MarketParams, s_p: ProviderStrategy, x: np.ndarray,
+                       premium_paid: float) -> float:
+    """provider_profit's formula, given the interior demand x at s_p's prices
+    and the premium paid, so that a caller holding both solves nothing."""
     hbar = s_p.investment_ratio
-    x = graph.solve(_demand_rhs(graph, hbar, s_p.prices))
     revenue = float(s_p.prices @ x)
     mining = hbar * params.risk.reward_scale
-    return revenue - infrastructure_cost(params, hbar) + mining - premium(params.risk, s_i.gamma)
+    return revenue - infrastructure_cost(params, hbar) + mining - premium_paid
 
 
 def insurer_profit_curve(params: MarketParams,
@@ -150,10 +158,14 @@ def insurer_profit_curve(params: MarketParams,
     Premium income minus the expected claim minus the overpricing penalty.
     The expected claim and the penalty's hbar factor depend on hbar only,
     and the premium curve on the risk model only, so they are set up once
-    here rather than at every gamma a search tries.
+    here rather than at every gamma a search tries. The returned function
+    also carries what went into it, for a caller that reports them:
+    .premium, the premium as a function of gamma, and .attack_probability,
+    the attack probability at s_p's investment ratio.
     """
     hbar = s_p.investment_ratio
-    expected_claim = attack_probability(params.risk, hbar) * hbar * params.risk.claim_scale
+    attack = attack_probability(params.risk, hbar)
+    expected_claim = attack * hbar * params.risk.claim_scale
     premium_of = premium_curve(params.risk)
     # reputation_penalty's (hbar - 1/2)^3, evaluated in its order; MarketParams
     # and ProviderStrategy hold its checks on beta and hbar, and premium_of
@@ -164,6 +176,8 @@ def insurer_profit_curve(params: MarketParams,
     def profit(gamma: float) -> float:
         return premium_of(gamma) - expected_claim - cube * (gamma - 1.0) * gamma**beta
 
+    profit.premium = premium_of
+    profit.attack_probability = attack
     return profit
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,9 +24,11 @@ _WIDTH = 0.5 / GRID_INTERVALS
 # the grid's nodes as Python floats, the form the scalar kernels run fastest on
 _NODES = tuple((0.5 + (np.arange(GRID_INTERVALS) + 0.5) * _WIDTH).tolist())
 # premium_curve's memo: distorted survival mass per (blocks_per_period,
-# gamma), at most DISTORTED_MASSES_KEPT of them, the oldest dropped first
+# gamma), at most DISTORTED_MASSES_KEPT of them, the oldest dropped first.
+# An OrderedDict drops its oldest in O(1): a plain dict finds its first key
+# by scanning past every slot that earlier drops freed at its front.
 DISTORTED_MASSES_KEPT = 1024
-_distorted_masses: dict[tuple[float, float], float] = {}
+_distorted_masses: OrderedDict[tuple[float, float], float] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,10 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
         key = (blocks, gamma)
         mass = _distorted_masses.get(key)
         if mass is None:
-            mass = float((survival ** (1.0 / gamma)).sum() * width)
+            # ndarray.sum's pairwise sum, without its Python wrapper
+            mass = float(np.add.reduce(survival ** (1.0 / gamma)) * width)
             if len(_distorted_masses) >= DISTORTED_MASSES_KEPT:
-                del _distorted_masses[next(iter(_distorted_masses))]
+                _distorted_masses.popitem(last=False)
             _distorted_masses[key] = mass
         return claim_scale * mass
 

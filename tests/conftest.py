@@ -11,6 +11,7 @@ this purpose.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chainsure import ExternalityGraph
 from chainsure.specfun import adaptive_simpson
@@ -104,3 +105,25 @@ def fd_provider_gradient(profit_fn, prices: np.ndarray, hbar: float,
         out[k] = central_difference(along_price, prices[k], step)
     out[n] = richardson_difference(lambda v: profit_fn(prices, v), hbar, step)
     return out
+
+
+@st.composite
+def edge_arrays(draw, bounds=()):
+    """Float arrays for comparing a check with the form it replaced: empty,
+    1-D or 2-D, of NaN, +-inf, +-0.0, each bound and its float neighbours,
+    or plain values."""
+    specials = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    for bound in bounds:
+        specials += [bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    shape = draw(st.sampled_from([(0,), (1,), (2,), (5,), (2, 3), (0, 2)]))
+    values = draw(st.lists(st.sampled_from(specials) | st.floats(-3.0, 3.0),
+                           min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+def outcome(fn, *args):
+    """("ok", fn's result) or (the exception's type, its message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the type is what the comparison checks
+        return type(exc), str(exc)

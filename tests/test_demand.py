@@ -31,7 +31,7 @@ from chainsure.demand import (
 from chainsure.equilibrium import _projected_norm
 from chainsure.errors import ContractionViolation, ConvergenceError
 from chainsure.market import PRICE_FLOOR
-from conftest import random_externality
+from conftest import edge_arrays, outcome, random_externality
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 CHAIN_4 = np.triu(np.ones((4, 4)), 1)  # user i influenced by every later user: acyclic
@@ -285,15 +285,21 @@ class TestSpectralRadius:
 
     @pytest.mark.parametrize("spread", [1e100, 1e160, 1e300])
     def test_weights_far_apart_give_rho_or_raise(self, spread):
-        # rho = 1 for every spread; scaling by the largest weight pushes the
-        # smaller one toward or past the bottom of the float range
-        w = np.array([[0.0, spread], [1.0 / spread, 0.0]])
-        try:
-            rho = spectral_radius(w)
-        except ConvergenceError:
-            assert spread > 1e150
-        else:
-            assert rho == pytest.approx(1.0, rel=1e-9)
+        # rho = 1 for every spread, on a 2-cycle and a 3-cycle; scaling by the
+        # largest weight alone pushes the smallest toward or past the bottom
+        # of the float range, and balancing first keeps its digits
+        two_cycle = np.array([[0.0, spread], [1.0 / spread, 0.0]])
+        three_cycle = np.array([[0.0, spread, 0.0], [0.0, 0.0, 1.0], [1.0 / spread, 0.0, 0.0]])
+        assert spectral_radius(two_cycle) == pytest.approx(1.0, rel=1e-9)
+        assert spectral_radius(three_cycle) == pytest.approx(1.0, rel=1e-9)
+
+    def test_cycles_no_similarity_brings_within_range_raise(self):
+        # cycle products 1e400 and 1e-400, which a diagonal similarity keeps:
+        # whatever it is, a weight of the small cycle lies a factor of 1e400
+        # or more below the largest
+        w = np.array([[0.0, 1e200, 1e-200], [1e200, 0.0, 0.0], [1e-200, 0.0, 0.0]])
+        with pytest.raises(ConvergenceError, match="weights from 1e-200 to 1e.200 span"):
+            spectral_radius(w)
 
     def test_cycle_not_reached_by_every_row(self):
         # rows 0 and 1 form a 2-cycle of root 1, rows 2 and 3 one of root 2.
@@ -713,6 +719,64 @@ class TestKernelsBitIdentical:
         quad = graph.symmetric_influence
         assert np.array_equal(quad, np.add(inverse, inverse.T, order="C"))
         assert quad.flags.c_contiguous and not quad.flags.writeable
+
+
+def frozen_demand_rhs(graph, hbar, p):
+    """demand._demand_rhs in its np.all form."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (graph.n_users,):
+        raise ValueError(f"price vector has shape {p.shape}, expected ({graph.n_users},)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = (1.0 + hbar) - p
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"demand right-hand side (1 + hbar) - p is not finite (hbar = {hbar})")
+    return b
+
+
+class TestChecksEqualFrozenForms:
+    """The per-point checks and reductions, written as ufunc reductions,
+    give what their np.all / np.any / np.sum forms did, with the same error."""
+
+    @given(edge_arrays())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_graph_solve_finiteness(self, solved):
+        graph = ExternalityGraph(SWAP, 0.5)
+
+        def frozen_solve(rhs):
+            if not np.all(np.isfinite(solved)):
+                raise np.linalg.LinAlgError("demand system is numerically singular")
+            return solved
+
+        with pytest.MonkeyPatch.context() as patch:
+            # the check reads what the LAPACK solve returns
+            patch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: solved)
+            kind, value = outcome(graph.solve, np.ones(2))
+        frozen_kind, frozen_value = outcome(frozen_solve, np.ones(2))
+        assert kind == frozen_kind
+        assert value is frozen_value if kind == "ok" else value == frozen_value
+
+    @given(edge_arrays(bounds=(1.0, -1e308)),  # 1e308 - (-1e308) overflows
+           st.sampled_from([0.5, 0.75, 1e308, -1e308, math.inf, -math.inf, math.nan]))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_demand_rhs(self, prices, hbar):
+        n = prices.shape[0] if prices.ndim == 1 and prices.size else 3
+        graph = ExternalityGraph(np.zeros((n, n)), 0.0)
+        kind, value = outcome(demand._demand_rhs, graph, hbar, prices)
+        frozen_kind, frozen_value = outcome(frozen_demand_rhs, graph, hbar, prices)
+        assert kind == frozen_kind
+        if kind == "ok":
+            assert value.tobytes() == frozen_value.tobytes()
+        else:
+            assert value == frozen_value
+
+    @given(edge_arrays(bounds=(-1e-9, 1.0 + 1e-9, -0.25, 1.25)),
+           st.sampled_from([1e-9, 0.0, 0.25, math.nan]))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_profile_out_of_box_and_total(self, x, tol):
+        profile = DemandProfile(x, np.zeros(x.shape, dtype=np.int8))
+        assert profile.out_of_box(tol) == bool(np.any(x < -tol) or np.any(x > 1.0 + tol))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
+            assert same_bits(profile.total, float(np.sum(x)))
 
 
 class TestLcpDemand:

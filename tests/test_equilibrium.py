@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chainsure import demand, equilibrium, harness, market
@@ -26,7 +26,8 @@ from chainsure.market import (
     provider_gradient,
     provider_profit,
 )
-from chainsure.risk import RiskModel
+from chainsure.demand import closed_form_demand, lcp_demand
+from chainsure.risk import RiskModel, attack_probability, premium
 from conftest import random_externality
 
 RISK = RiskModel(10.0, 100, 10.0, 10.0)
@@ -589,6 +590,105 @@ class TestSolveStackelberg:
         assert np.all(report.demand.x <= 1.0 + 1e-12)
         if np.all(report.demand.partition == Segment.SATURATED):
             assert report.demand.total == pytest.approx(20.0)
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def recorded_solve_row(config, graph, point):
+    """harness.solve_row at one point, with the report it read its row from."""
+    reports = []
+
+    def recorded(*args):
+        reports.append(solve_stackelberg(*args))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "solve_stackelberg", recorded)
+        row = harness.solve_row(config, graph, *point)
+    return row, reports[0]
+
+
+class TestReportedNumbers:
+    """The report and the row hold, bit for bit, what the public functions
+    give at the returned strategies, and each is computed once."""
+
+    @given(
+        n=st.integers(1, 8),
+        alpha_rho=st.sampled_from([0.0, 1e-3, 0.03, 0.2, 0.6, 0.9]),
+        price_cap=st.floats(0.2, 2.0),
+        attacker_resource=st.floats(5.0, 500.0),
+        tx_per_block=st.integers(10, 400),
+        blocks_per_period=st.sampled_from([2.0, 10.0, 37.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_report_equals_the_public_functions(self, n, alpha_rho, price_cap, attacker_resource,
+                                                 tx_per_block, blocks_per_period, seed):
+        # alpha runs from 0 to 0.9 / rho(G), well past where the first user
+        # saturates (alpha * rho near 0.045 at the defaults)
+        weights = harness.generate_instance(
+            harness.ExperimentConfig.from_dict({"n_users": [n], "seed": seed}), n, 0.0).weights
+        rho = float(np.max(np.abs(np.linalg.eigvals(weights))))
+        alpha = alpha_rho / rho if rho > 0.0 else alpha_rho
+        config = harness.ExperimentConfig.from_dict({
+            "n_users": [n], "alpha": [alpha], "price_cap": price_cap,
+            "attacker_resource": [attacker_resource], "tx_per_block": [tx_per_block],
+            "blocks_per_period": blocks_per_period, "seed": seed})
+        graph = ExternalityGraph(weights, alpha)
+        point = harness.sweep_points(config)[0]
+        row, report = recorded_solve_row(config, graph, point)
+        params = config.market_params(attacker_resource, tx_per_block)
+        s_p, s_i = report.provider, report.insurer
+        hbar, prices = s_p.investment_ratio, s_p.prices
+
+        interior = closed_form_demand(graph, hbar, prices)
+        clamped = interior.out_of_box()
+        demand = lcp_demand(graph, hbar, prices) if clamped else interior
+        event("clamped demand" if clamped else "interior demand")
+        assert report.demand.x.tobytes() == demand.x.tobytes()
+        assert report.demand.partition.tobytes() == demand.partition.tobytes()
+        assert same_bits(row.total_demand, np.sum(demand.x))
+        assert same_bits(row.mean_price, np.mean(prices))
+
+        profit_p = provider_profit(params, graph, s_p, s_i)
+        profit_i = insurer_profit(params, s_p, s_i)
+        assert same_bits(report.profits[0], profit_p) and same_bits(row.profit_provider, profit_p)
+        assert same_bits(report.profits[1], profit_i) and same_bits(row.profit_insurer, profit_i)
+        assert same_bits(row.premium, premium(params.risk, s_i.gamma))
+        assert same_bits(row.attack_prob, attack_probability(params.risk, hbar))
+
+    def test_each_number_is_computed_once(self, monkeypatch):
+        # after the two provider passes: one interior demand solve, the attack
+        # probability once for the insurer's search and once for the report,
+        # and no profit rebuilt through the public functions
+        config = harness.ExperimentConfig.from_dict({
+            "n_users": [30], "alpha": [0.005 / (5.0 * 29)], "price_cap": 1.2,
+            "attacker_resource": [80.0], "tx_per_block": [150], "seed": 4})
+        graph = harness.generate_instance(config, 30, config.alpha[0])
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def provider_pass(*args, **kwargs):
+            s_p = best_response_provider(*args, **kwargs)
+            counts.clear()
+            return s_p
+
+        monkeypatch.setattr(equilibrium, "best_response_provider", provider_pass)
+        monkeypatch.setattr(ExternalityGraph, "solve", counted("solve", ExternalityGraph.solve))
+        for module in (market, equilibrium, harness):
+            for name in ("attack_probability", "provider_profit", "insurer_profit"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        row = harness.solve_row(config, graph, *harness.sweep_points(config)[0])
+        assert row.converged
+        assert counts == {"solve": 1, "attack_probability": 2}
 
 
 class TestInRangeConfigs:

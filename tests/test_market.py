@@ -1,7 +1,11 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsure.demand import ExternalityGraph
 from chainsure.market import (
@@ -18,11 +22,14 @@ from chainsure.market import (
     provider_gradient,
     provider_hessian,
     provider_profit,
+    validate_strategies,
 )
 from chainsure.risk import RiskModel, attack_probability, expected_loss, premium
 from conftest import (
+    edge_arrays,
     fd_provider_gradient,
     nested_adaptive_premium,
+    outcome,
     random_externality,
     richardson_difference,
 )
@@ -69,6 +76,57 @@ class TestTypes:
             with pytest.raises(ValueError):
                 InsurerStrategy(bad)
         assert InsurerStrategy(1.0).gamma == 1.0  # break-even policy is expressible
+
+
+def frozen_provider_strategy(prices, investment_ratio):
+    """ProviderStrategy's checks and stored prices in their np.all form."""
+    p = np.atleast_1d(np.asarray(prices, dtype=float)).copy()
+    if not np.all((p > 0) & (p < math.inf)):
+        raise ValueError("prices must be strictly positive and finite")
+    if not 0.5 <= investment_ratio < 1.0:
+        raise ValueError(f"investment ratio must lie in [1/2, 1), got {investment_ratio}")
+    return p
+
+
+def frozen_validate_strategies(params, graph, s_p, s_i):
+    """validate_strategies in its np.any form."""
+    if s_p.prices.shape != (graph.n_users,):
+        raise ValueError(f"price vector has shape {s_p.prices.shape}, expected ({graph.n_users},)")
+    if np.any(s_p.prices > params.price_cap + 1e-12):
+        raise ValueError("a price exceeds the regulated cap")
+    if s_i.gamma > params.gamma_cap + 1e-12:
+        raise ValueError("gamma exceeds the regulated cap")
+
+
+class TestChecksEqualFrozenForms:
+    """The strategy checks, written as ufunc reductions, accept and reject
+    what their np.all / np.any forms did, with the same error."""
+
+    @given(edge_arrays(bounds=(0.0,)), st.sampled_from([0.75, 0.5, 0.4, 1.0, math.nan]))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_provider_strategy(self, prices, investment_ratio):
+        kind, value = outcome(ProviderStrategy, prices, investment_ratio)
+        frozen_kind, frozen_value = outcome(frozen_provider_strategy, prices, investment_ratio)
+        assert kind == frozen_kind
+        if kind != "ok":
+            assert value == frozen_value
+            return
+        assert value.prices.tobytes() == frozen_value.tobytes()
+        with warnings.catch_warnings():  # the mean of no prices is NaN, with a warning
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mean, frozen_mean = value.mean_price, float(np.mean(frozen_value))
+        assert np.float64(mean).tobytes() == np.float64(frozen_mean).tobytes()
+
+    @given(edge_arrays(bounds=(PARAMS.price_cap + 1e-12,)),
+           st.sampled_from([1.5, PARAMS.gamma_cap + 1e-12, 2.5, math.nan]))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_validate_strategies(self, prices, gamma):
+        # a stand-in strategy, so that prices ProviderStrategy rejects reach the check
+        n = prices.shape[0] if prices.ndim == 1 and prices.size else 3
+        graph = ExternalityGraph(np.zeros((n, n)), 0.0)
+        s_p, s_i = types.SimpleNamespace(prices=prices), types.SimpleNamespace(gamma=gamma)
+        assert (outcome(validate_strategies, PARAMS, graph, s_p, s_i)
+                == outcome(frozen_validate_strategies, PARAMS, graph, s_p, s_i))
 
 
 class TestProfits:

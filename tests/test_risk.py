@@ -236,6 +236,19 @@ class TestDistortedMassMemo:
             mass = float((survival ** (1.0 / gamma)).sum() * width)
             assert curve(gamma) == model.claim_scale * mass
 
+    def test_keeps_the_newest_and_drops_the_oldest_first(self):
+        model = RiskModel(10.0, 100, 10.0, 10.0)
+        curve = premium_curve(model)
+        gammas = np.linspace(1.0, 2.0, risk.DISTORTED_MASSES_KEPT + 3).tolist()
+        for gamma in gammas:
+            curve(gamma)
+        kept = [(model.blocks_per_period, gamma) for gamma in gammas[3:]]
+        assert list(risk._distorted_masses) == kept
+        # a read does not renew an entry: the oldest still goes first
+        curve(gammas[3])
+        curve(2.5)
+        assert list(risk._distorted_masses) == kept[1:] + [(model.blocks_per_period, 2.5)]
+
     def test_bound_holds_over_a_long_sweep(self):
         cfg = ExperimentConfig.from_dict({
             "n_users": [1], "attacker_resource": np.linspace(20.0, 200.0, 20).tolist(),
