@@ -16,8 +16,9 @@ iterate's residual with it.
 
 The four Fortran routines used here (BLAS trmv and trsv, LAPACK getrf
 and getrs) are bound from scipy's compiled f2py wrapper modules, loaded
-by _scipy_linalg_extension without running scipy.linalg's package
-import, which costs more than a whole paper sweep.
+by _scipy_linalg_extension from the file next to scipy.linalg's package
+without running scipy's or scipy.linalg's package import, which cost
+more than a whole paper sweep.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy
 
 from .errors import ContractionViolation, ConvergenceError, UniquenessViolation
 
@@ -47,28 +47,47 @@ LCP_ITER_CAP = 10**6
 BRUTE_FORCE_MAX_USERS = 12
 # side of the square tiles symmetric_influence adds M^T into M by
 INFLUENCE_TILE = 128
+# rows per diagonal block of gauss_seidel_sweep's clamped branch, so the
+# largest block it gathers is SWEEP_BLOCK x SWEEP_BLOCK
+SWEEP_BLOCK = 128
+
+
+def _load_extension(directory: str, qualified: str):
+    """The compiled module `qualified`, loaded from its file in `directory`."""
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(qualified)
+    if spec is None:
+        raise ImportError(f"no compiled module {qualified.rpartition('.')[2]} in {directory}",
+                          name=qualified, path=directory)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _scipy_linalg_extension(name: str):
-    """scipy.linalg's compiled module `name`, without importing scipy.linalg.
+    """scipy.linalg's compiled module `name`, without importing scipy.
 
-    The plain `import scipy` above sets up the bundled BLAS/LAPACK library
-    path where a platform needs it; the extension file itself is found
-    next to scipy/linalg/__init__.py, which is not run. The module goes
-    into sys.modules under its own name, so a later `import scipy.linalg`
-    shares it, and one loaded already is reused.
+    find_spec locates the scipy package without running its __init__, and
+    the extension file is loaded from next to scipy/linalg/__init__.py,
+    which is not run either. Where the load raises ImportError, scipy's
+    __init__ is run and the load tried once more: on some platforms, such
+    as Windows wheels, that __init__ is what puts the bundled BLAS/LAPACK
+    library on the search path. The module goes into sys.modules under its
+    own name, so a later `import scipy.linalg` shares it, and one loaded
+    already is reused.
     """
     qualified = f"scipy.linalg.{name}"
     module = sys.modules.get(qualified)
     if module is not None:
         return module
-    directory = os.path.join(scipy.__path__[0], "linalg")
-    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(qualified)
-    if spec is None:
-        raise ImportError(f"no compiled module {name} in {directory}", name=qualified,
-                          path=directory)
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
+    scipy_spec = find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed", name="scipy")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    try:
+        module = _load_extension(directory, qualified)
+    except ImportError:
+        import scipy  # run for its __init__, which sets up the library path
+        module = _load_extension(directory, qualified)
     sys.modules[qualified] = module
     return module
 
@@ -406,16 +425,19 @@ def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> D
 
 
 def _element_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
-                   x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+                   x: np.ndarray, lo: float, hi: float, start: int = 0) -> np.ndarray:
     """One projected Gauss-Seidel sweep, row by row, on a copy of x.
 
-    Each row's dot product is the row view's .dot, the same BLAS ddot as
-    matrix[i] @ x at less call overhead; the scalar steps around it run
-    on Python floats, which round exactly as numpy's do.
+    matrix, diag and target hold rows start, start + 1, ... of K and of
+    its diagonal and target; the rows of x before start are taken as
+    already swept. Each row's dot product is the row view's .dot, the same
+    BLAS ddot as matrix[i] @ x at less call overhead; the scalar steps
+    around it run on Python floats, which round exactly as numpy's do.
     """
     out = x.copy()
-    for i, (row, x_i, t_i, d_i) in enumerate(zip(matrix, x.tolist(), target.tolist(),
-                                                   diag.tolist())):
+    for i, (row, x_i, t_i, d_i) in enumerate(
+            zip(matrix, x[start:start + len(diag)].tolist(), target.tolist(), diag.tolist()),
+            start):
         step = (t_i - float(row.dot(out))) / d_i
         out[i] = min(hi, max(lo, x_i + step))
     return out
@@ -434,20 +456,25 @@ def gauss_seidel_state(matrix: np.ndarray, target: np.ndarray,
 
 
 class FreeBlock:
-    """The clamped sweep's free block K[free, free], carried between the
-    sweeps of one matrix so that it is gathered again only when the
-    predicted free rows change."""
+    """The clamped sweep's free blocks, one per diagonal block of at most
+    SWEEP_BLOCK rows, carried between the sweeps of one matrix so that each
+    is gathered again only when its block's predicted free rows change.
 
-    __slots__ = ("free", "key", "block")
+    entries maps a diagonal block's first row to (mask bytes, free mask,
+    K[free, free] within that block), C-ordered.
+    """
+
+    __slots__ = ("entries",)
 
     def __init__(self):
-        self.free = self.key = self.block = None
+        self.entries = {}
 
-    def of(self, matrix: np.ndarray, free: np.ndarray) -> np.ndarray:
+    def of(self, start: int, block: np.ndarray, free: np.ndarray) -> np.ndarray:
         key = free.tobytes()  # one byte per row, compared at C speed
-        if key != self.key:
-            self.free, self.key, self.block = free, key, matrix[np.ix_(free, free)]
-        return self.block
+        entry = self.entries.get(start)
+        if entry is None or entry[0] != key:
+            entry = self.entries[start] = (key, free, block.compress(free, 0).compress(free, 1))
+        return entry[2]
 
 
 def _clamped_solve_kept(free: np.ndarray, solved: np.ndarray, unclamped: np.ndarray,
@@ -463,6 +490,39 @@ def _clamped_solve_kept(free: np.ndarray, solved: np.ndarray, unclamped: np.ndar
     return bool(np.logical_and.reduce(np.minimum(np.maximum(checked, lo), hi) == solved))
 
 
+def _clamped_block(rows: np.ndarray, start: int, diag: np.ndarray, target: np.ndarray,
+                   x: np.ndarray, rhs: np.ndarray, jacobi: np.ndarray, lo: float, hi: float,
+                   free_block: FreeBlock) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped branch on one diagonal block; returns its new rows
+    and (D + L) times them within the block.
+
+    rows is K's row slab from row start, diag, target and jacobi the
+    block's entries, and rhs the block's t - U x minus the slab's product
+    with the rows before it, which x already holds final. The rows
+    predicted to clamp are held at their bound and the free rows solved.
+    The result is kept when _clamped_solve_kept says it is the row-by-row
+    sweep's; failing that, the block's rows run row by row.
+    """
+    block = rows[:, start:start + diag.size]
+    # Fortran-ordered; the BLAS wrapper reads it in place when the block is
+    # all of K and copies it otherwise, at most SWEEP_BLOCK x SWEEP_BLOCK
+    kt = block.T
+    at_lo, at_hi = jacobi <= lo, jacobi >= hi
+    free = ~(at_lo | at_hi)
+    solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+    if np.logical_or.reduce(free):
+        # rhs - L held, read before the free rows are written in
+        free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
+        sub = free_block.of(start, block, free)
+        solved[free] = dtrsv(sub.T, free_rhs[free], trans=1)
+    lower = dtrmv(kt, solved, trans=1)
+    unclamped = (rhs - lower + diag * solved) / diag
+    if not _clamped_solve_kept(free, solved, unclamped, lo, hi):
+        solved = _element_sweep(rows, diag, target, x, lo, hi, start)[start:start + diag.size]
+        lower = dtrmv(kt, solved, trans=1)
+    return solved, lower
+
+
 def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
                        x: np.ndarray, upper: np.ndarray, residual: np.ndarray,
                        lo: float, hi: float, free_block: FreeBlock | None = None,
@@ -473,18 +533,23 @@ def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
     upper = U x and residual = target - K x at the incoming x (see
     gauss_seidel_state). Returns the new iterate with its U x and residual.
     A FreeBlock passed as free_block, one per matrix, carries the clamped
-    branch's free block from this sweep to the next.
+    branch's free blocks from this sweep to the next.
 
     The sweep predicts which rows clamp from the Jacobi update
-    x + residual / diag. With no clamped row it is one forward substitution
-    (D + L) x' = target - U x; (D + L) x' is then that right-hand side, so
-    the new residual needs only U x', which the next sweep needs anyway.
-    Otherwise it holds the predicted rows at their bound
-    and solves the free rows. Either result is kept only when every free
-    row lands in the box and every held row's unclamped update lies past
-    its bound: then it is the row-by-row sweep's result up to round-off.
-    Failing that, this one sweep runs row by row. K is read through
-    K.T, a Fortran-ordered view, so no n x n array is copied.
+    x + residual / diag. With no clamped row it is one forward
+    substitution (D + L) x' = target - U x; (D + L) x' is then that
+    right-hand side, so the new residual needs only U x', which the next
+    sweep needs anyway. Otherwise it works through diagonal blocks of at
+    most SWEEP_BLOCK rows (_clamped_block): each holds its predicted rows
+    at their bound and solves its free rows, once the rows before it are
+    final. A block's right-hand side is its rows of target - U x minus its
+    row slab left of the block times those final rows. Either result is
+    kept only when every free row lands in the box and every held row's
+    unclamped update lies past its bound: then it is the row-by-row
+    sweep's result up to round-off. Failing that, the forward substitution
+    runs the whole sweep row by row, a clamped block only its own rows.
+    K is read through K.T, a Fortran-ordered view, and no array larger
+    than SWEEP_BLOCK x SWEEP_BLOCK is gathered.
     """
     kt = matrix.T
     rhs = target - upper
@@ -494,19 +559,20 @@ def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
         solved = dtrsv(kt, rhs, trans=1)
         if lo <= np.minimum.reduce(solved) and np.maximum.reduce(solved) <= hi:
             new, lower = solved, rhs  # (D + L) x' = rhs
+    elif x.size <= SWEEP_BLOCK:
+        new, lower = _clamped_block(matrix, 0, diag, target, x, rhs, jacobi, lo, hi,
+                                    free_block or FreeBlock())
     else:
-        at_lo, at_hi = jacobi <= lo, jacobi >= hi
-        free = ~(at_lo | at_hi)
-        solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-        if np.logical_or.reduce(free):
-            # rhs - L held, read before the free rows are written in
-            free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
-            block = (free_block or FreeBlock()).of(matrix, free)
-            solved[free] = dtrsv(block.T, free_rhs[free], trans=1)
-        lower = dtrmv(kt, solved, trans=1)
-        unclamped = (rhs - lower + diag * solved) / diag
-        if _clamped_solve_kept(free, solved, unclamped, lo, hi):
-            new = solved
+        free_block = free_block or FreeBlock()
+        new, lower = x.copy(), np.empty_like(x)
+        for start in range(0, x.size, SWEEP_BLOCK):
+            part = slice(start, start + SWEEP_BLOCK)
+            # the slab left of the block, read as a strided view
+            prior = matrix[part, :start] @ new[:start]
+            new[part], within = _clamped_block(matrix[part], start, diag[part], target[part],
+                                               new, rhs[part] - prior, jacobi[part], lo, hi,
+                                               free_block)
+            lower[part] = prior + within
     if new is None:
         new = _element_sweep(matrix, diag, target, x, lo, hi)
         lower = dtrmv(kt, new, trans=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -189,7 +190,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
 
 
 def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
-                          opts: SolveOptions = SolveOptions()) -> InsurerStrategy:
+                          opts: SolveOptions = SolveOptions(), *,
+                          curve: Callable[[float], float] | None = None) -> InsurerStrategy:
     """Maximize the insurer's profit over gamma by golden-section search.
 
     The profit is concave in gamma on the domain, so golden section narrows
@@ -201,9 +203,12 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
     instance moved gamma by 6e-8 at the default 1e-8). The bracket cannot
     narrow below a few float spacings of the cap, so a smaller br_tolerance
     stops there instead of looping forever.
+
+    curve is insurer_profit_curve(params, s_p), for a caller that reads
+    that curve too and has built it already; it is built here otherwise.
     """
     lo, hi = GAMMA_FLOOR, params.gamma_cap
-    profit = insurer_profit_curve(params, s_p)
+    profit = curve or insurer_profit_curve(params, s_p)
     tolerance = max(opts.br_tolerance, 4.0 * math.ulp(hi))
 
     a, b = lo, hi
@@ -242,18 +247,18 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
     The report's numbers are evaluated once each: the provider's profit
     reads the closed form's interior demand (the profit is defined on it
     even when the clamped solver replaces it), and the insurer's profit,
-    the premium and the attack probability come from one insurer profit
-    curve at the returned strategies.
+    the premium and the attack probability come from the insurer profit
+    curve that its search ran on.
 
     Raises ConvergenceError when a best response hits its iteration cap.
     """
     s_p = best_response_provider(params, graph, start_p, opts)
     s_p = best_response_provider(params, graph, s_p, opts)
-    s_i = best_response_insurer(params, s_p, opts)
+    insurer_curve = insurer_profit_curve(params, s_p)
+    s_i = best_response_insurer(params, s_p, opts, curve=insurer_curve)
     hbar, prices = s_p.investment_ratio, s_p.prices
     interior = closed_form_demand(graph, hbar, prices)
     demand = lcp_demand(graph, hbar, prices) if interior.out_of_box() else interior
-    insurer_curve = insurer_profit_curve(params, s_p)
     premium = insurer_curve.premium(s_i.gamma)
     return EquilibriumReport(
         provider=s_p,

@@ -17,6 +17,7 @@ from chainsure import demand
 from chainsure.demand import (
     INFLUENCE_TILE,
     LCP_TOL,
+    SWEEP_BLOCK,
     DemandProfile,
     ExternalityGraph,
     FreeBlock,
@@ -195,15 +196,44 @@ class TestBoundRoutines:
     bit-equal to the same call through its public modules.
     """
 
-    def test_import_skips_scipy_linalg(self):
+    @staticmethod
+    def run_fresh(probe: str) -> list[str]:
+        """The words `probe` prints, run in a fresh interpreter that imports
+        this checkout's chainsure."""
         src = str(Path(chainsure.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = ("import sys, chainsure.cli; "
-                 "print('scipy.linalg' in sys.modules, 'numpy.random' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.split() == ["False", "True"]
+        return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True).stdout.split()
+
+    def test_import_skips_scipy_linalg(self):
+        probe = ("import sys, chainsure.cli; print('scipy' in sys.modules, "
+                 "'scipy.linalg' in sys.modules, 'numpy.random' in sys.modules)")
+        assert self.run_fresh(probe) == ["False", "False", "True"]
+
+    def test_shared_when_scipy_linalg_comes_second(self):
+        probe = ("import chainsure.demand as d, scipy.linalg as s; print(d.dtrmv is s.blas.dtrmv, "
+                 "d.dtrsv is s.blas.dtrsv, d.dgetrf is s.lapack.dgetrf, d.dgetrs is s.lapack.dgetrs)")
+        assert self.run_fresh(probe) == ["True"] * 4
+
+    def test_failed_load_imports_scipy_and_retries(self):
+        # the first load of _fblas raises, as where scipy's __init__ must first
+        # set up the library path; the retry after `import scipy` succeeds
+        probe = """if True:
+            import sys
+            from importlib.machinery import ExtensionFileLoader
+            real, failed = ExtensionFileLoader.create_module, []
+            def create_module(self, spec):
+                if spec.name == "scipy.linalg._fblas" and not failed:
+                    failed.append("scipy" in sys.modules)
+                    raise ImportError("library path not set up")
+                return real(self, spec)
+            ExtensionFileLoader.create_module = create_module
+            import chainsure.demand as d
+            print(failed, "scipy" in sys.modules, "scipy.linalg" in sys.modules,
+                  d.dtrmv(d.np.eye(2), d.np.ones(2)).tolist())
+            """
+        assert self.run_fresh(probe) == ["[False]", "True", "False", "[1.0,", "1.0]"]
 
     def test_missing_module_names_its_directory(self):
         with pytest.raises(ImportError, match="no compiled module _absent in .*linalg"):
@@ -262,7 +292,8 @@ class TestBoundRoutines:
             demand.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_shared_with_scipy_linalg(self):
-        # whichever is imported first, the other reuses its compiled modules
+        # whichever is imported first, the other reuses its compiled modules;
+        # test_shared_when_scipy_linalg_comes_second holds the other order
         assert demand.dtrmv is scipy.linalg.blas.dtrmv
         assert demand.dtrsv is scipy.linalg.blas.dtrsv
         assert demand.dgetrf is scipy.linalg.lapack.dgetrf
@@ -487,18 +518,60 @@ class TestGaussSeidelSweep:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_trajectory(self, symmetric, fallbacks):
         # the unconstrained solution leaves the box on both sides, so the
-        # sweeps clamp rows at both bounds
-        matrix, target, x = sweep_problem(30, 41 if symmetric else 42, symmetric)
+        # sweeps clamp rows at both bounds; above SWEEP_BLOCK rows the
+        # clamped sweeps run in blocks, and a failed block runs its own rows
+        for n in (30, SWEEP_BLOCK + 1, 300):
+            matrix, target, x = sweep_problem(n, 41 if symmetric else 42, symmetric)
+            diag = np.diagonal(matrix)
+            lo, hi = 0.1, 0.9
+            upper, residual = gauss_seidel_state(matrix, target, x)
+            fallbacks.clear()
+            for _ in range(40):
+                expected = row_by_row(matrix, diag, target, x, lo, hi)
+                x, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual,
+                                                        lo, hi)
+                np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
+                assert_sweep_state(matrix, target, x, upper, residual)
+            assert np.any(x == lo) and np.any(x == hi)
+            assert 0 < len(fallbacks) < 20
+            assert all(len(args[1]) <= SWEEP_BLOCK for args in fallbacks)
+
+    def test_one_failed_block_runs_only_its_rows(self, fallbacks):
+        # n = 300 is three blocks, rows 0-127, 128-255 and 256-299. Off the
+        # identity only q_fallback's pair sits at rows 130 and 131, where
+        # the Gauss-Seidel update of row 131 falls below the floor though
+        # its Jacobi update does not; row 0 is held at the cap, so the
+        # sweep takes the clamped branch.
+        n = 300
+        matrix = np.eye(n)
+        matrix[130:132, 130:132] = SYMMETRIC
+        target, x = np.full(n, 0.5), np.full(n, 0.5)
+        target[0], target[130:132], x[130:132] = 3.0, [1.3, 0.2], [0.0, 0.5]
         diag = np.diagonal(matrix)
-        lo, hi = 0.1, 0.9
         upper, residual = gauss_seidel_state(matrix, target, x)
+        new, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual,
+                                                  0.0, 1.0)
+        (rows, _, _, _, _, _, start), = fallbacks
+        assert start == SWEEP_BLOCK and rows.shape == (SWEEP_BLOCK, n)
+        assert np.shares_memory(rows, matrix)  # the block's row slab, not a copy
+        expected = row_by_row(matrix, diag, target, x, 0.0, 1.0)
+        np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
+        assert new[0] == 1.0 and new[131] == 0.0
+        assert_sweep_state(matrix, target, new, upper, residual)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_blocks_gather_at_most_sweep_block_rows(self, symmetric):
+        matrix, target, x = sweep_problem(300, 43, symmetric)
+        diag = np.diagonal(matrix)
+        carried = FreeBlock()
+        state = (x,) + gauss_seidel_state(matrix, target, x)
         for _ in range(40):
-            expected = row_by_row(matrix, diag, target, x, lo, hi)
-            x, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual, lo, hi)
-            np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
-            assert_sweep_state(matrix, target, x, upper, residual)
-        assert np.any(x == lo) and np.any(x == hi)
-        assert 0 < len(fallbacks) < 20
+            state = gauss_seidel_sweep(matrix, diag, target, *state, 0.1, 0.9, carried)
+            for start, (_, free, block) in carried.entries.items():
+                assert block.shape[0] <= SWEEP_BLOCK and block.shape == (free.sum(),) * 2
+                rows = slice(start, start + SWEEP_BLOCK)
+                np.testing.assert_array_equal(block, matrix[rows, rows][np.ix_(free, free)])
+        assert len(carried.entries) > 1
 
 
 def numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi):
@@ -649,6 +722,21 @@ class TestKernelsBitIdentical:
             for a, b in zip(state, frozen):
                 assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("box", BOXES)
+    def test_one_full_block_equals_frozen_sweep(self, symmetric, box):
+        # n = SWEEP_BLOCK is the largest sweep that is one block
+        lo, hi = box
+        matrix, target, x = sweep_problem(SWEEP_BLOCK, 44, symmetric)
+        diag = np.diagonal(matrix)
+        state = frozen = (x,) + gauss_seidel_state(matrix, target, x)
+        carried = FreeBlock()
+        for _ in range(30):
+            state = gauss_seidel_sweep(matrix, diag, target, *state, lo, hi, carried)
+            frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *frozen, lo, hi)
+            for a, b in zip(state, frozen):
+                assert a.tobytes() == b.tobytes()
+
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
            lo=st.sampled_from([0.0, 0.1, PRICE_FLOOR]), hi=st.sampled_from([0.9, 1.0, 2.0]),
            snapped=st.integers(0, 2**40))
@@ -681,12 +769,13 @@ class TestKernelsBitIdentical:
             if k == switch:
                 with_carry = (with_carry[0],) + gauss_seidel_state(matrix, t, with_carry[0])
                 regathering = (regathering[0],) + gauss_seidel_state(matrix, t, regathering[0])
-            before = (carried.free, carried.block)
+            before = carried.entries.get(0)
             with_carry = gauss_seidel_sweep(matrix, diag, t, *with_carry, lo, hi, carried)
             regathering = gauss_seidel_sweep(matrix, diag, t, *regathering, lo, hi)
             assert all(np.array_equal(a, b) for a, b in zip(with_carry, regathering))
-            if before[0] is not None and np.array_equal(before[0], carried.free):
-                assert carried.block is before[1]  # gathered only when the free set moves
+            after = carried.entries.get(0)
+            if before is not None and np.array_equal(before[1], after[1]):
+                assert after[2] is before[2]  # gathered only when the free set moves
 
     def test_free_set_change_regathers(self):
         matrix, target, x = sweep_problem(30, 42, symmetric=False)
@@ -696,10 +785,11 @@ class TestKernelsBitIdentical:
         masks = []
         for _ in range(40):
             state = gauss_seidel_sweep(matrix, diag, target, *state, 0.1, 0.9, carried)
-            if carried.free is not None and (not masks or masks[-1] is not carried.free):
-                masks.append(carried.free)
-                free = carried.free
-                np.testing.assert_array_equal(carried.block, matrix[np.ix_(free, free)])
+            entry = carried.entries.get(0)
+            if entry is not None and (not masks or masks[-1] is not entry[1]):
+                _, free, block = entry
+                masks.append(free)
+                np.testing.assert_array_equal(block, matrix[np.ix_(free, free)])
         assert 1 < len(masks) < 40
 
     @given(n=st.integers(1, 2 * INFLUENCE_TILE + 2), seed=st.integers(0, 2**32))

@@ -661,8 +661,8 @@ class TestReportedNumbers:
 
     def test_each_number_is_computed_once(self, monkeypatch):
         # after the two provider passes: one interior demand solve, the attack
-        # probability once for the insurer's search and once for the report,
-        # and no profit rebuilt through the public functions
+        # probability once for the insurer curve that both the search and the
+        # report read, and no profit rebuilt through the public functions
         config = harness.ExperimentConfig.from_dict({
             "n_users": [30], "alpha": [0.005 / (5.0 * 29)], "price_cap": 1.2,
             "attacker_resource": [80.0], "tx_per_block": [150], "seed": 4})
@@ -688,7 +688,7 @@ class TestReportedNumbers:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         row = harness.solve_row(config, graph, *harness.sweep_points(config)[0])
         assert row.converged
-        assert counts == {"solve": 1, "attack_probability": 2}
+        assert counts == {"solve": 1, "attack_probability": 1}
 
 
 class TestInRangeConfigs:
