@@ -151,6 +151,18 @@ class TestExternalityGraph:
             ExternalityGraph(np.array(weights), alpha)
         assert info.value.alpha_rho == pytest.approx(alpha_rho, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 5, 200])
+    def test_symmetric_influence_leaves_cached_lu(self, n):
+        rng = np.random.default_rng(n)
+        graph = random_externality(rng, n)
+        rhs = rng.normal(size=n)
+        factors = [f.copy() for f in graph._lu]
+        solved = [graph.solve(rhs, transpose=t) for t in (False, True)]
+        graph.symmetric_influence
+        assert all(f.tobytes() == g.tobytes() for f, g in zip(factors, graph._lu))
+        assert all(s.tobytes() == graph.solve(rhs, transpose=t).tobytes()
+                   for s, t in zip(solved, (False, True)))
+
     def test_weights_read_only(self):
         graph = ExternalityGraph(SWAP, 0.1)
         with pytest.raises(ValueError):
@@ -213,8 +225,9 @@ class TestBoundRoutines:
 
     def test_shared_when_scipy_linalg_comes_second(self):
         probe = ("import chainsure.demand as d, scipy.linalg as s; print(d.dtrmv is s.blas.dtrmv, "
-                 "d.dtrsv is s.blas.dtrsv, d.dgetrf is s.lapack.dgetrf, d.dgetrs is s.lapack.dgetrs)")
-        assert self.run_fresh(probe) == ["True"] * 4
+                 "d.dtrsv is s.blas.dtrsv, d.dgetrf is s.lapack.dgetrf, d.dgetrs is s.lapack.dgetrs, "
+                 "d.dgetri is s.lapack.dgetri, d.dgetri_lwork is s.lapack.dgetri_lwork)")
+        assert self.run_fresh(probe) == ["True"] * 6
 
     def test_failed_load_imports_scipy_and_retries(self):
         # the first load of _fblas raises, as where scipy's __init__ must first
@@ -252,8 +265,50 @@ class TestBoundRoutines:
                                   lu_solve(expected, rhs, trans=trans))
         identity = np.eye(n, order="F")
         inverse = demand.lu_solve(factors, identity)
-        assert inverse is identity  # solved in place, as symmetric_influence asks
+        assert inverse is identity  # a writeable Fortran-ordered rhs is solved in place
         assert np.array_equal(inverse, lu_solve(expected, np.eye(n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_lu_inverse_equals_numpy_inv(self, n):
+        graph = random_externality(np.random.default_rng(n), n)
+        a = graph.system_matrix
+        inverse = demand.lu_inverse(demand.lu_factor(a))
+        assert inverse.flags.f_contiguous and inverse.flags.writeable
+        expected = np.linalg.inv(a)
+        scale = np.linalg.norm(expected, np.inf)
+        assert np.max(np.abs(inverse - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(a @ inverse - np.eye(n))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 30, 300])
+    def test_lu_inverse_takes_blocked_workspace(self, monkeypatch, n):
+        # getri's own default workspace, 3 n, would run it unblocked
+        calls = []
+
+        def recorded(lu, piv, **options):
+            calls.append(options)
+            return scipy.linalg.lapack.dgetri(lu, piv, **options)
+
+        monkeypatch.setattr(demand, "dgetri", recorded)
+        graph = random_externality(np.random.default_rng(n), n)
+        factors = demand.lu_factor(graph.system_matrix)
+        before = [f.copy() for f in factors]
+        inverse = demand.lu_inverse(factors)
+        work, info = scipy.linalg.lapack.dgetri_lwork(n)
+        assert info == 0 and calls == [{"lwork": int(work)}]
+        if n >= 30:
+            assert int(work) > 3 * n
+        assert all(np.array_equal(f, b) for f, b in zip(factors, before))  # inverted a copy
+        expected, _ = scipy.linalg.lapack.dgetri(*before, lwork=int(work))
+        assert np.array_equal(inverse, expected)
+
+    def test_lu_inverse_errors_raise(self):
+        # factors whose U has an exact zero on its diagonal, as getrf would flag
+        factors = (np.asfortranarray([[1.0, 0.0], [0.0, 0.0]]), np.array([0, 1], dtype=np.int32))
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal number 2"):
+            demand.lu_inverse(factors)
+        # getri_lwork refuses n = 0
+        with pytest.raises(ValueError, match="illegal value in argument 3 of LAPACK getri_lwork"):
+            demand.lu_inverse((np.zeros((0, 0)), np.zeros(0, dtype=np.int32)))
 
     def test_lu_solve_leaves_read_only_rhs(self):
         graph = random_externality(np.random.default_rng(4), 6)
@@ -298,6 +353,8 @@ class TestBoundRoutines:
         assert demand.dtrsv is scipy.linalg.blas.dtrsv
         assert demand.dgetrf is scipy.linalg.lapack.dgetrf
         assert demand.dgetrs is scipy.linalg.lapack.dgetrs
+        assert demand.dgetri is scipy.linalg.lapack.dgetri
+        assert demand.dgetri_lwork is scipy.linalg.lapack.dgetri_lwork
 
 
 class TestSpectralRadius:
@@ -792,6 +849,27 @@ class TestKernelsBitIdentical:
                 np.testing.assert_array_equal(block, matrix[np.ix_(free, free)])
         assert 1 < len(masks) < 40
 
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32),
+           scale=st.sampled_from([0.0, -0.0, 1e-3, 0.5, 0.99]),
+           zeros=st.sampled_from(["none", "all", "signed", "some"]))
+    @example(n=300, seed=6, scale=0.07, zeros="none")
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_system_matrix_equals_eye_form(self, n, seed, scale, zeros):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.0, 1.0, (n, n))
+        np.fill_diagonal(weights, 0.0)
+        if zeros == "all":
+            weights[:] = 0.0
+        elif zeros == "signed":  # -0.0 passes the nonnegative and zero-diagonal checks
+            weights[:] = -0.0
+        elif zeros == "some":
+            weights *= rng.uniform(size=(n, n)) < 0.3
+        # the row sums bound rho, so alpha * rho(G) < 1
+        alpha = scale / max(n - 1, 1)
+        built = ExternalityGraph(weights, alpha).system_matrix
+        assert built.tobytes() == (np.eye(n) - alpha * weights).tobytes()
+        assert built.flags.c_contiguous
+
     @given(n=st.integers(1, 2 * INFLUENCE_TILE + 2), seed=st.integers(0, 2**32))
     @example(n=INFLUENCE_TILE - 1, seed=1)
     @example(n=INFLUENCE_TILE, seed=2)
@@ -805,7 +883,11 @@ class TestKernelsBitIdentical:
         np.fill_diagonal(weights, 0.0)
         # the row sums bound rho, so alpha * rho(G) < 0.6
         graph = ExternalityGraph(weights, 0.6 / max(n - 1, 1))
-        inverse = lu_solve(lu_factor(graph.system_matrix), np.eye(n))
+        # M as symmetric_influence takes it: getri on the same factors, blocked
+        lu, piv = lu_factor(graph.system_matrix)
+        work, _ = scipy.linalg.lapack.dgetri_lwork(n)
+        inverse, info = scipy.linalg.lapack.dgetri(lu, piv, lwork=int(work))
+        assert info == 0
         quad = graph.symmetric_influence
         assert np.array_equal(quad, np.add(inverse, inverse.T, order="C"))
         assert quad.flags.c_contiguous and not quad.flags.writeable
