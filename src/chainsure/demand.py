@@ -556,15 +556,15 @@ def _clamped_block(rows: np.ndarray, start: int, diag: np.ndarray, target: np.nd
 
 def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
                        x: np.ndarray, upper: np.ndarray, residual: np.ndarray,
-                       lo: float, hi: float, free_block: FreeBlock | None = None,
+                       lo: float, hi: float, free_block: FreeBlock,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One projected Gauss-Seidel sweep on K x = target over the box [lo, hi].
 
     K = matrix (C-ordered, positive diagonal diag) splits as D + L + U.
     upper = U x and residual = target - K x at the incoming x (see
     gauss_seidel_state). Returns the new iterate with its U x and residual.
-    A FreeBlock passed as free_block, one per matrix, carries the clamped
-    branch's free blocks from this sweep to the next.
+    free_block, one FreeBlock per matrix, carries the clamped branch's
+    free blocks from this sweep to the next.
 
     The sweep predicts which rows clamp from the Jacobi update
     x + residual / diag. With no clamped row it is one forward
@@ -591,10 +591,8 @@ def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
         if lo <= np.minimum.reduce(solved) and np.maximum.reduce(solved) <= hi:
             new, lower = solved, rhs  # (D + L) x' = rhs
     elif x.size <= SWEEP_BLOCK:
-        new, lower = _clamped_block(matrix, 0, diag, target, x, rhs, jacobi, lo, hi,
-                                    free_block or FreeBlock())
+        new, lower = _clamped_block(matrix, 0, diag, target, x, rhs, jacobi, lo, hi, free_block)
     else:
-        free_block = free_block or FreeBlock()
         new, lower = x.copy(), np.empty_like(x)
         for start in range(0, x.size, SWEEP_BLOCK):
             part = slice(start, start + SWEEP_BLOCK)

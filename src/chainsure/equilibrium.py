@@ -40,10 +40,6 @@ from .market import (
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PROVIDER_ITER_CAP = 200
-# First price blocks kept per graph, least recently used dropped first.
-# solve_stackelberg's two passes touch two: the start every point shares
-# and the point's own second start, so the shared one is never dropped.
-FIRST_BLOCKS_KEPT = 2
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,11 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     gradient, floored at its round-off in (1 + hbar) M1. Moving hbar by dh
     shifts that gradient by dh * M1, so the test needs no linear solve.
     The first price block depends only on the graph, the start, the price
-    box and the tolerance, so it runs once per graph for each such start
-    (kept in graph.memo) and every later call resumes from its exact
-    (prices, U p, residual).
+    box and the tolerance. graph.memo keeps it for the first start the
+    graph is solved from, which in a sweep is the start every point
+    shares, and a later call from that start resumes from its exact
+    (prices, U p, residual). A call from any other start runs cold and
+    keeps nothing.
 
     Plain projected gradient ascent was rejected here: the hbar curvature
     dwarfs the price curvature and capped prices make coupled Newton steps
@@ -155,16 +153,15 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     # carried state is kept as it was returned: a residual recomputed at
     # those prices could differ in round-off.
     target = (1.0 + hbar) * m_ones
-    first_blocks = graph.memo.setdefault("provider first price blocks", {})
     key = (prices.tobytes(), hbar, price_lo, price_hi, tolerance)
-    state = first_blocks.pop(key, None)
-    if state is None:
+    # the graph's first start claims the entry; any other start runs cold
+    kept_key, state = graph.memo.setdefault("provider first price block", (key, None))
+    if kept_key != key or state is None:
         state = price_block(target, prices, *gauss_seidel_state(quad, target, prices))
-        for array in state:
-            array.setflags(write=False)
-    first_blocks[key] = state
-    while len(first_blocks) > FIRST_BLOCKS_KEPT:
-        del first_blocks[next(iter(first_blocks))]
+        if kept_key == key:
+            for array in state:
+                array.setflags(write=False)
+            graph.memo["provider first price block"] = (key, state)
     prices, upper, grad = state
 
     for passes in range(PROVIDER_ITER_CAP):

@@ -215,7 +215,9 @@ def _failed_row(n: int, alpha: float, a: float, n_t: int) -> SweepRow:
 # CLI exits 1 on it. numpy's LinAlgError is a ValueError.
 SOLVER_ERRORS = (ChainsureError, ValueError, ArithmeticError)
 
-# (key, graph) for the graph solve_point built last; see _point_graph.
+# (key, graph) for the graph solve_point built last; see _point_graph. A
+# module global rather than a run_sweep local passed to solve_point, since
+# perfbench/child.py wraps solve_point as exactly (config, n, alpha, a, n_t).
 _last_graph: tuple[tuple, ExternalityGraph] | None = None
 
 

@@ -23,12 +23,8 @@ GRID_INTERVALS = 100
 _WIDTH = 0.5 / GRID_INTERVALS
 # the grid's nodes as Python floats, the form the scalar kernels run fastest on
 _NODES = tuple((0.5 + (np.arange(GRID_INTERVALS) + 0.5) * _WIDTH).tolist())
-# premium_curve's memo: distorted survival mass per (blocks_per_period,
-# gamma), at most DISTORTED_MASSES_KEPT of them, the oldest dropped first.
-# An OrderedDict drops its oldest in O(1): a plain dict finds its first key
-# by scanning past every slot that earlier drops freed at its front.
+# distorted survival masses kept per block count (see _block_count)
 DISTORTED_MASSES_KEPT = 1024
-_distorted_masses: OrderedDict[tuple[float, float], float] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -89,68 +85,67 @@ def _attack_curve(blocks_per_period: float, hbar: float) -> float:
     return reg_inc_beta(w, blocks_per_period * hbar, 0.5)
 
 
-def survival_grid(p_fn: Callable[[float], float]) -> tuple[np.ndarray, np.ndarray, float]:
+def survival_grid(p_fn: Callable[[float], float]) -> np.ndarray:
     """Midpoint-grid table of B(t) = 1 - integral_{1/2}^{t} p(theta) dtheta.
 
-    Returns (nodes, B values, cell width) for t on the GRID_INTERVALS-cell
-    midpoint grid over [1/2, 1]. The inner integral reuses a prefix sum of
-    the same p evaluations (O(n) instead of O(n^2) p calls): the prefix
-    covers whole cells up to the node's left edge, plus half a cell at the
-    node's own value. p_fn receives each node as a Python float, so a scalar
-    kernel behind it runs on floats rather than numpy scalars.
+    Returns B, read-only, at the nodes _NODES of the GRID_INTERVALS-cell
+    midpoint grid over [1/2, 1], whose cells are _WIDTH wide. The inner
+    integral reuses a prefix sum of the same p evaluations (O(n) instead of
+    O(n^2) p calls): the prefix covers whole cells up to the node's left
+    edge, plus half a cell at the node's own value. p_fn receives each node
+    as a Python float, so a scalar kernel behind it runs on floats rather
+    than numpy scalars.
     """
-    nodes = np.array(_NODES)
     values = np.array([p_fn(t) for t in _NODES])
     prefix = np.concatenate(([0.0], np.cumsum(values) * _WIDTH))
-    inner = prefix[:-1] + 0.5 * _WIDTH * values
-    survival = 1.0 - inner
-    nodes.setflags(write=False)
+    survival = 1.0 - (prefix[:-1] + 0.5 * _WIDTH * values)
     survival.setflags(write=False)
-    return nodes, survival, _WIDTH
+    return survival
 
 
 @functools.lru_cache(maxsize=64)
-def _attack_at_nodes(blocks_per_period: float) -> dict[float, float]:
-    """Attack probability at each survival-grid node, keyed by the node.
-
-    Every RiskModel with this block count shares these values, so the
-    incomplete Beta runs GRID_INTERVALS times per block count, not per model.
+def _block_count(blocks_per_period: float) -> tuple[dict[float, float], OrderedDict[float, float]]:
+    """The table every RiskModel with this block count shares: the attack
+    probability at each grid node, keyed by the node, and premium_curve's
+    distorted survival masses, keyed by gamma, at most
+    DISTORTED_MASSES_KEPT of them, the oldest dropped first. An OrderedDict
+    drops its oldest in O(1); a plain dict scans past every slot that
+    earlier drops freed at its front.
     """
-    return {t: _attack_curve(blocks_per_period, t) for t in _NODES}
+    return {t: _attack_curve(blocks_per_period, t) for t in _NODES}, OrderedDict()
 
 
+# Keyed on the model, not its block count, although the table depends on
+# blocks_per_period alone: perfbench/test_perfbench.py pins one
+# survival_grid call per RiskModel on the paper grids.
 @functools.lru_cache(maxsize=64)
-def _model_survival(model: RiskModel) -> tuple[np.ndarray, np.ndarray, float]:
-    return survival_grid(_attack_at_nodes(model.blocks_per_period).__getitem__)
+def _model_survival(model: RiskModel) -> np.ndarray:
+    return survival_grid(_block_count(model.blocks_per_period)[0].__getitem__)
 
 
 def premium_curve(model: RiskModel) -> Callable[[float], float]:
     """The premium as a function of gamma for one model.
 
-    Fetches the survival table and the claim scale once, so a search that
-    prices many gammas against the same model skips the table lookup on
-    each of them. The table depends on the model only through
-    blocks_per_period (see _attack_at_nodes), so the distorted survival
-    mass at each gamma is memoized per (blocks_per_period, gamma): a gamma
-    that a search revisits, on this model or on another with the same
-    block count, is read back rather than recomputed.
+    Fetches the survival table, the claim scale and the distorted masses
+    of the model's block count (_block_count) once, so a search that
+    prices many gammas skips those lookups, and a gamma revisited on any
+    model with the same block count is read back rather than recomputed.
     """
-    _, survival, width = _model_survival(model)
+    survival = _model_survival(model)
+    masses = _block_count(model.blocks_per_period)[1]
     claim_scale = model.claim_scale
-    blocks = model.blocks_per_period
 
     def curve(gamma: float) -> float:
         # written so that NaN fails
         if not 1.0 <= gamma < math.inf:
             raise ValueError(f"premium coefficient must be >= 1 and finite, got {gamma}")
-        key = (blocks, gamma)
-        mass = _distorted_masses.get(key)
+        mass = masses.get(gamma)
         if mass is None:
             # ndarray.sum's pairwise sum, without its Python wrapper
-            mass = float(np.add.reduce(survival ** (1.0 / gamma)) * width)
-            if len(_distorted_masses) >= DISTORTED_MASSES_KEPT:
-                _distorted_masses.popitem(last=False)
-            _distorted_masses[key] = mass
+            mass = float(np.add.reduce(survival ** (1.0 / gamma)) * _WIDTH)
+            if len(masses) >= DISTORTED_MASSES_KEPT:
+                masses.popitem(last=False)
+            masses[gamma] = mass
         return claim_scale * mass
 
     return curve
@@ -179,12 +174,14 @@ def distorted_log_moments(model: RiskModel, gamma: float) -> tuple[float, float,
     # written so that NaN fails
     if not 1.0 <= gamma < math.inf:
         raise ValueError(f"premium coefficient must be >= 1 and finite, got {gamma}")
-    _, survival, width = _model_survival(model)
+    # raises the table to 1/gamma itself, as premium_curve does: it needs
+    # the powered array, and premium_curve keeps only its sum
+    survival = _model_survival(model)
     powered = survival ** (1.0 / gamma)
     logs = np.log(survival)
-    i0 = float(np.sum(powered) * width)
-    i1 = float(np.sum(powered * logs) * width)
-    i2 = float(np.sum(powered * logs * logs) * width)
+    i0 = float(np.sum(powered) * _WIDTH)
+    i1 = float(np.sum(powered * logs) * _WIDTH)
+    i2 = float(np.sum(powered * logs * logs) * _WIDTH)
     return i0, i1, i2
 
 

@@ -564,7 +564,8 @@ class TestGaussSeidelSweep:
         diag = np.diagonal(matrix).copy()
         upper, residual = gauss_seidel_state(matrix, target, x)
         assert_sweep_state(matrix, target, x, upper, residual)
-        new, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual, 0.0, 1.0)
+        new, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual, 0.0, 1.0,
+                                                  FreeBlock())
         assert len(fallbacks) == expected_fallbacks
         expected = row_by_row(matrix, diag, target, x, 0.0, 1.0)
         np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
@@ -586,7 +587,7 @@ class TestGaussSeidelSweep:
             for _ in range(40):
                 expected = row_by_row(matrix, diag, target, x, lo, hi)
                 x, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual,
-                                                        lo, hi)
+                                                        lo, hi, FreeBlock())
                 np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
                 assert_sweep_state(matrix, target, x, upper, residual)
             assert np.any(x == lo) and np.any(x == hi)
@@ -607,7 +608,7 @@ class TestGaussSeidelSweep:
         diag = np.diagonal(matrix)
         upper, residual = gauss_seidel_state(matrix, target, x)
         new, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual,
-                                                  0.0, 1.0)
+                                                  0.0, 1.0, FreeBlock())
         (rows, _, _, _, _, _, start), = fallbacks
         assert start == SWEEP_BLOCK and rows.shape == (SWEEP_BLOCK, n)
         assert np.shares_memory(rows, matrix)  # the block's row slab, not a copy
@@ -828,7 +829,7 @@ class TestKernelsBitIdentical:
                 regathering = (regathering[0],) + gauss_seidel_state(matrix, t, regathering[0])
             before = carried.entries.get(0)
             with_carry = gauss_seidel_sweep(matrix, diag, t, *with_carry, lo, hi, carried)
-            regathering = gauss_seidel_sweep(matrix, diag, t, *regathering, lo, hi)
+            regathering = gauss_seidel_sweep(matrix, diag, t, *regathering, lo, hi, FreeBlock())
             assert all(np.array_equal(a, b) for a, b in zip(with_carry, regathering))
             after = carried.entries.get(0)
             if before is not None and np.array_equal(before[1], after[1]):

@@ -7,7 +7,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chainsure import demand, equilibrium, harness, market
-from chainsure.demand import ExternalityGraph, Segment, gauss_seidel_state, gauss_seidel_sweep
+from chainsure.demand import (
+    ExternalityGraph,
+    FreeBlock,
+    Segment,
+    gauss_seidel_state,
+    gauss_seidel_sweep,
+)
 from chainsure.equilibrium import (
     SolveOptions,
     best_response_insurer,
@@ -313,7 +319,7 @@ class TestTriangularPriceSweep:
         upper, residual = gauss_seidel_state(quad, target, prices)
         self.calls.update(fallbacks=0)
         swept, _, _ = gauss_seidel_sweep(quad, np.diagonal(quad), target, prices,
-                                         upper, residual, *bounds)
+                                         upper, residual, *bounds, FreeBlock())
         assert self.calls["fallbacks"] == 0
         expected = demand._element_sweep(quad, np.diagonal(quad), target, prices, *bounds)
         np.testing.assert_allclose(swept, expected, rtol=0.0, atol=1e-14)
@@ -346,8 +352,10 @@ class TestTriangularPriceSweep:
 
 
 class TestSharedFirstBlock:
-    """The first price block runs once per graph and start, box and
-    tolerance; later calls resume from the exact state it returned."""
+    """The first price block runs once per graph, for the first start,
+    box and tolerance it is solved from; later calls from that start
+    resume from the exact state it returned, and calls from any other
+    start run cold."""
 
     @pytest.fixture(autouse=True)
     def counts(self, monkeypatch):
@@ -375,7 +383,8 @@ class TestSharedFirstBlock:
         cold = self.solve(params, graph, start)
         cold_sweeps = self.calls["sweeps"]
         assert self.calls["states"] == 1
-        (state,) = graph.memo["provider first price blocks"].values()
+        key, state = graph.memo["provider first price block"]
+        assert key[0] == start.prices.tobytes() and key[1] == start.investment_ratio
         assert not any(array.flags.writeable for array in state)
         warm = self.solve(params, graph, start)
         assert self.calls["states"] == 0  # no state is recomputed
@@ -409,7 +418,10 @@ class TestSharedFirstBlock:
             self.solve(params, graph, start)  # the shared first pass
             assert self.calls["states"] == (1 if attacker == 20.0 else 0)
             solve_stackelberg(params, graph, start, OPTS)
-            assert len(graph.memo["provider first price blocks"]) <= equilibrium.FIRST_BLOCKS_KEPT
+            # the point's own second start ran cold and displaced nothing
+            assert list(graph.memo) == ["provider first price block"]
+            key, _ = graph.memo["provider first price block"]
+            assert key[0] == start.prices.tobytes() and key[1] == start.investment_ratio
 
 
 class TestInsurerBestResponse:

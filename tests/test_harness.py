@@ -201,7 +201,8 @@ class TestGraphReuse:
 
 class TestSharedWork:
     """Points that share a graph and a block count share the provider's
-    first price block and the premium's distorted masses; no row moves."""
+    first price block and the block count's table of node values and
+    distorted masses; no row moves."""
 
     # two graphs; at this cap a point holds 3 to all 30 of its prices there
     GRID = dict(n_users=[30], alpha=[2e-3, 4e-3], price_cap=0.95,
@@ -211,9 +212,8 @@ class TestSharedWork:
     @staticmethod
     def clear_caches(monkeypatch):
         monkeypatch.setattr(harness, "_last_graph", None)
-        risk._attack_at_nodes.cache_clear()
+        risk._block_count.cache_clear()
         risk._model_survival.cache_clear()
-        risk._distorted_masses.clear()
 
     def test_rows_equal_cold_solves(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(self.GRID)
@@ -240,6 +240,35 @@ class TestSharedWork:
         cfg = ExperimentConfig.from_dict(self.GRID)
         self.clear_caches(monkeypatch)
         assert run_sweep(cfg) == run_sweep(cfg)
+
+    def test_each_graph_keeps_one_first_block_for_the_shared_start(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(self.GRID)
+        graphs = []
+        generate = harness.generate_instance
+
+        def kept(*args):
+            graphs.append(generate(*args))
+            return graphs[-1]
+
+        monkeypatch.setattr(harness, "generate_instance", kept)
+        self.clear_caches(monkeypatch)
+        run_sweep(cfg)
+        assert len(graphs) == 2
+        start = np.full(30, 0.75 * cfg.price_cap)
+        for graph in graphs:
+            assert list(graph.memo) == ["provider first price block"]
+            key, _ = graph.memo["provider first price block"]
+            assert key[:2] == (start.tobytes(), 0.75)
+
+    def test_block_counts_interleaved_in_one_process(self, monkeypatch):
+        # a second block count's table is live while the first grid re-runs
+        first, other = (ExperimentConfig.from_dict({**self.GRID, "blocks_per_period": blocks})
+                        for blocks in (10.0, 7.5))
+        self.clear_caches(monkeypatch)
+        rows = run_sweep(first)
+        assert run_sweep(other) != rows
+        assert run_sweep(first) == rows
+        assert risk._block_count.cache_info().currsize == 2
 
 
 class TestCsv:

@@ -8,6 +8,8 @@ from chainsure.harness import ExperimentConfig, run_sweep
 from chainsure.risk import (
     GRID_INTERVALS,
     RiskModel,
+    _NODES,
+    _WIDTH,
     _model_survival,
     attack_probability,
     distorted_log_moments,
@@ -79,14 +81,14 @@ class TestExpectedLoss:
     def test_zero_risk_above_half(self):
         # p identically zero on (1/2, 1]: the survival weight stays 1, so the
         # loss integral is the bare half-interval
-        _, survival, width = survival_grid(lambda t: 0.0)
-        value = DEFAULTS.claim_scale * float(np.sum(survival) * width)
+        survival = survival_grid(lambda t: 0.0)
+        value = DEFAULTS.claim_scale * float(np.sum(survival) * _WIDTH)
         assert math.isclose(value, DEFAULTS.claim_scale * 0.5, rel_tol=1e-12)
 
     def test_certain_attack_above_half(self):
         # p identically one: inner integral is (t - 1/2), outer integral 3/8
-        _, survival, width = survival_grid(lambda t: 1.0)
-        value = DEFAULTS.claim_scale * float(np.sum(survival) * width)
+        survival = survival_grid(lambda t: 1.0)
+        value = DEFAULTS.claim_scale * float(np.sum(survival) * _WIDTH)
         assert math.isclose(value, DEFAULTS.claim_scale * 0.375, rel_tol=1e-12)
 
     def test_defaults_against_adaptive_oracle(self):
@@ -144,9 +146,9 @@ class TestPremium:
 
     def test_curve_matches_table_formula(self):
         curve = premium_curve(DEFAULTS)
-        _, survival, width = _model_survival(DEFAULTS)
+        survival = _model_survival(DEFAULTS)
         for gamma in np.linspace(1.0, 2.0, 50).tolist():
-            expected = DEFAULTS.claim_scale * float(np.sum(survival ** (1.0 / gamma)) * width)
+            expected = DEFAULTS.claim_scale * float(np.sum(survival ** (1.0 / gamma)) * _WIDTH)
             assert curve(gamma) == expected
             assert premium(DEFAULTS, gamma) == expected
 
@@ -157,21 +159,21 @@ class TestSurvivalTableOnFloats:
 
     def test_p_fn_receives_python_floats(self):
         seen = []
-        nodes, _, _ = survival_grid(lambda t: seen.append(type(t)) or 0.5)
+        survival = survival_grid(lambda t: seen.append(type(t)) or 0.5)
         assert seen == [float] * GRID_INTERVALS
-        assert nodes.dtype == np.float64
+        assert survival.dtype == np.float64 and not survival.flags.writeable
 
     @pytest.mark.parametrize("blocks", [0.1, 1.0, 10.0, 37.3, 100.0, 1e3, 1e5])
     def test_model_table_equals_numpy_scalar_nodes(self, blocks):
         model = RiskModel(blocks, 100, 10.0, 10.0)
-        nodes, survival, width = _model_survival(model)
+        survival = _model_survival(model)
         values = []
-        for t in nodes:
+        for t in np.array(_NODES):
             assert type(t) is np.float64
             values.append(attack_probability(model, t))
         values = np.array(values)
-        prefix = np.concatenate(([0.0], np.cumsum(values) * width))
-        assert np.array_equal(survival, 1.0 - (prefix[:-1] + 0.5 * width * values))
+        prefix = np.concatenate(([0.0], np.cumsum(values) * _WIDTH))
+        assert np.array_equal(survival, 1.0 - (prefix[:-1] + 0.5 * _WIDTH * values))
 
 
 class TestAttackNodeCache:
@@ -192,62 +194,73 @@ class TestAttackNodeCache:
 
         counted("reg_inc_beta")
         counted("survival_grid")
-        risk._attack_at_nodes.cache_clear()
+        risk._block_count.cache_clear()
         _model_survival.cache_clear()
         yield calls
-        risk._attack_at_nodes.cache_clear()
+        risk._block_count.cache_clear()
         _model_survival.cache_clear()
 
     def test_models_sharing_a_block_count_share_the_incomplete_beta(self, counts):
         models = [RiskModel(10.0, 100, 10.0, 10.0), RiskModel(10.0, 250, 10.0, 10.0),
                   RiskModel(10.0, 100, 3.5, 0.25)]
-        tables = [_model_survival(model)[1] for model in models]
+        tables = [_model_survival(model) for model in models]
         assert counts == {"reg_inc_beta": GRID_INTERVALS, "survival_grid": 3}
         assert all(np.array_equal(tables[0], table) for table in tables[1:])
         _model_survival(RiskModel(37.3, 100, 10.0, 10.0))
         assert counts == {"reg_inc_beta": 2 * GRID_INTERVALS, "survival_grid": 4}
+        assert risk._block_count.cache_info().currsize == 2
 
 
 class TestDistortedMassMemo:
-    """premium_curve reads the distorted survival mass back per
-    (blocks_per_period, gamma), bit for bit, within a fixed bound."""
+    """premium_curve reads the distorted survival mass back from its block
+    count's table, keyed by gamma, bit for bit, within a fixed bound per
+    block count."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        risk._distorted_masses.clear()
+    def empty_tables(self):
+        risk._block_count.cache_clear()
         yield
-        risk._distorted_masses.clear()
+        risk._block_count.cache_clear()
 
     def test_models_sharing_a_block_count_read_the_same_masses(self):
         models = [RiskModel(10.0, 100, 10.0, 10.0), RiskModel(10.0, 250, 3.5, 10.0)]
         gammas = np.linspace(1.0, 2.0, 200).tolist()
+        masses = risk._block_count(10.0)[1]
         for model in models + models:  # the second model and the second round read the memo
             self.assert_uncached(model, gammas)
-            assert len(risk._distorted_masses) == len(gammas)
+            assert list(masses) == gammas
         # another block count has a table, and masses, of its own
         self.assert_uncached(RiskModel(37.3, 100, 10.0, 10.0), gammas)
-        assert len(risk._distorted_masses) == 2 * len(gammas)
+        assert list(risk._block_count(37.3)[1]) == gammas
+        assert list(masses) == gammas
 
     @staticmethod
     def assert_uncached(model, gammas):
         curve = premium_curve(model)
-        _, survival, width = _model_survival(model)
+        survival = _model_survival(model)
         for gamma in gammas:
-            mass = float((survival ** (1.0 / gamma)).sum() * width)
+            mass = float((survival ** (1.0 / gamma)).sum() * _WIDTH)
             assert curve(gamma) == model.claim_scale * mass
 
     def test_keeps_the_newest_and_drops_the_oldest_first(self):
         model = RiskModel(10.0, 100, 10.0, 10.0)
         curve = premium_curve(model)
+        masses = risk._block_count(model.blocks_per_period)[1]
         gammas = np.linspace(1.0, 2.0, risk.DISTORTED_MASSES_KEPT + 3).tolist()
         for gamma in gammas:
             curve(gamma)
-        kept = [(model.blocks_per_period, gamma) for gamma in gammas[3:]]
-        assert list(risk._distorted_masses) == kept
+        kept = gammas[3:]
+        assert list(masses) == kept
         # a read does not renew an entry: the oldest still goes first
         curve(gammas[3])
         curve(2.5)
-        assert list(risk._distorted_masses) == kept[1:] + [(model.blocks_per_period, 2.5)]
+        assert list(masses) == kept[1:] + [2.5]
+        # another block count's masses drop none of these
+        other = premium_curve(RiskModel(37.3, 100, 10.0, 10.0))
+        for gamma in gammas:
+            other(gamma)
+        assert list(masses) == kept[1:] + [2.5]
+        assert list(risk._block_count(37.3)[1]) == gammas[3:]
 
     def test_bound_holds_over_a_long_sweep(self):
         cfg = ExperimentConfig.from_dict({
@@ -255,7 +268,9 @@ class TestDistortedMassMemo:
             "tx_per_block": list(range(50, 150)), "seed": 3})
         rows = run_sweep(cfg)
         assert len(rows) == 2000 and all(row.converged for row in rows)
-        assert len(risk._distorted_masses) == risk.DISTORTED_MASSES_KEPT
+        # the 2000 points share one block count, so one table holds their masses
+        assert risk._block_count.cache_info().currsize == 1
+        assert len(risk._block_count(cfg.blocks_per_period)[1]) == risk.DISTORTED_MASSES_KEPT
 
 
 class TestQuadratureAgreement:
@@ -264,8 +279,8 @@ class TestQuadratureAgreement:
 
     def test_attack_probability_integrand(self):
         # the table's inner integral of p at every node, to 1e-3 of the whole
-        nodes, survival, _ = _model_survival(DEFAULTS)
-        oracle = np.array([adaptive_simpson(default_p, 0.5, t, ADAPTIVE) for t in nodes.tolist()])
+        survival = _model_survival(DEFAULTS)
+        oracle = np.array([adaptive_simpson(default_p, 0.5, t, ADAPTIVE) for t in _NODES])
         np.testing.assert_allclose(1.0 - survival, oracle, rtol=0.0, atol=1e-3 * oracle[-1])
 
     @pytest.mark.parametrize("gamma", [1.0, 1.3, 2.0])

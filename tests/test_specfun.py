@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsure.errors import ConvergenceError
-from chainsure.risk import survival_grid
+from chainsure.risk import _NODES, _WIDTH, survival_grid
 from chainsure.specfun import adaptive_simpson, reg_inc_beta
 from conftest import beta_closed_form, beta_quadrature
 
@@ -174,13 +174,14 @@ class TestIntegrate:
 
     def test_midpoint_constant(self):
         # the inner integral of a constant is exact on the grid
-        nodes, survival, _ = survival_grid(lambda t: 0.8)
+        survival = survival_grid(lambda t: 0.8)
+        nodes = np.array(_NODES)
         np.testing.assert_allclose(survival, 1.0 - 0.8 * (nodes - 0.5), rtol=0.0, atol=1e-14)
 
     def test_midpoint_exact_for_linear(self):
         # B(t) = 1 - 0.8 (t - 1/2) is linear, so the outer sum is its exact integral
-        _, survival, width = survival_grid(lambda t: 0.8)
-        assert math.isclose(float(np.sum(survival) * width), 0.5 - 0.8 / 8, abs_tol=1e-14)
+        survival = survival_grid(lambda t: 0.8)
+        assert math.isclose(float(np.sum(survival) * _WIDTH), 0.5 - 0.8 / 8, abs_tol=1e-14)
 
     def test_adaptive_against_antiderivative(self):
         assert math.isclose(adaptive_simpson(lambda t: t * t, 0.0, 1.0, 1e-10), 1.0 / 3.0,
@@ -200,7 +201,7 @@ class TestIntegrate:
         first = survival_grid(f)
         for _ in range(5):
             again = survival_grid(f)
-            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+            assert np.array_equal(first, again)
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
