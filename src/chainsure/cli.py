@@ -8,7 +8,7 @@ Subcommands:
             finite differences, quadrature) and report pass/fail
 
 Exit codes: 0 success, 1 solver non-convergence, solver error or oracle
-failure, 2 configuration or usage error.
+failure, 2 configuration or usage error, or an array too large for memory.
 """
 
 from __future__ import annotations
@@ -235,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except SOLVER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,9 +14,9 @@ response runs it on its price curvature M + M^T. A sweep is BLAS
 triangular kernels that read the matrix once and return the new
 iterate's residual with it.
 
-The five Fortran routines used here (BLAS trmv and trsv, LAPACK getrf,
-getrs and getri, with getri_lwork for getri's blocked workspace) are
-bound from scipy's compiled f2py wrapper modules, loaded
+The six Fortran routines used here (BLAS trmv and trsv, LAPACK getrf,
+getrs, getri and gebal, with getri_lwork for getri's blocked workspace)
+are bound from scipy's compiled f2py wrapper modules, loaded
 by _scipy_linalg_extension from the file next to scipy.linalg's package
 without running scipy's or scipy.linalg's package import, which cost
 more than a whole paper sweep.
@@ -36,13 +36,10 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .errors import ContractionViolation, ConvergenceError, UniquenessViolation
+from .errors import ConfigurationError, ContractionViolation, ConvergenceError, UniquenessViolation
 
 POWER_ITER_TOL = 1e-10
 POWER_ITER_CAP = 100_000
-# sweeps spectral_radius's balancing may take; stopping early leaves a
-# similar matrix that is only less well balanced
-BALANCE_SWEEP_CAP = 100
 LCP_TOL = 1e-10
 LCP_ITER_CAP = 10**6
 BRUTE_FORCE_MAX_USERS = 12
@@ -96,7 +93,7 @@ def _scipy_linalg_extension(name: str):
 _fblas = _scipy_linalg_extension("_fblas")
 _flapack = _scipy_linalg_extension("_flapack")
 dtrmv, dtrsv = _fblas.dtrmv, _fblas.dtrsv
-dgetrf, dgetrs = _flapack.dgetrf, _flapack.dgetrs
+dgetrf, dgetrs, dgebal = _flapack.dgetrf, _flapack.dgetrs, _flapack.dgebal
 dgetri, dgetri_lwork = _flapack.dgetri, _flapack.dgetri_lwork
 
 
@@ -174,9 +171,10 @@ class ExternalityGraph:
     and for such a matrix alpha * rho(G) < 1 holds exactly when some
     x > 0 has A x > 0 (Berman & Plemmons 1994, ch. 6). ones_image,
     x = A^{-1} 1, is that certificate: construction requires x > 0 and
-    the product A x above 1/2 (it is 1 up to round-off), else it raises
-    ContractionViolation. rho and alpha_rho are computed only when read,
-    by `check`, the error message and library users.
+    the product A x above 1/2 (it is 1 up to round-off). Where it fails,
+    construction raises ContractionViolation if alpha * rho(G) >= 1, else
+    a ConfigurationError naming the failed certificate. rho and alpha_rho
+    are otherwise computed only when read, by `check` and library users.
     """
 
     weights: np.ndarray
@@ -208,7 +206,12 @@ class ExternalityGraph:
                 raise ContractionViolation(self.alpha_rho) from None
             raise
         if not (np.all(x > 0.0) and np.all(self.system_matrix @ x > 0.5)):
-            raise ContractionViolation(self.alpha_rho)
+            if self.alpha_rho >= 1.0 - POWER_ITER_TOL:
+                raise ContractionViolation(self.alpha_rho)
+            # A x can miss 1 by more than 1/2 in round-off alone, as where
+            # the weights lie many orders of magnitude apart
+            raise ConfigurationError(f"the certificate from the LU of I - alpha G failed for "
+                                     f"alpha * rho(G) = {self.alpha_rho:.6g} < 1")
 
     @property
     def n_users(self) -> int:
@@ -327,15 +330,20 @@ class DemandProfile:
 def spectral_radius(matrix: np.ndarray) -> float:
     """Perron root of a nonnegative matrix; exactly 0.0 when its digraph is acyclic.
 
-    Rows with no edge to the rows still left are peeled off first. Each
-    peeled row closes a block-triangular split with a zero diagonal
-    block, so the rows that remain have the same Perron root, and when
-    every row peels the digraph is acyclic and that root is 0. The rest
-    is balanced (see _balance), which brings weights that span more than
-    the float range back within it where a diagonal similarity can, and
-    then scaled once by its largest entry, so no iterate overflows;
-    weights still so far apart that the scaling pushes one below the
-    normal float range raise ConvergenceError.
+    LAPACK gebal, given the transpose, permutes it to block triangular
+    form: each row or column with no off-diagonal weight among those left,
+    as at a sink or a source, is set aside, its diagonal entry an
+    eigenvalue. It balances the rest, the core, by a diagonal similarity of
+    powers of two (Parlett & Reinsch 1969), which keeps the spectrum exactly
+    and brings weights that span more than the float range within it where
+    any diagonal similarity can; the transpose of its result is a C-ordered
+    D G D^-1. No diagonal entry exceeds rho, so rho is the larger of the
+    largest one and the core's root: with no core of two rows or more, that
+    entry, 0 for an acyclic digraph. A non-finite matrix raises ValueError.
+
+    The core is scaled once by its largest entry, so no iterate overflows;
+    weights still so far apart that the scaling pushes one below the normal
+    float range raise ConvergenceError.
 
     Shifted power iteration then stops on the Collatz-Wielandt bracket,
     min_i (g x)_i / x_i <= rho <= max_i (g x)_i / x_i for any x > 0, once
@@ -349,29 +357,23 @@ def spectral_radius(matrix: np.ndarray) -> float:
     finds a small root as fast as a large one. This is a diagnostic: no
     graph computes it unless rho is read.
     """
-    weights = np.asarray(matrix, dtype=float)
-    edges = weights != 0.0
-    out_degree = edges.sum(axis=1)
-    live = np.ones(weights.shape[0], dtype=bool)
-    peel = out_degree == 0
-    while peel.any():
-        live &= ~peel
-        out_degree -= edges[:, peel].sum(axis=1)
-        peel = live & (out_degree == 0)
-    if not live.any():
+    # checked here, since LAPACK gebal prints a message for either case
+    weights = np.asarray_chkfinite(matrix, dtype=float)
+    if weights.size == 0:
         return 0.0
-    g = weights[np.ix_(live, live)]  # a copy, balanced in place
-    positive = g > 0.0
-    _balance(g)
-    scale = float(g.max())
-    scaled = g / scale
-    if np.any(positive & (scaled < np.finfo(float).tiny)):
+    balanced, lo, hi, _, _ = dgebal(weights.T, scale=1, permute=1)
+    top_diagonal = float(np.diagonal(balanced).max())
+    if hi <= lo:
+        return top_diagonal
+    core = balanced[lo:hi + 1, lo:hi + 1].T
+    scale = float(core.max())
+    g = core / scale
+    if np.any((core > 0.0) & (g < np.finfo(float).tiny)):
         # a weight pushed below the normal range has lost its digits, so
         # the scaled matrix no longer has the Perron root asked for
-        nonzero = weights[np.ix_(live, live)][positive]
+        nonzero = weights[weights > 0.0]
         raise ConvergenceError(f"weights from {nonzero.min():.3g} to {nonzero.max():.3g} span "
                                "more than the float range")
-    g = scaled
     x = np.ones(g.shape[0])
     for _ in range(POWER_ITER_CAP):
         y = g @ x
@@ -384,53 +386,13 @@ def spectral_radius(matrix: np.ndarray) -> float:
         lower = float(ratios.min())
         width = (upper - lower) / upper
         if width <= POWER_ITER_TOL:
-            return scale * 0.5 * (lower + upper)
+            return max(top_diagonal, scale * 0.5 * (lower + upper))
         x = y + 0.5 * upper * x
         x /= x.max()
     raise ConvergenceError(
         f"power iteration did not converge within {POWER_ITER_CAP} iterations",
         residual=width,
     )
-
-
-def _balance(g: np.ndarray) -> None:
-    """Replace g by D^-1 g D, in place, for a diagonal D of powers of two
-    that brings each row's off-diagonal sum within a factor of about 2 of
-    its column's (Parlett & Reinsch 1969, as in LAPACK dgebal).
-
-    A similarity keeps the spectrum, and powers of two scale exactly
-    unless an entry leaves the normal float range, so balancing costs no
-    digits. It shrinks the span of weights such as [[0, s], [1/s, 0]],
-    which no single scaling brings within the float range for s = 1e160.
-    A step is kept only when it lowers its row's and column's sums
-    together by at least 5 %, which lowers the sum of all off-diagonal
-    weights by as much; the diagonal is left out, since D does not
-    change it. g must be nonnegative.
-    """
-    diagonal = np.diagonal(g).copy()
-    np.fill_diagonal(g, 0.0)
-    with np.errstate(over="ignore"):  # a sum past the float range is skipped below
-        for _ in range(BALANCE_SWEEP_CAP):
-            moved = False
-            for i in range(g.shape[0]):
-                col, row = float(np.add.reduce(g[:, i])), float(np.add.reduce(g[i]))
-                # a row or column with no weight, or one whose sum overflows, stays
-                if not (0.0 < col < math.inf and 0.0 < row < math.inf):
-                    continue
-                # the power of two f with col * f^2 in [row / 2, 2 row); col
-                # holds col * f^2 as it goes
-                f, total = 1.0, col + row
-                while col < 0.5 * row:
-                    f, col = 2.0 * f, 4.0 * col
-                while col >= 2.0 * row:
-                    f, col = 0.5 * f, 0.25 * col
-                if (col + row) / f < 0.95 * total:
-                    g[i] /= f
-                    g[:, i] *= f
-                    moved = True
-            if not moved:
-                break
-    np.fill_diagonal(g, diagonal)
 
 
 def _demand_rhs(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> np.ndarray:

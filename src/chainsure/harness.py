@@ -173,7 +173,7 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float) -> Externa
     rng = np.random.default_rng(seq)
     try:
         weights = rng.uniform(config.g_low, config.g_high, size=(n, n))
-    except (ValueError, MemoryError) as exc:
+    except ValueError as exc:
         raise ConfigurationError(f"cannot draw an {n} x {n} externality matrix: {exc}") from exc
     np.fill_diagonal(weights, 0.0)
     return ExternalityGraph(weights=weights, alpha=alpha)

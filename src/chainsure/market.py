@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .demand import ExternalityGraph, _demand_rhs
+from .demand import ExternalityGraph, closed_form_demand
 from .risk import (
     RiskModel,
     attack_probability,
@@ -137,7 +137,7 @@ def provider_profit(params: MarketParams, graph: ExternalityGraph,
     """Revenue on interior demand, minus infrastructure cost, plus mining
     income, minus the insurance premium."""
     validate_strategies(params, graph, s_p, s_i)
-    x = graph.solve(_demand_rhs(graph, s_p.investment_ratio, s_p.prices))
+    x = closed_form_demand(graph, s_p.investment_ratio, s_p.prices).x
     return provider_profit_at(params, s_p, x, premium(params.risk, s_i.gamma))
 
 

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainsure
 from chainsure import demand, equilibrium, harness
 from chainsure.cli import main
 from chainsure.errors import ConfigurationError
@@ -325,6 +329,59 @@ class TestSolverErrors:
         path.write_text(json.dumps({"n_users": [10**300]}))
         assert main([command, "--config", str(path)]) == 2
         assert "externality matrix" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and /proc/self/status are Linux's")
+class TestOutOfMemory:
+    """A size the process cannot hold exits 2 with numpy's message, no traceback.
+
+    Each command runs in a child whose address space RLIMIT_AS caps, set
+    by preexec_fn so that it acts on that child only. The cap is the
+    child's own peak after import plus 3.5 n x n arrays: the draw, the
+    graph's copy of it and A = I - alpha G fit, and the LU's copy of A
+    does not. The margin is half an array either way; with too little,
+    the copy fits and OpenBLAS's getrf waits for its work buffer instead.
+    """
+
+    N = 2000
+    CHILD = ("import sys\n"
+             "from chainsure.cli import main\n"
+             "if sys.argv[1] == 'peak':\n"
+             "    print([line.split()[1] for line in open('/proc/self/status')\n"
+             "           if line.startswith('VmPeak:')][0])\n"
+             "else:\n"
+             "    sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.fixture(scope="class")
+    def run_child(self):
+        import resource
+
+        src = str(Path(chainsure.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(args, limit=None):
+            def cap():
+                resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+            return subprocess.run([sys.executable, "-c", self.CHILD, *args], env=env,
+                                  capture_output=True, text=True, timeout=120,
+                                  preexec_fn=cap if limit else None)
+
+        peak_kb = int(run(["peak"]).stdout)
+        limit = peak_kb * 1024 + int(3.5 * 8 * self.N**2)
+        return lambda args: run(args, limit)
+
+    @pytest.mark.parametrize("command", ["solve", "check", "sweep"])
+    def test_exits_2_without_traceback(self, tmp_path, run_child, command):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"n_users": [self.N], "alpha": [0.07 / self.N], "seed": 0}))
+        extra = ["--out", str(tmp_path / "rows.csv")] if command == "sweep" else []
+        done = run_child([command, "--config", str(path), *extra])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("out of memory: Unable to allocate")
+        assert f"shape ({self.N}, {self.N})" in done.stderr
 
 
 class TestOracle:

@@ -30,7 +30,7 @@ from chainsure.demand import (
     spectral_radius,
 )
 from chainsure.equilibrium import _projected_norm
-from chainsure.errors import ContractionViolation, ConvergenceError
+from chainsure.errors import ConfigurationError, ContractionViolation, ConvergenceError
 from chainsure.market import PRICE_FLOOR
 from conftest import edge_arrays, outcome, random_externality
 
@@ -132,6 +132,17 @@ class TestExternalityGraph:
             accepted = False
         assert accepted == (alpha * rho < 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    @pytest.mark.parametrize("spread", [1e20, 1e50, 1e100, 1e160])
+    def test_certificate_lost_to_round_off_names_itself(self, spread, alpha):
+        # alpha * rho(G) = alpha < 1, but x = A^-1 1 has an entry near
+        # spread, so A x misses 1 by far more than 1/2 in round-off
+        with pytest.raises(ConfigurationError) as info:
+            ExternalityGraph(np.array([[0.0, spread], [1.0 / spread, 0.0]]), alpha)
+        assert not isinstance(info.value, ContractionViolation)
+        assert str(info.value) == ("the certificate from the LU of I - alpha G failed for "
+                                   f"alpha * rho(G) = {alpha:g} < 1")
+
     def test_rho_computed_once(self, radius_calls):
         graph = ExternalityGraph(SWAP, 0.5)
         assert radius_calls == []  # the gate reads the LU certificate, not rho
@@ -226,8 +237,9 @@ class TestBoundRoutines:
     def test_shared_when_scipy_linalg_comes_second(self):
         probe = ("import chainsure.demand as d, scipy.linalg as s; print(d.dtrmv is s.blas.dtrmv, "
                  "d.dtrsv is s.blas.dtrsv, d.dgetrf is s.lapack.dgetrf, d.dgetrs is s.lapack.dgetrs, "
-                 "d.dgetri is s.lapack.dgetri, d.dgetri_lwork is s.lapack.dgetri_lwork)")
-        assert self.run_fresh(probe) == ["True"] * 6
+                 "d.dgetri is s.lapack.dgetri, d.dgetri_lwork is s.lapack.dgetri_lwork, "
+                 "d.dgebal is s.lapack.dgebal)")
+        assert self.run_fresh(probe) == ["True"] * 7
 
     def test_failed_load_imports_scipy_and_retries(self):
         # the first load of _fblas raises, as where scipy's __init__ must first
@@ -355,6 +367,7 @@ class TestBoundRoutines:
         assert demand.dgetrs is scipy.linalg.lapack.dgetrs
         assert demand.dgetri is scipy.linalg.lapack.dgetri
         assert demand.dgetri_lwork is scipy.linalg.lapack.dgetri_lwork
+        assert demand.dgebal is scipy.linalg.lapack.dgebal
 
 
 class TestSpectralRadius:
@@ -421,6 +434,28 @@ class TestSpectralRadius:
         w[1, 2] = w[2, 3] = w[3, 4] = w[0, 4] = 1.0
         assert spectral_radius(w) == pytest.approx(3.0, rel=1e-9)
 
+    @pytest.mark.parametrize("w", [
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 5.0]],  # row 2 has no off-diagonal weight
+        [[5.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],  # column 0 has none
+    ], ids=["row", "column"])
+    def test_isolated_self_loop_can_be_rho(self, w):
+        # gebal sets the row or column aside with its self-loop, 5, above
+        # the 2-cycle's root 1, so rho is that entry exactly, not a power
+        # iteration's estimate within its tolerance
+        assert spectral_radius(np.array(w)) == 5.0
+        lower = np.array(w)
+        lower[lower == 5.0] = 0.5
+        assert spectral_radius(lower) == pytest.approx(1.0, rel=1e-9)
+
+    def test_empty_and_non_finite_print_nothing(self, capfd):
+        # LAPACK's gebal would print an illegal-argument message for either
+        assert spectral_radius(np.zeros((0, 0))) == 0.0
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral_radius(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral_radius(ONE_NAN_IN_100)
+        assert capfd.readouterr() == ("", "")
+
     def test_row_sum_past_float_range(self):
         # row 0 sums to 2e308, which overflows, yet rho = sqrt(2) 1e308 is finite
         w = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
@@ -433,6 +468,25 @@ class TestSpectralRadius:
             np.fill_diagonal(w, 0.0)
             exact = float(np.max(np.abs(np.linalg.eigvals(w))))
             assert spectral_radius(w) == pytest.approx(exact, rel=1e-9)
+
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32),
+           density=st.sampled_from([0.2, 0.4, 0.7]), diagonal=st.booleans(), isolated=st.booleans())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_eigenvalue_oracle(self, n, seed, density, diagonal, isolated):
+        # sparse draws leave rows and columns that gebal sets aside; `isolated`
+        # forces one row and one column with no off-diagonal weight, and with
+        # `diagonal` about half the users, those two possibly among them,
+        # have a self-loop
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.0, 10.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
+        np.fill_diagonal(w, 0.0)
+        if diagonal:
+            np.fill_diagonal(w, rng.uniform(0.0, 10.0, n) * (rng.uniform(size=n) < 0.5))
+        if isolated:
+            w[0, 1:] = 0.0
+            w[:-1, -1] = 0.0
+        exact = float(np.max(np.abs(np.linalg.eigvals(w))))
+        assert spectral_radius(w) == pytest.approx(exact, rel=1e-8)
 
     def test_bipartite_tie(self):
         # +/-rho eigenvalue pairs must not stall the iteration
