@@ -29,7 +29,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
@@ -159,76 +159,94 @@ class Segment(enum.IntEnum):
 
 @dataclass(frozen=True, eq=False)
 class ExternalityGraph:
-    """Nonnegative influence weights between users, scaled by alpha.
+    """The demand system A = I - alpha G of nonnegative influence weights G.
 
     weights[i, j] is how strongly user j's purchase decision raises user i's
     utility; the diagonal must be zero. alpha scales the whole network.
-    A graph exists only when alpha * rho(G) < 1, the condition for a unique
-    demand equilibrium, so every solver may assume it.
+    weights is read once, to build A, and not kept: the graph holds A
+    (system_matrix, read-only), its LU factors and what solvers derive
+    from them, never a copy of G. I - A is exactly fl(alpha G) off the
+    diagonal and 0 on it. A graph exists only when alpha * rho(G) < 1,
+    the condition for a unique demand equilibrium, so every solver may
+    assume it.
 
     The constructor decides that condition from the factorization every
-    solver needs. No off-diagonal entry of A = I - alpha G is positive,
-    and for such a matrix alpha * rho(G) < 1 holds exactly when some
-    x > 0 has A x > 0 (Berman & Plemmons 1994, ch. 6). ones_image,
-    x = A^{-1} 1, is that certificate: construction requires x > 0 and
-    the product A x above 1/2 (it is 1 up to round-off). Where it fails,
-    construction raises ContractionViolation if alpha * rho(G) >= 1, else
-    a ConfigurationError naming the failed certificate. rho and alpha_rho
-    are otherwise computed only when read, by `check` and library users.
+    solver needs. No off-diagonal entry of A is positive, and for such a
+    matrix alpha * rho(G) < 1 holds exactly when some x > 0 has A x > 0
+    (Berman & Plemmons 1994, ch. 6). ones_image, x = A^{-1} 1, is that
+    certificate: construction requires x > 0 and the product A x above
+    1/2 (it is 1 up to round-off). Where x fails, as where the weights lie
+    many orders of magnitude apart and A x misses 1 in round-off alone,
+    the same test runs once on D^{-1} A D, D = diag(d) from LAPACK gebal's
+    balancing of A, which is an M-matrix exactly when A is: y = A^{-1} d
+    must be positive with A y above d / 2. Where both fail, construction
+    raises ContractionViolation if alpha * rho(G) >= 1, else a
+    ConfigurationError naming the failed certificate. alpha_rho is
+    otherwise computed only when read, by `check` and library users.
     """
 
-    weights: np.ndarray
+    weights: InitVar[np.ndarray]
     alpha: float
+    system_matrix: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __post_init__(self, weights):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
             raise ValueError(f"weights must be a nonempty square matrix, got shape {w.shape}")
-        # checked before the factorization, whose own check names no field
-        if not np.all(np.isfinite(w)):
+        # checked before the factorization, whose own check names no field;
+        # min and max pass a NaN on, and make no n x n temporary
+        low, high = float(w.min()), float(w.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("externality weights must be finite")
-        if np.any(w < 0):
+        if low < 0:
             raise ValueError("externality weights must be nonnegative")
         if np.any(np.diagonal(w) != 0):
             raise ValueError("externality weights must have a zero diagonal")
         # written so that NaN fails
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        # rounding is monotone, so no product alpha * w_ij exceeds this one
+        if not math.isfinite(float(self.alpha) * high):
+            raise ConfigurationError(f"alpha * G exceeds the float range (alpha = {self.alpha:g}, "
+                                     f"largest weight {high:g})")
+        # the bytes of np.eye(n) - alpha * w in one C-ordered n x n array:
+        # 0.0 - y keeps +0.0 where alpha * w is +0.0, and the diagonal is +0.0 + 1
+        a = np.multiply(self.alpha, w, order="C")
+        np.subtract(0.0, a, out=a)
+        a.flat[::a.shape[0] + 1] += 1.0
+        a.setflags(write=False)
+        object.__setattr__(self, "system_matrix", a)
         try:
-            x = self.ones_image
+            certified = self._certified()
         except (ValueError, ArithmeticError):
             # an exactly singular A is itself alpha * rho(G) >= 1, which
             # power iteration may estimate a round-off below 1
             if self.alpha_rho >= 1.0 - POWER_ITER_TOL:
                 raise ContractionViolation(self.alpha_rho) from None
             raise
-        if not (np.all(x > 0.0) and np.all(self.system_matrix @ x > 0.5)):
+        if not certified:
             if self.alpha_rho >= 1.0 - POWER_ITER_TOL:
                 raise ContractionViolation(self.alpha_rho)
-            # A x can miss 1 by more than 1/2 in round-off alone, as where
-            # the weights lie many orders of magnitude apart
             raise ConfigurationError(f"the certificate from the LU of I - alpha G failed for "
                                      f"alpha * rho(G) = {self.alpha_rho:.6g} < 1")
 
+    def _certified(self) -> bool:
+        """Whether x = A^{-1} 1 certifies A, or failing that y = A^{-1} d.
+
+        The second test runs only where the first fails, so only such a
+        graph runs gebal, whose copy of A is its one n x n array.
+        """
+        a = self.system_matrix
+        x = self.ones_image
+        if np.all(x > 0.0) and np.all(a @ x > 0.5):
+            return True
+        scale = dgebal(a, scale=1, permute=0)[3]
+        y = self.solve(scale)
+        return bool(np.all(y > 0.0) and np.all(a @ y > 0.5 * scale))
+
     @property
     def n_users(self) -> int:
-        return self.weights.shape[0]
-
-    @cached_property
-    def system_matrix(self) -> np.ndarray:
-        """I - alpha * G; the demand system's coefficient matrix.
-
-        Built in one n x n array, with the bytes of np.eye(n) - alpha * G:
-        0.0 - y keeps +0.0 where alpha * G is +0.0, and the diagonal is
-        +0.0 + 1.
-        """
-        out = self.alpha * self.weights
-        np.subtract(0.0, out, out=out)
-        out.flat[::self.n_users + 1] += 1.0
-        return out
+        return self.system_matrix.shape[0]
 
     @cached_property
     def _lu(self):
@@ -252,14 +270,12 @@ class ExternalityGraph:
         return out
 
     @cached_property
-    def rho(self) -> float:
-        """rho(G), the Perron root of the unscaled weights."""
-        return spectral_radius(self.weights)
-
-    @property
     def alpha_rho(self) -> float:
-        """alpha * rho(G), below 1 for every graph."""
-        return self.alpha * self.rho
+        """alpha * rho(G), below 1 for every graph: the Perron root of I - A
+        with its diagonal set to 0, which is exactly fl(alpha G)."""
+        scaled = np.subtract(0.0, self.system_matrix)
+        np.fill_diagonal(scaled, 0.0)
+        return spectral_radius(scaled)
 
     @cached_property
     def total_amplification(self) -> float:
@@ -355,7 +371,7 @@ def spectral_radius(matrix: np.ndarray) -> float:
     bound, breaks the tie between rho and the other eigenvalues of modulus
     rho of a periodic matrix; tied to rho rather than to the row sums, it
     finds a small root as fast as a large one. This is a diagnostic: no
-    graph computes it unless rho is read.
+    graph computes it unless alpha_rho is read.
     """
     # checked here, since LAPACK gebal prints a message for either case
     weights = np.asarray_chkfinite(matrix, dtype=float)

@@ -11,9 +11,10 @@ this purpose.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
-from chainsure import ExternalityGraph
+from chainsure import ExternalityGraph, harness
 from chainsure.specfun import adaptive_simpson
 
 # adaptive Simpson tolerances: the tight one, and a looser one for nested integrals
@@ -58,17 +59,33 @@ def nested_adaptive_premium(p_fn, scale: float, gamma: float,
     return scale * adaptive_simpson(outer, 0.5, 1.0, tolerance)
 
 
-def random_externality(rng: np.random.Generator, n: int,
-                       target_alpha_rho: float = 0.6,
-                       g_high: float = 10.0) -> ExternalityGraph:
-    """Random nonnegative graph with alpha scaled so alpha * rho(G) hits
-    the requested level (dense eigensolver, not the package path)."""
+def random_weights(rng: np.random.Generator, n: int,
+                   target_alpha_rho: float = 0.6,
+                   g_high: float = 10.0) -> tuple[np.ndarray, float]:
+    """Random nonnegative weights with a zero diagonal, and the alpha that
+    puts alpha * rho(G) at the requested level (dense eigensolver, not the
+    package path)."""
     weights = rng.uniform(0.0, g_high, size=(n, n))
     np.fill_diagonal(weights, 0.0)
     rho = float(np.max(np.abs(np.linalg.eigvals(weights)))) if n > 1 else 0.0
-    if rho == 0.0:
-        return ExternalityGraph(weights, alpha=0.0)
-    return ExternalityGraph(weights, alpha=target_alpha_rho / rho)
+    return weights, (target_alpha_rho / rho if rho > 0.0 else 0.0)
+
+
+def random_externality(rng: np.random.Generator, n: int,
+                       target_alpha_rho: float = 0.6,
+                       g_high: float = 10.0) -> ExternalityGraph:
+    """The graph of random_weights."""
+    return ExternalityGraph(*random_weights(rng, n, target_alpha_rho, g_high))
+
+
+def drawn_weights(config, n: int, alpha: float = 0.0) -> np.ndarray:
+    """The weights harness.generate_instance draws for n users at alpha under
+    config, taken as it passes them to ExternalityGraph, which keeps no copy."""
+    drawn = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "ExternalityGraph", lambda weights, alpha: drawn.append(weights))
+        harness.generate_instance(config, n, alpha)
+    return drawn[0]
 
 
 def central_difference(f, x: float, step: float) -> float:

@@ -324,11 +324,37 @@ class TestSolverErrors:
         assert "alpha * rho(G)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_scaled_externality_past_float_range_exits_2(self, tmp_path, capsys, command):
+        # alpha * G overflows, so there is no A to certify, and check must
+        # not report an alpha * rho(G) of inf at exit 0
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"n_users": [2], "alpha": [1.7976931348623157e308]}))
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: alpha * G exceeds the float range")
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
     def test_unallocatable_user_count(self, tmp_path, capsys, command):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"n_users": [10**300]}))
         assert main([command, "--config", str(path)]) == 2
         assert "externality matrix" in capsys.readouterr().err
+
+
+def child_env() -> dict[str, str]:
+    """The environment with one BLAS thread and this checkout's chainsure
+    first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(chainsure.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def large_config(tmp_path, n: int) -> Path:
+    """A config of n users at alpha * rho(G) near 0.35, the benchmark's."""
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"n_users": [n], "alpha": [0.07 / n], "seed": 0}))
+    return path
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS and /proc/self/status are Linux's")
@@ -337,10 +363,10 @@ class TestOutOfMemory:
 
     Each command runs in a child whose address space RLIMIT_AS caps, set
     by preexec_fn so that it acts on that child only. The cap is the
-    child's own peak after import plus 3.5 n x n arrays: the draw, the
-    graph's copy of it and A = I - alpha G fit, and the LU's copy of A
-    does not. The margin is half an array either way; with too little,
-    the copy fits and OpenBLAS's getrf waits for its work buffer instead.
+    child's own peak after import plus 2.5 n x n arrays: the draw and
+    A = I - alpha G fit, and the LU's copy of A does not. The margin is
+    half an array either way; with too little, the copy fits and
+    OpenBLAS's getrf waits for its work buffer instead.
     """
 
     N = 2000
@@ -356,32 +382,61 @@ class TestOutOfMemory:
     def run_child(self):
         import resource
 
-        src = str(Path(chainsure.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
         def run(args, limit=None):
             def cap():
                 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-            return subprocess.run([sys.executable, "-c", self.CHILD, *args], env=env,
+            return subprocess.run([sys.executable, "-c", self.CHILD, *args], env=child_env(),
                                   capture_output=True, text=True, timeout=120,
                                   preexec_fn=cap if limit else None)
 
         peak_kb = int(run(["peak"]).stdout)
-        limit = peak_kb * 1024 + int(3.5 * 8 * self.N**2)
+        limit = peak_kb * 1024 + int(2.5 * 8 * self.N**2)
         return lambda args: run(args, limit)
 
     @pytest.mark.parametrize("command", ["solve", "check", "sweep"])
     def test_exits_2_without_traceback(self, tmp_path, run_child, command):
-        path = tmp_path / "large.json"
-        path.write_text(json.dumps({"n_users": [self.N], "alpha": [0.07 / self.N], "seed": 0}))
+        path = large_config(tmp_path, self.N)
         extra = ["--out", str(tmp_path / "rows.csv")] if command == "sweep" else []
         done = run_child([command, "--config", str(path), *extra])
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("out of memory: Unable to allocate")
         assert f"shape ({self.N}, {self.N})" in done.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/status is Linux's")
+class TestPeakMemory:
+    """A cold solve holds at most three n x n arrays at once: the draw, A
+    and its LU while the graph is built, then A, the LU and Q. Its peak
+    resident size, above the child's own after import, stays below 3.5
+    arrays; BLAS's work buffers take part of the half array to spare.
+    A graph that kept a copy of G peaked at about four.
+
+    The child reads VmHWM, its own address space's peak, and not
+    ru_maxrss, which execve carries over from the forking process: under
+    a test runner larger than the child, ru_maxrss would read the
+    runner's peak throughout.
+    """
+
+    N = 2000
+    CHILD = ("import sys\n"
+             "from chainsure.cli import main\n"
+             "def peak_kb():\n"
+             "    return int([line.split()[1] for line in open('/proc/self/status')\n"
+             "                if line.startswith('VmHWM:')][0])\n"
+             "base = peak_kb()\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, peak_kb() - base)\n")
+
+    def test_solve_peaks_below_three_and_a_half_arrays(self, tmp_path):
+        path = large_config(tmp_path, self.N)
+        done = subprocess.run([sys.executable, "-c", self.CHILD, "solve", "--config", str(path)],
+                              env=child_env(), capture_output=True, text=True, timeout=120,
+                              check=True)
+        code, grown_kb = map(int, done.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert grown_kb * 1024 < 3.5 * 8 * self.N**2
 
 
 class TestOracle:

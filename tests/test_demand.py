@@ -32,7 +32,7 @@ from chainsure.demand import (
 from chainsure.equilibrium import _projected_norm
 from chainsure.errors import ConfigurationError, ContractionViolation, ConvergenceError
 from chainsure.market import PRICE_FLOOR
-from conftest import edge_arrays, outcome, random_externality
+from conftest import edge_arrays, outcome, random_externality, random_weights
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 CHAIN_4 = np.triu(np.ones((4, 4)), 1)  # user i influenced by every later user: acyclic
@@ -136,19 +136,29 @@ class TestExternalityGraph:
     @pytest.mark.parametrize("spread", [1e20, 1e50, 1e100, 1e160])
     def test_certificate_lost_to_round_off_names_itself(self, spread, alpha):
         # alpha * rho(G) = alpha < 1, but x = A^-1 1 has an entry near
-        # spread, so A x misses 1 by far more than 1/2 in round-off
+        # spread, so A x misses 1 by far more than 1/2 in round-off; the
+        # balanced certificate y = A^-1 d holds
+        graph = ExternalityGraph(np.array([[0.0, spread], [1.0 / spread, 0.0]]), alpha)
+        assert np.any(graph.system_matrix @ graph.ones_image <= 0.5)
+        assert graph.alpha_rho == pytest.approx(alpha, rel=1e-9)
+
+    def test_failed_certificate_names_itself(self, monkeypatch):
+        # a solve whose x and y both fail, at alpha * rho(G) = 0.5 < 1
+        monkeypatch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: -np.ones_like(b))
         with pytest.raises(ConfigurationError) as info:
-            ExternalityGraph(np.array([[0.0, spread], [1.0 / spread, 0.0]]), alpha)
+            ExternalityGraph(SWAP, 0.5)
         assert not isinstance(info.value, ContractionViolation)
         assert str(info.value) == ("the certificate from the LU of I - alpha G failed for "
-                                   f"alpha * rho(G) = {alpha:g} < 1")
+                                   "alpha * rho(G) = 0.5 < 1")
 
     def test_rho_computed_once(self, radius_calls):
         graph = ExternalityGraph(SWAP, 0.5)
         assert radius_calls == []  # the gate reads the LU certificate, not rho
-        assert graph.alpha_rho == pytest.approx(0.5, abs=1e-9)
-        assert graph.rho == pytest.approx(1.0, abs=1e-9)
+        for _ in range(2):
+            assert graph.alpha_rho == pytest.approx(0.5, abs=1e-9)
+        # once, on I - A with its diagonal set to 0: exactly fl(alpha G)
         assert len(radius_calls) == 1
+        assert radius_calls[0].tobytes() == (0.5 * SWAP).tobytes()
 
     @pytest.mark.parametrize("weights, alpha, alpha_rho", [
         (SWAP, 1.01, 1.01),
@@ -174,10 +184,27 @@ class TestExternalityGraph:
         assert all(s.tobytes() == graph.solve(rhs, transpose=t).tobytes()
                    for s, t in zip(solved, (False, True)))
 
-    def test_weights_read_only(self):
-        graph = ExternalityGraph(SWAP, 0.1)
+    def test_system_matrix_read_only_and_detached(self):
+        weights = SWAP.copy()
+        graph = ExternalityGraph(weights, 0.1)
+        held = [graph.system_matrix.copy(), graph.ones_image.copy()]
         with pytest.raises(ValueError):
-            graph.weights[0, 1] = 5.0
+            graph.system_matrix[0, 1] = 7.0
+        # the graph keeps no view of the caller's array
+        weights[0, 1] = 5.0
+        assert graph.system_matrix.tobytes() == held[0].tobytes()
+        assert graph.ones_image.tobytes() == held[1].tobytes()
+
+    def test_system_matrix_c_ordered(self):
+        # the sweeps read A through A.T as a Fortran-ordered view
+        graph = ExternalityGraph(np.asfortranarray(CHAIN_4), 0.5)
+        assert graph.system_matrix.flags.c_contiguous
+        assert graph.system_matrix.tobytes() == (np.eye(4) - 0.5 * CHAIN_4).tobytes()
+
+    def test_scaled_weights_past_float_range(self):
+        # alpha * G would hold an infinity, from which no A can be built
+        with pytest.raises(ConfigurationError, match="float range"):
+            ExternalityGraph(np.array([[0.0, 1e300], [0.0, 0.0]]), 1e10)
 
     def test_solve_round_trip(self):
         rng = np.random.default_rng(3)
@@ -574,7 +601,7 @@ def fallbacks(monkeypatch):
 # nonsymmetric G. Each case runs one sweep over the box [0, 1] from x and
 # names the branch it takes.
 SYMMETRIC = np.array([[2.0, 0.5], [0.5, 1.0]])
-NONSYMMETRIC = np.eye(2) - ExternalityGraph(np.array([[0.0, 0.2], [0.5, 0.0]]), 1.0).weights
+NONSYMMETRIC = ExternalityGraph(np.array([[0.0, 0.2], [0.5, 0.0]]), 1.0).system_matrix
 SWEEP_CASES = {
     # every row's update stays inside the box: one forward substitution
     "q_free": (SYMMETRIC, [0.8, 0.5], [0.2, 0.3], 0),
@@ -1034,13 +1061,12 @@ class TestLcpDemand:
         rng = np.random.default_rng(31)
         for _ in range(25):
             n = int(rng.integers(1, 9))
-            graph = random_externality(rng, n, target_alpha_rho=rng.uniform(0.0, 0.9))
+            weights, alpha = random_weights(rng, n, target_alpha_rho=rng.uniform(0.0, 0.9))
+            graph = ExternalityGraph(weights, alpha)
             hbar = rng.uniform(0.5, 0.999)
             p = random_prices(rng, n)
             prof = lcp_demand(graph, hbar, p)
-            image = np.clip(
-                (1.0 + hbar) - p + graph.alpha * (graph.weights @ prof.x), 0.0, 1.0
-            )
+            image = np.clip((1.0 + hbar) - p + alpha * (weights @ prof.x), 0.0, 1.0)
             assert float(np.max(np.abs(prof.x - image))) < 1e-9
             r = (1.0 + hbar) - p - graph.system_matrix @ prof.x
             labels = np.where(r < -LCP_TOL, Segment.OPT_OUT,
@@ -1051,12 +1077,12 @@ class TestLcpDemand:
         rng = np.random.default_rng(37)
         for _ in range(10):
             n = int(rng.integers(2, 7))
-            base = random_externality(rng, n, target_alpha_rho=0.85)
+            weights, alpha = random_weights(rng, n, target_alpha_rho=0.85)
             hbar = rng.uniform(0.5, 0.99)
             p = random_prices(rng, n)
             previous = None
             for factor in (0.0, 0.25, 0.5, 0.75, 1.0):
-                graph = ExternalityGraph(base.weights, base.alpha * factor)
+                graph = ExternalityGraph(weights, alpha * factor)
                 x = lcp_demand(graph, hbar, p).x
                 if previous is not None:
                     assert np.all(x >= previous - 1e-9)

@@ -34,7 +34,7 @@ from chainsure.market import (
 )
 from chainsure.demand import closed_form_demand, lcp_demand
 from chainsure.risk import RiskModel, attack_probability, premium
-from conftest import random_externality
+from conftest import drawn_weights, random_externality, random_weights
 
 RISK = RiskModel(10.0, 100, 10.0, 10.0)
 PARAMS = MarketParams(risk=RISK, attacker_resource=100.0, beta=10.0,
@@ -521,9 +521,10 @@ class TestSolveStackelberg:
         # some prices sit at the cap, so the clamped sweeps run too
         rng = np.random.default_rng(3)
         n = 100
-        graph = random_externality(rng, n, target_alpha_rho=0.35)
+        weights, alpha = random_weights(rng, n, target_alpha_rho=0.35)
+        graph = ExternalityGraph(weights, alpha)
         perm = rng.permutation(n)
-        relabelled = ExternalityGraph(graph.weights[np.ix_(perm, perm)], graph.alpha)
+        relabelled = ExternalityGraph(weights[np.ix_(perm, perm)], alpha)
         params = with_price_cap(0.95)
         start = ProviderStrategy(np.full(n, 0.75), 0.75)
         first = solve_stackelberg(params, graph, start, OPTS)
@@ -640,8 +641,8 @@ class TestReportedNumbers:
                                                  tx_per_block, blocks_per_period, seed):
         # alpha runs from 0 to 0.9 / rho(G), well past where the first user
         # saturates (alpha * rho near 0.045 at the defaults)
-        weights = harness.generate_instance(
-            harness.ExperimentConfig.from_dict({"n_users": [n], "seed": seed}), n, 0.0).weights
+        weights = drawn_weights(
+            harness.ExperimentConfig.from_dict({"n_users": [n], "seed": seed}), n)
         rho = float(np.max(np.abs(np.linalg.eigvals(weights))))
         alpha = alpha_rho / rho if rho > 0.0 else alpha_rho
         config = harness.ExperimentConfig.from_dict({

@@ -18,6 +18,7 @@ from chainsure.harness import (
     solve_point,
     sweep_points,
 )
+from conftest import drawn_weights
 
 # small, fast sweep used throughout; alpha scaled so contraction holds at n<=6
 FAST = dict(n_users=[4], alpha=[1e-3], solve={"br_tolerance": 1e-8})
@@ -64,28 +65,29 @@ class TestConfig:
 class TestGenerateInstance:
     def test_structure_and_determinism(self):
         cfg = fast_config(seed=42)
+        weights = drawn_weights(cfg, 5, 1e-3)
+        assert weights.shape == (5, 5)
+        assert np.all(np.diagonal(weights) == 0.0)
+        assert np.all(weights >= 0.0)
+        np.testing.assert_array_equal(weights, drawn_weights(cfg, 5, 1e-3))
+        # the graph holds A = I - alpha G, with the bytes of the draw's
         graph = generate_instance(cfg, 5, 1e-3)
-        assert graph.weights.shape == (5, 5)
-        assert np.all(np.diagonal(graph.weights) == 0.0)
-        assert np.all(graph.weights >= 0.0)
-        again = generate_instance(cfg, 5, 1e-3)
-        np.testing.assert_array_equal(graph.weights, again.weights)
+        assert graph.system_matrix.tobytes() == (np.eye(5) - 1e-3 * weights).tobytes()
 
     def test_seed_changes_draw(self):
-        a = generate_instance(fast_config(seed=1), 5, 1e-3)
-        b = generate_instance(fast_config(seed=2), 5, 1e-3)
-        assert not np.array_equal(a.weights, b.weights)
+        a = drawn_weights(fast_config(seed=1), 5, 1e-3)
+        b = drawn_weights(fast_config(seed=2), 5, 1e-3)
+        assert not np.array_equal(a, b)
 
     def test_draw_shared_across_alpha(self):
         cfg = fast_config(seed=3)
-        a = generate_instance(cfg, 5, 5e-4)
-        b = generate_instance(cfg, 5, 1e-3)
-        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(drawn_weights(cfg, 5, 5e-4), drawn_weights(cfg, 5, 1e-3))
 
     def test_contraction_holds_at_paper_scale(self):
         cfg = ExperimentConfig(seed=0)
         graph = generate_instance(cfg, 100, 7e-4)
-        exact = 7e-4 * float(np.max(np.abs(np.linalg.eigvals(np.asarray(graph.weights)))))
+        # I - A is exactly fl(alpha G)
+        exact = float(np.max(np.abs(np.linalg.eigvals(np.eye(100) - graph.system_matrix))))
         assert exact < 1.0
 
     def test_rejects_excess_externality(self):

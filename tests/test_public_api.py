@@ -22,4 +22,4 @@ def test_readme_library_use_runs(capsys):
     alpha_rho, solved, violation = capsys.readouterr().out.splitlines()
     assert 0.0 < float(alpha_rho) < 1.0
     assert len(solved.split()) == 4  # hbar, gamma and the two profits
-    assert violation == "no graph: alpha * rho(G) = 1.476 >= 1"
+    assert violation == "no graph: alpha * rho(G) = 1.484 >= 1"
