@@ -381,15 +381,16 @@ def spectral_radius(matrix: np.ndarray) -> float:
     top_diagonal = float(np.diagonal(balanced).max())
     if hi <= lo:
         return top_diagonal
-    core = balanced[lo:hi + 1, lo:hi + 1].T
-    scale = float(core.max())
-    g = core / scale
-    if np.any((core > 0.0) & (g < np.finfo(float).tiny)):
+    g = balanced[lo:hi + 1, lo:hi + 1].T  # gebal's own copy, scaled in place below
+    scale = float(g.max())
+    # division rounds monotonically, so the least positive weight falls lowest
+    if np.min(g, where=g > 0.0, initial=np.inf) / scale < np.finfo(float).tiny:
         # a weight pushed below the normal range has lost its digits, so
         # the scaled matrix no longer has the Perron root asked for
         nonzero = weights[weights > 0.0]
         raise ConvergenceError(f"weights from {nonzero.min():.3g} to {nonzero.max():.3g} span "
                                "more than the float range")
+    g /= scale
     x = np.ones(g.shape[0])
     for _ in range(POWER_ITER_CAP):
         y = g @ x

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +22,7 @@ GRID_INTERVALS = 100
 _WIDTH = 0.5 / GRID_INTERVALS
 # the grid's nodes as Python floats, the form the scalar kernels run fastest on
 _NODES = tuple((0.5 + (np.arange(GRID_INTERVALS) + 0.5) * _WIDTH).tolist())
-# distorted survival masses kept per block count (see _block_count)
+# distorted survival masses held per block count before they are emptied
 DISTORTED_MASSES_KEPT = 1024
 
 
@@ -85,18 +84,18 @@ def _attack_curve(blocks_per_period: float, hbar: float) -> float:
     return reg_inc_beta(w, blocks_per_period * hbar, 0.5)
 
 
-def survival_grid(p_fn: Callable[[float], float]) -> np.ndarray:
+def survival_grid(values: np.ndarray) -> np.ndarray:
     """Midpoint-grid table of B(t) = 1 - integral_{1/2}^{t} p(theta) dtheta.
 
-    Returns B, read-only, at the nodes _NODES of the GRID_INTERVALS-cell
-    midpoint grid over [1/2, 1], whose cells are _WIDTH wide. The inner
-    integral reuses a prefix sum of the same p evaluations (O(n) instead of
-    O(n^2) p calls): the prefix covers whole cells up to the node's left
-    edge, plus half a cell at the node's own value. p_fn receives each node
-    as a Python float, so a scalar kernel behind it runs on floats rather
-    than numpy scalars.
+    values holds p at the nodes _NODES of the GRID_INTERVALS-cell midpoint
+    grid over [1/2, 1], whose cells are _WIDTH wide; any other shape raises
+    ValueError. Returns B, read-only, at those nodes. The inner integral is
+    one prefix sum of the values: it covers whole cells up to the node's
+    left edge, plus half a cell at the node's own value.
     """
-    values = np.array([p_fn(t) for t in _NODES])
+    values = np.asarray(values, dtype=float)
+    if values.shape != (GRID_INTERVALS,):
+        raise ValueError(f"node values have shape {values.shape}, expected ({GRID_INTERVALS},)")
     prefix = np.concatenate(([0.0], np.cumsum(values) * _WIDTH))
     survival = 1.0 - (prefix[:-1] + 0.5 * _WIDTH * values)
     survival.setflags(write=False)
@@ -104,15 +103,16 @@ def survival_grid(p_fn: Callable[[float], float]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _block_count(blocks_per_period: float) -> tuple[dict[float, float], OrderedDict[float, float]]:
+def _block_count(blocks_per_period: float) -> tuple[np.ndarray, dict[float, float]]:
     """The table every RiskModel with this block count shares: the attack
-    probability at each grid node, keyed by the node, and premium_curve's
-    distorted survival masses, keyed by gamma, at most
-    DISTORTED_MASSES_KEPT of them, the oldest dropped first. An OrderedDict
-    drops its oldest in O(1); a plain dict scans past every slot that
-    earlier drops freed at its front.
+    probability at each grid node, read-only, evaluated on the nodes as
+    Python floats, on which the scalar incomplete Beta runs fastest; and
+    premium_curve's distorted survival masses, keyed by gamma, emptied when
+    DISTORTED_MASSES_KEPT of them are held.
     """
-    return {t: _attack_curve(blocks_per_period, t) for t in _NODES}, OrderedDict()
+    values = np.array([_attack_curve(blocks_per_period, t) for t in _NODES])
+    values.setflags(write=False)
+    return values, {}
 
 
 # Keyed on the model, not its block count, although the table depends on
@@ -120,7 +120,7 @@ def _block_count(blocks_per_period: float) -> tuple[dict[float, float], OrderedD
 # survival_grid call per RiskModel on the paper grids.
 @functools.lru_cache(maxsize=64)
 def _model_survival(model: RiskModel) -> np.ndarray:
-    return survival_grid(_block_count(model.blocks_per_period)[0].__getitem__)
+    return survival_grid(_block_count(model.blocks_per_period)[0])
 
 
 def premium_curve(model: RiskModel) -> Callable[[float], float]:
@@ -130,6 +130,8 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
     of the model's block count (_block_count) once, so a search that
     prices many gammas skips those lookups, and a gamma revisited on any
     model with the same block count is read back rather than recomputed.
+    The masses are emptied when DISTORTED_MASSES_KEPT are held; a read-back
+    is the value once computed, so that policy changes no price.
     """
     survival = _model_survival(model)
     masses = _block_count(model.blocks_per_period)[1]
@@ -144,7 +146,7 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
             # ndarray.sum's pairwise sum, without its Python wrapper
             mass = float(np.add.reduce(survival ** (1.0 / gamma)) * _WIDTH)
             if len(masses) >= DISTORTED_MASSES_KEPT:
-                masses.popitem(last=False)
+                masses.clear()
             masses[gamma] = mass
         return claim_scale * mass
 

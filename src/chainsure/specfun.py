@@ -23,7 +23,8 @@ def _beta_contfrac(u: float, v: float, w: float) -> float:
     """Continued fraction for the incomplete Beta function (modified Lentz).
 
     Evaluates the standard even/odd continued fraction; callers must ensure
-    w < (u + 1) / (u + v + 2) so the expansion converges quickly.
+    w < (u + 1) / (u + v + 2) so the expansion converges quickly. Step m
+    runs the Lentz update on its even, then its odd partial numerator.
     Callers pass Python floats: the same loop on numpy scalars gives the
     same results more than twice as slowly. The chained comparisons are the
     |d| < tiny tests without an abs() call, false for NaN as well.
@@ -39,25 +40,17 @@ def _beta_contfrac(u: float, v: float, w: float) -> float:
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (v - m) * w / ((qam + m2) * (u + m2))
-        d = 1.0 + aa * d
-        if -_CF_TINY < d < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if -_CF_TINY < c < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(u + m) * (qab + m) * w / ((u + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if -_CF_TINY < d < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if -_CF_TINY < c < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (v - m) * w / ((qam + m2) * (u + m2)),
+                   -(u + m) * (qab + m) * w / ((u + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if -_CF_TINY < d < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + aa / c
+            if -_CF_TINY < c < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if -_CF_EPS < delta - 1.0 < _CF_EPS:
             return h
     raise ConvergenceError(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chainsure import risk
+from chainsure import market, risk
 from chainsure.harness import ExperimentConfig, run_sweep
 from chainsure.risk import (
     GRID_INTERVALS,
@@ -81,13 +81,13 @@ class TestExpectedLoss:
     def test_zero_risk_above_half(self):
         # p identically zero on (1/2, 1]: the survival weight stays 1, so the
         # loss integral is the bare half-interval
-        survival = survival_grid(lambda t: 0.0)
+        survival = survival_grid(np.full(GRID_INTERVALS, 0.0))
         value = DEFAULTS.claim_scale * float(np.sum(survival) * _WIDTH)
         assert math.isclose(value, DEFAULTS.claim_scale * 0.5, rel_tol=1e-12)
 
     def test_certain_attack_above_half(self):
         # p identically one: inner integral is (t - 1/2), outer integral 3/8
-        survival = survival_grid(lambda t: 1.0)
+        survival = survival_grid(np.full(GRID_INTERVALS, 1.0))
         value = DEFAULTS.claim_scale * float(np.sum(survival) * _WIDTH)
         assert math.isclose(value, DEFAULTS.claim_scale * 0.375, rel_tol=1e-12)
 
@@ -153,15 +153,38 @@ class TestPremium:
             assert premium(DEFAULTS, gamma) == expected
 
 
+class TestSurvivalGrid:
+    def test_returns_a_read_only_float_table(self):
+        survival = survival_grid([0.5] * GRID_INTERVALS)
+        assert survival.shape == (GRID_INTERVALS,)
+        assert survival.dtype == np.float64 and not survival.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(GRID_INTERVALS - 1,), (GRID_INTERVALS + 1,), (),
+                                       (1, GRID_INTERVALS), (GRID_INTERVALS, 1)])
+    def test_rejects_any_other_shape(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            survival_grid(np.full(shape, 0.5))
+
+
 class TestSurvivalTableOnFloats:
     """The table is built from Python-float nodes; numpy-scalar nodes, which
     run the same arithmetic more slowly, must give the same bits."""
 
-    def test_p_fn_receives_python_floats(self):
+    def test_block_count_evaluates_python_floats(self, monkeypatch):
         seen = []
-        survival = survival_grid(lambda t: seen.append(type(t)) or 0.5)
-        assert seen == [float] * GRID_INTERVALS
-        assert survival.dtype == np.float64 and not survival.flags.writeable
+        attack_curve = risk._attack_curve
+
+        def recording(blocks_per_period, hbar):
+            seen.append((type(blocks_per_period), type(hbar)))
+            return attack_curve(blocks_per_period, hbar)
+        monkeypatch.setattr(risk, "_attack_curve", recording)
+        risk._block_count.cache_clear()
+        try:
+            values = risk._block_count(10.0)[0]
+        finally:
+            risk._block_count.cache_clear()
+        assert seen == [(float, float)] * GRID_INTERVALS
+        assert values.shape == (GRID_INTERVALS,) and not values.flags.writeable
 
     @pytest.mark.parametrize("blocks", [0.1, 1.0, 10.0, 37.3, 100.0, 1e3, 1e5])
     def test_model_table_equals_numpy_scalar_nodes(self, blocks):
@@ -242,35 +265,48 @@ class TestDistortedMassMemo:
             mass = float((survival ** (1.0 / gamma)).sum() * _WIDTH)
             assert curve(gamma) == model.claim_scale * mass
 
-    def test_keeps_the_newest_and_drops_the_oldest_first(self):
+    def test_empties_exactly_when_full(self):
         model = RiskModel(10.0, 100, 10.0, 10.0)
         curve = premium_curve(model)
         masses = risk._block_count(model.blocks_per_period)[1]
         gammas = np.linspace(1.0, 2.0, risk.DISTORTED_MASSES_KEPT + 3).tolist()
-        for gamma in gammas:
-            curve(gamma)
-        kept = gammas[3:]
-        assert list(masses) == kept
-        # a read does not renew an entry: the oldest still goes first
-        curve(gammas[3])
-        curve(2.5)
-        assert list(masses) == kept[1:] + [2.5]
-        # another block count's masses drop none of these
-        other = premium_curve(RiskModel(37.3, 100, 10.0, 10.0))
-        for gamma in gammas:
-            other(gamma)
-        assert list(masses) == kept[1:] + [2.5]
-        assert list(risk._block_count(37.3)[1]) == gammas[3:]
+        full = gammas[:risk.DISTORTED_MASSES_KEPT]
+        self.assert_uncached(model, full)
+        assert list(masses) == full
+        # a read-back keeps the full memo as it is
+        self.assert_uncached(model, full[::-1])
+        assert list(masses) == full
+        # the next new gamma empties it first; each mass read back or
+        # computed again equals its recomputation (assert_uncached)
+        self.assert_uncached(model, gammas[-3:] + gammas[-3:])
+        assert list(masses) == gammas[-3:]
+        # another block count's masses empty none of these
+        self.assert_uncached(RiskModel(37.3, 100, 10.0, 10.0), gammas)
+        assert list(masses) == gammas[-3:]
+        assert list(risk._block_count(37.3)[1]) == gammas[-3:]
 
-    def test_bound_holds_over_a_long_sweep(self):
+    def test_bound_holds_over_a_long_sweep(self, monkeypatch):
+        priced = set()
+        premium_curve_of = market.premium_curve
+
+        def recording(model):
+            curve = premium_curve_of(model)
+
+            def recorded(gamma):
+                priced.add(gamma)
+                return curve(gamma)
+            return recorded
+        monkeypatch.setattr(market, "premium_curve", recording)
         cfg = ExperimentConfig.from_dict({
             "n_users": [1], "attacker_resource": np.linspace(20.0, 200.0, 20).tolist(),
             "tx_per_block": list(range(50, 150)), "seed": 3})
         rows = run_sweep(cfg)
         assert len(rows) == 2000 and all(row.converged for row in rows)
-        # the 2000 points share one block count, so one table holds their masses
+        # the 2000 points share one block count, so one table holds their
+        # masses, and they priced more gammas than it keeps
         assert risk._block_count.cache_info().currsize == 1
-        assert len(risk._block_count(cfg.blocks_per_period)[1]) == risk.DISTORTED_MASSES_KEPT
+        assert len(priced) > risk.DISTORTED_MASSES_KEPT
+        assert len(risk._block_count(cfg.blocks_per_period)[1]) <= risk.DISTORTED_MASSES_KEPT
 
 
 class TestQuadratureAgreement:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsure.errors import ConvergenceError
-from chainsure.risk import _NODES, _WIDTH, survival_grid
-from chainsure.specfun import adaptive_simpson, reg_inc_beta
+from chainsure.risk import GRID_INTERVALS, _NODES, _WIDTH, survival_grid
+from chainsure.specfun import _beta_contfrac, adaptive_simpson, reg_inc_beta
 from conftest import beta_closed_form, beta_quadrature
 
 
@@ -62,6 +63,89 @@ def abs_test_reg_inc_beta(w, u, v):
     if w < (u + 1.0) / (u + v + 2.0):
         return front * contfrac(u, v, w) / u
     return 1.0 - front * contfrac(v, u, 1.0 - w) / v
+
+
+def unrolled_beta_contfrac(u, v, w, clamped):
+    """_beta_contfrac as it was written before its Lentz step became a
+    loop: the even and the odd update spelled out. Adds to clamped the name
+    of each 1e-300 clamp that fires."""
+    qab = u + v
+    qap = u + 1.0
+    qam = u - 1.0
+    c = 1.0
+    d = 1.0 - qab * w / qap
+    if -1e-300 < d < 1e-300:
+        d = 1e-300
+        clamped.add("first d")
+    d = 1.0 / d
+    h = d
+    for m in range(1, 501):
+        m2 = 2 * m
+        aa = m * (v - m) * w / ((qam + m2) * (u + m2))
+        d = 1.0 + aa * d
+        if -1e-300 < d < 1e-300:
+            d = 1e-300
+            clamped.add("even d")
+        c = 1.0 + aa / c
+        if -1e-300 < c < 1e-300:
+            c = 1e-300
+            clamped.add("even c")
+        d = 1.0 / d
+        h *= d * c
+        aa = -(u + m) * (qab + m) * w / ((u + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if -1e-300 < d < 1e-300:
+            d = 1e-300
+            clamped.add("odd d")
+        c = 1.0 + aa / c
+        if -1e-300 < c < 1e-300:
+            c = 1e-300
+            clamped.add("odd c")
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if -1e-15 < delta - 1.0 < 1e-15:
+            return h
+    raise ConvergenceError("no convergence")
+
+
+def contfrac_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ConvergenceError:
+        return "no convergence"
+
+
+class TestLentzLoopEqualsFrozenForm:
+    """_beta_contfrac's one Lentz step, looped over the even and the odd
+    partial numerator, gives the unrolled form's bits."""
+
+    def test_on_a_grid(self):
+        # quarter-integer parameters make 1 - qab w / qap and the Lentz
+        # updates exactly 0 at some points, so the clamps fire; w runs on
+        # both sides of reg_inc_beta's switch w = (u + 1) / (u + v + 2)
+        params = [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0,
+                  10.0, 12.0, 15.0, 20.0, 37.3, 1e3]
+        ws = [1e-12, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 0.9375]
+        clamped, branches = set(), set()
+        for u, v, w in itertools.product(params, params, ws):
+            branches.add(w < (u + 1.0) / (u + v + 2.0))
+            assert (contfrac_outcome(_beta_contfrac, u, v, w)
+                    == contfrac_outcome(unrolled_beta_contfrac, u, v, w, clamped))
+        assert branches == {True, False}
+        assert clamped == {"first d", "even d", "odd d", "odd c"}
+
+    def test_on_random_cases_through_reg_inc_beta(self):
+        rng = np.random.default_rng(28)
+        cases = rng.uniform((0.0, 0.05, 0.05), (1.0, 200.0, 200.0), (5000, 3)).tolist()
+        branches = set()
+        for w, u, v in cases:
+            # the branch reg_inc_beta takes, with its arguments
+            below = w < (u + 1.0) / (u + v + 2.0)
+            branches.add(below)
+            args = (u, v, w) if below else (v, u, 1.0 - w)
+            assert _beta_contfrac(*args) == unrolled_beta_contfrac(*args, set())
+        assert branches == {True, False}
 
 
 class TestRegIncBeta:
@@ -174,13 +258,13 @@ class TestIntegrate:
 
     def test_midpoint_constant(self):
         # the inner integral of a constant is exact on the grid
-        survival = survival_grid(lambda t: 0.8)
+        survival = survival_grid(np.full(GRID_INTERVALS, 0.8))
         nodes = np.array(_NODES)
         np.testing.assert_allclose(survival, 1.0 - 0.8 * (nodes - 0.5), rtol=0.0, atol=1e-14)
 
     def test_midpoint_exact_for_linear(self):
         # B(t) = 1 - 0.8 (t - 1/2) is linear, so the outer sum is its exact integral
-        survival = survival_grid(lambda t: 0.8)
+        survival = survival_grid(np.full(GRID_INTERVALS, 0.8))
         assert math.isclose(float(np.sum(survival) * _WIDTH), 0.5 - 0.8 / 8, abs_tol=1e-14)
 
     def test_adaptive_against_antiderivative(self):
@@ -197,10 +281,10 @@ class TestIntegrate:
             adaptive_simpson(lambda t: t, 1.0, 0.0, 1e-10)
 
     def test_midpoint_reproducible(self):
-        f = lambda t: math.exp(-t) * math.sin(3 * t)
-        first = survival_grid(f)
+        values = [math.exp(-t) * math.sin(3 * t) for t in _NODES]
+        first = survival_grid(values)
         for _ in range(5):
-            again = survival_grid(f)
+            again = survival_grid(values)
             assert np.array_equal(first, again)
 
     def test_tolerance_must_be_positive(self):
