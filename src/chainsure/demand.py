@@ -8,9 +8,11 @@ the closed form valid when every user is interior, a projected
 Gauss-Seidel iteration for the general clamped case, and an exhaustive
 partition enumeration used as the verification oracle on small instances.
 
-The projected Gauss-Seidel sweep itself (gauss_seidel_sweep) is shared:
-the clamped demand runs it on I - alpha G, and the provider's best
-response runs it on its price curvature M + M^T. A sweep is BLAS
+The projected Gauss-Seidel sweep itself is shared: GaussSeidel, one
+object per matrix and box, binds the matrix, its diagonal and the box
+and carries its clamped sweeps' free blocks. The clamped demand makes
+one on I - alpha G over [0, 1], and the provider's best response one on
+its price curvature M + M^T over the price box. A sweep is BLAS
 triangular kernels that read the matrix once and return the new
 iterate's residual with it.
 
@@ -45,7 +47,7 @@ LCP_ITER_CAP = 10**6
 BRUTE_FORCE_MAX_USERS = 12
 # side of the square tiles symmetric_influence adds M^T into M by
 INFLUENCE_TILE = 128
-# rows per diagonal block of gauss_seidel_sweep's clamped branch, so the
+# rows per diagonal block of GaussSeidel.sweep's clamped branch, so the
 # largest block it gathers is SWEEP_BLOCK x SWEEP_BLOCK
 SWEEP_BLOCK = 128
 
@@ -355,7 +357,8 @@ def spectral_radius(matrix: np.ndarray) -> float:
     any diagonal similarity can; the transpose of its result is a C-ordered
     D G D^-1. No diagonal entry exceeds rho, so rho is the larger of the
     largest one and the core's root: with no core of two rows or more, that
-    entry, 0 for an acyclic digraph. A non-finite matrix raises ValueError.
+    entry, 0 for an acyclic digraph. A matrix that is not square and 2-D,
+    or has a negative or non-finite entry, raises ValueError.
 
     The core is scaled once by its largest entry, so no iterate overflows;
     weights still so far apart that the scaling pushes one below the normal
@@ -375,8 +378,13 @@ def spectral_radius(matrix: np.ndarray) -> float:
     """
     # checked here, since LAPACK gebal prints a message for either case
     weights = np.asarray_chkfinite(matrix, dtype=float)
+    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+        raise ValueError(f"spectral_radius needs a square 2-D matrix, got shape {weights.shape}")
     if weights.size == 0:
         return 0.0
+    # min makes no n x n temporary
+    if weights.min() < 0.0:
+        raise ValueError("spectral_radius needs a nonnegative matrix, got a negative entry")
     balanced, lo, hi, _, _ = dgebal(weights.T, scale=1, permute=1)
     top_diagonal = float(np.diagonal(balanced).max())
     if hi <= lo:
@@ -453,40 +461,6 @@ def _element_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
     return out
 
 
-def gauss_seidel_state(matrix: np.ndarray, target: np.ndarray,
-                       x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(U x, target - K x) at x, the state gauss_seidel_sweep carries.
-
-    K = matrix, C-ordered, split as K = D + L + U (diagonal, strictly
-    lower, strictly upper).
-    """
-    kt = matrix.T  # Fortran-ordered: BLAS reads K through trans=1
-    upper = dtrmv(kt, x, lower=1, trans=1, diag=1) - x
-    return upper, target - upper - dtrmv(kt, x, trans=1)
-
-
-class FreeBlock:
-    """The clamped sweep's free blocks, one per diagonal block of at most
-    SWEEP_BLOCK rows, carried between the sweeps of one matrix so that each
-    is gathered again only when its block's predicted free rows change.
-
-    entries maps a diagonal block's first row to (mask bytes, free mask,
-    K[free, free] within that block), C-ordered.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self):
-        self.entries = {}
-
-    def of(self, start: int, block: np.ndarray, free: np.ndarray) -> np.ndarray:
-        key = free.tobytes()  # one byte per row, compared at C speed
-        entry = self.entries.get(start)
-        if entry is None or entry[0] != key:
-            entry = self.entries[start] = (key, free, block.compress(free, 0).compress(free, 1))
-        return entry[2]
-
-
 def _clamped_solve_kept(free: np.ndarray, solved: np.ndarray, unclamped: np.ndarray,
                         lo: float, hi: float) -> bool:
     """Whether the clamped branch's result is the row-by-row sweep's.
@@ -500,92 +474,115 @@ def _clamped_solve_kept(free: np.ndarray, solved: np.ndarray, unclamped: np.ndar
     return bool(np.logical_and.reduce(np.minimum(np.maximum(checked, lo), hi) == solved))
 
 
-def _clamped_block(rows: np.ndarray, start: int, diag: np.ndarray, target: np.ndarray,
-                   x: np.ndarray, rhs: np.ndarray, jacobi: np.ndarray, lo: float, hi: float,
-                   free_block: FreeBlock) -> tuple[np.ndarray, np.ndarray]:
-    """The clamped branch on one diagonal block; returns its new rows
-    and (D + L) times them within the block.
+class GaussSeidel:
+    """Projected Gauss-Seidel on K x = target over the box [lo, hi], for one matrix K.
 
-    rows is K's row slab from row start, diag, target and jacobi the
-    block's entries, and rhs the block's t - U x minus the slab's product
-    with the rows before it, which x already holds final. The rows
-    predicted to clamp are held at their bound and the free rows solved.
-    The result is kept when _clamped_solve_kept says it is the row-by-row
-    sweep's; failing that, the block's rows run row by row.
+    K = matrix, C-ordered with a positive diagonal, splits as D + L + U
+    (diagonal, strictly lower, strictly upper); BLAS reads it through kt,
+    the Fortran-ordered view K.T, with trans=1. free_blocks carries the
+    clamped branch's free blocks between sweeps: it maps a diagonal block's
+    first row to (mask bytes, free mask, K[free, free] within that block),
+    gathered again only when the block's predicted free rows change.
     """
-    block = rows[:, start:start + diag.size]
-    # Fortran-ordered; the BLAS wrapper reads it in place when the block is
-    # all of K and copies it otherwise, at most SWEEP_BLOCK x SWEEP_BLOCK
-    kt = block.T
-    at_lo, at_hi = jacobi <= lo, jacobi >= hi
-    free = ~(at_lo | at_hi)
-    solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-    if np.logical_or.reduce(free):
-        # rhs - L held, read before the free rows are written in
-        free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
-        sub = free_block.of(start, block, free)
-        solved[free] = dtrsv(sub.T, free_rhs[free], trans=1)
-    lower = dtrmv(kt, solved, trans=1)
-    unclamped = (rhs - lower + diag * solved) / diag
-    if not _clamped_solve_kept(free, solved, unclamped, lo, hi):
-        solved = _element_sweep(rows, diag, target, x, lo, hi, start)[start:start + diag.size]
+
+    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks")
+
+    def __init__(self, matrix: np.ndarray, lo: float, hi: float):
+        self.matrix, self.kt, self.diag = matrix, matrix.T, np.diagonal(matrix)
+        self.lo, self.hi = lo, hi
+        self.free_blocks = {}
+
+    def state(self, target: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(U x, target - K x) at x, the state sweep carries."""
+        kt = self.kt
+        upper = dtrmv(kt, x, lower=1, trans=1, diag=1) - x
+        return upper, target - upper - dtrmv(kt, x, trans=1)
+
+    def _clamped_block(self, rows: np.ndarray, start: int, diag: np.ndarray,
+                       target: np.ndarray, x: np.ndarray, rhs: np.ndarray,
+                       jacobi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The clamped branch on one diagonal block; returns its new rows
+        and (D + L) times them within the block.
+
+        rows is K's row slab from row start, diag, target and jacobi the
+        block's entries, and rhs the block's t - U x minus the slab's product
+        with the rows before it, which x already holds final. A sweep of one
+        block passes K and its diagonal themselves, so it slices nothing.
+        The rows predicted to clamp are held at their bound and the free rows
+        solved. The result is kept when _clamped_solve_kept says it is the
+        row-by-row sweep's; failing that, the block's rows run row by row.
+        """
+        lo, hi = self.lo, self.hi
+        stop = start + diag.size
+        block = rows[:, start:stop]
+        # Fortran-ordered; the BLAS wrapper reads it in place when the block is
+        # all of K and copies it otherwise, at most SWEEP_BLOCK x SWEEP_BLOCK
+        kt = block.T
+        at_lo, at_hi = jacobi <= lo, jacobi >= hi
+        free = ~(at_lo | at_hi)
+        solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+        if np.logical_or.reduce(free):
+            # rhs - L held, read before the free rows are written in
+            free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
+            key = free.tobytes()  # one byte per row, compared at C speed
+            entry = self.free_blocks.get(start)
+            if entry is None or entry[0] != key:
+                entry = self.free_blocks[start] = (
+                    key, free, block.compress(free, 0).compress(free, 1))
+            solved[free] = dtrsv(entry[2].T, free_rhs[free], trans=1)
         lower = dtrmv(kt, solved, trans=1)
-    return solved, lower
+        unclamped = (rhs - lower + diag * solved) / diag
+        if not _clamped_solve_kept(free, solved, unclamped, lo, hi):
+            solved = _element_sweep(rows, diag, target, x, lo, hi, start)[start:stop]
+            lower = dtrmv(kt, solved, trans=1)
+        return solved, lower
 
+    def sweep(self, target: np.ndarray, x: np.ndarray, upper: np.ndarray,
+              residual: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One sweep from x, whose upper = U x and residual = target - K x
+        (see state); returns the new iterate with its U x and residual.
 
-def gauss_seidel_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
-                       x: np.ndarray, upper: np.ndarray, residual: np.ndarray,
-                       lo: float, hi: float, free_block: FreeBlock,
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One projected Gauss-Seidel sweep on K x = target over the box [lo, hi].
-
-    K = matrix (C-ordered, positive diagonal diag) splits as D + L + U.
-    upper = U x and residual = target - K x at the incoming x (see
-    gauss_seidel_state). Returns the new iterate with its U x and residual.
-    free_block, one FreeBlock per matrix, carries the clamped branch's
-    free blocks from this sweep to the next.
-
-    The sweep predicts which rows clamp from the Jacobi update
-    x + residual / diag. With no clamped row it is one forward
-    substitution (D + L) x' = target - U x; (D + L) x' is then that
-    right-hand side, so the new residual needs only U x', which the next
-    sweep needs anyway. Otherwise it works through diagonal blocks of at
-    most SWEEP_BLOCK rows (_clamped_block): each holds its predicted rows
-    at their bound and solves its free rows, once the rows before it are
-    final. A block's right-hand side is its rows of target - U x minus its
-    row slab left of the block times those final rows. Either result is
-    kept only when every free row lands in the box and every held row's
-    unclamped update lies past its bound: then it is the row-by-row
-    sweep's result up to round-off. Failing that, the forward substitution
-    runs the whole sweep row by row, a clamped block only its own rows.
-    K is read through K.T, a Fortran-ordered view, and no array larger
-    than SWEEP_BLOCK x SWEEP_BLOCK is gathered.
-    """
-    kt = matrix.T
-    rhs = target - upper
-    jacobi = x + residual / diag
-    new = None
-    if lo < np.minimum.reduce(jacobi) and np.maximum.reduce(jacobi) < hi:
-        solved = dtrsv(kt, rhs, trans=1)
-        if lo <= np.minimum.reduce(solved) and np.maximum.reduce(solved) <= hi:
-            new, lower = solved, rhs  # (D + L) x' = rhs
-    elif x.size <= SWEEP_BLOCK:
-        new, lower = _clamped_block(matrix, 0, diag, target, x, rhs, jacobi, lo, hi, free_block)
-    else:
-        new, lower = x.copy(), np.empty_like(x)
-        for start in range(0, x.size, SWEEP_BLOCK):
-            part = slice(start, start + SWEEP_BLOCK)
-            # the slab left of the block, read as a strided view
-            prior = matrix[part, :start] @ new[:start]
-            new[part], within = _clamped_block(matrix[part], start, diag[part], target[part],
-                                               new, rhs[part] - prior, jacobi[part], lo, hi,
-                                               free_block)
-            lower[part] = prior + within
-    if new is None:
-        new = _element_sweep(matrix, diag, target, x, lo, hi)
-        lower = dtrmv(kt, new, trans=1)
-    upper = dtrmv(kt, new, lower=1, trans=1, diag=1) - new
-    return new, upper, target - upper - lower
+        The sweep predicts which rows clamp from the Jacobi update
+        x + residual / diag. With no clamped row it is one forward
+        substitution (D + L) x' = target - U x; (D + L) x' is then that
+        right-hand side, so the new residual needs only U x', which the next
+        sweep needs anyway. Otherwise it works through diagonal blocks of at
+        most SWEEP_BLOCK rows (_clamped_block): each holds its predicted rows
+        at their bound and solves its free rows, once the rows before it are
+        final. A block's right-hand side is its rows of target - U x minus
+        its row slab left of the block times those final rows. Either result
+        is kept only when every free row lands in the box and every held
+        row's unclamped update lies past its bound: then it is the row-by-row
+        sweep's result up to round-off. Failing that, the forward
+        substitution runs the whole sweep row by row, a clamped block only
+        its own rows. No array larger than SWEEP_BLOCK x SWEEP_BLOCK is
+        gathered.
+        """
+        matrix, kt, diag, lo, hi = self.matrix, self.kt, self.diag, self.lo, self.hi
+        rhs = target - upper
+        jacobi = x + residual / diag
+        new = None
+        if lo < np.minimum.reduce(jacobi) and np.maximum.reduce(jacobi) < hi:
+            solved = dtrsv(kt, rhs, trans=1)
+            if lo <= np.minimum.reduce(solved) and np.maximum.reduce(solved) <= hi:
+                new, lower = solved, rhs  # (D + L) x' = rhs
+        elif x.size <= SWEEP_BLOCK:
+            new, lower = self._clamped_block(matrix, 0, diag, target, x, rhs, jacobi)
+        else:
+            new, lower = x.copy(), np.empty_like(x)
+            for start in range(0, x.size, SWEEP_BLOCK):
+                part = slice(start, start + SWEEP_BLOCK)
+                # the slab left of the block, read as a strided view
+                prior = matrix[part, :start] @ new[:start]
+                new[part], within = self._clamped_block(matrix[part], start, diag[part],
+                                                        target[part], new, rhs[part] - prior,
+                                                        jacobi[part])
+                lower[part] = prior + within
+        if new is None:
+            new = _element_sweep(matrix, diag, target, x, lo, hi)
+            lower = dtrmv(kt, new, trans=1)
+        upper = dtrmv(kt, new, lower=1, trans=1, diag=1) - new
+        return new, upper, target - upper - lower
 
 
 def _fixed_point_residual(x: np.ndarray, r: np.ndarray) -> float:
@@ -598,7 +595,7 @@ def _fixed_point_residual(x: np.ndarray, r: np.ndarray) -> float:
 def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:
     """Unique clamped demand equilibrium via projected Gauss-Seidel.
 
-    Each sweep (gauss_seidel_sweep on A = I - alpha G, whose diagonal is 1)
+    Each sweep (GaussSeidel.sweep on A = I - alpha G, whose diagonal is 1)
     updates x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order, and the
     iteration stops when the fixed-point residual
     || x - clamp(b + alpha G x, 0, 1) ||_inf drops below LCP_TOL. The sweep
@@ -607,14 +604,12 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     -LCP_TOL opt-out, above LCP_TOL saturated, interior between.
     """
     b = _demand_rhs(graph, hbar, p)
-    a_mat = graph.system_matrix
-    diag = np.diagonal(a_mat)
+    solver = GaussSeidel(graph.system_matrix, 0.0, 1.0)
     x = np.clip(b, 0.0, 1.0)
-    upper, r = gauss_seidel_state(a_mat, b, x)
-    free_block = FreeBlock()
+    upper, r = solver.state(b, x)
     sweeps_cap = max(1, LCP_ITER_CAP // max(graph.n_users, 1))
     for _ in range(sweeps_cap):
-        x, upper, r = gauss_seidel_sweep(a_mat, diag, b, x, upper, r, 0.0, 1.0, free_block)
+        x, upper, r = solver.sweep(b, x, upper, r)
         residual = _fixed_point_residual(x, r)
         if residual < LCP_TOL:
             # Segment codes: OPT_OUT 0, INTERIOR 1, SATURATED 2

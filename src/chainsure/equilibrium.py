@@ -20,10 +20,8 @@ import numpy as np
 from .demand import (
     DemandProfile,
     ExternalityGraph,
-    FreeBlock,
+    GaussSeidel,
     closed_form_demand,
-    gauss_seidel_state,
-    gauss_seidel_sweep,
     lcp_demand,
 )
 from .errors import ConvergenceError, is_real
@@ -99,12 +97,13 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     Block-coordinate exact ascent. The profit is an exact quadratic in the
     prices, so the price block is a box-QP with curvature Q = M + M^T
     (graph.symmetric_influence, built once per graph), solved by projected
-    Gauss-Seidel on its stationarity system Q p = (1 + hbar) M1. Each sweep
-    is demand.gauss_seidel_sweep: BLAS triangular kernels that read Q once,
-    predict the clamped prices from the Jacobi update, and fall back to a
-    per-user sweep when that prediction fails; the iterates are those of
-    the per-user sweep. The sweep returns the residual (1 + hbar) M1 - Q p,
-    which is the price block of the exact gradient. The investment ratio
+    Gauss-Seidel on its stationarity system Q p = (1 + hbar) M1, by one
+    demand.GaussSeidel on Q and the price box per call. Each sweep is
+    BLAS triangular kernels that read Q once, predict the clamped prices
+    from the Jacobi update, and fall back to a per-user sweep when that
+    prediction fails; the iterates are those of the per-user sweep. The
+    sweep returns the residual (1 + hbar) M1 - Q p, which is the price
+    block of the exact gradient. The investment ratio
     then has a closed-form interior root (the cost pole makes its slope
     strictly decreasing), clamped to the box. The two blocks couple only
     through scalars, so the alternation contracts fast. Each pass ends on
@@ -129,9 +128,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     n = graph.n_users
     price_lo, price_hi = PRICE_FLOOR, params.price_cap
     m_ones = graph.ones_image
-    quad = graph.symmetric_influence
-    quad_diag = np.diagonal(quad)
-    free_block = FreeBlock()
+    solver = GaussSeidel(graph.symmetric_influence, price_lo, price_hi)
     sweep_cap = 60 + 10 * n
 
     prices = np.minimum(np.maximum(start.prices, price_lo), price_hi)
@@ -142,8 +139,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
         # maximize (1 + hbar) p.M1 - p.Mp over the price box; grad is the
         # price gradient (1 + hbar) M1 - Q p at the current point
         for _ in range(sweep_cap):
-            prices, upper, grad = gauss_seidel_sweep(
-                quad, quad_diag, target, prices, upper, grad, price_lo, price_hi, free_block)
+            prices, upper, grad = solver.sweep(target, prices, upper, grad)
             if _projected_norm(prices, grad, price_lo, price_hi) < 0.25 * tolerance:
                 break
         return prices, upper, grad
@@ -157,7 +153,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     # the graph's first start claims the entry; any other start runs cold
     kept_key, state = graph.memo.setdefault("provider first price block", (key, None))
     if kept_key != key or state is None:
-        state = price_block(target, prices, *gauss_seidel_state(quad, target, prices))
+        state = price_block(target, prices, *solver.state(target, prices))
         if kept_key == key:
             for array in state:
                 array.setflags(write=False)

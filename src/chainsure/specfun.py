@@ -63,6 +63,10 @@ def reg_inc_beta(w: float, u: float, v: float) -> float:
 
     Continued-fraction evaluation with the symmetry switch at
     w = (u + 1) / (u + v + 2), exact at the endpoints w = 0 and w = 1.
+    Where the prefactor w^u (1 - w)^v / B(u, v) underflows to 0, as for
+    a huge u or v, the branch's endpoint (0, or 1 in the complement
+    branch) is returned without the continued fraction, which would give
+    0 times it anyway and may not converge there.
     """
     if not (u > 0 and v > 0):
         raise ValueError(f"reg_inc_beta requires u, v > 0, got u={u}, v={v}")
@@ -82,8 +86,8 @@ def reg_inc_beta(w: float, u: float, v: float) -> float:
     )
     front = math.exp(ln_front)
     if w < (u + 1.0) / (u + v + 2.0):
-        return front * _beta_contfrac(u, v, w) / u
-    return 1.0 - front * _beta_contfrac(v, u, 1.0 - w) / v
+        return front * _beta_contfrac(u, v, w) / u if front else 0.0
+    return 1.0 - front * _beta_contfrac(v, u, 1.0 - w) / v if front else 1.0
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chainsure
-from chainsure import demand, equilibrium, harness
+from chainsure import demand, equilibrium, harness, specfun
 from chainsure.cli import main
 from chainsure.errors import ConfigurationError
 from chainsure.harness import read_csv
@@ -109,6 +109,18 @@ class TestSolve:
         start = time.perf_counter()
         assert main(["solve", "--config", str(path)]) == 0
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("blocks", [1e160, 1e200, 1e300])
+    def test_block_count_past_the_continued_fraction_exits_0(self, tmp_path, capsys, blocks):
+        # the attack probability's prefactor underflows, and its endpoint
+        # stands in for a continued fraction that would not converge
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps({"n_users": [3], "blocks_per_period": blocks}))
+        assert main(["solve", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "converged: True" in out and "attack prob      : 0.000000e+00" in out
+        values = [line.split(" : ")[1] for line in out.splitlines()[2:]]
+        assert len(values) == 8 and all(math.isfinite(float(v)) for v in values)
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "/does/not/exist.json"]) == 2
@@ -265,18 +277,23 @@ class TestSingularBoundary:
 
 
 class TestSolverErrors:
-    # with this many blocks per period the incomplete Beta's continued
-    # fraction does not converge
-    BLOCKS = {"n_users": [4], "alpha": [1e-3], "blocks_per_period": 1e300}
+    # a block count no other test solves, so no cached attack curve hides
+    # the failure: with one continued-fraction step the incomplete Beta
+    # cannot converge
+    BLOCKS = {"n_users": [4], "alpha": [1e-3], "blocks_per_period": 11.125}
 
-    def test_solve_reports_error(self, tmp_path, capsys):
+    @pytest.fixture
+    def one_fraction_step(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 1)
+
+    def test_solve_reports_error(self, tmp_path, capsys, one_fraction_step):
         path = tmp_path / "blocks.json"
         path.write_text(json.dumps(self.BLOCKS))
         assert main(["solve", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: incomplete Beta continued fraction")
 
-    def test_sweep_writes_failed_row(self, tmp_path, capsys):
+    def test_sweep_writes_failed_row(self, tmp_path, capsys, one_fraction_step):
         path = tmp_path / "blocks.json"
         path.write_text(json.dumps(self.BLOCKS))
         out_csv = tmp_path / "rows.csv"

@@ -20,12 +20,10 @@ from chainsure.demand import (
     SWEEP_BLOCK,
     DemandProfile,
     ExternalityGraph,
-    FreeBlock,
+    GaussSeidel,
     Segment,
     brute_force_lcp,
     closed_form_demand,
-    gauss_seidel_state,
-    gauss_seidel_sweep,
     lcp_demand,
     spectral_radius,
 )
@@ -483,6 +481,23 @@ class TestSpectralRadius:
             spectral_radius(ONE_NAN_IN_100)
         assert capfd.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 3), (3, 0), (2, 2, 2), ()])
+    def test_not_square_raises(self, shape, capfd):
+        # checked before the empty shortcut, so (0, 3) is no 0 x 0 matrix
+        with pytest.raises(ValueError, match=r"square 2-D matrix, got shape \(.*\)"):
+            spectral_radius(np.ones(shape))
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("negative", [-np.ones((2, 2)), SWAP - 1e-300 * np.eye(2)],
+                             ids=["all", "tiny_diagonal"])
+    def test_negative_entry_raises(self, negative, capfd):
+        with pytest.raises(ValueError, match="nonnegative matrix, got a negative entry"):
+            spectral_radius(negative)
+        assert capfd.readouterr() == ("", "")
+
+    def test_negative_zero_is_nonnegative(self):
+        assert spectral_radius(np.where(SWAP == 0.0, -0.0, SWAP)) == pytest.approx(1.0, abs=1e-9)
+
     def test_row_sum_past_float_range(self):
         # row 0 sums to 2e308, which overflows, yet rho = sqrt(2) 1e308 is finite
         w = np.array([[0.0, 1e308, 1e308], [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]])
@@ -586,7 +601,7 @@ row_by_row = demand._element_sweep
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Counts the row-by-row sweeps gauss_seidel_sweep falls back to."""
+    """Counts the row-by-row sweeps GaussSeidel.sweep falls back to."""
     calls = []
 
     def counted(*args):
@@ -643,10 +658,10 @@ class TestGaussSeidelSweep:
         matrix, target, x, expected_fallbacks = SWEEP_CASES[case]
         target, x = np.array(target), np.array(x)
         diag = np.diagonal(matrix).copy()
-        upper, residual = gauss_seidel_state(matrix, target, x)
+        solver = GaussSeidel(matrix, 0.0, 1.0)
+        upper, residual = solver.state(target, x)
         assert_sweep_state(matrix, target, x, upper, residual)
-        new, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual, 0.0, 1.0,
-                                                  FreeBlock())
+        new, upper, residual = solver.sweep(target, x, upper, residual)
         assert len(fallbacks) == expected_fallbacks
         expected = row_by_row(matrix, diag, target, x, 0.0, 1.0)
         np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
@@ -663,12 +678,11 @@ class TestGaussSeidelSweep:
             matrix, target, x = sweep_problem(n, 41 if symmetric else 42, symmetric)
             diag = np.diagonal(matrix)
             lo, hi = 0.1, 0.9
-            upper, residual = gauss_seidel_state(matrix, target, x)
+            upper, residual = GaussSeidel(matrix, lo, hi).state(target, x)
             fallbacks.clear()
             for _ in range(40):
                 expected = row_by_row(matrix, diag, target, x, lo, hi)
-                x, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual,
-                                                        lo, hi, FreeBlock())
+                x, upper, residual = GaussSeidel(matrix, lo, hi).sweep(target, x, upper, residual)
                 np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
                 assert_sweep_state(matrix, target, x, upper, residual)
             assert np.any(x == lo) and np.any(x == hi)
@@ -687,9 +701,8 @@ class TestGaussSeidelSweep:
         target, x = np.full(n, 0.5), np.full(n, 0.5)
         target[0], target[130:132], x[130:132] = 3.0, [1.3, 0.2], [0.0, 0.5]
         diag = np.diagonal(matrix)
-        upper, residual = gauss_seidel_state(matrix, target, x)
-        new, upper, residual = gauss_seidel_sweep(matrix, diag, target, x, upper, residual,
-                                                  0.0, 1.0, FreeBlock())
+        solver = GaussSeidel(matrix, 0.0, 1.0)
+        new, upper, residual = solver.sweep(target, x, *solver.state(target, x))
         (rows, _, _, _, _, _, start), = fallbacks
         assert start == SWEEP_BLOCK and rows.shape == (SWEEP_BLOCK, n)
         assert np.shares_memory(rows, matrix)  # the block's row slab, not a copy
@@ -701,16 +714,15 @@ class TestGaussSeidelSweep:
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_blocks_gather_at_most_sweep_block_rows(self, symmetric):
         matrix, target, x = sweep_problem(300, 43, symmetric)
-        diag = np.diagonal(matrix)
-        carried = FreeBlock()
-        state = (x,) + gauss_seidel_state(matrix, target, x)
+        carried = GaussSeidel(matrix, 0.1, 0.9)
+        state = (x,) + carried.state(target, x)
         for _ in range(40):
-            state = gauss_seidel_sweep(matrix, diag, target, *state, 0.1, 0.9, carried)
-            for start, (_, free, block) in carried.entries.items():
+            state = carried.sweep(target, *state)
+            for start, (_, free, block) in carried.free_blocks.items():
                 assert block.shape[0] <= SWEEP_BLOCK and block.shape == (free.sum(),) * 2
                 rows = slice(start, start + SWEEP_BLOCK)
                 np.testing.assert_array_equal(block, matrix[rows, rows][np.ix_(free, free)])
-        assert len(carried.entries) > 1
+        assert len(carried.free_blocks) > 1
 
 
 def numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi):
@@ -755,7 +767,7 @@ def frozen_fixed_point_residual(x, r):
 
 
 def frozen_gauss_seidel_sweep(matrix, diag, target, x, upper, residual, lo, hi):
-    """gauss_seidel_sweep with the three gathered acceptance tests, the
+    """GaussSeidel.sweep with the three gathered acceptance tests, the
     free block gathered on every clamped sweep and the frozen row-by-row
     sweep."""
     kt = matrix.T
@@ -853,10 +865,10 @@ class TestKernelsBitIdentical:
         lo, hi = box
         matrix, target, x = sweep_problem(n, seed, symmetric)
         diag = np.diagonal(matrix)
-        state = frozen = (x,) + gauss_seidel_state(matrix, target, x)
-        carried = FreeBlock()
+        carried = GaussSeidel(matrix, lo, hi)
+        state = frozen = (x,) + carried.state(target, x)
         for _ in range(30):
-            state = gauss_seidel_sweep(matrix, diag, target, *state, lo, hi, carried)
+            state = carried.sweep(target, *state)
             frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *frozen, lo, hi)
             for a, b in zip(state, frozen):
                 assert a.tobytes() == b.tobytes()
@@ -868,10 +880,10 @@ class TestKernelsBitIdentical:
         lo, hi = box
         matrix, target, x = sweep_problem(SWEEP_BLOCK, 44, symmetric)
         diag = np.diagonal(matrix)
-        state = frozen = (x,) + gauss_seidel_state(matrix, target, x)
-        carried = FreeBlock()
+        carried = GaussSeidel(matrix, lo, hi)
+        state = frozen = (x,) + carried.state(target, x)
         for _ in range(30):
-            state = gauss_seidel_sweep(matrix, diag, target, *state, lo, hi, carried)
+            state = carried.sweep(target, *state)
             frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *frozen, lo, hi)
             for a, b in zip(state, frozen):
                 assert a.tobytes() == b.tobytes()
@@ -899,32 +911,30 @@ class TestKernelsBitIdentical:
         # after `switch` sweeps the target moves, and with it the free set
         matrix, target, x = sweep_problem(n, seed, symmetric)
         second = target[::-1].copy()
-        diag = np.diagonal(matrix)
         lo, hi = 0.1, 0.9
-        carried = FreeBlock()
-        with_carry = regathering = (x,) + gauss_seidel_state(matrix, target, x)
+        carried = GaussSeidel(matrix, lo, hi)
+        with_carry = regathering = (x,) + carried.state(target, x)
         for k in range(30):
             t = target if k < switch else second
             if k == switch:
-                with_carry = (with_carry[0],) + gauss_seidel_state(matrix, t, with_carry[0])
-                regathering = (regathering[0],) + gauss_seidel_state(matrix, t, regathering[0])
-            before = carried.entries.get(0)
-            with_carry = gauss_seidel_sweep(matrix, diag, t, *with_carry, lo, hi, carried)
-            regathering = gauss_seidel_sweep(matrix, diag, t, *regathering, lo, hi, FreeBlock())
+                with_carry = (with_carry[0],) + carried.state(t, with_carry[0])
+                regathering = (regathering[0],) + carried.state(t, regathering[0])
+            before = carried.free_blocks.get(0)
+            with_carry = carried.sweep(t, *with_carry)
+            regathering = GaussSeidel(matrix, lo, hi).sweep(t, *regathering)
             assert all(np.array_equal(a, b) for a, b in zip(with_carry, regathering))
-            after = carried.entries.get(0)
+            after = carried.free_blocks.get(0)
             if before is not None and np.array_equal(before[1], after[1]):
                 assert after[2] is before[2]  # gathered only when the free set moves
 
     def test_free_set_change_regathers(self):
         matrix, target, x = sweep_problem(30, 42, symmetric=False)
-        diag = np.diagonal(matrix)
-        carried = FreeBlock()
-        state = (x,) + gauss_seidel_state(matrix, target, x)
+        carried = GaussSeidel(matrix, 0.1, 0.9)
+        state = (x,) + carried.state(target, x)
         masks = []
         for _ in range(40):
-            state = gauss_seidel_sweep(matrix, diag, target, *state, 0.1, 0.9, carried)
-            entry = carried.entries.get(0)
+            state = carried.sweep(target, *state)
+            entry = carried.free_blocks.get(0)
             if entry is not None and (not masks or masks[-1] is not entry[1]):
                 _, free, block = entry
                 masks.append(free)

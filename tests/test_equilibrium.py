@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from chainsure import demand, equilibrium, harness, market
 from chainsure.demand import (
     ExternalityGraph,
-    FreeBlock,
+    GaussSeidel,
     Segment,
-    gauss_seidel_state,
-    gauss_seidel_sweep,
 )
 from chainsure.equilibrium import (
     SolveOptions,
@@ -237,16 +235,17 @@ class TestTriangularPriceSweep:
         # kernel falls back to
         self.calls = calls = {"sweeps": 0, "fallbacks": 0}
         element_sweep = demand._element_sweep
+        sweep = GaussSeidel.sweep
 
         def counted_sweep(*args):
             calls["sweeps"] += 1
-            return gauss_seidel_sweep(*args)
+            return sweep(*args)
 
         def counted_element_sweep(*args):
             calls["fallbacks"] += 1
             return element_sweep(*args)
 
-        monkeypatch.setattr(equilibrium, "gauss_seidel_sweep", counted_sweep)
+        monkeypatch.setattr(GaussSeidel, "sweep", counted_sweep)
         monkeypatch.setattr(demand, "_element_sweep", counted_element_sweep)
 
     def assert_matches_loop(self, params, graph, start):
@@ -316,10 +315,10 @@ class TestTriangularPriceSweep:
         quad = graph.symmetric_influence
         target = (1.0 + optimum.investment_ratio) * graph.ones_image
         bounds = (PRICE_FLOOR, params.price_cap)
-        upper, residual = gauss_seidel_state(quad, target, prices)
+        solver = GaussSeidel(quad, *bounds)
+        upper, residual = solver.state(target, prices)
         self.calls.update(fallbacks=0)
-        swept, _, _ = gauss_seidel_sweep(quad, np.diagonal(quad), target, prices,
-                                         upper, residual, *bounds, FreeBlock())
+        swept, _, _ = solver.sweep(target, prices, upper, residual)
         assert self.calls["fallbacks"] == 0
         expected = demand._element_sweep(quad, np.diagonal(quad), target, prices, *bounds)
         np.testing.assert_allclose(swept, expected, rtol=0.0, atol=1e-14)
@@ -362,15 +361,15 @@ class TestSharedFirstBlock:
         self.calls = calls = {"sweeps": 0, "states": 0}
 
         def counted(name):
-            fn = getattr(equilibrium, name)
+            fn = getattr(GaussSeidel, name)
 
             def wrapper(*args):
-                calls[name.split("_")[-1] + "s"] += 1
+                calls[name + "s"] += 1
                 return fn(*args)
-            monkeypatch.setattr(equilibrium, name, wrapper)
+            monkeypatch.setattr(GaussSeidel, name, wrapper)
 
-        counted("gauss_seidel_sweep")
-        counted("gauss_seidel_state")
+        counted("sweep")
+        counted("state")
 
     def solve(self, params, graph, start, opts=OPTS):
         self.calls.update(sweeps=0, states=0)

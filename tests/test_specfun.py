@@ -236,10 +236,23 @@ class TestRegIncBeta:
         assert branches == {True, False}
 
     def test_nonconvergence_still_raises(self):
+        # u and v both large near the mean: a prefactor of order sqrt(u)
+        # and more partial numerators than the iteration cap
         with pytest.raises(ConvergenceError):
-            abs_test_reg_inc_beta(0.75, 7.5e299, 0.5)
+            abs_test_reg_inc_beta(0.25, 1e6, 3e6)
         with pytest.raises(ConvergenceError, match="failed to converge"):
-            reg_inc_beta(0.75, 7.5e299, 0.5)
+            reg_inc_beta(0.25, 1e6, 3e6)
+
+    @pytest.mark.parametrize("u", [1e160, 1e200, 7.5e299])
+    def test_underflowed_prefactor_gives_the_endpoint(self, u):
+        # w^u underflows to 0, and the continued fraction, which does not
+        # converge there, is skipped: 0 below the switch, 1 in the complement
+        mpmath = pytest.importorskip("mpmath")
+        exact = mpmath.betainc(u, 0.5, 0, 0.36, regularized=True)
+        assert 0 < exact < 1e-300
+        assert reg_inc_beta(0.36, u, 0.5) == 0.0
+        assert reg_inc_beta(0.64, 0.5, u) == 1.0
+        assert reg_inc_beta(0.75, u, 0.5) == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
