@@ -5,8 +5,9 @@ complementarity system, whose solution is unique when alpha * rho(G) < 1;
 ExternalityGraph certifies that from the LU factors of I - alpha G that
 the solvers use, so no solve computes rho. Three solvers are provided:
 the closed form valid when every user is interior, a projected
-Gauss-Seidel iteration for the general clamped case, and an exhaustive
-partition enumeration used as the verification oracle on small instances.
+Gauss-Seidel iteration for the general clamped case (after an O(n) test
+for all users saturated), and an exhaustive partition enumeration used
+as the verification oracle on small instances.
 
 The projected Gauss-Seidel sweep itself is shared: GaussSeidel, one
 object per matrix and box, binds the matrix, its diagonal and the box
@@ -14,7 +15,8 @@ and carries its clamped sweeps' free blocks. The clamped demand makes
 one on I - alpha G over [0, 1], and the provider's best response one on
 its price curvature M + M^T over the price box. A sweep is BLAS
 triangular kernels that read the matrix once and return the new
-iterate's residual with it.
+iterate's residual with it; a wrong clamp prediction is corrected from
+its first wrong row on, never swept row by row.
 
 The six Fortran routines used here (BLAS trmv and trsv, LAPACK getrf,
 getrs, getri and gebal, with getri_lwork for getri's blocked workspace)
@@ -272,6 +274,13 @@ class ExternalityGraph:
         return out
 
     @cached_property
+    def row_sums(self) -> np.ndarray:
+        """A 1 = (I - alpha G) 1: b - A 1 are the margins at x = 1."""
+        out = np.add.reduce(self.system_matrix, axis=1)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def alpha_rho(self) -> float:
         """alpha * rho(G), below 1 for every graph: the Perron root of I - A
         with its diagonal set to 0, which is exactly fl(alpha G)."""
@@ -442,55 +451,24 @@ def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> D
     return DemandProfile(x, np.full(graph.n_users, Segment.INTERIOR, dtype=np.int8))
 
 
-def _element_sweep(matrix: np.ndarray, diag: np.ndarray, target: np.ndarray,
-                   x: np.ndarray, lo: float, hi: float, start: int = 0) -> np.ndarray:
-    """One projected Gauss-Seidel sweep, row by row, on a copy of x.
-
-    matrix, diag and target hold rows start, start + 1, ... of K and of
-    its diagonal and target; the rows of x before start are taken as
-    already swept. Each row's dot product is the row view's .dot, the same
-    BLAS ddot as matrix[i] @ x at less call overhead; the scalar steps
-    around it run on Python floats, which round exactly as numpy's do.
-    """
-    out = x.copy()
-    for i, (row, x_i, t_i, d_i) in enumerate(
-            zip(matrix, x[start:start + len(diag)].tolist(), target.tolist(), diag.tolist()),
-            start):
-        step = (t_i - float(row.dot(out))) / d_i
-        out[i] = min(hi, max(lo, x_i + step))
-    return out
-
-
-def _clamped_solve_kept(free: np.ndarray, solved: np.ndarray, unclamped: np.ndarray,
-                        lo: float, hi: float) -> bool:
-    """Whether the clamped branch's result is the row-by-row sweep's.
-
-    solved holds every row outside free at the bound it is held at. A free
-    row is kept when it lies in the box, a held row when its unclamped
-    update lies past its bound. Both say that clipping to [lo, hi] gives
-    solved back, so the test is one clip over every row.
-    """
-    checked = np.where(free, solved, unclamped)
-    return bool(np.logical_and.reduce(np.minimum(np.maximum(checked, lo), hi) == solved))
-
-
 class GaussSeidel:
     """Projected Gauss-Seidel on K x = target over the box [lo, hi], for one matrix K.
 
     K = matrix, C-ordered with a positive diagonal, splits as D + L + U
     (diagonal, strictly lower, strictly upper); BLAS reads it through kt,
-    the Fortran-ordered view K.T, with trans=1. free_blocks carries the
-    clamped branch's free blocks between sweeps: it maps a diagonal block's
-    first row to (mask bytes, free mask, K[free, free] within that block),
-    gathered again only when the block's predicted free rows change.
+    the Fortran-ordered view K.T, with trans=1. free_blocks maps a
+    diagonal block's first row to (mask bytes, free mask, K[free, free]
+    within that block) of its last clamped pass, gathered again only when a
+    pass's free rows differ. corrections counts correction passes so far.
     """
 
-    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks")
+    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections")
 
     def __init__(self, matrix: np.ndarray, lo: float, hi: float):
         self.matrix, self.kt, self.diag = matrix, matrix.T, np.diagonal(matrix)
         self.lo, self.hi = lo, hi
         self.free_blocks = {}
+        self.corrections = 0
 
     def state(self, target: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(U x, target - K x) at x, the state sweep carries."""
@@ -499,43 +477,51 @@ class GaussSeidel:
         return upper, target - upper - dtrmv(kt, x, trans=1)
 
     def _clamped_block(self, rows: np.ndarray, start: int, diag: np.ndarray,
-                       target: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-                       jacobi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                       rhs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The clamped branch on one diagonal block; returns its new rows
         and (D + L) times them within the block.
 
-        rows is K's row slab from row start, diag, target and jacobi the
-        block's entries, and rhs the block's t - U x minus the slab's product
-        with the rows before it, which x already holds final. A sweep of one
-        block passes K and its diagonal themselves, so it slices nothing.
-        The rows predicted to clamp are held at their bound and the free rows
-        solved. The result is kept when _clamped_solve_kept says it is the
-        row-by-row sweep's; failing that, the block's rows run row by row.
+        rows is K's row slab from row start (K itself for a one-block
+        sweep), diag and guess the block's diagonal and the update that
+        predicts its clamps, rhs its t - U x minus the slab's product with
+        the final rows before it. A pass holds the predicted rows at their
+        bound and solves the free rows; a row is the row-by-row sweep's when
+        clipping where(free, solved, unclamped) to the box gives it back.
+        The first row that is not reads only final rows, so its clipped
+        update is exact: it and the rows before it are settled, the rows
+        after it are predicted again from where(free, solved, unclamped),
+        and a correction pass runs. The search starts after the settled
+        rows, so a block runs at most as many corrections as it has rows,
+        even where round-off or a NaN flips a settled row.
         """
         lo, hi = self.lo, self.hi
-        stop = start + diag.size
-        block = rows[:, start:stop]
-        # Fortran-ordered; the BLAS wrapper reads it in place when the block is
-        # all of K and copies it otherwise, at most SWEEP_BLOCK x SWEEP_BLOCK
-        kt = block.T
-        at_lo, at_hi = jacobi <= lo, jacobi >= hi
-        free = ~(at_lo | at_hi)
-        solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-        if np.logical_or.reduce(free):
-            # rhs - L held, read before the free rows are written in
-            free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
-            key = free.tobytes()  # one byte per row, compared at C speed
-            entry = self.free_blocks.get(start)
-            if entry is None or entry[0] != key:
-                entry = self.free_blocks[start] = (
-                    key, free, block.compress(free, 0).compress(free, 1))
-            solved[free] = dtrsv(entry[2].T, free_rhs[free], trans=1)
-        lower = dtrmv(kt, solved, trans=1)
-        unclamped = (rhs - lower + diag * solved) / diag
-        if not _clamped_solve_kept(free, solved, unclamped, lo, hi):
-            solved = _element_sweep(rows, diag, target, x, lo, hi, start)[start:stop]
+        # BLAS reads it in place: a view when the block is all of K, else one
+        # copy of at most SWEEP_BLOCK x SWEEP_BLOCK for every pass's kernels
+        kt = np.asfortranarray(rows[:, start:start + diag.size].T)
+        block = kt.T
+        at_lo, at_hi = guess <= lo, guess >= hi
+        settled = 0
+        while True:
+            free = ~(at_lo | at_hi)
+            solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+            if np.logical_or.reduce(free):
+                # rhs - L held, read before the free rows are written in
+                free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
+                key = free.tobytes()  # one byte per row, compared at C speed
+                entry = self.free_blocks.get(start)
+                if entry is None or entry[0] != key:
+                    entry = self.free_blocks[start] = (
+                        key, free, block.compress(free, 0).compress(free, 1))
+                solved[free] = dtrsv(entry[2].T, free_rhs[free], trans=1)
             lower = dtrmv(kt, solved, trans=1)
-        return solved, lower
+            checked = np.where(free, solved, (rhs - lower + diag * solved) / diag)
+            missed = np.minimum(np.maximum(checked[settled:], lo), hi) != solved[settled:]
+            if not np.logical_or.reduce(missed):
+                return solved, lower
+            first = settled + int(missed.argmax())
+            at_lo[first:], at_hi[first:] = checked[first:] <= lo, checked[first:] >= hi
+            settled = first + 1
+            self.corrections += 1
 
     def sweep(self, target: np.ndarray, x: np.ndarray, upper: np.ndarray,
               residual: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -543,44 +529,35 @@ class GaussSeidel:
         (see state); returns the new iterate with its U x and residual.
 
         The sweep predicts which rows clamp from the Jacobi update
-        x + residual / diag. With no clamped row it is one forward
-        substitution (D + L) x' = target - U x; (D + L) x' is then that
-        right-hand side, so the new residual needs only U x', which the next
-        sweep needs anyway. Otherwise it works through diagonal blocks of at
-        most SWEEP_BLOCK rows (_clamped_block): each holds its predicted rows
-        at their bound and solves its free rows, once the rows before it are
-        final. A block's right-hand side is its rows of target - U x minus
-        its row slab left of the block times those final rows. Either result
-        is kept only when every free row lands in the box and every held
-        row's unclamped update lies past its bound: then it is the row-by-row
-        sweep's result up to round-off. Failing that, the forward
-        substitution runs the whole sweep row by row, a clamped block only
-        its own rows. No array larger than SWEEP_BLOCK x SWEEP_BLOCK is
-        gathered.
+        x + residual / diag. With none, it is one forward substitution
+        (D + L) x' = target - U x, kept when x' is in the box; (D + L) x' is
+        then that right-hand side, so the new residual needs only U x'.
+        Otherwise, predicting from the Jacobi update or from the x' that left
+        the box, it runs _clamped_block on diagonal blocks of at most
+        SWEEP_BLOCK rows, each once the rows before it are final. The result
+        is the row-by-row sweep's up to round-off.
         """
         matrix, kt, diag, lo, hi = self.matrix, self.kt, self.diag, self.lo, self.hi
         rhs = target - upper
-        jacobi = x + residual / diag
-        new = None
-        if lo < np.minimum.reduce(jacobi) and np.maximum.reduce(jacobi) < hi:
+        guess = x + residual / diag
+        if lo < np.minimum.reduce(guess) and np.maximum.reduce(guess) < hi:
             solved = dtrsv(kt, rhs, trans=1)
             if lo <= np.minimum.reduce(solved) and np.maximum.reduce(solved) <= hi:
-                new, lower = solved, rhs  # (D + L) x' = rhs
-        elif x.size <= SWEEP_BLOCK:
-            new, lower = self._clamped_block(matrix, 0, diag, target, x, rhs, jacobi)
+                upper = dtrmv(kt, solved, lower=1, trans=1, diag=1) - solved
+                return solved, upper, target - upper - rhs  # (D + L) x' = rhs
+            guess = solved  # correcting x' from its first row out of the box
+            self.corrections += 1
+        if x.size <= SWEEP_BLOCK:
+            new, lower = self._clamped_block(matrix, 0, diag, rhs, guess)
         else:
-            new, lower = x.copy(), np.empty_like(x)
+            new, lower = np.empty_like(x), np.empty_like(x)
             for start in range(0, x.size, SWEEP_BLOCK):
                 part = slice(start, start + SWEEP_BLOCK)
                 # the slab left of the block, read as a strided view
                 prior = matrix[part, :start] @ new[:start]
                 new[part], within = self._clamped_block(matrix[part], start, diag[part],
-                                                        target[part], new, rhs[part] - prior,
-                                                        jacobi[part])
+                                                        rhs[part] - prior, guess[part])
                 lower[part] = prior + within
-        if new is None:
-            new = _element_sweep(matrix, diag, target, x, lo, hi)
-            lower = dtrmv(kt, new, trans=1)
         upper = dtrmv(kt, new, lower=1, trans=1, diag=1) - new
         return new, upper, target - upper - lower
 
@@ -592,18 +569,28 @@ def _fixed_point_residual(x: np.ndarray, r: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x + r, 0.0), 1.0))))
 
 
+def _segments(r: np.ndarray) -> np.ndarray:
+    """Segment codes (OPT_OUT 0, INTERIOR 1, SATURATED 2) from the margins
+    r = b - A x: opt-out below -LCP_TOL, saturated above LCP_TOL."""
+    return (r >= -LCP_TOL).astype(np.int8) + (r > LCP_TOL)
+
+
 def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:
     """Unique clamped demand equilibrium via projected Gauss-Seidel.
 
-    Each sweep (GaussSeidel.sweep on A = I - alpha G, whose diagonal is 1)
+    x = 1 is the unique solution exactly when no margin r = b - A 1 is
+    negative, which is tested first, in O(n) from graph.row_sums. Otherwise
+    each sweep (GaussSeidel.sweep on A = I - alpha G, whose diagonal is 1)
     updates x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order, and the
     iteration stops when the fixed-point residual
     || x - clamp(b + alpha G x, 0, 1) ||_inf drops below LCP_TOL. The sweep
     returns r = b - A x, so that residual is || x - clamp(x + r, 0, 1) ||_inf
-    and costs no further pass over A. The same r labels the users: below
-    -LCP_TOL opt-out, above LCP_TOL saturated, interior between.
+    and costs no further pass over A. Either r labels the users (_segments).
     """
     b = _demand_rhs(graph, hbar, p)
+    r = b - graph.row_sums
+    if np.minimum.reduce(r) >= 0.0:
+        return DemandProfile(np.ones(graph.n_users), _segments(r))
     solver = GaussSeidel(graph.system_matrix, 0.0, 1.0)
     x = np.clip(b, 0.0, 1.0)
     upper, r = solver.state(b, x)
@@ -612,8 +599,7 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
         x, upper, r = solver.sweep(b, x, upper, r)
         residual = _fixed_point_residual(x, r)
         if residual < LCP_TOL:
-            # Segment codes: OPT_OUT 0, INTERIOR 1, SATURATED 2
-            return DemandProfile(x, (r >= -LCP_TOL).astype(np.int8) + (r > LCP_TOL))
+            return DemandProfile(x, _segments(r))
     raise ConvergenceError(
         "projected Gauss-Seidel hit its iteration cap",
         last_iterate=x, residual=residual,

@@ -100,8 +100,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     Gauss-Seidel on its stationarity system Q p = (1 + hbar) M1, by one
     demand.GaussSeidel on Q and the price box per call. Each sweep is
     BLAS triangular kernels that read Q once, predict the clamped prices
-    from the Jacobi update, and fall back to a per-user sweep when that
-    prediction fails; the iterates are those of the per-user sweep. The
+    from the Jacobi update, and correct that prediction from the first
+    price it gets wrong; the iterates are those of the per-user sweep. The
     sweep returns the residual (1 + hbar) M1 - Q p, which is the price
     block of the exact gradient. The investment ratio
     then has a closed-form interior root (the cost pole makes its slope

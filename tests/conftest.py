@@ -78,6 +78,17 @@ def random_externality(rng: np.random.Generator, n: int,
     return ExternalityGraph(*random_weights(rng, n, target_alpha_rho, g_high))
 
 
+def numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi):
+    """One projected Gauss-Seidel sweep on K x = target over [lo, hi], row
+    by row on numpy scalars: the oracle every faster sweep is checked
+    against."""
+    x = x.copy()
+    for i in range(x.size):
+        step = (target[i] - matrix[i] @ x) / diag[i]
+        x[i] = min(hi, max(lo, x[i] + step))
+    return x
+
+
 def drawn_weights(config, n: int, alpha: float = 0.0) -> np.ndarray:
     """The weights harness.generate_instance draws for n users at alpha under
     config, taken as it passes them to ExternalityGraph, which keeps no copy."""

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,17 @@ from chainsure.demand import (
     lcp_demand,
     spectral_radius,
 )
-from chainsure.equilibrium import _projected_norm
+from chainsure.equilibrium import _projected_norm, solve_stackelberg
 from chainsure.errors import ConfigurationError, ContractionViolation, ConvergenceError
-from chainsure.market import PRICE_FLOOR
-from conftest import edge_arrays, outcome, random_externality, random_weights
+from chainsure.market import PRICE_FLOOR, MarketParams, ProviderStrategy
+from chainsure.risk import RiskModel
+from conftest import (
+    edge_arrays,
+    numpy_scalar_element_sweep,
+    outcome,
+    random_externality,
+    random_weights,
+)
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 CHAIN_4 = np.triu(np.ones((4, 4)), 1)  # user i influenced by every later user: acyclic
@@ -595,26 +603,41 @@ class TestClosedFormDemand:
             assert np.all(clamped.partition == Segment.INTERIOR)
 
 
-# the row-by-row sweep, kept unpatched as the reference
-row_by_row = demand._element_sweep
-
-
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the row-by-row sweeps GaussSeidel.sweep falls back to."""
-    calls = []
+def solvers(monkeypatch):
+    """Every GaussSeidel made while the test runs, so that a test can read
+    their corrections whichever solver made them."""
+    made = []
+    init = GaussSeidel.__init__
 
-    def counted(*args):
-        calls.append(args)
-        return row_by_row(*args)
+    def registered(self, *args):
+        init(self, *args)
+        made.append(self)
 
-    monkeypatch.setattr(demand, "_element_sweep", counted)
-    return calls
+    monkeypatch.setattr(GaussSeidel, "__init__", registered)
+    return made
+
+
+class CountedGaussSeidel(GaussSeidel):
+    """GaussSeidel that records each clamped block it settles as
+    (first row, rows, correction passes)."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, matrix, lo, hi):
+        super().__init__(matrix, lo, hi)
+        self.blocks = []
+
+    def _clamped_block(self, rows, start, diag, rhs, guess):
+        before = self.corrections
+        out = super()._clamped_block(rows, start, diag, rhs, guess)
+        self.blocks.append((start, diag.size, self.corrections - before))
+        return out
 
 
 # K = Q, symmetric with a non-unit diagonal, and K = I - alpha G with a
-# nonsymmetric G. Each case runs one sweep over the box [0, 1] from x and
-# names the branch it takes.
+# nonsymmetric G. Each case runs one sweep over the box [0, 1] from x,
+# names the branch it takes and counts its correction passes.
 SYMMETRIC = np.array([[2.0, 0.5], [0.5, 1.0]])
 NONSYMMETRIC = ExternalityGraph(np.array([[0.0, 0.2], [0.5, 0.0]]), 1.0).system_matrix
 SWEEP_CASES = {
@@ -623,7 +646,8 @@ SWEEP_CASES = {
     # row 0's Jacobi update is past the cap, so it is held there
     "q_clamped": (SYMMETRIC, [3.0, 0.8], [0.0, 0.5], 0),
     # both Jacobi updates lie inside, but row 1's Gauss-Seidel update,
-    # which sees row 0's new value, falls below the floor
+    # which sees row 0's new value, falls below the floor: the forward
+    # substitution leaves the box, and one correction holds row 1 there
     "q_fallback": (SYMMETRIC, [1.3, 0.2], [0.0, 0.5], 1),
     "a_free": (NONSYMMETRIC, [0.3, 0.3], [0.2, 0.3], 0),
     "a_clamped": (NONSYMMETRIC, [2.0, 0.2], [0.0, 0.5], 0),
@@ -654,59 +678,59 @@ class TestGaussSeidelSweep:
     """The shared sweep kernel against the row-by-row sweep and t - K x."""
 
     @pytest.mark.parametrize("case", SWEEP_CASES)
-    def test_branches(self, case, fallbacks):
-        matrix, target, x, expected_fallbacks = SWEEP_CASES[case]
+    def test_branches(self, case):
+        matrix, target, x, expected_corrections = SWEEP_CASES[case]
         target, x = np.array(target), np.array(x)
         diag = np.diagonal(matrix).copy()
         solver = GaussSeidel(matrix, 0.0, 1.0)
         upper, residual = solver.state(target, x)
         assert_sweep_state(matrix, target, x, upper, residual)
         new, upper, residual = solver.sweep(target, x, upper, residual)
-        assert len(fallbacks) == expected_fallbacks
-        expected = row_by_row(matrix, diag, target, x, 0.0, 1.0)
+        assert solver.corrections == expected_corrections
+        expected = numpy_scalar_element_sweep(matrix, diag, target, x, 0.0, 1.0)
         np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
         assert_sweep_state(matrix, target, new, upper, residual)
         if case.endswith("clamped"):
             assert new[0] == 1.0 and 0.0 < new[1] < 1.0
 
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_trajectory(self, symmetric, fallbacks):
+    def test_trajectory(self, symmetric):
         # the unconstrained solution leaves the box on both sides, so the
         # sweeps clamp rows at both bounds; above SWEEP_BLOCK rows the
-        # clamped sweeps run in blocks, and a failed block runs its own rows
+        # clamped sweeps run in blocks, and a block whose prediction fails
+        # corrects it in at most as many passes as it has rows
         for n in (30, SWEEP_BLOCK + 1, 300):
             matrix, target, x = sweep_problem(n, 41 if symmetric else 42, symmetric)
             diag = np.diagonal(matrix)
             lo, hi = 0.1, 0.9
-            upper, residual = GaussSeidel(matrix, lo, hi).state(target, x)
-            fallbacks.clear()
+            solver = CountedGaussSeidel(matrix, lo, hi)
+            upper, residual = solver.state(target, x)
             for _ in range(40):
-                expected = row_by_row(matrix, diag, target, x, lo, hi)
-                x, upper, residual = GaussSeidel(matrix, lo, hi).sweep(target, x, upper, residual)
+                expected = numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi)
+                x, upper, residual = solver.sweep(target, x, upper, residual)
                 np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
                 assert_sweep_state(matrix, target, x, upper, residual)
             assert np.any(x == lo) and np.any(x == hi)
-            assert 0 < len(fallbacks) < 20
-            assert all(len(args[1]) <= SWEEP_BLOCK for args in fallbacks)
+            assert solver.corrections > 0
+            assert all(size <= SWEEP_BLOCK and passes <= size for _, size, passes in solver.blocks)
 
-    def test_one_failed_block_runs_only_its_rows(self, fallbacks):
+    def test_one_failed_block_runs_only_its_rows(self):
         # n = 300 is three blocks, rows 0-127, 128-255 and 256-299. Off the
         # identity only q_fallback's pair sits at rows 130 and 131, where
         # the Gauss-Seidel update of row 131 falls below the floor though
         # its Jacobi update does not; row 0 is held at the cap, so the
-        # sweep takes the clamped branch.
+        # sweep takes the clamped branch, and only the middle block corrects
         n = 300
         matrix = np.eye(n)
         matrix[130:132, 130:132] = SYMMETRIC
         target, x = np.full(n, 0.5), np.full(n, 0.5)
         target[0], target[130:132], x[130:132] = 3.0, [1.3, 0.2], [0.0, 0.5]
         diag = np.diagonal(matrix)
-        solver = GaussSeidel(matrix, 0.0, 1.0)
+        solver = CountedGaussSeidel(matrix, 0.0, 1.0)
         new, upper, residual = solver.sweep(target, x, *solver.state(target, x))
-        (rows, _, _, _, _, _, start), = fallbacks
-        assert start == SWEEP_BLOCK and rows.shape == (SWEEP_BLOCK, n)
-        assert np.shares_memory(rows, matrix)  # the block's row slab, not a copy
-        expected = row_by_row(matrix, diag, target, x, 0.0, 1.0)
+        assert solver.blocks == [(0, SWEEP_BLOCK, 0), (SWEEP_BLOCK, SWEEP_BLOCK, 1),
+                                 (2 * SWEEP_BLOCK, n - 2 * SWEEP_BLOCK, 0)]
+        expected = numpy_scalar_element_sweep(matrix, diag, target, x, 0.0, 1.0)
         np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
         assert new[0] == 1.0 and new[131] == 0.0
         assert_sweep_state(matrix, target, new, upper, residual)
@@ -723,25 +747,6 @@ class TestGaussSeidelSweep:
                 rows = slice(start, start + SWEEP_BLOCK)
                 np.testing.assert_array_equal(block, matrix[rows, rows][np.ix_(free, free)])
         assert len(carried.free_blocks) > 1
-
-
-def numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi):
-    """The row-by-row sweep as first written, on numpy scalars: the frozen
-    reference that demand._element_sweep, on Python floats, must equal."""
-    x = x.copy()
-    for i in range(x.size):
-        step = (target[i] - matrix[i] @ x) / diag[i]
-        x[i] = min(hi, max(lo, x[i] + step))
-    return x
-
-
-def frozen_element_sweep(matrix, diag, target, x, lo, hi):
-    """The row-by-row sweep as it was before it used the row view's .dot."""
-    out = x.copy()
-    for i, (x_i, t_i, d_i) in enumerate(zip(x.tolist(), target.tolist(), diag.tolist())):
-        step = (t_i - float(matrix[i] @ out)) / d_i
-        out[i] = min(hi, max(lo, x_i + step))
-    return out
 
 
 def frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi):
@@ -767,9 +772,10 @@ def frozen_fixed_point_residual(x, r):
 
 
 def frozen_gauss_seidel_sweep(matrix, diag, target, x, upper, residual, lo, hi):
-    """GaussSeidel.sweep with the three gathered acceptance tests, the
-    free block gathered on every clamped sweep and the frozen row-by-row
-    sweep."""
+    """GaussSeidel.sweep as it was before its clamped branch corrected a
+    failed prediction: with the three gathered acceptance tests and the free
+    block gathered on every clamped sweep. None where its prediction failed,
+    where it ran the row-by-row sweep instead."""
     kt = matrix.T
     rhs = target - upper
     jacobi = x + residual / diag
@@ -792,10 +798,35 @@ def frozen_gauss_seidel_sweep(matrix, diag, target, x, upper, residual, lo, hi):
         if frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi):
             new = solved
     if new is None:
-        new = frozen_element_sweep(matrix, diag, target, x, lo, hi)
-        lower = demand.dtrmv(kt, new, trans=1)
+        return None
     upper = demand.dtrmv(kt, new, lower=1, trans=1, diag=1) - new
     return new, upper, target - upper - lower
+
+
+def assert_sweeps_equal_frozen_sweeps(matrix, target, x, lo, hi, sweeps=30):
+    """Sweeps from x: bit for bit the frozen kernel's wherever the first
+    prediction settles, else within 1e-13 of the row-by-row sweep.
+
+    Each sweep is compared from the same state, so that a corrected sweep's
+    round-off does not carry into the comparisons of later sweeps.
+    """
+    diag = np.diagonal(matrix)
+    carried = GaussSeidel(matrix, lo, hi)
+    state = (x,) + carried.state(target, x)
+    for _ in range(sweeps):
+        corrections = carried.corrections
+        swept = carried.sweep(target, *state)
+        frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *state, lo, hi)
+        if frozen is None:
+            assert carried.corrections > corrections
+            expected = numpy_scalar_element_sweep(matrix, diag, target, state[0], lo, hi)
+            np.testing.assert_allclose(swept[0], expected, rtol=0.0, atol=1e-13)
+            assert_sweep_state(matrix, target, *swept)
+        else:
+            assert carried.corrections == corrections
+            for a, b in zip(swept, frozen):
+                assert a.tobytes() == b.tobytes()
+        state = swept
 
 
 def same_bits(a, b):
@@ -829,19 +860,6 @@ def box_vectors(draw, count):
 class TestKernelsBitIdentical:
     """The kernels' faster forms give the bits of the forms they replace."""
 
-    @given(data=st.data())
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    def test_clamped_acceptance_equals_gathered_tests(self, data):
-        lo, hi, (free_values, unclamped) = data.draw(box_vectors(2))
-        # every row free, every row held, or a mix
-        rows = data.draw(st.lists(st.sampled_from(["lo", "hi", "free"]),
-                                  min_size=free_values.size, max_size=free_values.size))
-        at_lo, at_hi = np.array(rows) == "lo", np.array(rows) == "hi"
-        free = ~(at_lo | at_hi)
-        solved = np.where(at_lo, lo, np.where(at_hi, hi, free_values))
-        kept = demand._clamped_solve_kept(free, solved, unclamped, lo, hi)
-        assert kept == frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi)
-
     @given(box_vectors(2))
     @example((0.0, 1.0, [np.array([0.0, 1.0]), np.array([-0.0, 0.0])]))
     @example((0.0, 1.0, [np.array([0.0, 0.5, 1.0]), np.array([-0.0, math.nan, 0.0])]))
@@ -862,47 +880,31 @@ class TestKernelsBitIdentical:
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_sweeps_equal_frozen_sweeps(self, n, seed, symmetric, box):
         # every branch, as the trajectory meets it, against the frozen kernel
-        lo, hi = box
-        matrix, target, x = sweep_problem(n, seed, symmetric)
-        diag = np.diagonal(matrix)
-        carried = GaussSeidel(matrix, lo, hi)
-        state = frozen = (x,) + carried.state(target, x)
-        for _ in range(30):
-            state = carried.sweep(target, *state)
-            frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *frozen, lo, hi)
-            for a, b in zip(state, frozen):
-                assert a.tobytes() == b.tobytes()
+        assert_sweeps_equal_frozen_sweeps(*sweep_problem(n, seed, symmetric), *box)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("box", BOXES)
     def test_one_full_block_equals_frozen_sweep(self, symmetric, box):
         # n = SWEEP_BLOCK is the largest sweep that is one block
-        lo, hi = box
-        matrix, target, x = sweep_problem(SWEEP_BLOCK, 44, symmetric)
-        diag = np.diagonal(matrix)
-        carried = GaussSeidel(matrix, lo, hi)
-        state = frozen = (x,) + carried.state(target, x)
-        for _ in range(30):
-            state = carried.sweep(target, *state)
-            frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *frozen, lo, hi)
-            for a, b in zip(state, frozen):
-                assert a.tobytes() == b.tobytes()
+        assert_sweeps_equal_frozen_sweeps(*sweep_problem(SWEEP_BLOCK, 44, symmetric), *box)
 
-    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
-           lo=st.sampled_from([0.0, 0.1, PRICE_FLOOR]), hi=st.sampled_from([0.9, 1.0, 2.0]),
-           snapped=st.integers(0, 2**40))
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    def test_element_sweep_equals_numpy_scalar_sweep(self, n, seed, symmetric, lo, hi, snapped):
-        # the bits of snapped put some iterates exactly on a bound and make
-        # some targets signed zeros
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32), symmetric=st.booleans(),
+           box=st.sampled_from(BOXES))
+    @example(n=300, seed=42, symmetric=False, box=(0.1, 0.9))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_corrected_blocks_match_row_by_row_sweep(self, n, seed, symmetric, box):
+        # up to three blocks; a block settles in at most as many correction
+        # passes as it has rows
+        lo, hi = box
         matrix, target, x = sweep_problem(n, seed, symmetric)
-        rows = np.arange(n)
-        x = np.where(snapped >> rows & 1 == 1, np.where(rows % 2 == 0, lo, hi), x)
-        target = np.where(snapped >> (rows + 20) & 1 == 1, np.where(rows % 3 == 0, -0.0, 0.0), target)
         diag = np.diagonal(matrix)
-        swept = demand._element_sweep(matrix, diag, target, x, lo, hi)
-        for reference in (numpy_scalar_element_sweep, frozen_element_sweep):
-            assert swept.tobytes() == reference(matrix, diag, target, x, lo, hi).tobytes()
+        solver = CountedGaussSeidel(matrix, lo, hi)
+        upper, residual = solver.state(target, x)
+        for _ in range(15):
+            expected = numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi)
+            x, upper, residual = solver.sweep(target, x, upper, residual)
+            np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
+        assert all(passes <= size for _, size, passes in solver.blocks)
 
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
            switch=st.integers(1, 15))
@@ -919,13 +921,23 @@ class TestKernelsBitIdentical:
             if k == switch:
                 with_carry = (with_carry[0],) + carried.state(t, with_carry[0])
                 regathering = (regathering[0],) + carried.state(t, regathering[0])
-            before = carried.free_blocks.get(0)
+            before, corrections = carried.free_blocks.get(0), carried.corrections
             with_carry = carried.sweep(t, *with_carry)
             regathering = GaussSeidel(matrix, lo, hi).sweep(t, *regathering)
             assert all(np.array_equal(a, b) for a, b in zip(with_carry, regathering))
             after = carried.free_blocks.get(0)
-            if before is not None and np.array_equal(before[1], after[1]):
-                assert after[2] is before[2]  # gathered only when the free set moves
+            if after is None:
+                continue
+            _, free, block = after
+            np.testing.assert_array_equal(block, matrix[np.ix_(free, free)])
+            if after is not before:
+                # gathered in this sweep, so the mask is its last pass's,
+                # whose held rows are at a bound
+                new = with_carry[0]
+                assert np.all((new[~free] == lo) | (new[~free] == hi))
+            if (before is not None and carried.corrections == corrections
+                    and np.array_equal(before[1], free)):
+                assert block is before[2]  # gathered only when the free set moves
 
     def test_free_set_change_regathers(self):
         matrix, target, x = sweep_problem(30, 42, symmetric=False)
@@ -1044,13 +1056,13 @@ class TestChecksEqualFrozenForms:
 
 
 class TestLcpDemand:
-    def test_matches_brute_force_through_fallback(self, fallbacks):
+    def test_matches_brute_force_through_fallback(self, solvers):
         rng = np.random.default_rng(2)
         n = int(rng.integers(2, 9))
         graph = random_externality(rng, n, target_alpha_rho=0.9)
         p = rng.uniform(0.05, 2.2, n)
         solved = lcp_demand(graph, 0.8, p)
-        assert fallbacks
+        assert sum(solver.corrections for solver in solvers) > 0
         reference = brute_force_lcp(graph, 0.8, p)
         np.testing.assert_allclose(solved.x, reference.x, atol=1e-9)
         assert np.array_equal(solved.partition, reference.partition)
@@ -1107,6 +1119,90 @@ class TestLcpDemand:
             lcp_demand(graph, 0.5, np.full(6, 1.2))
         assert info.value.residual > demand.LCP_TOL
         assert info.value.last_iterate.shape == (6,)
+
+
+# dyadic weights and alpha, so that A 1 and the margins built on it are exact
+DYADIC_WEIGHTS = np.array([[0.0, 1.0, 0.5], [0.25, 0.0, 1.0], [1.0, 0.5, 0.0]])
+DYADIC_ALPHA = 0.25
+
+
+class TestSaturationTest:
+    """lcp_demand returns x = 1 without a sweep exactly when no margin
+    b - A 1 is negative, and sweeps otherwise."""
+
+    def solve_with_margins(self, margins, solvers):
+        # hbar = 0.5 and p = 1.5 - A 1 - margins, so that b - A 1 = margins
+        graph = ExternalityGraph(DYADIC_WEIGHTS, DYADIC_ALPHA)
+        p = 1.5 - graph.row_sums - np.asarray(margins)
+        solved = lcp_demand(graph, 0.5, p)
+        reference = brute_force_lcp(graph, 0.5, p)
+        np.testing.assert_allclose(solved.x, reference.x, rtol=0.0, atol=1e-9)
+        assert np.array_equal(solved.partition, reference.partition)
+        return graph, solved, len(solvers)
+
+    def test_every_user_saturated(self, solvers):
+        _, solved, swept = self.solve_with_margins([0.25, 0.5, 0.125], solvers)
+        assert swept == 0
+        assert np.all(solved.x == 1.0)
+        assert np.all(solved.partition == Segment.SATURATED)
+
+    def test_a_margin_of_zero_is_interior_at_one(self, solvers):
+        graph, solved, swept = self.solve_with_margins([0.25, 0.0, 0.125], solvers)
+        assert (1.5 - (1.5 - graph.row_sums[1])) - graph.row_sums[1] == 0.0  # exact
+        assert swept == 0
+        assert np.all(solved.x == 1.0)
+        assert solved.partition.tolist() == [Segment.SATURATED, Segment.INTERIOR,
+                                             Segment.SATURATED]
+
+    def test_a_negative_margin_falls_through_to_sweeps(self, solvers):
+        _, solved, swept = self.solve_with_margins([0.25, -1e-12, 0.125], solvers)
+        assert swept == 1
+        assert solved.x[1] < 1.0
+        assert solved.partition[1] == Segment.INTERIOR
+
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32), low=st.sampled_from([-0.05, 0.0]))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_near_saturated_markets_match_brute_force(self, n, seed, low):
+        # margins from low to 0.3: all saturated at low = 0, else some swept
+        rng = np.random.default_rng(seed)
+        graph = random_externality(rng, n, target_alpha_rho=float(rng.uniform(0.0, 0.9)))
+        hbar = float(rng.uniform(0.5, 0.99))
+        p = (1.0 + hbar) - graph.row_sums - rng.uniform(low, 0.3, n)
+        solved = lcp_demand(graph, hbar, p)
+        reference = brute_force_lcp(graph, hbar, p)
+        np.testing.assert_allclose(solved.x, reference.x, rtol=0.0, atol=1e-9)
+        assert np.array_equal(solved.partition, reference.partition)
+
+    def test_row_sums_computed_once_per_graph(self, monkeypatch):
+        calls = []
+        row_sums = ExternalityGraph.__dict__["row_sums"].func
+
+        def counted(graph):
+            calls.append(graph)
+            return row_sums(graph)
+
+        prop = cached_property(counted)
+        prop.__set_name__(ExternalityGraph, "row_sums")
+        monkeypatch.setattr(ExternalityGraph, "row_sums", prop)
+        graphs = [ExternalityGraph(DYADIC_WEIGHTS, DYADIC_ALPHA) for _ in range(2)]
+        for graph in graphs + graphs:
+            for p in (np.full(3, 0.2), np.full(3, 1.2)):  # saturated, then swept
+                lcp_demand(graph, 0.5, p)
+        assert calls == graphs
+        np.testing.assert_array_equal(graphs[0].row_sums, [0.625, 0.6875, 0.625])
+        assert not graphs[0].row_sums.flags.writeable
+
+    def test_memo_holds_only_the_first_price_block(self):
+        # at the shipped grids' prices every user saturates, so the report's
+        # demand comes from the saturation test, which keeps nothing in memo
+        rng = np.random.default_rng(5)
+        graph = random_externality(rng, 8, target_alpha_rho=0.35)
+        params = MarketParams(risk=RiskModel(10.0, 100, 10.0, 10.0), attacker_resource=100.0,
+                              beta=10.0, price_cap=1.0, gamma_cap=2.0)
+        report = solve_stackelberg(params, graph, ProviderStrategy(np.full(8, 0.75), 0.75))
+        assert np.all(report.demand.x == 1.0)
+        assert list(graph.memo) == ["provider first price block"]
+        assert "row_sums" in vars(graph)
 
 
 class TestBruteForce:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from chainsure import demand, equilibrium, harness, market
+from chainsure import equilibrium, harness, market
 from chainsure.demand import (
     ExternalityGraph,
     GaussSeidel,
@@ -32,7 +32,7 @@ from chainsure.market import (
 )
 from chainsure.demand import closed_form_demand, lcp_demand
 from chainsure.risk import RiskModel, attack_probability, premium
-from conftest import drawn_weights, random_externality, random_weights
+from conftest import drawn_weights, numpy_scalar_element_sweep, random_externality, random_weights
 
 RISK = RiskModel(10.0, 100, 10.0, 10.0)
 PARAMS = MarketParams(risk=RISK, attacker_resource=100.0, beta=10.0,
@@ -231,25 +231,22 @@ class TestTriangularPriceSweep:
 
     @pytest.fixture(autouse=True)
     def sweep_counts(self, monkeypatch):
-        # sweeps best_response_provider runs, and the per-user sweeps the
-        # kernel falls back to
-        self.calls = calls = {"sweeps": 0, "fallbacks": 0}
-        element_sweep = demand._element_sweep
+        # sweeps best_response_provider runs, and those of them that ran a
+        # correction pass because the kernel's first prediction failed
+        self.calls = calls = {"sweeps": 0, "corrected": 0}
         sweep = GaussSeidel.sweep
 
-        def counted_sweep(*args):
+        def counted_sweep(solver, *args):
             calls["sweeps"] += 1
-            return sweep(*args)
-
-        def counted_element_sweep(*args):
-            calls["fallbacks"] += 1
-            return element_sweep(*args)
+            corrections = solver.corrections
+            out = sweep(solver, *args)
+            calls["corrected"] += solver.corrections > corrections
+            return out
 
         monkeypatch.setattr(GaussSeidel, "sweep", counted_sweep)
-        monkeypatch.setattr(demand, "_element_sweep", counted_element_sweep)
 
     def assert_matches_loop(self, params, graph, start):
-        self.calls.update(sweeps=0, fallbacks=0)
+        self.calls.update(sweeps=0, corrected=0)
         fast = best_response_provider(params, graph, start, OPTS)
         slow, sweeps = loop_best_response_provider(params, graph, start)
         np.testing.assert_allclose(fast.prices, slow.prices, rtol=0.0, atol=1e-12)
@@ -271,9 +268,9 @@ class TestTriangularPriceSweep:
         # and ends inside the box. The Jacobi update of a price near the
         # cap stays below it, but its Gauss-Seidel update, which sees the
         # lower new prices of the users before it, rises above the cap; so
-        # the predicted clamp set is wrong and the per-user fallback runs.
+        # the predicted clamp set is wrong and a correction pass runs.
         # One user has no one before it: its sweep is its Jacobi update,
-        # the prediction is exact, and no fallback runs.
+        # the prediction is exact, and no correction runs.
         rng = np.random.default_rng(200 + n)
         graph = random_externality(rng, n, target_alpha_rho=0.05)
         uncapped = best_response_provider(with_price_cap(10.0), graph,
@@ -283,9 +280,9 @@ class TestTriangularPriceSweep:
         fast = self.assert_matches_loop(params, graph, start)
         assert np.all(fast.prices < params.price_cap)
         if n == 1:
-            assert self.calls["fallbacks"] == 0
+            assert self.calls["corrected"] == 0
         else:
-            assert self.calls["fallbacks"] > 0
+            assert self.calls["corrected"] > 0
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_cap_binds_at_optimum(self, n):
@@ -300,7 +297,7 @@ class TestTriangularPriceSweep:
         at_cap = fast.prices == params.price_cap
         assert at_cap.any() and not at_cap.all()
         # the clamped set settles after a few sweeps; later sweeps stay in BLAS
-        assert 0 < 2 * self.calls["fallbacks"] < self.calls["sweeps"]
+        assert 0 < 2 * self.calls["corrected"] < self.calls["sweeps"]
 
     def test_sweep_holding_capped_prices_stays_in_blas(self):
         rng = np.random.default_rng(330)
@@ -317,10 +314,9 @@ class TestTriangularPriceSweep:
         bounds = (PRICE_FLOOR, params.price_cap)
         solver = GaussSeidel(quad, *bounds)
         upper, residual = solver.state(target, prices)
-        self.calls.update(fallbacks=0)
         swept, _, _ = solver.sweep(target, prices, upper, residual)
-        assert self.calls["fallbacks"] == 0
-        expected = demand._element_sweep(quad, np.diagonal(quad), target, prices, *bounds)
+        assert solver.corrections == 0
+        expected = numpy_scalar_element_sweep(quad, np.diagonal(quad), target, prices, *bounds)
         np.testing.assert_allclose(swept, expected, rtol=0.0, atol=1e-14)
         assert np.array_equal(swept == params.price_cap, held)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chainsure.errors import ConvergenceError
 from chainsure.risk import GRID_INTERVALS, _NODES, _WIDTH, survival_grid
-from chainsure.specfun import _beta_contfrac, adaptive_simpson, reg_inc_beta
+from chainsure.specfun import _beta_contfrac, _log_gamma_ratio, adaptive_simpson, reg_inc_beta
 from conftest import beta_closed_form, beta_quadrature
 
 
@@ -223,6 +223,26 @@ class TestRegIncBeta:
         for w, u, v in cases:
             exact = float(mpmath.betainc(u, v, 0, w, regularized=True))
             assert math.isclose(reg_inc_beta(float(w), float(u), float(v)), exact, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("u", [1e12, 1e15, 1e16, 1e17])
+    def test_large_u_prefactor_against_mpmath(self, u):
+        # lgamma(u + v) and lgamma(u) are each near u log u, whose float
+        # spacing nears 1 at u = 1e15, so their difference cancels; the
+        # Stirling difference keeps every digit
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for v in (0.5, 3.0):
+                exact = float(mpmath.loggamma(mpmath.mpf(u) + v) - mpmath.loggamma(u))
+                assert math.isclose(_log_gamma_ratio(u, v), exact, rel_tol=4e-16)
+            # from the symmetry switch up, the result is the prefactor times a
+            # continued fraction in 1 - w; at u = 1e17 no float w < 1 is that high
+            switch = (u + 1.0) / (u + 2.5)
+            ws = sorted({w for w in (switch, 1.0 - 1.25 / u, 1.0 - 0.5 / u, 1.0 - 0.25 / u)
+                         if switch <= w < 1.0})
+            assert len(ws) >= (2 if u < 1e16 else 1 if u < 1e17 else 0)
+            for w in ws:
+                exact = float(mpmath.betainc(u, 0.5, 0, w, regularized=True))
+                assert math.isclose(reg_inc_beta(w, u, 0.5), exact, rel_tol=1e-12)
 
     def test_bit_identical_to_abs_tests(self):
         # both sides of the symmetry switch w = (u + 1) / (u + v + 2), the
