@@ -460,21 +460,25 @@ class GaussSeidel:
     diagonal block's first row to (mask bytes, free mask, K[free, free]
     within that block) of its last clamped pass, gathered again only when a
     pass's free rows differ. corrections counts correction passes so far.
+    interior is True when the last sweep's iterate is known to lie strictly
+    inside the box, lo < min and max < hi; False before any sweep. BLAS
+    flags are passed positionally, which skips f2py's keyword parsing.
     """
 
-    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections")
+    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections", "interior")
 
     def __init__(self, matrix: np.ndarray, lo: float, hi: float):
         self.matrix, self.kt, self.diag = matrix, matrix.T, np.diagonal(matrix)
         self.lo, self.hi = lo, hi
         self.free_blocks = {}
         self.corrections = 0
+        self.interior = False
 
     def state(self, target: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(U x, target - K x) at x, the state sweep carries."""
         kt = self.kt
-        upper = dtrmv(kt, x, lower=1, trans=1, diag=1) - x
-        return upper, target - upper - dtrmv(kt, x, trans=1)
+        upper = dtrmv(kt, x, 0, 1, 1, 1, 1) - x  # lower=1, trans=1, diag=1
+        return upper, target - upper - dtrmv(kt, x, 0, 1, 0, 1)  # trans=1
 
     def _clamped_block(self, rows: np.ndarray, start: int, diag: np.ndarray,
                        rhs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,14 +510,14 @@ class GaussSeidel:
             solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
             if np.logical_or.reduce(free):
                 # rhs - L held, read before the free rows are written in
-                free_rhs = rhs - dtrmv(kt, solved, trans=1) + diag * solved
+                free_rhs = rhs - dtrmv(kt, solved, 0, 1, 0, 1) + diag * solved  # trans=1
                 key = free.tobytes()  # one byte per row, compared at C speed
                 entry = self.free_blocks.get(start)
                 if entry is None or entry[0] != key:
                     entry = self.free_blocks[start] = (
                         key, free, block.compress(free, 0).compress(free, 1))
-                solved[free] = dtrsv(entry[2].T, free_rhs[free], trans=1)
-            lower = dtrmv(kt, solved, trans=1)
+                solved[free] = dtrsv(entry[2].T, free_rhs[free], 1, 0, 0, 1)  # trans=1
+            lower = dtrmv(kt, solved, 0, 1, 0, 1)  # trans=1
             checked = np.where(free, solved, (rhs - lower + diag * solved) / diag)
             missed = np.minimum(np.maximum(checked[settled:], lo), hi) != solved[settled:]
             if not np.logical_or.reduce(missed):
@@ -535,15 +539,19 @@ class GaussSeidel:
         Otherwise, predicting from the Jacobi update or from the x' that left
         the box, it runs _clamped_block on diagonal blocks of at most
         SWEEP_BLOCK rows, each once the rows before it are final. The result
-        is the row-by-row sweep's up to round-off.
+        is the row-by-row sweep's up to round-off. interior comes from the
+        min and max of a kept x'; every other path sets it to False.
         """
         matrix, kt, diag, lo, hi = self.matrix, self.kt, self.diag, self.lo, self.hi
         rhs = target - upper
         guess = x + residual / diag
+        self.interior = False
         if lo < np.minimum.reduce(guess) and np.maximum.reduce(guess) < hi:
-            solved = dtrsv(kt, rhs, trans=1)
-            if lo <= np.minimum.reduce(solved) and np.maximum.reduce(solved) <= hi:
-                upper = dtrmv(kt, solved, lower=1, trans=1, diag=1) - solved
+            solved = dtrsv(kt, rhs, 1, 0, 0, 1)  # trans=1
+            low, high = np.minimum.reduce(solved), np.maximum.reduce(solved)
+            if lo <= low and high <= hi:
+                self.interior = bool(lo < low and high < hi)
+                upper = dtrmv(kt, solved, 0, 1, 1, 1, 1) - solved  # lower=1, trans=1, diag=1
                 return solved, upper, target - upper - rhs  # (D + L) x' = rhs
             guess = solved  # correcting x' from its first row out of the box
             self.corrections += 1
@@ -558,7 +566,7 @@ class GaussSeidel:
                 new[part], within = self._clamped_block(matrix[part], start, diag[part],
                                                         rhs[part] - prior, guess[part])
                 lower[part] = prior + within
-        upper = dtrmv(kt, new, lower=1, trans=1, diag=1) - new
+        upper = dtrmv(kt, new, 0, 1, 1, 1, 1) - new  # lower=1, trans=1, diag=1
         return new, upper, target - upper - lower
 
 

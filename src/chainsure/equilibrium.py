@@ -74,13 +74,15 @@ class EquilibriumReport:
     converged: bool
 
 
-def _projected_norm(x: np.ndarray, grad: np.ndarray, lo: float, hi: float) -> float:
+def _projected_norm(x: np.ndarray, grad: np.ndarray, lo: float, hi: float,
+                     interior: bool = False) -> float:
     """Infinity norm of the gradient with components pointing out of the box zeroed.
 
     The box has lo < hi. A component at a bound it points past is clipped
     to 0 there, whose absolute value is the zero it is replaced by.
+    interior=True, known lo < min(x) and max(x) < hi, skips testing it.
     """
-    if lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
+    if interior or lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
         return float(np.maximum.reduce(np.abs(grad)))
     pg = np.where(x <= lo, np.maximum(grad, 0.0), np.where(x >= hi, np.minimum(grad, 0.0), grad))
     return float(np.maximum.reduce(np.abs(pg)))
@@ -110,6 +112,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     hbar's exact root, so the stopping test reads only the projected price
     gradient, floored at its round-off in (1 + hbar) M1. Moving hbar by dh
     shifts that gradient by dh * M1, so the test needs no linear solve.
+    Where the last sweep's prices are strictly inside the box
+    (GaussSeidel.interior), the test is max |grad|, which is the same bits.
     The first price block depends only on the graph, the start, the price
     box and the tolerance. graph.memo keeps it for the first start the
     graph is solved from, which in a sweep is the start every point
@@ -140,7 +144,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
         # price gradient (1 + hbar) M1 - Q p at the current point
         for _ in range(sweep_cap):
             prices, upper, grad = solver.sweep(target, prices, upper, grad)
-            if _projected_norm(prices, grad, price_lo, price_hi) < 0.25 * tolerance:
+            norm = _projected_norm(prices, grad, price_lo, price_hi, solver.interior)
+            if norm < 0.25 * tolerance:
                 break
         return prices, upper, grad
 
@@ -172,7 +177,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
         hbar = new_hbar
         target = (1.0 + hbar) * m_ones
 
-        residual = _projected_norm(prices, grad, price_lo, price_hi)
+        # the last sweep's prices; resumed from graph.memo, no sweep ran yet
+        residual = _projected_norm(prices, grad, price_lo, price_hi, solver.interior)
         if residual < tolerance:
             return ProviderStrategy(prices=prices, investment_ratio=hbar)
     raise ConvergenceError(

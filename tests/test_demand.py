@@ -857,6 +857,116 @@ def box_vectors(draw, count):
     return lo, hi, vectors
 
 
+# the (lower, trans, diag) forms demand calls the BLAS wrappers in, as the
+# positional flags it passes and the keywords they stand for
+BLAS_FORMS = {
+    "dtrmv": {(0, 1, 1, 1, 1): {"lower": 1, "trans": 1, "diag": 1},  # offx, incx, flags
+              (0, 1, 0, 1): {"trans": 1}},
+    "dtrsv": {(1, 0, 0, 1): {"trans": 1}},  # incx, offx, lower, trans
+}
+
+
+class TestPositionalBlas:
+    """demand passes the f2py wrappers' flags positionally, which skips
+    their keyword parsing. The two wrappers order them differently:
+    dtrmv(a, x, offx, incx, lower, trans, diag) and
+    dtrsv(a, x, incx, offx, lower, trans, diag)."""
+
+    @pytest.mark.parametrize("n", [1, 30, 128, 300])
+    def test_positional_equals_keyword(self, n):
+        rng = np.random.default_rng(n)
+        matrix = rng.uniform(-1.0, 1.0, (n, n))
+        matrix.flat[::n + 1] += n  # a diagonal that keeps the solve tame
+        kt = matrix.T  # Fortran-ordered, as GaussSeidel reads K
+        x = rng.uniform(-1.0, 1.0, n)
+        before = x.tobytes()
+        for name, forms in BLAS_FORMS.items():
+            routine = getattr(demand, name)
+            for flags, keywords in forms.items():
+                assert routine(kt, x, *flags).tobytes() == routine(kt, x, **keywords).tobytes()
+        assert x.tobytes() == before  # neither overwrites x
+
+    def test_forms_are_the_ones_demand_calls(self, monkeypatch):
+        # each branch of a sweep, and a blocked trajectory, calls only the
+        # tested forms, and between them they call every one
+        seen = {name: set() for name in BLAS_FORMS}
+        for name in BLAS_FORMS:
+            routine = getattr(demand, name)
+
+            def recorded(a, x, *flags, name=name, routine=routine):
+                seen[name].add(flags)
+                return routine(a, x, *flags)
+
+            monkeypatch.setattr(demand, name, recorded)
+        for matrix, target, x, _ in SWEEP_CASES.values():
+            solver = GaussSeidel(matrix, 0.0, 1.0)
+            target, x = np.array(target), np.array(x)
+            solver.sweep(target, x, *solver.state(target, x))
+        assert all(seen[name] <= set(forms) for name, forms in BLAS_FORMS.items())
+        matrix, target, x = sweep_problem(300, 43, symmetric=True)
+        solver = GaussSeidel(matrix, 0.1, 0.9)
+        state = (x,) + solver.state(target, x)
+        for _ in range(40):
+            state = solver.sweep(target, *state)
+        assert seen == {name: set(forms) for name, forms in BLAS_FORMS.items()}
+
+
+class TestInteriorFlag:
+    """GaussSeidel.interior is True exactly when a sweep kept its forward
+    substitution and that iterate lies strictly inside the box; the
+    provider's stopping test then reads max |grad|, which must be
+    _projected_norm's value bit for bit."""
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
+           box=st.sampled_from(BOXES))
+    @example(n=300, seed=43, symmetric=True, box=(0.1, 0.9))
+    @example(n=300, seed=42, symmetric=False, box=(PRICE_FLOOR, 0.95))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_after_every_sweep(self, n, seed, symmetric, box):
+        lo, hi = box
+        matrix, target, x = sweep_problem(n, seed, symmetric)
+        solver = CountedGaussSeidel(matrix, lo, hi)
+        state = (x,) + solver.state(target, x)
+        assert solver.interior is False
+        for _ in range(30):
+            blocks = len(solver.blocks)
+            state = solver.sweep(target, *state)
+            new, _, grad = state
+            # a clamped sweep reads False even where its iterate ends inside
+            kept = len(solver.blocks) == blocks
+            assert solver.interior is (kept and bool(lo < new.min() and new.max() < hi))
+            if solver.interior:
+                full = _projected_norm(new, grad, lo, hi)
+                assert same_bits(float(np.maximum.reduce(np.abs(grad))), full)
+                assert same_bits(_projected_norm(new, grad, lo, hi, True), full)
+
+    @pytest.mark.parametrize("coupling, last_target, bound", [(0.5, 0.25, 0.0), (-0.5, 0.75, 1.0)])
+    def test_false_on_a_bound(self, coupling, last_target, bound):
+        # K = [[1, 0], [c, 1]]: the Jacobi update lies inside [0, 1], and the
+        # forward substitution, which the sweep keeps, lands exactly on a bound
+        matrix = np.array([[1.0, 0.0], [coupling, 1.0]])
+        target, x = np.array([0.5, last_target]), np.array([0.1, 0.5])
+        solver = CountedGaussSeidel(matrix, 0.0, 1.0)
+        new, _, _ = solver.sweep(target, x, *solver.state(target, x))
+        assert solver.blocks == [] and new.tolist() == [0.5, bound]
+        assert solver.interior is False
+
+    def test_each_sweep_sets_it_afresh(self):
+        # a fresh solver, then sweeps that alternate with an interior one:
+        # clamped, corrected from a forward substitution, and NaN
+        def case(name):
+            return np.array(SWEEP_CASES[name][1]), np.array(SWEEP_CASES[name][2])
+
+        free, clamped, fallback = case("q_free"), case("q_clamped"), case("q_fallback")
+        nan = (np.array([math.nan, 0.5]), np.array([0.2, 0.3]))
+        solver = GaussSeidel(SYMMETRIC, 0.0, 1.0)
+        assert solver.interior is False
+        for target, x in (free, clamped, free, fallback, free, nan, free):
+            new, _, _ = solver.sweep(target, x, *solver.state(target, x))
+            assert solver.interior is (target is free[0])
+            assert solver.interior or not (0.0 < new.min() and new.max() < 1.0)
+
+
 class TestKernelsBitIdentical:
     """The kernels' faster forms give the bits of the forms they replace."""
 

@@ -419,6 +419,37 @@ class TestSharedFirstBlock:
             assert key[0] == start.prices.tobytes() and key[1] == start.investment_ratio
 
 
+class TestStoppingTestReadsInterior:
+    """Both of the provider's stopping tests take GaussSeidel.interior's word
+    that the prices are strictly inside the box, and each value they
+    compare with the tolerance is the full projected norm's bit for bit."""
+
+    def test_every_stopping_value_is_the_full_norm(self, monkeypatch):
+        reads = []
+        norm = equilibrium._projected_norm
+
+        def checked(x, grad, lo, hi, interior=False):
+            value = norm(x, grad, lo, hi, interior)
+            assert np.float64(value).tobytes() == np.float64(norm(x, grad, lo, hi)).tobytes()
+            reads.append(interior)
+            return value
+
+        monkeypatch.setattr(equilibrium, "_projected_norm", checked)
+        rng = np.random.default_rng(11)
+        for n, cap in ((1, 1.0), (12, 1.0), (30, 0.95), (30, 0.6), (150, 0.9)):
+            graph = random_externality(rng, n, target_alpha_rho=0.8)
+            start = ProviderStrategy(np.full(n, 0.5), 0.75)
+            params = with_price_cap(cap)
+            first = best_response_provider(params, graph, start, OPTS)
+            resumed = len(reads)
+            # resumed from graph.memo: no sweep has run when the first pass
+            # ends, so that pass's test cannot take the sweep's word
+            best_response_provider(params, graph, start, OPTS)
+            assert reads[resumed] is False
+            best_response_provider(params, graph, first, OPTS)  # cold, from another start
+        assert True in reads and False in reads
+
+
 class TestInsurerBestResponse:
     def test_expected_claim_computed_once(self, monkeypatch):
         calls = []

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from chainsure.errors import ConvergenceError
 from chainsure.risk import GRID_INTERVALS, _NODES, _WIDTH, survival_grid
-from chainsure.specfun import _beta_contfrac, _log_gamma_ratio, adaptive_simpson, reg_inc_beta
+from chainsure.specfun import (
+    _ERFC_FROM,
+    _beta_contfrac,
+    _log_gamma_ratio,
+    adaptive_simpson,
+    reg_inc_beta,
+)
 from conftest import beta_closed_form, beta_quadrature
 
 
@@ -243,6 +249,35 @@ class TestRegIncBeta:
             for w in ws:
                 exact = float(mpmath.betainc(u, 0.5, 0, w, regularized=True))
                 assert math.isclose(reg_inc_beta(w, u, 0.5), exact, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("u", [1e8, 1e10, 1e12, 1e15, 1e16])
+    def test_large_u_below_switch_against_mpmath(self, u):
+        # v = 1/2 below the symmetry switch, where the continued fraction
+        # cancels: just below the switch, at 1 - w = 10/u and 30/u, and in
+        # the tail down to y = (u - 1/4)(-ln w) = 700, whose value is still
+        # a normal float
+        mpmath = pytest.importorskip("mpmath")
+        switch = (u + 1.0) / (u + 2.5)
+        ws = [math.nextafter(switch, 0.0), 1.0 - 10.0 / u, 1.0 - 30.0 / u]
+        ws += [math.exp(-y / (u - 0.25)) for y in (100.0, 300.0, 600.0, 700.0)]
+        for w in ws:
+            assert w < switch
+            # the complement form converges at every u; about y / ln 10
+            # digits cancel in 1 - I_{1-w}(1/2, u), so 50 more are carried
+            with mpmath.workdps(50 + int(u * -math.log(w) / math.log(10.0))):
+                exact = 1 - mpmath.betainc(0.5, u, 0, 1 - mpmath.mpf(w), regularized=True)
+            assert exact > np.finfo(float).tiny
+            assert math.isclose(reg_inc_beta(w, u, 0.5), float(exact), rel_tol=1e-12)
+
+    def test_continued_fraction_error_below_erfc_from(self):
+        # below _ERFC_FROM the continued fraction stays, with the error the
+        # docstring states just below the switch
+        mpmath = pytest.importorskip("mpmath")
+        for u in (1e6, math.nextafter(_ERFC_FROM, 0.0)):
+            w = math.nextafter((u + 1.0) / (u + 2.5), 0.0)
+            with mpmath.workdps(50):
+                exact = 1 - mpmath.betainc(0.5, u, 0, 1 - mpmath.mpf(w), regularized=True)
+            assert math.isclose(reg_inc_beta(w, u, 0.5), float(exact), rel_tol=1e-16 * u)
 
     def test_bit_identical_to_abs_tests(self):
         # both sides of the symmetry switch w = (u + 1) / (u + v + 2), the
