@@ -9,11 +9,11 @@ Gauss-Seidel iteration for the general clamped case (after an O(n) test
 for all users saturated), and an exhaustive partition enumeration used
 as the verification oracle on small instances.
 
-The projected Gauss-Seidel sweep itself is shared: GaussSeidel, one
-object per matrix and box, binds the matrix, its diagonal and the box
-and carries its clamped sweeps' free blocks. The clamped demand makes
-one on I - alpha G over [0, 1], and the provider's best response one on
-its price curvature M + M^T over the price box. A sweep is BLAS
+Projected Gauss-Seidel is shared: GaussSeidel, one object per matrix
+and box, carries its clamped sweeps' free blocks and runs the one loop,
+settle, with the one stopping rule, projected_norm. The clamped demand
+makes one on I - alpha G over [0, 1], the provider's best response one
+on its price curvature M + M^T over the price box. A sweep is BLAS
 triangular kernels that read the matrix once and return the new
 iterate's residual with it; a wrong clamp prediction is corrected from
 its first wrong row on, never swept row by row.
@@ -460,19 +460,19 @@ class GaussSeidel:
     diagonal block's first row to (mask bytes, free mask, K[free, free]
     within that block) of its last clamped pass, gathered again only when a
     pass's free rows differ. corrections counts correction passes so far.
-    interior is True when the last sweep's iterate is known to lie strictly
-    inside the box, lo < min and max < hi; False before any sweep. BLAS
-    flags are passed positionally, which skips f2py's keyword parsing.
+    inside is the last sweep's iterate where it is known to lie strictly
+    inside the box, lo < min and max < hi, else None. BLAS flags are
+    passed positionally, which skips f2py's keyword parsing.
     """
 
-    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections", "interior")
+    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections", "inside")
 
     def __init__(self, matrix: np.ndarray, lo: float, hi: float):
         self.matrix, self.kt, self.diag = matrix, matrix.T, np.diagonal(matrix)
         self.lo, self.hi = lo, hi
         self.free_blocks = {}
         self.corrections = 0
-        self.interior = False
+        self.inside = None
 
     def state(self, target: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(U x, target - K x) at x, the state sweep carries."""
@@ -539,18 +539,18 @@ class GaussSeidel:
         Otherwise, predicting from the Jacobi update or from the x' that left
         the box, it runs _clamped_block on diagonal blocks of at most
         SWEEP_BLOCK rows, each once the rows before it are final. The result
-        is the row-by-row sweep's up to round-off. interior comes from the
-        min and max of a kept x'; every other path sets it to False.
+        is the row-by-row sweep's up to round-off. inside is a kept x' whose
+        min and max lie strictly inside the box; every other path sets None.
         """
         matrix, kt, diag, lo, hi = self.matrix, self.kt, self.diag, self.lo, self.hi
         rhs = target - upper
         guess = x + residual / diag
-        self.interior = False
+        self.inside = None
         if lo < np.minimum.reduce(guess) and np.maximum.reduce(guess) < hi:
             solved = dtrsv(kt, rhs, 1, 0, 0, 1)  # trans=1
             low, high = np.minimum.reduce(solved), np.maximum.reduce(solved)
             if lo <= low and high <= hi:
-                self.interior = bool(lo < low and high < hi)
+                self.inside = solved if lo < low and high < hi else None
                 upper = dtrmv(kt, solved, 0, 1, 1, 1, 1) - solved  # lower=1, trans=1, diag=1
                 return solved, upper, target - upper - rhs  # (D + L) x' = rhs
             guess = solved  # correcting x' from its first row out of the box
@@ -569,12 +569,30 @@ class GaussSeidel:
         upper = dtrmv(kt, new, 0, 1, 1, 1, 1) - new  # lower=1, trans=1, diag=1
         return new, upper, target - upper - lower
 
+    def projected_norm(self, x: np.ndarray, residual: np.ndarray) -> float:
+        """Infinity norm of the residual t - K x with components pointing
+        out of the box zeroed; zeroing one at a bound is clipping it to 0.
+        The box test is skipped only when x is inside itself, the same bits.
+        """
+        lo, hi = self.lo, self.hi
+        if x is self.inside or lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
+            return float(np.maximum.reduce(np.abs(residual)))
+        pg = np.where(x <= lo, np.maximum(residual, 0.0),
+                      np.where(x >= hi, np.minimum(residual, 0.0), residual))
+        return float(np.maximum.reduce(np.abs(pg)))
 
-def _fixed_point_residual(x: np.ndarray, r: np.ndarray) -> float:
-    """|| x - clip(x + r, 0, 1) ||_inf, in ufuncs rather than np.clip's
-    Python wrapper. Where the two clips differ, in the sign of a zero,
-    the absolute value erases it."""
-    return float(np.maximum.reduce(np.abs(x - np.minimum(np.maximum(x + r, 0.0), 1.0))))
+    def settle(self, target: np.ndarray, x: np.ndarray, upper: np.ndarray, residual: np.ndarray,
+               tolerance: float, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Sweep from x, upper, residual (see state) until projected_norm is
+        below tolerance, at most cap >= 1 times; returns the last sweep's
+        (x, U x, residual) and that norm, without raising at the cap.
+        """
+        for _ in range(cap):
+            x, upper, residual = self.sweep(target, x, upper, residual)
+            norm = self.projected_norm(x, residual)
+            if norm < tolerance:
+                break
+        return x, upper, residual, norm
 
 
 def _segments(r: np.ndarray) -> np.ndarray:
@@ -588,12 +606,12 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
 
     x = 1 is the unique solution exactly when no margin r = b - A 1 is
     negative, which is tested first, in O(n) from graph.row_sums. Otherwise
-    each sweep (GaussSeidel.sweep on A = I - alpha G, whose diagonal is 1)
-    updates x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order, and the
-    iteration stops when the fixed-point residual
-    || x - clamp(b + alpha G x, 0, 1) ||_inf drops below LCP_TOL. The sweep
-    returns r = b - A x, so that residual is || x - clamp(x + r, 0, 1) ||_inf
-    and costs no further pass over A. Either r labels the users (_segments).
+    GaussSeidel.settle on A = I - alpha G over [0, 1] sweeps
+    x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order until the
+    projected residual of r = b - A x drops below LCP_TOL: 0 exactly at the
+    solution, and componentwise no smaller than || x - clamp(x + r, 0, 1) ||.
+    The sweep returns r, so the test makes no further pass over A. Either
+    r labels the users (_segments).
     """
     b = _demand_rhs(graph, hbar, p)
     r = b - graph.row_sums
@@ -601,17 +619,12 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
         return DemandProfile(np.ones(graph.n_users), _segments(r))
     solver = GaussSeidel(graph.system_matrix, 0.0, 1.0)
     x = np.clip(b, 0.0, 1.0)
-    upper, r = solver.state(b, x)
-    sweeps_cap = max(1, LCP_ITER_CAP // max(graph.n_users, 1))
-    for _ in range(sweeps_cap):
-        x, upper, r = solver.sweep(b, x, upper, r)
-        residual = _fixed_point_residual(x, r)
-        if residual < LCP_TOL:
-            return DemandProfile(x, _segments(r))
-    raise ConvergenceError(
-        "projected Gauss-Seidel hit its iteration cap",
-        last_iterate=x, residual=residual,
-    )
+    x, _, r, residual = solver.settle(b, x, *solver.state(b, x), LCP_TOL,
+                                      max(1, LCP_ITER_CAP // graph.n_users))
+    if not residual < LCP_TOL:  # written so that NaN raises
+        raise ConvergenceError("projected Gauss-Seidel hit its iteration cap",
+                               last_iterate=x, residual=residual)
+    return DemandProfile(x, _segments(r))
 
 
 def brute_force_lcp(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:

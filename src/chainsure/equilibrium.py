@@ -74,20 +74,6 @@ class EquilibriumReport:
     converged: bool
 
 
-def _projected_norm(x: np.ndarray, grad: np.ndarray, lo: float, hi: float,
-                     interior: bool = False) -> float:
-    """Infinity norm of the gradient with components pointing out of the box zeroed.
-
-    The box has lo < hi. A component at a bound it points past is clipped
-    to 0 there, whose absolute value is the zero it is replaced by.
-    interior=True, known lo < min(x) and max(x) < hi, skips testing it.
-    """
-    if interior or lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
-        return float(np.maximum.reduce(np.abs(grad)))
-    pg = np.where(x <= lo, np.maximum(grad, 0.0), np.where(x >= hi, np.minimum(grad, 0.0), grad))
-    return float(np.maximum.reduce(np.abs(pg)))
-
-
 def best_response_provider(params: MarketParams, graph: ExternalityGraph,
                            start: ProviderStrategy,
                            opts: SolveOptions = SolveOptions()) -> ProviderStrategy:
@@ -100,7 +86,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     prices, so the price block is a box-QP with curvature Q = M + M^T
     (graph.symmetric_influence, built once per graph), solved by projected
     Gauss-Seidel on its stationarity system Q p = (1 + hbar) M1, by one
-    demand.GaussSeidel on Q and the price box per call. Each sweep is
+    demand.GaussSeidel on Q and the price box per call, whose settle runs
+    each price block to a quarter of the tolerance. Each sweep is
     BLAS triangular kernels that read Q once, predict the clamped prices
     from the Jacobi update, and correct that prediction from the first
     price it gets wrong; the iterates are those of the per-user sweep. The
@@ -112,8 +99,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     hbar's exact root, so the stopping test reads only the projected price
     gradient, floored at its round-off in (1 + hbar) M1. Moving hbar by dh
     shifts that gradient by dh * M1, so the test needs no linear solve.
-    Where the last sweep's prices are strictly inside the box
-    (GaussSeidel.interior), the test is max |grad|, which is the same bits.
+    Both tests are GaussSeidel.projected_norm; the hbar step leaves the
+    prices the last sweep returned, so its fast path serves both.
     The first price block depends only on the graph, the start, the price
     box and the tolerance. graph.memo keeps it for the first start the
     graph is solved from, which in a sweep is the start every point
@@ -139,26 +126,19 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     hbar = float(min(max(start.investment_ratio, 0.5), HBAR_CEILING))
     tolerance = max(opts.br_tolerance, 16.0 * math.ulp(2.0 * float(m_ones.max())))
 
-    def price_block(target, prices, upper, grad):
-        # maximize (1 + hbar) p.M1 - p.Mp over the price box; grad is the
-        # price gradient (1 + hbar) M1 - Q p at the current point
-        for _ in range(sweep_cap):
-            prices, upper, grad = solver.sweep(target, prices, upper, grad)
-            norm = _projected_norm(prices, grad, price_lo, price_hi, solver.interior)
-            if norm < 0.25 * tolerance:
-                break
-        return prices, upper, grad
-
-    # The first price block sees no point-specific input, so every point
-    # on this graph with the same start, box and tolerance shares it. The
-    # carried state is kept as it was returned: a residual recomputed at
-    # those prices could differ in round-off.
+    # A price block maximizes (1 + hbar) p.M1 - p.Mp over the price box;
+    # its residual is the price gradient (1 + hbar) M1 - Q p. The first
+    # price block sees no point-specific input, so every point on this
+    # graph with the same start, box and tolerance shares it. The carried
+    # state is kept as it was returned: a residual recomputed at those
+    # prices could differ in round-off.
     target = (1.0 + hbar) * m_ones
     key = (prices.tobytes(), hbar, price_lo, price_hi, tolerance)
     # the graph's first start claims the entry; any other start runs cold
     kept_key, state = graph.memo.setdefault("provider first price block", (key, None))
     if kept_key != key or state is None:
-        state = price_block(target, prices, *solver.state(target, prices))
+        state = solver.settle(target, prices, *solver.state(target, prices),
+                              0.25 * tolerance, sweep_cap)[:3]
         if kept_key == key:
             for array in state:
                 array.setflags(write=False)
@@ -167,7 +147,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
 
     for passes in range(PROVIDER_ITER_CAP):
         if passes:
-            prices, upper, grad = price_block(target, prices, upper, grad)
+            prices, upper, grad, _ = solver.settle(target, prices, upper, grad,
+                                                   0.25 * tolerance, sweep_cap)
         # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
         # decreasing, so the box maximizer is the clamped root (p, M1 > 0)
         slope_at_cost = float(prices.dot(m_ones)) + params.risk.reward_scale
@@ -177,8 +158,8 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
         hbar = new_hbar
         target = (1.0 + hbar) * m_ones
 
-        # the last sweep's prices; resumed from graph.memo, no sweep ran yet
-        residual = _projected_norm(prices, grad, price_lo, price_hi, solver.interior)
+        # the fast path, unless the prices came from graph.memo unswept
+        residual = solver.projected_norm(prices, grad)
         if residual < tolerance:
             return ProviderStrategy(prices=prices, investment_ratio=hbar)
     raise ConvergenceError(

@@ -232,6 +232,7 @@ def _point_graph(config: ExperimentConfig, n: int, alpha: float) -> ExternalityG
     global _last_graph
     key = (config.seed, config.g_low, config.g_high, n, alpha)
     if _last_graph is None or _last_graph[0] != key:
+        _last_graph = None  # frees the old graph's A, LU and Q before the draw
         _last_graph = (key, generate_instance(config, n, alpha))
     return _last_graph[1]
 

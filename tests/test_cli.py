@@ -435,6 +435,10 @@ class TestPeakMemory:
     about 4.4 arrays at peak, below 4.75. A third copy for the scaled core
     peaked at about 5.5.
 
+    A sweep that moves to a new graph drops the old one before the draw,
+    so it too holds at most three arrays; one that kept the old graph while
+    the new one was drawn and factored peaked at about 6.3.
+
     The child reads VmHWM, its own address space's peak, and not
     ru_maxrss, which execve carries over from the forking process: under
     a test runner larger than the child, ru_maxrss would read the
@@ -451,10 +455,10 @@ class TestPeakMemory:
              "code = main(sys.argv[1:])\n"
              "print(code, peak_kb() - base)\n")
 
-    def grown_arrays(self, tmp_path, command: str) -> float:
+    def grown_arrays(self, path: Path, command: str, *extra: str) -> float:
         """The child's peak growth after import, in n x n float arrays."""
-        path = large_config(tmp_path, self.N)
-        done = subprocess.run([sys.executable, "-c", self.CHILD, command, "--config", str(path)],
+        done = subprocess.run([sys.executable, "-c", self.CHILD, command, "--config", str(path),
+                               *extra],
                               env=child_env(), capture_output=True, text=True, timeout=120,
                               check=True)
         code, grown_kb = map(int, done.stdout.splitlines()[-1].split())
@@ -462,10 +466,16 @@ class TestPeakMemory:
         return grown_kb * 1024 / (8 * self.N**2)
 
     def test_solve_peaks_below_three_and_a_half_arrays(self, tmp_path):
-        assert self.grown_arrays(tmp_path, "solve") < 3.5
+        assert self.grown_arrays(large_config(tmp_path, self.N), "solve") < 3.5
 
     def test_check_peaks_below_four_and_three_quarter_arrays(self, tmp_path):
-        assert self.grown_arrays(tmp_path, "check") < 4.75
+        assert self.grown_arrays(large_config(tmp_path, self.N), "check") < 4.75
+
+    def test_sweep_over_two_graphs_peaks_below_three_and_a_half_arrays(self, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"n_users": [self.N], "alpha": [0.07 / self.N, 0.08 / self.N],
+                                    "seed": 0}))
+        assert self.grown_arrays(path, "sweep", "--out", str(tmp_path / "rows.csv")) < 3.5
 
 
 class TestOracle:

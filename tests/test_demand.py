@@ -28,7 +28,7 @@ from chainsure.demand import (
     lcp_demand,
     spectral_radius,
 )
-from chainsure.equilibrium import _projected_norm, solve_stackelberg
+from chainsure.equilibrium import solve_stackelberg
 from chainsure.errors import ConfigurationError, ContractionViolation, ConvergenceError
 from chainsure.market import PRICE_FLOOR, MarketParams, ProviderStrategy
 from chainsure.risk import RiskModel
@@ -757,7 +757,7 @@ def frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi):
 
 
 def frozen_projected_norm(x, grad, lo, hi):
-    """equilibrium._projected_norm as a copy with two masked writes."""
+    """GaussSeidel.projected_norm as a copy with two masked writes."""
     if lo < x.min() and x.max() < hi:
         return float(np.abs(grad).max())
     pg = grad.copy()
@@ -767,7 +767,8 @@ def frozen_projected_norm(x, grad, lo, hi):
 
 
 def frozen_fixed_point_residual(x, r):
-    """lcp_demand's stopping residual through np.clip."""
+    """The fixed-point residual lcp_demand stopped on before the projected
+    residual, through np.clip."""
     return float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
 
 
@@ -911,11 +912,44 @@ class TestPositionalBlas:
         assert seen == {name: set(forms) for name, forms in BLAS_FORMS.items()}
 
 
+class CountingNumpy:
+    """numpy as demand reads it, with np.minimum and np.maximum counting
+    their reductions."""
+
+    class Counted:
+        def __init__(self, ufunc, owner):
+            self.ufunc, self.owner = ufunc, owner
+
+        def __call__(self, *args, **kwargs):
+            return self.ufunc(*args, **kwargs)
+
+        def reduce(self, *args, **kwargs):
+            self.owner.reductions += 1
+            return self.ufunc.reduce(*args, **kwargs)
+
+    def __init__(self):
+        self.reductions = 0
+        self.minimum, self.maximum = self.Counted(np.minimum, self), self.Counted(np.maximum, self)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def norm_and_box_test(solver, x, residual):
+    """solver.projected_norm(x, residual), and whether it ran the box test:
+    the fast path makes one reduction, max |residual|, the box test more."""
+    counting = CountingNumpy()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(demand, "np", counting)
+        norm = solver.projected_norm(x, residual)
+    return norm, counting.reductions > 1
+
+
 class TestInteriorFlag:
-    """GaussSeidel.interior is True exactly when a sweep kept its forward
-    substitution and that iterate lies strictly inside the box; the
-    provider's stopping test then reads max |grad|, which must be
-    _projected_norm's value bit for bit."""
+    """GaussSeidel.inside is the iterate itself exactly when a sweep kept its
+    forward substitution and that iterate lies strictly inside the box, else
+    None. projected_norm skips its box test for that array alone, and gives
+    frozen_projected_norm's value bit for bit either way."""
 
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
            box=st.sampled_from(BOXES))
@@ -927,18 +961,22 @@ class TestInteriorFlag:
         matrix, target, x = sweep_problem(n, seed, symmetric)
         solver = CountedGaussSeidel(matrix, lo, hi)
         state = (x,) + solver.state(target, x)
-        assert solver.interior is False
+        assert solver.inside is None
         for _ in range(30):
             blocks = len(solver.blocks)
             state = solver.sweep(target, *state)
             new, _, grad = state
-            # a clamped sweep reads False even where its iterate ends inside
+            # a clamped sweep records None even where its iterate ends inside
             kept = len(solver.blocks) == blocks
-            assert solver.interior is (kept and bool(lo < new.min() and new.max() < hi))
-            if solver.interior:
-                full = _projected_norm(new, grad, lo, hi)
-                assert same_bits(float(np.maximum.reduce(np.abs(grad))), full)
-                assert same_bits(_projected_norm(new, grad, lo, hi, True), full)
+            strictly = kept and bool(lo < new.min() and new.max() < hi)
+            assert solver.inside is (new if strictly else None)
+            expected = frozen_projected_norm(new, grad, lo, hi)
+            norm, box_test = norm_and_box_test(solver, new, grad)
+            assert same_bits(norm, expected) and box_test is not strictly
+            # the same values in another array, or before a fresh solver
+            for other, values in ((solver, new.copy()), (GaussSeidel(matrix, lo, hi), new)):
+                norm, box_test = norm_and_box_test(other, values, grad)
+                assert same_bits(norm, expected) and box_test
 
     @pytest.mark.parametrize("coupling, last_target, bound", [(0.5, 0.25, 0.0), (-0.5, 0.75, 1.0)])
     def test_false_on_a_bound(self, coupling, last_target, bound):
@@ -947,9 +985,11 @@ class TestInteriorFlag:
         matrix = np.array([[1.0, 0.0], [coupling, 1.0]])
         target, x = np.array([0.5, last_target]), np.array([0.1, 0.5])
         solver = CountedGaussSeidel(matrix, 0.0, 1.0)
-        new, _, _ = solver.sweep(target, x, *solver.state(target, x))
+        new, _, grad = solver.sweep(target, x, *solver.state(target, x))
         assert solver.blocks == [] and new.tolist() == [0.5, bound]
-        assert solver.interior is False
+        assert solver.inside is None
+        norm, box_test = norm_and_box_test(solver, new, grad)
+        assert same_bits(norm, frozen_projected_norm(new, grad, 0.0, 1.0)) and box_test
 
     def test_each_sweep_sets_it_afresh(self):
         # a fresh solver, then sweeps that alternate with an interior one:
@@ -960,11 +1000,15 @@ class TestInteriorFlag:
         free, clamped, fallback = case("q_free"), case("q_clamped"), case("q_fallback")
         nan = (np.array([math.nan, 0.5]), np.array([0.2, 0.3]))
         solver = GaussSeidel(SYMMETRIC, 0.0, 1.0)
-        assert solver.interior is False
+        assert solver.inside is None
         for target, x in (free, clamped, free, fallback, free, nan, free):
-            new, _, _ = solver.sweep(target, x, *solver.state(target, x))
-            assert solver.interior is (target is free[0])
-            assert solver.interior or not (0.0 < new.min() and new.max() < 1.0)
+            new, _, grad = solver.sweep(target, x, *solver.state(target, x))
+            interior = target is free[0]
+            assert solver.inside is (new if interior else None)
+            assert interior or not (0.0 < new.min() and new.max() < 1.0)
+            norm, box_test = norm_and_box_test(solver, new, grad)
+            assert same_bits(norm, frozen_projected_norm(new, grad, 0.0, 1.0))
+            assert box_test is not interior
 
 
 class TestKernelsBitIdentical:
@@ -976,14 +1020,8 @@ class TestKernelsBitIdentical:
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_projected_norm_equals_masked_writes(self, box):
         lo, hi, (x, grad) = box
-        assert same_bits(_projected_norm(x, grad, lo, hi), frozen_projected_norm(x, grad, lo, hi))
-
-    @given(box_vectors(2))
-    @example((0.0, 1.0, [np.array([-0.0, 0.0]), np.array([-0.0, -0.0])]))
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    def test_fixed_point_residual_equals_clip(self, box):
-        _, _, (x, r) = box
-        assert same_bits(demand._fixed_point_residual(x, r), frozen_fixed_point_residual(x, r))
+        solver = GaussSeidel(np.eye(x.size), lo, hi)
+        assert same_bits(solver.projected_norm(x, grad), frozen_projected_norm(x, grad, lo, hi))
 
     @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
            box=st.sampled_from(BOXES))
@@ -1204,6 +1242,46 @@ class TestLcpDemand:
             labels = np.where(r < -LCP_TOL, Segment.OPT_OUT,
                               np.where(r > LCP_TOL, Segment.SATURATED, Segment.INTERIOR))
             assert np.array_equal(prof.partition, labels)
+
+    def test_stops_where_the_fixed_point_residual_stopped(self, monkeypatch):
+        # the projected residual against the fixed-point residual it
+        # replaced, on 500 problems whose margins at x = 1 run from -0.6 to
+        # 0.3, one of them negative: the same bytes after the same sweeps
+        sweep, swept = GaussSeidel.sweep, []
+
+        def counted(self, *args):
+            swept.append(self)
+            return sweep(self, *args)
+
+        monkeypatch.setattr(GaussSeidel, "sweep", counted)
+        rng = np.random.default_rng(61)
+        mixed = 0
+        for _ in range(500):
+            n = int(rng.integers(2, 61))
+            graph = random_externality(rng, n, target_alpha_rho=float(rng.uniform(0.05, 0.95)))
+            hbar = float(rng.uniform(0.5, 0.99))
+            margins = rng.uniform(-0.6, 0.3, n)
+            margins[rng.integers(n)] = -0.3
+            p = (1.0 + hbar) - graph.row_sums - margins
+            swept.clear()
+            solved = lcp_demand(graph, hbar, p)
+            b = (1.0 + hbar) - p
+            solver = GaussSeidel(graph.system_matrix, 0.0, 1.0)
+            x = np.clip(b, 0.0, 1.0)
+            state = (x,) + solver.state(b, x)
+            for sweeps in range(1, demand.LCP_ITER_CAP // n + 1):
+                state = sweep(solver, b, *state)
+                if frozen_fixed_point_residual(state[0], state[2]) < LCP_TOL:
+                    break
+            x, _, r = state
+            labels = np.where(r < -LCP_TOL, Segment.OPT_OUT,
+                              np.where(r > LCP_TOL, Segment.SATURATED, Segment.INTERIOR))
+            assert len(swept) == sweeps
+            assert solved.x.tobytes() == x.tobytes()
+            assert solved.partition.tobytes() == labels.astype(np.int8).tobytes()
+            interior = solved.partition == Segment.INTERIOR
+            mixed += bool(interior.any() and not interior.all())
+        assert mixed > 400
 
     def test_monotone_in_externality_strength(self):
         rng = np.random.default_rng(37)

@@ -420,21 +420,23 @@ class TestSharedFirstBlock:
 
 
 class TestStoppingTestReadsInterior:
-    """Both of the provider's stopping tests take GaussSeidel.interior's word
-    that the prices are strictly inside the box, and each value they
-    compare with the tolerance is the full projected norm's bit for bit."""
+    """Both of the provider's stopping tests are GaussSeidel.projected_norm,
+    which skips its box test for the prices its last sweep kept strictly
+    inside the box, and each value they compare with the tolerance is the
+    full projected norm's bit for bit."""
 
     def test_every_stopping_value_is_the_full_norm(self, monkeypatch):
         reads = []
-        norm = equilibrium._projected_norm
+        norm = GaussSeidel.projected_norm
 
-        def checked(x, grad, lo, hi, interior=False):
-            value = norm(x, grad, lo, hi, interior)
-            assert np.float64(value).tobytes() == np.float64(norm(x, grad, lo, hi)).tobytes()
-            reads.append(interior)
+        def checked(self, x, grad):
+            value = norm(self, x, grad)
+            full = norm(GaussSeidel(self.matrix, self.lo, self.hi), x, grad)
+            assert np.float64(value).tobytes() == np.float64(full).tobytes()
+            reads.append(x is self.inside)
             return value
 
-        monkeypatch.setattr(equilibrium, "_projected_norm", checked)
+        monkeypatch.setattr(GaussSeidel, "projected_norm", checked)
         rng = np.random.default_rng(11)
         for n, cap in ((1, 1.0), (12, 1.0), (30, 0.95), (30, 0.6), (150, 0.9)):
             graph = random_externality(rng, n, target_alpha_rho=0.8)
