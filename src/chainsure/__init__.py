@@ -4,7 +4,6 @@ from .demand import (
     DemandProfile,
     ExternalityGraph,
     Segment,
-    brute_force_lcp,
     closed_form_demand,
     lcp_demand,
     spectral_radius,
@@ -28,7 +27,6 @@ from .harness import (
     SweepRow,
     emit_csv,
     generate_instance,
-    read_csv,
     run_sweep,
     solve_point,
     sweep_points,
@@ -43,19 +41,15 @@ from .market import (
     insurer_curvature,
     insurer_gradient,
     insurer_profit,
-    leader_jacobian,
     provider_gradient,
-    provider_hessian,
     provider_profit,
 )
 from .risk import (
     RiskModel,
     attack_probability,
     distorted_log_moments,
-    expected_loss,
     premium,
     premium_curve,
-    reputation_penalty,
     survival_grid,
 )
 from .specfun import reg_inc_beta
@@ -83,27 +77,21 @@ __all__ = [
     "attack_probability",
     "best_response_insurer",
     "best_response_provider",
-    "brute_force_lcp",
     "check_existence",
     "check_uniqueness",
     "closed_form_demand",
     "distorted_log_moments",
     "emit_csv",
-    "expected_loss",
     "generate_instance",
     "insurer_curvature",
     "insurer_gradient",
     "insurer_profit",
     "lcp_demand",
-    "leader_jacobian",
     "premium",
     "premium_curve",
     "provider_gradient",
-    "provider_hessian",
     "provider_profit",
-    "read_csv",
     "reg_inc_beta",
-    "reputation_penalty",
     "run_sweep",
     "solve_point",
     "solve_stackelberg",

@@ -5,22 +5,21 @@ Subcommands:
   sweep   - run the configured sweep grid and write a CSV
   check   - print the equilibrium condition diagnostics for a config
   oracle  - run the built-in cross-verification suites (brute force,
-            finite differences, quadrature) and report pass/fail
+            finite differences, quadrature) of chainsure.oracles, which
+            only this command loads, and report pass/fail
 
 Exit codes: 0 success, 1 solver non-convergence, solver error or oracle
-failure, 2 configuration or usage error, or an array too large for memory.
+failure, 2 configuration or usage error, an array too large for memory,
+or a closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
-import numpy as np
-
-from . import market
-from .demand import ExternalityGraph, brute_force_lcp, lcp_demand
 from .errors import ConfigurationError, ContractionViolation, check_seed
 from .harness import (
     SOLVER_ERRORS,
@@ -30,9 +29,7 @@ from .harness import (
     solve_row,
     sweep_points,
 )
-from .market import InsurerStrategy, MarketParams, ProviderStrategy, check_existence, check_uniqueness
-from .risk import RiskModel, attack_probability, expected_loss, premium
-from .specfun import adaptive_simpson
+from .market import ThresholdCheck, check_existence, check_uniqueness
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,102 +118,17 @@ def _print_contraction(status: str, alpha_rho: float) -> None:
           f"(alpha * rho(G) = {alpha_rho:.6g}, needs < 1)")
 
 
-def _print_threshold(label: str, check: market.ThresholdCheck) -> None:
+def _print_threshold(label: str, check: ThresholdCheck) -> None:
     status = "PASS" if check.holds else "FAIL"
     print(f"{'equilibrium ' + label:<31}: {status} "
           f"(attacker resource {check.lhs:g} vs threshold {check.rhs:.6g})")
 
 
-def _oracle_lcp(rng: np.random.Generator, verbose: bool) -> bool:
-    worst = 0.0
-    for _ in range(25):
-        n = int(rng.integers(1, 7))
-        weights = rng.uniform(0.0, 1.0, (n, n))
-        np.fill_diagonal(weights, 0.0)
-        graph_alpha = 0.8 / max(float(np.abs(np.linalg.eigvals(weights)).max()), 1e-9)
-        graph = ExternalityGraph(weights, rng.uniform(0.0, graph_alpha))
-        hbar = rng.uniform(0.5, 0.999)
-        p = rng.uniform(0.05, 2.0, n)
-        reference = brute_force_lcp(graph, hbar, p)
-        solved = lcp_demand(graph, hbar, p)
-        worst = max(worst, float(np.max(np.abs(reference.x - solved.x))))
-    if verbose:
-        print(f"  worst demand-solver deviation: {worst:.3e}")
-    return worst < 1e-9
-
-
-def _oracle_gradients(rng: np.random.Generator, verbose: bool) -> bool:
-    worst = 0.0
-    for _ in range(10):
-        n = 4
-        weights = rng.uniform(0.0, 10.0, (n, n))
-        np.fill_diagonal(weights, 0.0)
-        graph = ExternalityGraph(weights, 0.01)
-        risk = RiskModel(10.0, 100, 10.0, 10.0)
-        params = MarketParams(risk, 100.0, 10.0, 1.0, 2.0)
-        s_p = ProviderStrategy(rng.uniform(0.1, 1.0, n), rng.uniform(0.55, 0.95))
-        s_i = InsurerStrategy(rng.uniform(1.05, 1.95))
-        grad = market.provider_gradient(params, graph, s_p, s_i)
-        step = 1e-5
-        for k in range(n + 1):
-            base = np.concatenate([s_p.prices, [s_p.investment_ratio]])
-            up, dn = base.copy(), base.copy()
-            up[k] += step
-            dn[k] -= step
-            f_up = market.provider_profit(
-                params, graph, ProviderStrategy(up[:n], up[n]), s_i)
-            f_dn = market.provider_profit(
-                params, graph, ProviderStrategy(dn[:n], dn[n]), s_i)
-            fd = (f_up - f_dn) / (2 * step)
-            worst = max(worst, abs(grad[k] - fd) / max(1.0, abs(fd)))
-        gi = market.insurer_gradient(params, s_p, s_i)
-        f_up = market.insurer_profit(params, s_p, InsurerStrategy(s_i.gamma + step))
-        f_dn = market.insurer_profit(params, s_p, InsurerStrategy(s_i.gamma - step))
-        fd = (f_up - f_dn) / (2 * step)
-        worst = max(worst, abs(gi - fd) / max(1.0, abs(fd)))
-    if verbose:
-        print(f"  worst gradient deviation: {worst:.3e}")
-    return worst < 1e-6
-
-
-def _oracle_quadrature(verbose: bool) -> bool:
-    risk = RiskModel(10.0, 100, 10.0, 10.0)
-
-    def p_fn(theta):
-        return attack_probability(risk, theta)
-
-    def survival(t):
-        return 1.0 - adaptive_simpson(p_fn, 0.5, t, 1e-10)
-
-    worst = 0.0
-    mid = expected_loss(risk)
-    ora = risk.claim_scale * adaptive_simpson(survival, 0.5, 1.0, 1e-10)
-    worst = max(worst, abs(mid - ora) / abs(ora))
-    mid2 = premium(risk, 2.0)
-    ora2 = risk.claim_scale * adaptive_simpson(lambda t: survival(t) ** 0.5, 0.5, 1.0, 1e-10)
-    worst = max(worst, abs(mid2 - ora2) / abs(ora2))
-    if verbose:
-        print(f"  worst quadrature deviation: {worst:.3e}")
-    return worst < 1e-3
-
-
 def _cmd_oracle(args) -> int:
     check_seed(args.seed)
-    rng = np.random.default_rng(args.seed)
-    checks = [
-        ("demand solvers agree (partition enumeration vs projected Gauss-Seidel)",
-         lambda: _oracle_lcp(rng, args.verbose)),
-        ("analytic derivatives match finite differences",
-         lambda: _oracle_gradients(rng, args.verbose)),
-        ("midpoint grid matches adaptive quadrature",
-         lambda: _oracle_quadrature(args.verbose)),
-    ]
-    failures = 0
-    for label, run in checks:
-        ok = run()
-        print(f"[{'PASS' if ok else 'FAIL'}] {label}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
+    from . import oracles  # loaded here: no other command needs it
+
+    return oracles.run_suites(args.seed, args.verbose)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,7 +144,17 @@ def main(argv: list[str] | None = None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
-        return handlers[args.command](args)
+        try:
+            return handlers[args.command](args)
+        finally:
+            # a reader gone from stdout shows here, not in the interpreter's last flush
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # fd 1 goes to devnull, so the last flush of what is still buffered cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

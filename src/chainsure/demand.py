@@ -3,11 +3,11 @@
 The users' purchase probabilities solve a box-bounded linear
 complementarity system, whose solution is unique when alpha * rho(G) < 1;
 ExternalityGraph certifies that from the LU factors of I - alpha G that
-the solvers use, so no solve computes rho. Three solvers are provided:
-the closed form valid when every user is interior, a projected
+the solvers use, so no solve computes rho. Two solvers are provided:
+the closed form valid when every user is interior, and a projected
 Gauss-Seidel iteration for the general clamped case (after an O(n) test
-for all users saturated), and an exhaustive partition enumeration used
-as the verification oracle on small instances.
+for all users saturated). Their verification oracle, exhaustive
+partition enumeration, lives in chainsure.oracles.
 
 Projected Gauss-Seidel is shared: GaussSeidel, one object per matrix
 and box, carries its clamped sweeps' free blocks and runs the one loop,
@@ -29,7 +29,6 @@ more than a whole paper sweep.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import os
 import sys
@@ -40,13 +39,12 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractionViolation, ConvergenceError, UniquenessViolation
+from .errors import ConfigurationError, ContractionViolation, ConvergenceError
 
 POWER_ITER_TOL = 1e-10
 POWER_ITER_CAP = 100_000
 LCP_TOL = 1e-10
 LCP_ITER_CAP = 10**6
-BRUTE_FORCE_MAX_USERS = 12
 # side of the square tiles symmetric_influence adds M^T into M by
 INFLUENCE_TILE = 128
 # rows per diagonal block of GaussSeidel.sweep's clamped branch, so the
@@ -354,6 +352,7 @@ class DemandProfile:
                     or np.logical_or.reduce(self.x > 1.0 + tol, axis=None))
 
 
+# perfbench/tracer.py wraps this by module path, so it keeps its name and module
 def spectral_radius(matrix: np.ndarray) -> float:
     """Perron root of a nonnegative matrix; exactly 0.0 when its digraph is acyclic.
 
@@ -626,53 +625,3 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
                                last_iterate=x, residual=residual)
     return DemandProfile(x, _segments(r))
 
-
-def brute_force_lcp(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandProfile:
-    """Demand equilibrium by exhaustive enumeration of user partitions.
-
-    Tries all 3^n assignments of users to opt-out / interior / saturated,
-    solves the linear subsystem on the interior set, and keeps assignments
-    whose sign conditions all hold. Exactly one must survive; anything else
-    is reported as a uniqueness violation. Assignments are grouped by their
-    interior set: its block is factored once for the right-hand sides of
-    every opt-out/saturated split of the other users, and the sign
-    conditions are checked for all splits at once. Verification oracle
-    only (n <= 12).
-    """
-    n = graph.n_users
-    if n > BRUTE_FORCE_MAX_USERS:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_USERS} users, got {n}")
-    b = _demand_rhs(graph, hbar, p)
-    a_mat = graph.system_matrix
-    consistent: list[tuple[np.ndarray, np.ndarray]] = []
-    for free in itertools.product((False, True), repeat=n):
-        free = np.array(free, dtype=bool)
-        rest = np.flatnonzero(~free)
-        # column k saturates the users of rest whose bit is set in k
-        splits = np.arange(2**rest.size)
-        ones = (splits[None, :] >> np.arange(rest.size)[:, None]) & 1 == 1
-        x = np.zeros((n, splits.size))
-        x[rest] = ones
-        keep = np.ones(splits.size, dtype=bool)
-        if free.any():
-            sub = a_mat[np.ix_(free, free)]
-            rhs = b[free, None] - a_mat[np.ix_(free, rest)] @ x[rest]
-            try:
-                x_free = np.linalg.solve(sub, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            # closed unit box, tiny slack for the solve's roundoff
-            keep &= np.all(np.isfinite(x_free), axis=0)
-            keep &= np.all((x_free >= -1e-12) & (x_free <= 1.0 + 1e-12), axis=0)
-            x[free] = np.clip(x_free, 0.0, 1.0)
-        residual = b[:, None] - a_mat @ x
-        keep &= np.all(np.where(ones, residual[rest] > 0, residual[rest] < 0), axis=0)
-        for k in np.flatnonzero(keep):
-            partition = np.full(n, Segment.INTERIOR, dtype=np.int8)
-            partition[rest] = np.where(ones[:, k], Segment.SATURATED, Segment.OPT_OUT)
-            consistent.append((x[:, k], partition))
-    if len(consistent) != 1:
-        raise UniquenessViolation(
-            f"expected exactly one consistent partition, found {len(consistent)}"
-        )
-    return DemandProfile(*consistent[0])  # copies x out of its batch

@@ -302,16 +302,3 @@ def emit_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
     except OSError as exc:
         raise ConfigurationError(f"cannot write CSV {path}: {exc}") from exc
 
-
-# SweepRow's annotations are strings: this module postpones their evaluation
-_PARSERS = {"int": int, "float": float, "bool": lambda text: text == "true"}
-
-
-def read_csv(path: str | Path) -> list[SweepRow]:
-    """Parse a file produced by emit_csv back into rows."""
-    fields = dataclasses.fields(SweepRow)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return [
-            SweepRow(**{f.name: _PARSERS[f.type](record[f.name]) for f in fields})
-            for record in csv.DictReader(handle)
-        ]

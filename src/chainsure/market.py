@@ -2,9 +2,10 @@
 
 The provider picks per-user prices and an investment ratio; the insurer
 picks the premium coefficient. Profits are evaluated on the interior
-(closed-form) demand. Gradients, the provider Hessian, and the joint
-pseudo-Jacobian are the exact derivatives of those profit expressions and
-are finite-difference verified in the test suite.
+(closed-form) demand. The gradients and the insurer's curvature are the
+exact derivatives of those profit expressions and are finite-difference
+verified in the test suite; the provider Hessian and the joint
+pseudo-Jacobian live in chainsure.oracles.
 """
 
 from __future__ import annotations
@@ -114,31 +115,10 @@ class ThresholdCheck:
     rhs: float
 
 
-def validate_strategies(params: MarketParams, graph: ExternalityGraph,
-                        s_p: ProviderStrategy, s_i: InsurerStrategy) -> None:
-    if s_p.prices.shape != (graph.n_users,):
-        raise ValueError(
-            f"price vector has shape {s_p.prices.shape}, expected ({graph.n_users},)"
-        )
-    if np.logical_or.reduce(s_p.prices > params.price_cap + 1e-12):
-        raise ValueError("a price exceeds the regulated cap")
-    if s_i.gamma > params.gamma_cap + 1e-12:
-        raise ValueError("gamma exceeds the regulated cap")
-
-
 def infrastructure_cost(params: MarketParams, hbar: float) -> float:
     """Spend needed to hold the share hbar against the attacker's resource:
     a * hbar / (1 - hbar); diverges as hbar -> 1."""
     return params.attacker_resource * hbar / (1.0 - hbar)
-
-
-def provider_profit(params: MarketParams, graph: ExternalityGraph,
-                    s_p: ProviderStrategy, s_i: InsurerStrategy) -> float:
-    """Revenue on interior demand, minus infrastructure cost, plus mining
-    income, minus the insurance premium."""
-    validate_strategies(params, graph, s_p, s_i)
-    x = closed_form_demand(graph, s_p.investment_ratio, s_p.prices).x
-    return provider_profit_at(params, s_p, x, premium(params.risk, s_i.gamma))
 
 
 def provider_profit_at(params: MarketParams, s_p: ProviderStrategy, x: np.ndarray,
@@ -167,9 +147,9 @@ def insurer_profit_curve(params: MarketParams,
     attack = attack_probability(params.risk, hbar)
     expected_claim = attack * hbar * params.risk.claim_scale
     premium_of = premium_curve(params.risk)
-    # reputation_penalty's (hbar - 1/2)^3, evaluated in its order; MarketParams
-    # and ProviderStrategy hold its checks on beta and hbar, and premium_of
-    # the one on gamma
+    # the penalty's (hbar - 1/2)^3, evaluated in oracles.reputation_penalty's
+    # order; MarketParams and ProviderStrategy hold its checks on beta and
+    # hbar, and premium_of the one on gamma
     cube = (hbar - 0.5) ** 3
     beta = params.beta
 
@@ -179,6 +159,48 @@ def insurer_profit_curve(params: MarketParams,
     profit.premium = premium_of
     profit.attack_probability = attack
     return profit
+
+
+def check_existence(params: MarketParams, graph: ExternalityGraph) -> ThresholdCheck:
+    """Leader equilibrium existence: attacker resource must dominate one
+    eighth of the total demand amplification."""
+    rhs = graph.total_amplification / 8.0
+    return ThresholdCheck(holds=params.attacker_resource > rhs,
+                          lhs=params.attacker_resource, rhs=rhs)
+
+
+def check_uniqueness(params: MarketParams) -> ThresholdCheck:
+    """Leader equilibrium uniqueness: a > 9 (beta+1)^2 gamma_cap^(beta+1) / (128 beta)."""
+    beta = params.beta
+    rhs = 9.0 * (beta + 1.0) ** 2 * params.gamma_cap ** (beta + 1.0) / (128.0 * beta)
+    return ThresholdCheck(holds=params.attacker_resource > rhs,
+                          lhs=params.attacker_resource, rhs=rhs)
+
+
+# No solve calls provider_profit, insurer_profit or provider_gradient, nor
+# validate_strategies, which checks their arguments: the tests and
+# `chainsure oracle` check the solver's numbers against them. They stay
+# here, not in chainsure.oracles, while perfbench/tracer.py wraps them by
+# module path (perfbench/checks.py calls provider_gradient too).
+def validate_strategies(params: MarketParams, graph: ExternalityGraph,
+                        s_p: ProviderStrategy, s_i: InsurerStrategy) -> None:
+    if s_p.prices.shape != (graph.n_users,):
+        raise ValueError(
+            f"price vector has shape {s_p.prices.shape}, expected ({graph.n_users},)"
+        )
+    if np.logical_or.reduce(s_p.prices > params.price_cap + 1e-12):
+        raise ValueError("a price exceeds the regulated cap")
+    if s_i.gamma > params.gamma_cap + 1e-12:
+        raise ValueError("gamma exceeds the regulated cap")
+
+
+def provider_profit(params: MarketParams, graph: ExternalityGraph,
+                    s_p: ProviderStrategy, s_i: InsurerStrategy) -> float:
+    """Revenue on interior demand, minus infrastructure cost, plus mining
+    income, minus the insurance premium."""
+    validate_strategies(params, graph, s_p, s_i)
+    x = closed_form_demand(graph, s_p.investment_ratio, s_p.prices).x
+    return provider_profit_at(params, s_p, x, premium(params.risk, s_i.gamma))
 
 
 def insurer_profit(params: MarketParams, s_p: ProviderStrategy,
@@ -208,6 +230,10 @@ def provider_gradient(params: MarketParams, graph: ExternalityGraph,
     return grad
 
 
+# Nor does any solve call insurer_gradient or insurer_curvature (the
+# insurer's search compares profits), or their penalty slope
+# _penalty_gamma_factor, which oracles.leader_jacobian shares: they stay
+# here while perfbench/checks.py reads them by module path.
 def _penalty_gamma_factor(gamma: float, beta: float) -> float:
     # d/dgamma of (gamma - 1) gamma^beta, the penalty's gamma factor
     return (beta + 1.0) * gamma**beta - beta * gamma ** (beta - 1.0)
@@ -236,57 +262,3 @@ def insurer_curvature(params: MarketParams, s_p: ProviderStrategy,
         (beta + 1.0) * gamma ** (beta - 1.0) - (beta - 1.0) * gamma ** (beta - 2.0)
     )
     return premium_curv - penalty_curv
-
-
-def provider_hessian(params: MarketParams, graph: ExternalityGraph,
-                     s_p: ProviderStrategy) -> np.ndarray:
-    """Exact Hessian of provider_profit in (prices, hbar).
-
-    Price block -(M + M^T), mixed block M 1, corner -2a / (1 - hbar)^3.
-    Negative definite at every hbar in [1/2, 1) exactly when A + A^T is positive
-    definite (A = I - alpha G) and 16a > 1^T (A + A^T)^{-1} 1: for an asymmetric
-    G, alpha * rho(G) < 1 and the existence condition do not imply that.
-    """
-    n = graph.n_users
-    hess = np.empty((n + 1, n + 1))
-    hess[:n, :n] = -graph.symmetric_influence
-    hess[:n, n] = graph.ones_image
-    hess[n, :n] = graph.ones_image
-    hess[n, n] = -2.0 * params.attacker_resource / (1.0 - s_p.investment_ratio) ** 3
-    return hess
-
-
-def leader_jacobian(params: MarketParams, graph: ExternalityGraph,
-                    s_p: ProviderStrategy, s_i: InsurerStrategy) -> np.ndarray:
-    """Symmetrized second-derivative matrix of the two leaders' profits.
-
-    J = D + D^T where D stacks the provider rows (over prices, hbar) and the
-    insurer row (over gamma). The (price, gamma) coupling is structurally
-    zero; the (hbar, gamma) coupling comes from the overpricing penalty.
-    """
-    n = graph.n_users
-    hbar = s_p.investment_ratio
-    gamma = s_i.gamma
-    jac = np.zeros((n + 2, n + 2))
-    jac[: n + 1, : n + 1] = 2.0 * provider_hessian(params, graph, s_p)
-    cross = -3.0 * (hbar - 0.5) ** 2 * _penalty_gamma_factor(gamma, params.beta)
-    jac[n, n + 1] = cross
-    jac[n + 1, n] = cross
-    jac[n + 1, n + 1] = 2.0 * insurer_curvature(params, s_p, s_i)
-    return jac
-
-
-def check_existence(params: MarketParams, graph: ExternalityGraph) -> ThresholdCheck:
-    """Leader equilibrium existence: attacker resource must dominate one
-    eighth of the total demand amplification."""
-    rhs = graph.total_amplification / 8.0
-    return ThresholdCheck(holds=params.attacker_resource > rhs,
-                          lhs=params.attacker_resource, rhs=rhs)
-
-
-def check_uniqueness(params: MarketParams) -> ThresholdCheck:
-    """Leader equilibrium uniqueness: a > 9 (beta+1)^2 gamma_cap^(beta+1) / (128 beta)."""
-    beta = params.beta
-    rhs = 9.0 * (beta + 1.0) ** 2 * params.gamma_cap ** (beta + 1.0) / (128.0 * beta)
-    return ThresholdCheck(holds=params.attacker_resource > rhs,
-                          lhs=params.attacker_resource, rhs=rhs)

@@ -1,9 +1,9 @@
 """Attack risk and insurance pricing.
 
 Double-spending success probability as a function of the provider's share
-of computing power, the induced loss distribution over that share, the
-insurer's expected loss, and the power-transform (proportional hazard)
-premium with its penalty for overpricing a well-defended chain.
+of computing power, the induced loss distribution over that share, and the
+power-transform (proportional hazard) premium, whose gamma = 1 is the
+insurer's expected loss.
 """
 
 from __future__ import annotations
@@ -153,6 +153,11 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
     return curve
 
 
+# No solve calls premium or distorted_log_moments: the equilibrium prices
+# through premium_curve. They stay here, not in chainsure.oracles, while
+# the benchmark reads them: perfbench/tracer.py wraps risk.premium by
+# module path, and perfbench/checks.py calls market.insurer_gradient and
+# insurer_curvature, which take their integrals from distorted_log_moments.
 def premium(model: RiskModel, gamma: float) -> float:
     """Risk-adjusted premium: claim scale times the power-distorted survival mass.
 
@@ -160,11 +165,6 @@ def premium(model: RiskModel, gamma: float) -> float:
     gamma inflates the premium toward claim_scale / 2.
     """
     return premium_curve(model)(gamma)
-
-
-def expected_loss(model: RiskModel) -> float:
-    """Insurer's expected claim payout (the undistorted premium)."""
-    return premium(model, 1.0)
 
 
 def distorted_log_moments(model: RiskModel, gamma: float) -> tuple[float, float, float]:
@@ -186,18 +186,3 @@ def distorted_log_moments(model: RiskModel, gamma: float) -> tuple[float, float,
     i2 = float(np.sum(powered * logs * logs) * _WIDTH)
     return i0, i1, i2
 
-
-def reputation_penalty(hbar: float, gamma: float, beta: float) -> float:
-    """Penalty on the insurer for keeping the premium high while the chain
-    is well defended: (hbar - 1/2)^3 * (gamma - 1) * gamma^beta.
-
-    Zero at hbar = 1/2 and at gamma = 1; grows steeply in gamma (beta > 1).
-    """
-    if beta <= 1.0:
-        raise ValueError(f"penalty exponent must exceed 1, got {beta}")
-    if not 0.5 <= hbar <= 1.0:
-        raise ValueError(f"investment ratio must lie in [1/2, 1], got {hbar}")
-    # written so that NaN fails
-    if not 1.0 <= gamma < math.inf:
-        raise ValueError(f"premium coefficient must be >= 1 and finite, got {gamma}")
-    return (hbar - 0.5) ** 3 * (gamma - 1.0) * gamma**beta

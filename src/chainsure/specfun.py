@@ -1,22 +1,19 @@
-"""Special functions and the quadrature oracle.
+"""Special functions.
 
 The regularized incomplete Beta function drives the attack-probability
 curve. The production integral is the midpoint grid in risk.survival_grid;
-the adaptive Simpson rule here is kept solely as an independent
-verification oracle for it.
+its verification oracle, adaptive Simpson, lives in chainsure.oracles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .errors import ConvergenceError
 
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
-_SIMPSON_MAX_DEPTH = 50
 # the larger Beta parameter from which the prefactor uses _log_gamma_ratio:
 # above the attack curve's u (under 10 at the shipped block counts) and the
 # 1e5 the bit-identity tests reach; Stirling's first dropped term is < 1e-26
@@ -116,45 +113,3 @@ def reg_inc_beta(w: float, u: float, v: float) -> float:
         return front * _beta_contfrac(u, v, w) / u if front else 0.0
     return 1.0 - front * _beta_contfrac(v, u, 1.0 - w) / v if front else 1.0
 
-
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 3.0 * (fa + 4.0 * fm + fb)
-
-
-def adaptive_simpson(f: Callable[[float], float], lo: float, hi: float,
-                     tolerance: float) -> float:
-    """Integral of f over [lo, hi] by adaptive Simpson with Richardson
-    extrapolation, recursion depth capped at 50.
-
-    The verification oracle for the risk layer's midpoint grid; no
-    production path calls it.
-    """
-    if lo > hi:
-        raise ValueError(f"integration bounds out of order: lo={lo} > hi={hi}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    if lo == hi:
-        return 0.0
-
-    def recurse(a, b, fa, fb, fm, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        h = 0.5 * (b - a)
-        left = _simpson(fa, flm, fm, 0.5 * h)
-        right = _simpson(fm, frm, fb, 0.5 * h)
-        refined = left + right
-        err = (refined - whole) / 15.0
-        if depth >= _SIMPSON_MAX_DEPTH or abs(err) <= tol:
-            return refined + err
-        return recurse(a, m, fa, fm, flm, left, 0.5 * tol, depth + 1) + recurse(
-            m, b, fm, fb, frm, right, 0.5 * tol, depth + 1
-        )
-
-    fa, fb = f(lo), f(hi)
-    mid = 0.5 * (lo + hi)
-    fm = f(mid)
-    whole = _simpson(fa, fm, fb, 0.5 * (hi - lo))
-    return recurse(lo, hi, fa, fb, fm, whole, tolerance, 0)

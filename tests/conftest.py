@@ -8,14 +8,20 @@ verify beyond the adaptive integrator itself, which exists for exactly
 this purpose.
 """
 
+import csv
+import dataclasses
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import chainsure
 from chainsure import ExternalityGraph, harness
-from chainsure.specfun import adaptive_simpson
+from chainsure.harness import SweepRow
+from chainsure.oracles import adaptive_simpson
 
 # adaptive Simpson tolerances: the tight one, and a looser one for nested integrals
 ADAPTIVE = 1e-10
@@ -155,3 +161,25 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except Exception as exc:  # the type is what the comparison checks
         return type(exc), str(exc)
+
+
+# SweepRow's annotations are strings: harness postpones their evaluation
+_PARSERS = {"int": int, "float": float, "bool": lambda text: text == "true"}
+
+
+def read_csv(path: str | Path) -> list[SweepRow]:
+    """Parse a file produced by harness.emit_csv back into rows."""
+    fields = dataclasses.fields(SweepRow)
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        return [
+            SweepRow(**{f.name: _PARSERS[f.type](record[f.name]) for f in fields})
+            for record in csv.DictReader(handle)
+        ]
+
+
+def child_env() -> dict[str, str]:
+    """The environment with one BLAS thread and this checkout's chainsure
+    first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(chainsure.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -13,7 +13,6 @@ import pytest
 
 from chainsure.demand import (
     Segment,
-    brute_force_lcp,
     closed_form_demand,
     lcp_demand,
 )
@@ -28,12 +27,11 @@ from chainsure.market import (
     insurer_curvature,
     insurer_gradient,
     insurer_profit,
-    leader_jacobian,
     provider_gradient,
-    provider_hessian,
     provider_profit,
 )
-from chainsure.risk import RiskModel, attack_probability, expected_loss, premium
+from chainsure.oracles import brute_force_lcp, expected_loss, leader_jacobian, provider_hessian
+from chainsure.risk import RiskModel, attack_probability, premium
 from chainsure.specfun import reg_inc_beta
 from conftest import (
     beta_closed_form,

@@ -10,11 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import chainsure
 from chainsure import demand, equilibrium, harness, specfun
 from chainsure.cli import main
 from chainsure.errors import ConfigurationError
-from chainsure.harness import read_csv
+from conftest import child_env, read_csv
 
 NAN = float("nan")
 
@@ -359,14 +358,6 @@ class TestSolverErrors:
         assert "externality matrix" in capsys.readouterr().err
 
 
-def child_env() -> dict[str, str]:
-    """The environment with one BLAS thread and this checkout's chainsure
-    first on PYTHONPATH, for a child interpreter."""
-    src = str(Path(chainsure.__file__).resolve().parents[1])
-    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def large_config(tmp_path, n: int) -> Path:
     """A config of n users at alpha * rho(G) near 0.35, the benchmark's."""
     path = tmp_path / "large.json"
@@ -499,6 +490,39 @@ class TestOracle:
         assert main(["oracle", "--seed", "-1"]) == 2
         assert capsys.readouterr().err.startswith(
             "configuration error: seed must be an unsigned 64-bit integer")
+
+
+class TestClosedStdout:
+    """A command whose stdout has no reader exits 2, as an unwritable --out
+    does, with no traceback. The child writes into a pipe whose read end is
+    closed before it starts. Buffered, as by default, its stdout fails at
+    the flush after the command; unbuffered, at the command's first print."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", [
+        ["solve", "--config", "configs/defaults.json"],
+        ["check", "--config", "configs/defaults.json"],
+        ["sweep", "--config", "configs/attacker_resource.json"],
+        ["oracle", "--verbose"],
+    ], ids=lambda args: args[0])
+    def test_exits_2_without_traceback(self, tmp_path, args, unbuffered):
+        out_csv = tmp_path / "grid.csv"
+        extra = ["--out", str(out_csv)] if args[0] == "sweep" else []
+        env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "chainsure.cli", *args, *extra],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        if extra:
+            assert out_csv.read_bytes() == Path("results/attacker_resource.csv").read_bytes()
 
 
 class TestUsage:

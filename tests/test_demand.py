@@ -23,7 +23,6 @@ from chainsure.demand import (
     ExternalityGraph,
     GaussSeidel,
     Segment,
-    brute_force_lcp,
     closed_form_demand,
     lcp_demand,
     spectral_radius,
@@ -31,6 +30,7 @@ from chainsure.demand import (
 from chainsure.equilibrium import solve_stackelberg
 from chainsure.errors import ConfigurationError, ContractionViolation, ConvergenceError
 from chainsure.market import PRICE_FLOOR, MarketParams, ProviderStrategy
+from chainsure.oracles import brute_force_lcp
 from chainsure.risk import RiskModel
 from conftest import (
     edge_arrays,

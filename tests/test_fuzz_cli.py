@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsure.cli import main
-from chainsure.harness import read_csv
+from conftest import read_csv
 
 EDGES = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, 5e-324,
          1.7976931348623157e308, 0.0, -1.0, 1.0, 1.0000000000000002,

@@ -13,12 +13,11 @@ from chainsure.harness import (
     SweepRow,
     emit_csv,
     generate_instance,
-    read_csv,
     run_sweep,
     solve_point,
     sweep_points,
 )
-from conftest import drawn_weights
+from conftest import drawn_weights, read_csv
 
 # small, fast sweep used throughout; alpha scaled so contraction holds at n<=6
 FAST = dict(n_users=[4], alpha=[1e-3], solve={"br_tolerance": 1e-8})

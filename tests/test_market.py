@@ -18,13 +18,12 @@ from chainsure.market import (
     insurer_curvature,
     insurer_gradient,
     insurer_profit,
-    leader_jacobian,
     provider_gradient,
-    provider_hessian,
     provider_profit,
     validate_strategies,
 )
-from chainsure.risk import RiskModel, attack_probability, expected_loss, premium
+from chainsure.oracles import expected_loss, leader_jacobian, provider_hessian
+from chainsure.risk import RiskModel, attack_probability, premium
 from conftest import (
     edge_arrays,
     fd_provider_gradient,

@@ -5,6 +5,7 @@ import pytest
 
 from chainsure import market, risk
 from chainsure.harness import ExperimentConfig, run_sweep
+from chainsure.oracles import adaptive_simpson, expected_loss, reputation_penalty
 from chainsure.risk import (
     GRID_INTERVALS,
     RiskModel,
@@ -13,13 +14,10 @@ from chainsure.risk import (
     _model_survival,
     attack_probability,
     distorted_log_moments,
-    expected_loss,
     premium,
     premium_curve,
-    reputation_penalty,
     survival_grid,
 )
-from chainsure.specfun import adaptive_simpson
 from conftest import ADAPTIVE, ADAPTIVE_FAST, beta_quadrature, nested_adaptive_premium
 
 DEFAULTS = RiskModel(blocks_per_period=10.0, tx_per_block=100,

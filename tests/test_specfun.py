@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from chainsure.errors import ConvergenceError
 from chainsure.risk import GRID_INTERVALS, _NODES, _WIDTH, survival_grid
+from chainsure.oracles import adaptive_simpson
 from chainsure.specfun import (
     _ERFC_FROM,
     _beta_contfrac,
     _log_gamma_ratio,
-    adaptive_simpson,
     reg_inc_beta,
 )
 from conftest import beta_closed_form, beta_quadrature
