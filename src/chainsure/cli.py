@@ -32,8 +32,15 @@ from .harness import (
 from .market import ThresholdCheck, check_existence, check_uniqueness
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help, unlike argparse's, lets a failed write raise."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainsure",
         description="Blockchain-service market equilibrium with cyber-insurance",
     )
@@ -131,21 +138,16 @@ def _cmd_oracle(args) -> int:
     return oracles.run_suites(args.seed, args.verbose)
 
 
+_HANDLERS = {"solve": _cmd_solve, "sweep": _cmd_sweep, "check": _cmd_check, "oracle": _cmd_oracle}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    handlers = {
-        "solve": _cmd_solve,
-        "sweep": _cmd_sweep,
-        "check": _cmd_check,
-        "oracle": _cmd_oracle,
-    }
     try:
         try:
-            return handlers[args.command](args)
+            args = _build_parser().parse_args(argv)  # --help writes to stdout here
+            return _HANDLERS[args.command](args)
+        except SystemExit as exc:  # argparse's exits become return codes
+            return int(exc.code) if exc.code else 0
         finally:
             # a reader gone from stdout shows here, not in the interpreter's last flush
             sys.stdout.flush()

@@ -13,10 +13,10 @@ Projected Gauss-Seidel is shared: GaussSeidel, one object per matrix
 and box, carries its clamped sweeps' free blocks and runs the one loop,
 settle, with the one stopping rule, projected_norm. The clamped demand
 makes one on I - alpha G over [0, 1], the provider's best response one
-on its price curvature M + M^T over the price box. A sweep is BLAS
-triangular kernels that read the matrix once and return the new
-iterate's residual with it; a wrong clamp prediction is corrected from
-its first wrong row on, never swept row by row.
+on its price curvature M + M^T over the price box. A sweep reads only
+its target and U x, the one vector carried between sweeps. In BLAS
+triangular kernels, it keeps the forward substitution inside the box, or
+lets it predict the clamps, corrected from the first wrong row on.
 
 The six Fortran routines used here (BLAS trmv and trsv, LAPACK getrf,
 getrs, getri and gebal, with getri_lwork for getri's blocked workspace)
@@ -458,10 +458,10 @@ class GaussSeidel:
     the Fortran-ordered view K.T, with trans=1. free_blocks maps a
     diagonal block's first row to (mask bytes, free mask, K[free, free]
     within that block) of its last clamped pass, gathered again only when a
-    pass's free rows differ. corrections counts correction passes so far.
-    inside is the last sweep's iterate where it is known to lie strictly
-    inside the box, lo < min and max < hi, else None. BLAS flags are
-    passed positionally, which skips f2py's keyword parsing.
+    pass's free rows differ. corrections counts the passes _clamped_block
+    runs after its first. inside is the last sweep's iterate where it is
+    known to lie strictly inside the box, lo < min and max < hi, else None.
+    BLAS flags are passed positionally, which skips f2py's keyword parsing.
     """
 
     __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections", "inside")
@@ -469,15 +469,11 @@ class GaussSeidel:
     def __init__(self, matrix: np.ndarray, lo: float, hi: float):
         self.matrix, self.kt, self.diag = matrix, matrix.T, np.diagonal(matrix)
         self.lo, self.hi = lo, hi
-        self.free_blocks = {}
-        self.corrections = 0
-        self.inside = None
+        self.free_blocks, self.corrections, self.inside = {}, 0, None
 
-    def state(self, target: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(U x, target - K x) at x, the state sweep carries."""
-        kt = self.kt
-        upper = dtrmv(kt, x, 0, 1, 1, 1, 1) - x  # lower=1, trans=1, diag=1
-        return upper, target - upper - dtrmv(kt, x, 0, 1, 0, 1)  # trans=1
+    def state(self, x: np.ndarray) -> np.ndarray:
+        """U x, the state a sweep from x reads besides its target."""
+        return dtrmv(self.kt, x, 0, 1, 1, 1, 1) - x  # lower=1, trans=1, diag=1
 
     def _clamped_block(self, rows: np.ndarray, start: int, diag: np.ndarray,
                        rhs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -485,17 +481,17 @@ class GaussSeidel:
         and (D + L) times them within the block.
 
         rows is K's row slab from row start (K itself for a one-block
-        sweep), diag and guess the block's diagonal and the update that
-        predicts its clamps, rhs its t - U x minus the slab's product with
-        the final rows before it. A pass holds the predicted rows at their
-        bound and solves the free rows; a row is the row-by-row sweep's when
-        clipping where(free, solved, unclamped) to the box gives it back.
-        The first row that is not reads only final rows, so its clipped
-        update is exact: it and the rows before it are settled, the rows
-        after it are predicted again from where(free, solved, unclamped),
-        and a correction pass runs. The search starts after the settled
-        rows, so a block runs at most as many corrections as it has rows,
-        even where round-off or a NaN flips a settled row.
+        sweep), diag and guess the block's diagonal and its rows of the
+        forward substitution x', which predict its clamps, rhs its t - U x
+        minus the slab's product with the final rows before it. A pass holds
+        the predicted rows at their bound and solves the free rows; a row is
+        the row-by-row sweep's when clipping where(free, solved, unclamped)
+        to the box gives it back. The first row that is not reads only final
+        rows, so its clipped update is exact: it and the rows before it are
+        settled, the rows after it are predicted again from where(free,
+        solved, unclamped), and a correction pass runs. The search starts
+        after the settled rows, so a block runs at most as many corrections
+        as it has rows, even where round-off or a NaN flips a settled row.
         """
         lo, hi = self.lo, self.hi
         # BLAS reads it in place: a view when the block is all of K, else one
@@ -526,46 +522,40 @@ class GaussSeidel:
             settled = first + 1
             self.corrections += 1
 
-    def sweep(self, target: np.ndarray, x: np.ndarray, upper: np.ndarray,
-              residual: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One sweep from x, whose upper = U x and residual = target - K x
-        (see state); returns the new iterate with its U x and residual.
+    def sweep(self, target: np.ndarray,
+              upper: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One sweep from the iterate whose U x is upper (see state);
+        returns the new iterate with its U x and residual target - K x.
 
-        The sweep predicts which rows clamp from the Jacobi update
-        x + residual / diag. With none, it is one forward substitution
-        (D + L) x' = target - U x, kept when x' is in the box; (D + L) x' is
-        then that right-hand side, so the new residual needs only U x'.
-        Otherwise, predicting from the Jacobi update or from the x' that left
-        the box, it runs _clamped_block on diagonal blocks of at most
-        SWEEP_BLOCK rows, each once the rows before it are final. The result
-        is the row-by-row sweep's up to round-off. inside is a kept x' whose
-        min and max lie strictly inside the box; every other path sets None.
+        It solves (D + L) x' = target - U x, the forward substitution, and
+        keeps x' when it is in the box; (D + L) x' is then that right-hand
+        side, so the new residual needs only U x'. Otherwise x' predicts
+        which rows clamp for _clamped_block, run on diagonal blocks of at
+        most SWEEP_BLOCK rows, each once the rows before it are final. The
+        result is the row-by-row sweep's up to round-off, and its bytes
+        depend on target and upper alone, not on the solver's free blocks.
+        inside is a kept x' whose min and max lie strictly inside the box;
+        every other path sets None.
         """
-        matrix, kt, diag, lo, hi = self.matrix, self.kt, self.diag, self.lo, self.hi
+        matrix, diag, lo, hi = self.matrix, self.diag, self.lo, self.hi
         rhs = target - upper
-        guess = x + residual / diag
-        self.inside = None
-        if lo < np.minimum.reduce(guess) and np.maximum.reduce(guess) < hi:
-            solved = dtrsv(kt, rhs, 1, 0, 0, 1)  # trans=1
-            low, high = np.minimum.reduce(solved), np.maximum.reduce(solved)
-            if lo <= low and high <= hi:
-                self.inside = solved if lo < low and high < hi else None
-                upper = dtrmv(kt, solved, 0, 1, 1, 1, 1) - solved  # lower=1, trans=1, diag=1
-                return solved, upper, target - upper - rhs  # (D + L) x' = rhs
-            guess = solved  # correcting x' from its first row out of the box
-            self.corrections += 1
-        if x.size <= SWEEP_BLOCK:
-            new, lower = self._clamped_block(matrix, 0, diag, rhs, guess)
+        solved = dtrsv(self.kt, rhs, 1, 0, 0, 1)  # trans=1
+        low, high = np.minimum.reduce(solved), np.maximum.reduce(solved)
+        self.inside = solved if lo < low and high < hi else None
+        if lo <= low and high <= hi:
+            new, lower = solved, rhs  # (D + L) x' = rhs
+        elif solved.size <= SWEEP_BLOCK:
+            new, lower = self._clamped_block(matrix, 0, diag, rhs, solved)
         else:
-            new, lower = np.empty_like(x), np.empty_like(x)
-            for start in range(0, x.size, SWEEP_BLOCK):
+            new, lower = np.empty_like(solved), np.empty_like(solved)
+            for start in range(0, solved.size, SWEEP_BLOCK):
                 part = slice(start, start + SWEEP_BLOCK)
                 # the slab left of the block, read as a strided view
                 prior = matrix[part, :start] @ new[:start]
                 new[part], within = self._clamped_block(matrix[part], start, diag[part],
-                                                        rhs[part] - prior, guess[part])
+                                                        rhs[part] - prior, solved[part])
                 lower[part] = prior + within
-        upper = dtrmv(kt, new, 0, 1, 1, 1, 1) - new  # lower=1, trans=1, diag=1
+        upper = dtrmv(self.kt, new, 0, 1, 1, 1, 1) - new  # lower=1, trans=1, diag=1
         return new, upper, target - upper - lower
 
     def projected_norm(self, x: np.ndarray, residual: np.ndarray) -> float:
@@ -580,14 +570,14 @@ class GaussSeidel:
                       np.where(x >= hi, np.minimum(residual, 0.0), residual))
         return float(np.maximum.reduce(np.abs(pg)))
 
-    def settle(self, target: np.ndarray, x: np.ndarray, upper: np.ndarray, residual: np.ndarray,
-               tolerance: float, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Sweep from x, upper, residual (see state) until projected_norm is
-        below tolerance, at most cap >= 1 times; returns the last sweep's
+    def settle(self, target: np.ndarray, upper: np.ndarray, tolerance: float,
+               cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Sweep from U x = upper (see state) until projected_norm is below
+        tolerance, at most cap >= 1 times; returns the last sweep's
         (x, U x, residual) and that norm, without raising at the cap.
         """
         for _ in range(cap):
-            x, upper, residual = self.sweep(target, x, upper, residual)
+            x, upper, residual = self.sweep(target, upper)
             norm = self.projected_norm(x, residual)
             if norm < tolerance:
                 break
@@ -606,19 +596,18 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     x = 1 is the unique solution exactly when no margin r = b - A 1 is
     negative, which is tested first, in O(n) from graph.row_sums. Otherwise
     GaussSeidel.settle on A = I - alpha G over [0, 1] sweeps
-    x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order until the
-    projected residual of r = b - A x drops below LCP_TOL: 0 exactly at the
-    solution, and componentwise no smaller than || x - clamp(x + r, 0, 1) ||.
-    The sweep returns r, so the test makes no further pass over A. Either
-    r labels the users (_segments).
+    x_i <- clamp(b_i + alpha (G x)_i, 0, 1) in user order from clip(b, 0, 1)
+    until the projected residual of r = b - A x drops below LCP_TOL: 0
+    exactly at the solution, and componentwise no smaller than
+    || x - clamp(x + r, 0, 1) ||. The sweep returns r, so the test makes no
+    further pass over A. Either r labels the users (_segments).
     """
     b = _demand_rhs(graph, hbar, p)
     r = b - graph.row_sums
     if np.minimum.reduce(r) >= 0.0:
         return DemandProfile(np.ones(graph.n_users), _segments(r))
     solver = GaussSeidel(graph.system_matrix, 0.0, 1.0)
-    x = np.clip(b, 0.0, 1.0)
-    x, _, r, residual = solver.settle(b, x, *solver.state(b, x), LCP_TOL,
+    x, _, r, residual = solver.settle(b, solver.state(np.clip(b, 0.0, 1.0)), LCP_TOL,
                                       max(1, LCP_ITER_CAP // graph.n_users))
     if not residual < LCP_TOL:  # written so that NaN raises
         raise ConvergenceError("projected Gauss-Seidel hit its iteration cap",

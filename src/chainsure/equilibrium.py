@@ -60,8 +60,8 @@ class EquilibriumReport:
     market.insurer_profit would, premium is the premium at the insurer's
     gamma and attack_probability the attack probability at the provider's
     investment ratio; each is computed once, at the returned strategies.
-    rounds counts the provider passes (always 2); a solve that fails
-    raises, so a returned report has converged=True.
+    rounds counts the provider's ascent runs, both in one call (always 2);
+    a solve that fails raises, so a returned report has converged=True.
     """
 
     provider: ProviderStrategy
@@ -87,20 +87,30 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     (graph.symmetric_influence, built once per graph), solved by projected
     Gauss-Seidel on its stationarity system Q p = (1 + hbar) M1, by one
     demand.GaussSeidel on Q and the price box per call, whose settle runs
-    each price block to a quarter of the tolerance. Each sweep is
-    BLAS triangular kernels that read Q once, predict the clamped prices
-    from the Jacobi update, and correct that prediction from the first
-    price it gets wrong; the iterates are those of the per-user sweep. The
-    sweep returns the residual (1 + hbar) M1 - Q p, which is the price
-    block of the exact gradient. The investment ratio
-    then has a closed-form interior root (the cost pole makes its slope
-    strictly decreasing), clamped to the box. The two blocks couple only
-    through scalars, so the alternation contracts fast. Each pass ends on
-    hbar's exact root, so the stopping test reads only the projected price
+    each price block to a quarter of the tolerance. Each sweep is BLAS
+    triangular kernels that read Q once: the forward substitution, kept in
+    the box, else predicting the clamped prices and corrected from the
+    first price it gets wrong; the iterates are those of the per-user
+    sweep. A sweep reads only its target and U p, all that one price block
+    carries into the next, and returns the residual (1 + hbar) M1 - Q p,
+    the price block of the exact gradient. The investment ratio then has a
+    closed-form interior root (the cost pole makes its slope strictly
+    decreasing), clamped to the box. The two blocks couple only through
+    scalars, so the alternation contracts fast. Each pass ends on hbar's
+    exact root, so the stopping test reads only the projected price
     gradient, floored at its round-off in (1 + hbar) M1. Moving hbar by dh
     shifts that gradient by dh * M1, so the test needs no linear solve.
     Both tests are GaussSeidel.projected_norm; the hbar step leaves the
     prices the last sweep returned, so its fast path serves both.
+
+    The ascent runs twice, each under its own PROVIDER_ITER_CAP passes.
+    The second resumes from the first's optimum and carried U p, bit for
+    bit a restart from that optimum, and moves the prices only in about
+    the tenth significant digit, which shows in the 12-digit sweep CSVs.
+    At either cap it raises ConvergenceError naming the Collatz-Wielandt
+    bracket 1 - 1/min(M1) <= alpha * rho(G) <= 1 - 1/max(M1), near 1
+    where the sweeps stall.
+
     The first price block depends only on the graph, the start, the price
     box and the tolerance. graph.memo keeps it for the first start the
     graph is solved from, which in a sweep is the start every point
@@ -137,36 +147,36 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     # the graph's first start claims the entry; any other start runs cold
     kept_key, state = graph.memo.setdefault("provider first price block", (key, None))
     if kept_key != key or state is None:
-        state = solver.settle(target, prices, *solver.state(target, prices),
-                              0.25 * tolerance, sweep_cap)[:3]
+        state = solver.settle(target, solver.state(prices), 0.25 * tolerance, sweep_cap)[:3]
         if kept_key == key:
             for array in state:
                 array.setflags(write=False)
             graph.memo["provider first price block"] = (key, state)
     prices, upper, grad = state
 
-    for passes in range(PROVIDER_ITER_CAP):
-        if passes:
-            prices, upper, grad, _ = solver.settle(target, prices, upper, grad,
-                                                   0.25 * tolerance, sweep_cap)
-        # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
-        # decreasing, so the box maximizer is the clamped root (p, M1 > 0)
-        slope_at_cost = float(prices.dot(m_ones)) + params.risk.reward_scale
-        root = 1.0 - math.sqrt(params.attacker_resource / slope_at_cost)
-        new_hbar = float(min(max(root, 0.5), HBAR_CEILING))
-        grad = grad + (new_hbar - hbar) * m_ones
-        hbar = new_hbar
-        target = (1.0 + hbar) * m_ones
+    for resumed in (False, True):
+        for passes in range(PROVIDER_ITER_CAP):
+            if passes or resumed:
+                prices, upper, grad, _ = solver.settle(target, upper, 0.25 * tolerance, sweep_cap)
+            # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
+            # decreasing, so the box maximizer is the clamped root (p, M1 > 0)
+            slope_at_cost = float(prices.dot(m_ones)) + params.risk.reward_scale
+            root = 1.0 - math.sqrt(params.attacker_resource / slope_at_cost)
+            new_hbar = float(min(max(root, 0.5), HBAR_CEILING))
+            grad = grad + (new_hbar - hbar) * m_ones
+            hbar = new_hbar
+            target = (1.0 + hbar) * m_ones
 
-        # the fast path, unless the prices came from graph.memo unswept
-        residual = solver.projected_norm(prices, grad)
-        if residual < tolerance:
-            return ProviderStrategy(prices=prices, investment_ratio=hbar)
-    raise ConvergenceError(
-        "provider best response hit its iteration cap",
-        last_iterate=ProviderStrategy(prices=prices, investment_ratio=hbar),
-        residual=residual,
-    )
+            # the fast path, unless the prices came from graph.memo unswept
+            residual = solver.projected_norm(prices, grad)
+            if residual < tolerance:
+                break
+        else:
+            low, high = 1.0 - 1.0 / float(m_ones.min()), 1.0 - 1.0 / float(m_ones.max())
+            raise ConvergenceError(f"provider best response hit its iteration cap, with alpha * "
+                                   f"rho(G) in [{low:.6g}, {high:.6g}]", residual=residual,
+                                   last_iterate=ProviderStrategy(prices=prices, investment_ratio=hbar))
+    return ProviderStrategy(prices=prices, investment_ratio=hbar)
 
 
 def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
@@ -217,12 +227,11 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
     """The provider's optimum, then the insurer's reply, then the demand.
 
     The provider's best response ignores gamma, so it is computed first,
-    with no insurer start, and the insurer replies to it; no outer
-    iteration is needed. The provider pass runs twice: the second restarts
-    from the first pass's optimum and moves the prices only in about the
-    tenth significant digit, which shows in the 12-digit sweep CSVs.
-    The demand comes from the closed form, falling back to the clamped
-    solver when a component leaves [0, 1].
+    by one best_response_provider call with no insurer start, and the
+    insurer replies to it; no outer iteration is needed. That call runs
+    the provider's ascent twice (see best_response_provider). The demand
+    comes from the closed form, falling back to the clamped solver when a
+    component leaves [0, 1].
 
     The report's numbers are evaluated once each: the provider's profit
     reads the closed form's interior demand (the profit is defined on it
@@ -233,7 +242,6 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
     Raises ConvergenceError when a best response hits its iteration cap.
     """
     s_p = best_response_provider(params, graph, start_p, opts)
-    s_p = best_response_provider(params, graph, s_p, opts)
     insurer_curve = insurer_profit_curve(params, s_p)
     s_i = best_response_insurer(params, s_p, opts, curve=insurer_curve)
     hbar, prices = s_p.investment_ratio, s_p.prices

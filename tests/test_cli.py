@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -161,6 +162,18 @@ class TestSweep:
             assert -1e-9 <= row.total_demand <= row.n_users + 1e-9
         assert out_csv.read_bytes() == Path(f"results/{grid}.csv").read_bytes()
 
+    def test_partly_clamped_grid_reproduces_its_pinned_bytes(self, tmp_path, capsys):
+        # users left below saturation (total demand 99.68 to 99.998), so the
+        # demand runs its sweeps to LCP_TOL, 16 of them, each holding the
+        # saturated users at 1 in the clamped branch; no shipped row does
+        path = tmp_path / "clamped.json"
+        path.write_text(json.dumps({"n_users": [100], "alpha": [9.5e-5, 1e-4, 1.05e-4, 1.1e-4],
+                                    "seed": 0}))
+        out_csv = tmp_path / "clamped.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 0
+        assert all(row.total_demand < row.n_users for row in read_csv(out_csv))
+        assert out_csv.read_bytes() == Path("tests/data/partly_clamped.csv").read_bytes()
+
     def test_nonconvergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # one provider pass cannot absorb its own investment step; the
         # failure must land in the row, not abort
@@ -299,6 +312,24 @@ class TestSolverErrors:
         assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 1
         rows = read_csv(out_csv)
         assert len(rows) == 1 and not rows[0].converged
+
+    @pytest.mark.parametrize("alpha, code", [(0.09999, 1), (0.0999, 0)])
+    def test_provider_cap_names_the_contraction_margin(self, tmp_path, capsys, alpha, code):
+        # G = 10 [[0, 1], [1, 0]], so alpha * rho(G) = 10 alpha: the price
+        # sweeps stall as it nears 1, and at 0.9999 the provider's best
+        # response runs into its iteration cap
+        path = tmp_path / "stall.json"
+        path.write_text(json.dumps({"n_users": [2], "alpha": [alpha], "g_low": 10.0,
+                                    "g_high": 10.0}))
+        assert main(["solve", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            bracket = re.search(r"alpha \* rho\(G\) in \[([^,]+), ([^\]]+)\]", err)
+            low, high = map(float, bracket.groups())
+            assert err.startswith("error: provider best response hit its iteration cap")
+            assert low <= 0.9999 <= high
+        else:
+            assert err == ""
 
     @pytest.mark.parametrize("command", ["solve", "check"])
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, OverflowError])
@@ -504,10 +535,13 @@ class TestClosedStdout:
         ["check", "--config", "configs/defaults.json"],
         ["sweep", "--config", "configs/attacker_resource.json"],
         ["oracle", "--verbose"],
-    ], ids=lambda args: args[0])
+        # argparse prints the help and exits while it parses
+        ["--help"],
+        ["sweep", "--help"],
+    ], ids=["solve", "check", "sweep", "oracle", "help", "sweep-help"])
     def test_exits_2_without_traceback(self, tmp_path, args, unbuffered):
         out_csv = tmp_path / "grid.csv"
-        extra = ["--out", str(out_csv)] if args[0] == "sweep" else []
+        extra = ["--out", str(out_csv)] if args[0] == "sweep" and "--help" not in args else []
         env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

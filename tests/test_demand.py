@@ -637,28 +637,35 @@ class CountedGaussSeidel(GaussSeidel):
 
 # K = Q, symmetric with a non-unit diagonal, and K = I - alpha G with a
 # nonsymmetric G. Each case runs one sweep over the box [0, 1] from x,
-# names the branch it takes and counts its correction passes.
+# names the branch it takes and counts its correction passes. The sweep
+# starts with the forward substitution x'; where x' leaves the box it
+# predicts the clamps, and a pass after the first is a correction.
 SYMMETRIC = np.array([[2.0, 0.5], [0.5, 1.0]])
 NONSYMMETRIC = ExternalityGraph(np.array([[0.0, 0.2], [0.5, 0.0]]), 1.0).system_matrix
 SWEEP_CASES = {
-    # every row's update stays inside the box: one forward substitution
+    # x' stays inside the box and is kept
     "q_free": (SYMMETRIC, [0.8, 0.5], [0.2, 0.3], 0),
-    # row 0's Jacobi update is past the cap, so it is held there
+    # row 0 of x' is past the cap, which it predicts exactly
     "q_clamped": (SYMMETRIC, [3.0, 0.8], [0.0, 0.5], 0),
-    # both Jacobi updates lie inside, but row 1's Gauss-Seidel update,
-    # which sees row 0's new value, falls below the floor: the forward
-    # substitution leaves the box, and one correction holds row 1 there
-    "q_fallback": (SYMMETRIC, [1.3, 0.2], [0.0, 0.5], 1),
+    # both Jacobi updates lie inside, but row 1 of x', which sees row 0's
+    # new value, falls below the floor; x' predicts that clamp exactly
+    "q_fallback": (SYMMETRIC, [1.3, 0.2], [0.0, 0.5], 0),
     "a_free": (NONSYMMETRIC, [0.3, 0.3], [0.2, 0.3], 0),
-    "a_clamped": (NONSYMMETRIC, [2.0, 0.2], [0.0, 0.5], 0),
-    # row 1's Gauss-Seidel update rises past the cap
-    "a_fallback": (NONSYMMETRIC, [0.65, 0.8], [0.0, 0.5], 1),
+    # x' is past the cap in both rows, but row 1 with row 0 held at the
+    # cap lands inside the box: one correction frees it
+    "a_clamped": (NONSYMMETRIC, [2.0, 0.2], [0.0, 0.5], 1),
+    # row 1 of x' rises past the cap, which it predicts exactly
+    "a_fallback": (NONSYMMETRIC, [0.65, 0.8], [0.0, 0.5], 0),
 }
 
 
-def assert_sweep_state(matrix, target, x, upper, residual):
+def assert_upper(matrix, target, x, upper):
     np.testing.assert_allclose(upper, np.triu(matrix, 1) @ x,
                                rtol=0.0, atol=1e-12 * max(1.0, np.abs(target).max()))
+
+
+def assert_sweep_state(matrix, target, x, upper, residual):
+    assert_upper(matrix, target, x, upper)
     np.testing.assert_allclose(residual, target - matrix @ x,
                                rtol=0.0, atol=1e-12 * max(1.0, np.abs(target).max()))
 
@@ -683,9 +690,9 @@ class TestGaussSeidelSweep:
         target, x = np.array(target), np.array(x)
         diag = np.diagonal(matrix).copy()
         solver = GaussSeidel(matrix, 0.0, 1.0)
-        upper, residual = solver.state(target, x)
-        assert_sweep_state(matrix, target, x, upper, residual)
-        new, upper, residual = solver.sweep(target, x, upper, residual)
+        upper = solver.state(x)
+        assert_upper(matrix, target, x, upper)
+        new, upper, residual = solver.sweep(target, upper)
         assert solver.corrections == expected_corrections
         expected = numpy_scalar_element_sweep(matrix, diag, target, x, 0.0, 1.0)
         np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
@@ -699,49 +706,51 @@ class TestGaussSeidelSweep:
         # sweeps clamp rows at both bounds; above SWEEP_BLOCK rows the
         # clamped sweeps run in blocks, and a block whose prediction fails
         # corrects it in at most as many passes as it has rows
+        corrections = 0
         for n in (30, SWEEP_BLOCK + 1, 300):
             matrix, target, x = sweep_problem(n, 41 if symmetric else 42, symmetric)
             diag = np.diagonal(matrix)
             lo, hi = 0.1, 0.9
             solver = CountedGaussSeidel(matrix, lo, hi)
-            upper, residual = solver.state(target, x)
+            upper = solver.state(x)
             for _ in range(40):
                 expected = numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi)
-                x, upper, residual = solver.sweep(target, x, upper, residual)
+                x, upper, residual = solver.sweep(target, upper)
                 np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
                 assert_sweep_state(matrix, target, x, upper, residual)
             assert np.any(x == lo) and np.any(x == hi)
-            assert solver.corrections > 0
             assert all(size <= SWEEP_BLOCK and passes <= size for _, size, passes in solver.blocks)
+            corrections += solver.corrections
+        assert corrections > 0
 
     def test_one_failed_block_runs_only_its_rows(self):
         # n = 300 is three blocks, rows 0-127, 128-255 and 256-299. Off the
-        # identity only q_fallback's pair sits at rows 130 and 131, where
-        # the Gauss-Seidel update of row 131 falls below the floor though
-        # its Jacobi update does not; row 0 is held at the cap, so the
-        # sweep takes the clamped branch, and only the middle block corrects
+        # identity only a_clamped's pair sits at rows 130 and 131, where x'
+        # is past the cap in both rows but row 131, with row 130 held at
+        # the cap, lands inside the box; row 0 of x' is past the cap too,
+        # which it predicts exactly, so only the middle block corrects
         n = 300
         matrix = np.eye(n)
-        matrix[130:132, 130:132] = SYMMETRIC
+        matrix[130:132, 130:132] = NONSYMMETRIC
         target, x = np.full(n, 0.5), np.full(n, 0.5)
-        target[0], target[130:132], x[130:132] = 3.0, [1.3, 0.2], [0.0, 0.5]
+        target[0], target[130:132], x[130:132] = 3.0, [2.0, 0.2], [0.0, 0.5]
         diag = np.diagonal(matrix)
         solver = CountedGaussSeidel(matrix, 0.0, 1.0)
-        new, upper, residual = solver.sweep(target, x, *solver.state(target, x))
+        new, upper, residual = solver.sweep(target, solver.state(x))
         assert solver.blocks == [(0, SWEEP_BLOCK, 0), (SWEEP_BLOCK, SWEEP_BLOCK, 1),
                                  (2 * SWEEP_BLOCK, n - 2 * SWEEP_BLOCK, 0)]
         expected = numpy_scalar_element_sweep(matrix, diag, target, x, 0.0, 1.0)
         np.testing.assert_allclose(new, expected, rtol=0.0, atol=1e-14)
-        assert new[0] == 1.0 and new[131] == 0.0
+        assert new[0] == 1.0 and new[130] == 1.0 and 0.0 < new[131] < 1.0
         assert_sweep_state(matrix, target, new, upper, residual)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_blocks_gather_at_most_sweep_block_rows(self, symmetric):
         matrix, target, x = sweep_problem(300, 43, symmetric)
         carried = GaussSeidel(matrix, 0.1, 0.9)
-        state = (x,) + carried.state(target, x)
+        upper = carried.state(x)
         for _ in range(40):
-            state = carried.sweep(target, *state)
+            _, upper, _ = carried.sweep(target, upper)
             for start, (_, free, block) in carried.free_blocks.items():
                 assert block.shape[0] <= SWEEP_BLOCK and block.shape == (free.sum(),) * 2
                 rows = slice(start, start + SWEEP_BLOCK)
@@ -772,21 +781,20 @@ def frozen_fixed_point_residual(x, r):
     return float(np.max(np.abs(x - np.clip(x + r, 0.0, 1.0))))
 
 
-def frozen_gauss_seidel_sweep(matrix, diag, target, x, upper, residual, lo, hi):
+def frozen_gauss_seidel_sweep(matrix, diag, target, upper, lo, hi):
     """GaussSeidel.sweep as it was before its clamped branch corrected a
-    failed prediction: with the three gathered acceptance tests and the free
-    block gathered on every clamped sweep. None where its prediction failed,
-    where it ran the row-by-row sweep instead."""
+    failed prediction, predicting the clamps from the forward substitution
+    x': with the three gathered acceptance tests and the free block gathered
+    on every clamped sweep. None where its prediction failed, where it ran
+    the row-by-row sweep instead."""
     kt = matrix.T
     rhs = target - upper
-    jacobi = x + residual / diag
+    forward = demand.dtrsv(kt, rhs, trans=1)
     new = None
-    if lo < jacobi.min() and jacobi.max() < hi:
-        solved = demand.dtrsv(kt, rhs, trans=1)
-        if lo <= solved.min() and solved.max() <= hi:
-            new, lower = solved, rhs
+    if lo <= forward.min() and forward.max() <= hi:
+        new, lower = forward, rhs
     else:
-        at_lo, at_hi = jacobi <= lo, jacobi >= hi
+        at_lo, at_hi = forward <= lo, forward >= hi
         free = ~(at_lo | at_hi)
         held = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
         solved = held.copy()
@@ -813,21 +821,21 @@ def assert_sweeps_equal_frozen_sweeps(matrix, target, x, lo, hi, sweeps=30):
     """
     diag = np.diagonal(matrix)
     carried = GaussSeidel(matrix, lo, hi)
-    state = (x,) + carried.state(target, x)
+    upper = carried.state(x)
     for _ in range(sweeps):
         corrections = carried.corrections
-        swept = carried.sweep(target, *state)
-        frozen = frozen_gauss_seidel_sweep(matrix, diag, target, *state, lo, hi)
+        swept = carried.sweep(target, upper)
+        frozen = frozen_gauss_seidel_sweep(matrix, diag, target, upper, lo, hi)
         if frozen is None:
             assert carried.corrections > corrections
-            expected = numpy_scalar_element_sweep(matrix, diag, target, state[0], lo, hi)
+            expected = numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi)
             np.testing.assert_allclose(swept[0], expected, rtol=0.0, atol=1e-13)
             assert_sweep_state(matrix, target, *swept)
         else:
             assert carried.corrections == corrections
             for a, b in zip(swept, frozen):
                 assert a.tobytes() == b.tobytes()
-        state = swept
+        x, upper, _ = swept
 
 
 def same_bits(a, b):
@@ -901,14 +909,13 @@ class TestPositionalBlas:
             monkeypatch.setattr(demand, name, recorded)
         for matrix, target, x, _ in SWEEP_CASES.values():
             solver = GaussSeidel(matrix, 0.0, 1.0)
-            target, x = np.array(target), np.array(x)
-            solver.sweep(target, x, *solver.state(target, x))
+            solver.sweep(np.array(target), solver.state(np.array(x)))
         assert all(seen[name] <= set(forms) for name, forms in BLAS_FORMS.items())
         matrix, target, x = sweep_problem(300, 43, symmetric=True)
         solver = GaussSeidel(matrix, 0.1, 0.9)
-        state = (x,) + solver.state(target, x)
+        upper = solver.state(x)
         for _ in range(40):
-            state = solver.sweep(target, *state)
+            _, upper, _ = solver.sweep(target, upper)
         assert seen == {name: set(forms) for name, forms in BLAS_FORMS.items()}
 
 
@@ -960,12 +967,11 @@ class TestInteriorFlag:
         lo, hi = box
         matrix, target, x = sweep_problem(n, seed, symmetric)
         solver = CountedGaussSeidel(matrix, lo, hi)
-        state = (x,) + solver.state(target, x)
+        upper = solver.state(x)
         assert solver.inside is None
         for _ in range(30):
             blocks = len(solver.blocks)
-            state = solver.sweep(target, *state)
-            new, _, grad = state
+            new, upper, grad = solver.sweep(target, upper)
             # a clamped sweep records None even where its iterate ends inside
             kept = len(solver.blocks) == blocks
             strictly = kept and bool(lo < new.min() and new.max() < hi)
@@ -980,12 +986,12 @@ class TestInteriorFlag:
 
     @pytest.mark.parametrize("coupling, last_target, bound", [(0.5, 0.25, 0.0), (-0.5, 0.75, 1.0)])
     def test_false_on_a_bound(self, coupling, last_target, bound):
-        # K = [[1, 0], [c, 1]]: the Jacobi update lies inside [0, 1], and the
-        # forward substitution, which the sweep keeps, lands exactly on a bound
+        # K = [[1, 0], [c, 1]]: the forward substitution, which the sweep
+        # keeps, lands exactly on a bound
         matrix = np.array([[1.0, 0.0], [coupling, 1.0]])
         target, x = np.array([0.5, last_target]), np.array([0.1, 0.5])
         solver = CountedGaussSeidel(matrix, 0.0, 1.0)
-        new, _, grad = solver.sweep(target, x, *solver.state(target, x))
+        new, _, grad = solver.sweep(target, solver.state(x))
         assert solver.blocks == [] and new.tolist() == [0.5, bound]
         assert solver.inside is None
         norm, box_test = norm_and_box_test(solver, new, grad)
@@ -1002,13 +1008,57 @@ class TestInteriorFlag:
         solver = GaussSeidel(SYMMETRIC, 0.0, 1.0)
         assert solver.inside is None
         for target, x in (free, clamped, free, fallback, free, nan, free):
-            new, _, grad = solver.sweep(target, x, *solver.state(target, x))
+            new, _, grad = solver.sweep(target, solver.state(x))
             interior = target is free[0]
             assert solver.inside is (new if interior else None)
             assert interior or not (0.0 < new.min() and new.max() < 1.0)
             norm, box_test = norm_and_box_test(solver, new, grad)
             assert same_bits(norm, frozen_projected_norm(new, grad, 0.0, 1.0))
             assert box_test is not interior
+
+
+class TestSweepReadsOnlyItsState:
+    """A sweep's bytes are a function of its target and U x alone, so a
+    restart from an iterate equals resuming from the U x carried with it."""
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
+           box=st.sampled_from(BOXES), warmup=st.integers(1, 10))
+    @example(n=300, seed=43, symmetric=True, box=(0.1, 0.9), warmup=5)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_history_changes_no_byte(self, n, seed, symmetric, box, warmup):
+        # the worn solver first sweeps toward the reversed target, which
+        # leaves free blocks of its own, then both solvers sweep alike
+        matrix, target, x = sweep_problem(n, seed, symmetric)
+        worn = GaussSeidel(matrix, *box)
+        upper = worn.state(x)
+        for _ in range(warmup):
+            _, upper, _ = worn.sweep(target[::-1].copy(), upper)
+        upper = worn.state(x)
+        for _ in range(20):
+            fresh = GaussSeidel(matrix, *box)
+            swept = worn.sweep(target, upper)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(swept, fresh.sweep(target, upper)))
+            assert worn.state(swept[0]).tobytes() == swept[1].tobytes()  # restart = resume
+            upper = swept[1]
+
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32), symmetric=st.booleans(),
+           box=st.sampled_from(BOXES))
+    @example(n=300, seed=42, symmetric=False, box=(PRICE_FLOOR, 0.95))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_forward_substitution_in_the_box_is_kept(self, n, seed, symmetric, box):
+        lo, hi = box
+        matrix, target, x = sweep_problem(n, seed, symmetric)
+        solver = CountedGaussSeidel(matrix, lo, hi)
+        upper = solver.state(x)
+        for _ in range(30):
+            forward = demand.dtrsv(matrix.T, target - upper, trans=1)
+            blocks = len(solver.blocks)
+            new, upper, _ = solver.sweep(target, upper)
+            if lo <= forward.min() and forward.max() <= hi:
+                assert new.tobytes() == forward.tobytes() and len(solver.blocks) == blocks
+            else:
+                assert len(solver.blocks) > blocks
 
 
 class TestKernelsBitIdentical:
@@ -1047,10 +1097,10 @@ class TestKernelsBitIdentical:
         matrix, target, x = sweep_problem(n, seed, symmetric)
         diag = np.diagonal(matrix)
         solver = CountedGaussSeidel(matrix, lo, hi)
-        upper, residual = solver.state(target, x)
+        upper = solver.state(x)
         for _ in range(15):
             expected = numpy_scalar_element_sweep(matrix, diag, target, x, lo, hi)
-            x, upper, residual = solver.sweep(target, x, upper, residual)
+            x, upper, _ = solver.sweep(target, upper)
             np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-13)
         assert all(passes <= size for _, size, passes in solver.blocks)
 
@@ -1063,15 +1113,12 @@ class TestKernelsBitIdentical:
         second = target[::-1].copy()
         lo, hi = 0.1, 0.9
         carried = GaussSeidel(matrix, lo, hi)
-        with_carry = regathering = (x,) + carried.state(target, x)
+        with_carry = regathering = (x, carried.state(x))
         for k in range(30):
             t = target if k < switch else second
-            if k == switch:
-                with_carry = (with_carry[0],) + carried.state(t, with_carry[0])
-                regathering = (regathering[0],) + carried.state(t, regathering[0])
             before, corrections = carried.free_blocks.get(0), carried.corrections
-            with_carry = carried.sweep(t, *with_carry)
-            regathering = GaussSeidel(matrix, lo, hi).sweep(t, *regathering)
+            with_carry = carried.sweep(t, with_carry[1])
+            regathering = GaussSeidel(matrix, lo, hi).sweep(t, regathering[1])
             assert all(np.array_equal(a, b) for a, b in zip(with_carry, regathering))
             after = carried.free_blocks.get(0)
             if after is None:
@@ -1090,10 +1137,10 @@ class TestKernelsBitIdentical:
     def test_free_set_change_regathers(self):
         matrix, target, x = sweep_problem(30, 42, symmetric=False)
         carried = GaussSeidel(matrix, 0.1, 0.9)
-        state = (x,) + carried.state(target, x)
+        upper = carried.state(x)
         masks = []
         for _ in range(40):
-            state = carried.sweep(target, *state)
+            _, upper, _ = carried.sweep(target, upper)
             entry = carried.free_blocks.get(0)
             if entry is not None and (not masks or masks[-1] is not entry[1]):
                 _, free, block = entry
@@ -1267,13 +1314,11 @@ class TestLcpDemand:
             solved = lcp_demand(graph, hbar, p)
             b = (1.0 + hbar) - p
             solver = GaussSeidel(graph.system_matrix, 0.0, 1.0)
-            x = np.clip(b, 0.0, 1.0)
-            state = (x,) + solver.state(b, x)
+            upper = solver.state(np.clip(b, 0.0, 1.0))
             for sweeps in range(1, demand.LCP_ITER_CAP // n + 1):
-                state = sweep(solver, b, *state)
-                if frozen_fixed_point_residual(state[0], state[2]) < LCP_TOL:
+                x, upper, r = sweep(solver, b, upper)
+                if frozen_fixed_point_residual(x, r) < LCP_TOL:
                     break
-            x, _, r = state
             labels = np.where(r < -LCP_TOL, Segment.OPT_OUT,
                               np.where(r > LCP_TOL, Segment.SATURATED, Segment.INTERIOR))
             assert len(swept) == sweeps

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -177,14 +178,29 @@ class TestProviderBestResponse:
             best_response_provider(PARAMS, graph, ProviderStrategy(np.full(2, 0.01), 0.99), tight)
         assert info.value.last_iterate is not None
 
+    @pytest.mark.parametrize("alpha_rho", [0.0, 0.3, 0.9])
+    def test_iteration_cap_brackets_alpha_rho(self, monkeypatch, alpha_rho):
+        # 1 - 1/min(M1) <= alpha * rho(G) <= 1 - 1/max(M1), from the
+        # Collatz-Wielandt bounds on M1 = (I - alpha G)^{-1} 1
+        monkeypatch.setattr(equilibrium, "PROVIDER_ITER_CAP", 1)
+        graph = random_externality(np.random.default_rng(13), 6, target_alpha_rho=alpha_rho)
+        with pytest.raises(ConvergenceError, match="iteration cap") as info:
+            best_response_provider(PARAMS, graph, ProviderStrategy(np.full(6, 0.01), 0.99),
+                                   SolveOptions(br_tolerance=1e-12))
+        bracket = re.search(r"alpha \* rho\(G\) in \[([^,]+), ([^\]]+)\]", str(info.value))
+        low, high = map(float, bracket.groups())
+        # each bound is printed to 6 significant digits
+        assert low - 1e-6 <= graph.alpha_rho <= high + 1e-6
+
 
 def loop_best_response_provider(params, graph, start, opts=OPTS):
     """The provider's best response with the price block swept user by user.
 
     Oracle for best_response_provider's triangular sweeps: the same
     block-coordinate ascent, with every price update taken in its own
-    Python step and the exact gradient from provider_gradient. Returns
-    the best response and the number of price sweeps it ran.
+    Python step and the exact gradient from provider_gradient, run twice,
+    the second time from the first run's optimum. Returns the best
+    response and the number of price sweeps both runs took.
     """
     sweeps = 0
     n = graph.n_users
@@ -195,30 +211,33 @@ def loop_best_response_provider(params, graph, start, opts=OPTS):
     hbar = float(np.clip(start.investment_ratio, 0.5, HBAR_CEILING))
     box_lo = np.append(np.full(n, lo), 0.5)
     box_hi = np.append(np.full(n, hi), HBAR_CEILING)
-    for _ in range(equilibrium.PROVIDER_ITER_CAP):
-        target = (1.0 + hbar) * graph.ones_image
-        for _ in range(60 + 10 * n):
-            sweeps += 1
-            for i in range(n):
-                step = (target[i] - quad[i] @ prices) / diag[i]
-                prices[i] = min(hi, max(lo, prices[i] + step))
-            grad = target - quad @ prices
-            grad[(prices <= lo) & (grad < 0)] = 0.0
-            grad[(prices >= hi) & (grad > 0)] = 0.0
-            if np.max(np.abs(grad)) < 0.25 * opts.br_tolerance:
+    for _ in range(2):
+        for _ in range(equilibrium.PROVIDER_ITER_CAP):
+            target = (1.0 + hbar) * graph.ones_image
+            for _ in range(60 + 10 * n):
+                sweeps += 1
+                for i in range(n):
+                    step = (target[i] - quad[i] @ prices) / diag[i]
+                    prices[i] = min(hi, max(lo, prices[i] + step))
+                grad = target - quad @ prices
+                grad[(prices <= lo) & (grad < 0)] = 0.0
+                grad[(prices >= hi) & (grad > 0)] = 0.0
+                if np.max(np.abs(grad)) < 0.25 * opts.br_tolerance:
+                    break
+            slope = float(prices @ graph.ones_image) + params.risk.reward_scale
+            root = 1.0 - math.sqrt(params.attacker_resource / slope) if slope > 0 else 0.5
+            hbar = float(np.clip(root, 0.5, HBAR_CEILING))
+            candidate = ProviderStrategy(prices.copy(), hbar)
+            joint = np.append(prices, hbar)
+            # the provider's gradient does not depend on gamma
+            grad = provider_gradient(params, graph, candidate, InsurerStrategy(1.5))
+            grad[(joint <= box_lo) & (grad < 0)] = 0.0
+            grad[(joint >= box_hi) & (grad > 0)] = 0.0
+            if np.max(np.abs(grad)) < opts.br_tolerance:
                 break
-        slope = float(prices @ graph.ones_image) + params.risk.reward_scale
-        root = 1.0 - math.sqrt(params.attacker_resource / slope) if slope > 0 else 0.5
-        hbar = float(np.clip(root, 0.5, HBAR_CEILING))
-        candidate = ProviderStrategy(prices.copy(), hbar)
-        joint = np.append(prices, hbar)
-        # the provider's gradient does not depend on gamma
-        grad = provider_gradient(params, graph, candidate, InsurerStrategy(1.5))
-        grad[(joint <= box_lo) & (grad < 0)] = 0.0
-        grad[(joint >= box_hi) & (grad > 0)] = 0.0
-        if np.max(np.abs(grad)) < opts.br_tolerance:
-            return candidate, sweeps
-    raise AssertionError("oracle did not converge")
+        else:
+            raise AssertionError("oracle did not converge")
+    return candidate, sweeps
 
 
 def with_price_cap(cap):
@@ -267,10 +286,10 @@ class TestTriangularPriceSweep:
         # every price starts at a cap 1 % above the largest optimal price,
         # and ends inside the box. The Jacobi update of a price near the
         # cap stays below it, but its Gauss-Seidel update, which sees the
-        # lower new prices of the users before it, rises above the cap; so
-        # the predicted clamp set is wrong and a correction pass runs.
-        # One user has no one before it: its sweep is its Jacobi update,
-        # the prediction is exact, and no correction runs.
+        # lower new prices of the users before it, rises above the cap. The
+        # sweep predicts its clamps from that Gauss-Seidel update, the
+        # forward substitution, so the prediction holds and no correction
+        # pass runs, for one user as for many.
         rng = np.random.default_rng(200 + n)
         graph = random_externality(rng, n, target_alpha_rho=0.05)
         uncapped = best_response_provider(with_price_cap(10.0), graph,
@@ -279,15 +298,17 @@ class TestTriangularPriceSweep:
         start = ProviderStrategy(np.full(n, params.price_cap), 0.5)
         fast = self.assert_matches_loop(params, graph, start)
         assert np.all(fast.prices < params.price_cap)
-        if n == 1:
-            assert self.calls["corrected"] == 0
-        else:
-            assert self.calls["corrected"] > 0
+        assert self.calls["corrected"] == 0
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_cap_binds_at_optimum(self, n):
         # a cap at the median of the uncapped optimum clamps about half of
-        # the prices there; later sweeps hold them at the cap in BLAS
+        # the prices there; the sweeps hold them at the cap in BLAS. x'
+        # predicts a held price exactly unless held prices before it
+        # overshoot the cap: Q's off-diagonal entries are positive, so the
+        # overshoot lowers its x' below the cap, and a correction pass
+        # holds it. One held price of two has none before it that
+        # overshoots, and no sweep corrects; with more, sweeps do
         rng = np.random.default_rng(300 + n)
         graph = random_externality(rng, n, target_alpha_rho=0.8)
         start = ProviderStrategy(np.full(n, 0.5), 0.75)
@@ -296,8 +317,7 @@ class TestTriangularPriceSweep:
         fast = self.assert_matches_loop(params, graph, start)
         at_cap = fast.prices == params.price_cap
         assert at_cap.any() and not at_cap.all()
-        # the clamped set settles after a few sweeps; later sweeps stay in BLAS
-        assert 0 < 2 * self.calls["corrected"] < self.calls["sweeps"]
+        assert (self.calls["corrected"] == 0) == (at_cap.sum() == 1)
 
     def test_sweep_holding_capped_prices_stays_in_blas(self):
         rng = np.random.default_rng(330)
@@ -313,9 +333,12 @@ class TestTriangularPriceSweep:
         target = (1.0 + optimum.investment_ratio) * graph.ones_image
         bounds = (PRICE_FLOOR, params.price_cap)
         solver = GaussSeidel(quad, *bounds)
-        upper, residual = solver.state(target, prices)
-        swept, _, _ = solver.sweep(target, prices, upper, residual)
-        assert solver.corrections == 0
+        swept, _, _ = solver.sweep(target, solver.state(prices))
+        # x' holds 18 of the 26 capped prices; the others sit after held
+        # prices that overshoot the cap, which lowers them below it. The
+        # first pass's updates, with those 18 held, predict every one,
+        # so a single correction pass settles the sweep
+        assert solver.corrections == 1
         expected = numpy_scalar_element_sweep(quad, np.diagonal(quad), target, prices, *bounds)
         np.testing.assert_allclose(swept, expected, rtol=0.0, atol=1e-14)
         assert np.array_equal(swept == params.price_cap, held)
@@ -619,6 +642,24 @@ class TestSolveStackelberg:
         assert first.provider.investment_ratio == second.provider.investment_ratio
         assert first.insurer.gamma == second.insurer.gamma
         assert first.profits == second.profits
+
+    def test_one_provider_call_runs_both_passes(self, monkeypatch):
+        # best_response_provider runs the second pass itself, so a solve
+        # calls it once; the report still counts two passes
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return best_response_provider(*args)
+
+        monkeypatch.setattr(equilibrium, "best_response_provider", counted)
+        rng = np.random.default_rng(12)
+        for n, cap in ((1, 1.0), (12, 1.0), (30, 0.95), (150, 0.9)):
+            graph = random_externality(rng, n, target_alpha_rho=0.6)
+            params, start = with_price_cap(cap), ProviderStrategy(np.full(n, 0.5), 0.75)
+            calls.clear()
+            report = solve_stackelberg(params, graph, start, OPTS)
+            assert len(calls) == 1 and report.rounds == 2
 
     def test_demand_refresh_uses_clamped_solver_when_saturated(self):
         # strong externality at moderate prices saturates every user; the
