@@ -37,6 +37,11 @@ from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 
+try:
+    import resource
+except ImportError:  # not on Windows, where no address-space limit is read
+    resource = None
+
 import numpy as np
 
 from .errors import ConfigurationError, ContractionViolation, ConvergenceError
@@ -50,6 +55,10 @@ INFLUENCE_TILE = 128
 # rows per diagonal block of GaussSeidel.sweep's clamped branch, so the
 # largest block it gathers is SWEEP_BLOCK x SWEEP_BLOCK
 SWEEP_BLOCK = 128
+# address space OpenBLAS maps for its work buffer the first time it factors:
+# at n = 1000 and 2000, one BLAS thread, a solve needed 64-67 MiB beside A,
+# its LU and the draw
+_BLAS_BUFFER_BYTES = 68 * 2**20
 
 
 def _load_extension(directory: str, qualified: str):
@@ -131,6 +140,34 @@ def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
     return x
 
 
+def _check_address_space(n: int) -> None:
+    """Raise MemoryError unless the address space can hold an n x n LU.
+
+    Factoring A allocates its LU beside A, and OpenBLAS its work buffer,
+    which it waits for, rather than fail, when RLIMIT_AS leaves it no room
+    (it spun for minutes at n = 2000); numpy and LAPACK's own allocations
+    fail cleanly. So the bytes needed are A, the LU, getri's workspace and
+    the buffer; those left are the limit less the process's size now. The
+    check is skipped where either cannot be read or the limit is infinite.
+    The message starts as numpy's does for an array it cannot allocate.
+    """
+    if resource is None:
+        return
+    try:
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit == resource.RLIM_INFINITY:
+            return
+        with open("/proc/self/statm", "rb") as statm:
+            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return
+    need, left = 8 * (2 * n * n + 64 * n) + _BLAS_BUFFER_BYTES, max(limit - size, 0)
+    if need > left:
+        raise MemoryError(f"Unable to allocate {need / 2**20:.1f} MiB to factor an array with "
+                          f"shape ({n}, {n}) for {n} users: the address-space limit leaves "
+                          f"{left / 2**20:.1f} MiB")
+
+
 def lu_inverse(lu_and_piv: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """a^{-1} from lu_factor(a), Fortran-ordered, by LAPACK getri.
 
@@ -185,6 +222,8 @@ class ExternalityGraph:
     raises ContractionViolation if alpha * rho(G) >= 1, else a
     ConfigurationError naming the failed certificate. alpha_rho is
     otherwise computed only when read, by `check` and library users.
+    Before A is made, a MemoryError refuses a graph whose factorization
+    the process's address-space limit cannot hold (_check_address_space).
     """
 
     weights: InitVar[np.ndarray]
@@ -211,6 +250,7 @@ class ExternalityGraph:
         if not math.isfinite(float(self.alpha) * high):
             raise ConfigurationError(f"alpha * G exceeds the float range (alpha = {self.alpha:g}, "
                                      f"largest weight {high:g})")
+        _check_address_space(w.shape[0])
         # the bytes of np.eye(n) - alpha * w in one C-ordered n x n array:
         # 0.0 - y keeps +0.0 where alpha * w is +0.0, and the diagonal is +0.0 + 1
         a = np.multiply(self.alpha, w, order="C")
@@ -259,7 +299,11 @@ class ExternalityGraph:
 
         rhs is copied first, since lu_solve may solve in place.
         """
-        out = lu_solve(self._lu, np.array(rhs, dtype=float), trans=1 if transpose else 0)
+        return self._solve_in_place(np.array(rhs, dtype=float), 1 if transpose else 0)
+
+    def _solve_in_place(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """solve on a float array the caller owns, which it may overwrite."""
+        out = lu_solve(self._lu, rhs, trans)
         if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise np.linalg.LinAlgError("demand system is numerically singular")
         return out
@@ -347,9 +391,10 @@ class DemandProfile:
 
     def out_of_box(self, tol: float = 1e-9) -> bool:
         """True when any component leaves [0, 1] by more than tol."""
-        # np.any's reductions, without its Python wrapper
-        return bool(np.logical_or.reduce(self.x < -tol, axis=None)
-                    or np.logical_or.reduce(self.x > 1.0 + tol, axis=None))
+        # fmin and fmax skip a NaN, which fails both tests, unless every
+        # component is NaN; they have no identity, so an empty x is tested first
+        x = self.x
+        return bool(x.size and (np.fmin.reduce(x, None) < -tol or np.fmax.reduce(x, None) > 1.0 + tol))
 
 
 # perfbench/tracer.py wraps this by module path, so it keeps its name and module
@@ -445,9 +490,11 @@ def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> D
 
     Every user is labelled interior, the branch it solves. No clamping:
     DemandProfile.out_of_box tells callers when that assumption fails.
+    The right-hand side is this call's own array, so it is solved in
+    place, with the bits graph.solve gives on a copy of it.
     """
-    x = graph.solve(_demand_rhs(graph, hbar, p))
-    return DemandProfile(x, np.full(graph.n_users, Segment.INTERIOR, dtype=np.int8))
+    x = graph._solve_in_place(_demand_rhs(graph, hbar, p))
+    return DemandProfile(x, np.ones(graph.n_users, dtype=np.int8))  # Segment.INTERIOR
 
 
 class GaussSeidel:
@@ -467,7 +514,7 @@ class GaussSeidel:
     __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections", "inside")
 
     def __init__(self, matrix: np.ndarray, lo: float, hi: float):
-        self.matrix, self.kt, self.diag = matrix, matrix.T, np.diagonal(matrix)
+        self.matrix, self.kt, self.diag = matrix, matrix.T, matrix.diagonal()
         self.lo, self.hi = lo, hi
         self.free_blocks, self.corrections, self.inside = {}, 0, None
 

@@ -128,7 +128,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     """
     n = graph.n_users
     price_lo, price_hi = PRICE_FLOOR, params.price_cap
-    m_ones = graph.ones_image
+    m_ones, reward_scale = graph.ones_image, params.risk.reward_scale
     solver = GaussSeidel(graph.symmetric_influence, price_lo, price_hi)
     sweep_cap = 60 + 10 * n
 
@@ -160,7 +160,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
                 prices, upper, grad, _ = solver.settle(target, upper, 0.25 * tolerance, sweep_cap)
             # investment block: slope p.M1 - a/(1-h)^2 + reward is strictly
             # decreasing, so the box maximizer is the clamped root (p, M1 > 0)
-            slope_at_cost = float(prices.dot(m_ones)) + params.risk.reward_scale
+            slope_at_cost = float(prices.dot(m_ones)) + reward_scale
             root = 1.0 - math.sqrt(params.attacker_resource / slope_at_cost)
             new_hbar = float(min(max(root, 0.5), HBAR_CEILING))
             grad = grad + (new_hbar - hbar) * m_ones

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -89,9 +90,11 @@ class ExperimentConfig:
                 f"need 0 <= g_low <= g_high < inf, got g_low={self.g_low}, g_high={self.g_high}"
             )
         check_seed(self.seed)
-        # MarketParams and RiskModel hold the range checks on these scalars
-        for a, n_t in itertools.product(self.attacker_resource, self.tx_per_block):
-            self.market_params(a, n_t)
+        # MarketParams and RiskModel hold the range checks on these scalars;
+        # solve_row reuses the ones built here (not a field: no config key)
+        object.__setattr__(self, "_market", {
+            pair: self.market_params(*pair)
+            for pair in itertools.product(self.attacker_resource, self.tx_per_block)})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -179,12 +182,22 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float) -> Externa
     return ExternalityGraph(weights=weights, alpha=alpha)
 
 
+@functools.lru_cache(maxsize=8)
+def _start(n: int, price_cap: float) -> ProviderStrategy:
+    """The strategy every point of n users under price_cap starts from,
+    built once: a ProviderStrategy is immutable, so its points share it."""
+    return ProviderStrategy(prices=np.full(n, 0.75 * price_cap), investment_ratio=0.75)
+
+
 def solve_row(config: ExperimentConfig, graph: ExternalityGraph, n: int, alpha: float,
               a: float, n_t: int) -> SweepRow:
-    """Solve the market at one point on the given graph; solver errors propagate."""
-    params = config.market_params(a, n_t)
-    start = ProviderStrategy(prices=np.full(n, 0.75 * config.price_cap), investment_ratio=0.75)
-    report = solve_stackelberg(params, graph, start, config.solve)
+    """Solve the market at one point on the given graph; solver errors propagate.
+
+    The market parameters are the ones the config built when it was
+    checked, for a point of its own grid.
+    """
+    params = config._market.get((a, n_t)) or config.market_params(a, n_t)
+    report = solve_stackelberg(params, graph, _start(n, config.price_cap), config.solve)
     hbar = report.provider.investment_ratio
     return SweepRow(
         n_users=n,

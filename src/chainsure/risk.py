@@ -96,8 +96,12 @@ def survival_grid(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (GRID_INTERVALS,):
         raise ValueError(f"node values have shape {values.shape}, expected ({GRID_INTERVALS},)")
-    prefix = np.concatenate(([0.0], np.cumsum(values) * _WIDTH))
-    survival = 1.0 - (prefix[:-1] + 0.5 * _WIDTH * values)
+    # the whole cells left of each node: the running sum, one cell to the
+    # right (numpy copies an overlapping slice as if through a buffer)
+    prefix = values.cumsum() * _WIDTH
+    prefix[1:] = prefix[:-1]
+    prefix[0] = 0.0
+    survival = 1.0 - (prefix + 0.5 * _WIDTH * values)
     survival.setflags(write=False)
     return survival
 

@@ -174,6 +174,41 @@ class TestSweep:
         assert all(row.total_demand < row.n_users for row in read_csv(out_csv))
         assert out_csv.read_bytes() == Path("tests/data/partly_clamped.csv").read_bytes()
 
+    def test_interior_grid_reproduces_its_pinned_bytes(self, tmp_path, capsys, monkeypatch):
+        # risk_grid's shape: the tiny externality keeps every user interior,
+        # so the closed-form demand and the insurer's golden section set the
+        # rows (gamma* from 1.73 to 1.98) and the clamped demand never runs
+        path = tmp_path / "interior.json"
+        path.write_text(json.dumps({"n_users": [30], "alpha": [0.005 / 145], "price_cap": 1.2,
+                                    "attacker_resource": [56.0, 128.0],
+                                    "tx_per_block": list(range(50, 401, 25)), "seed": 0}))
+        clamped = []
+        monkeypatch.setattr(equilibrium, "lcp_demand", lambda *args: clamped.append(args))
+        out_csv = tmp_path / "interior.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 0
+        assert clamped == [] and len(read_csv(out_csv)) == 30
+        assert out_csv.read_bytes() == Path("tests/data/interior.csv").read_bytes()
+
+    def test_partly_capped_grid_reproduces_its_pinned_bytes(self, tmp_path, capsys, monkeypatch):
+        # the price cap at the median uncapped price: the provider's sweeps
+        # hold some prices at the cap and correct their clamp predictions
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps({"n_users": [100], "alpha": [0.07 / 100],
+                                    "attacker_resource": [50.0, 75.0, 100.0, 125.0, 150.0],
+                                    "price_cap": 0.9515, "seed": 0}))
+        blocks, block = [], demand.GaussSeidel._clamped_block
+
+        def counted(solver, *args):
+            blocks.append(args)
+            return block(solver, *args)
+
+        monkeypatch.setattr(demand.GaussSeidel, "_clamped_block", counted)
+        out_csv = tmp_path / "capped.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 0
+        assert all(row.mean_price < 0.9515 for row in read_csv(out_csv))
+        assert blocks  # 68 clamped price blocks, with 67 corrections among them
+        assert out_csv.read_bytes() == Path("tests/data/partly_capped.csv").read_bytes()
+
     def test_nonconvergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # one provider pass cannot absorb its own investment step; the
         # failure must land in the row, not abort
@@ -402,10 +437,13 @@ class TestOutOfMemory:
 
     Each command runs in a child whose address space RLIMIT_AS caps, set
     by preexec_fn so that it acts on that child only. The cap is the
-    child's own peak after import plus 2.5 n x n arrays: the draw and
-    A = I - alpha G fit, and the LU's copy of A does not. The margin is
-    half an array either way; with too little, the copy fits and
-    OpenBLAS's getrf waits for its work buffer instead.
+    child's own peak after import plus 2.5 n x n arrays: the draw fits,
+    and A = I - alpha G with the LU's copy of it does not. The graph's
+    pre-flight (demand._check_address_space) refuses it before A is made,
+    with a message that starts as numpy's. At 4.0 and 4.3 arrays, A and
+    the LU fit but OpenBLAS's work buffer does not; getrf waited for it
+    forever before the pre-flight, so those children are killed after
+    10 s, and a regression fails the test instead of hanging it.
     """
 
     N = 2000
@@ -421,17 +459,17 @@ class TestOutOfMemory:
     def run_child(self):
         import resource
 
-        def run(args, limit=None):
+        def run(args, limit=None, timeout=120):
             def cap():
                 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
             return subprocess.run([sys.executable, "-c", self.CHILD, *args], env=child_env(),
-                                  capture_output=True, text=True, timeout=120,
+                                  capture_output=True, text=True, timeout=timeout,
                                   preexec_fn=cap if limit else None)
 
         peak_kb = int(run(["peak"]).stdout)
-        limit = peak_kb * 1024 + int(2.5 * 8 * self.N**2)
-        return lambda args: run(args, limit)
+        return lambda args, arrays=2.5, timeout=120: run(
+            args, peak_kb * 1024 + int(arrays * 8 * self.N**2), timeout)
 
     @pytest.mark.parametrize("command", ["solve", "check", "sweep"])
     def test_exits_2_without_traceback(self, tmp_path, run_child, command):
@@ -442,6 +480,21 @@ class TestOutOfMemory:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("out of memory: Unable to allocate")
         assert f"shape ({self.N}, {self.N})" in done.stderr
+
+    @pytest.mark.parametrize("arrays", [4.0, 4.3])
+    @pytest.mark.parametrize("command", ["solve", "check", "sweep"])
+    def test_refused_where_blas_would_wait_for_its_buffer(self, tmp_path, run_child, command,
+                                                          arrays):
+        path = large_config(tmp_path, self.N)
+        extra = ["--out", str(tmp_path / "rows.csv")] if command == "sweep" else []
+        done = run_child([command, "--config", str(path), *extra], arrays, timeout=10)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("out of memory: Unable to allocate")
+        # the message names n and both sizes
+        assert re.search(rf"allocate [0-9.]+ MiB to factor an array with shape \({self.N}, "
+                         rf"{self.N}\) for {self.N} users: the address-space limit leaves "
+                         r"[0-9.]+ MiB$", done.stderr.strip())
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/status is Linux's")

@@ -245,6 +245,57 @@ class TestExternalityGraph:
             graph.solve(np.array([np.inf, 1.0]), transpose=True)
 
 
+class TestAddressSpaceCheck:
+    """The graph's pre-flight against RLIMIT_AS (demand._check_address_space),
+    run in-process on a stand-in for the resource module; test_cli's
+    TestOutOfMemory runs it under real limits."""
+
+    @staticmethod
+    def limit(monkeypatch, limit):
+        """Let getrlimit report limit; returns the list of its reads."""
+        reads = []
+        fake = type("Resource", (), {"RLIMIT_AS": "as", "RLIM_INFINITY": -1,
+                                     "getrlimit": staticmethod(
+                                         lambda which: reads.append(which) or (limit, limit))})
+        monkeypatch.setattr(demand, "resource", fake)
+        return reads
+
+    @staticmethod
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    def test_uncapped_reads_one_limit_per_graph_and_no_size(self, monkeypatch):
+        reads = self.limit(monkeypatch, -1)
+        monkeypatch.setattr(demand, "open", self.unreadable, raising=False)
+        for n in (1, 2, 50):
+            reads.clear()
+            ExternalityGraph(np.ones((n, n)) - np.eye(n), 0.1 / n).symmetric_influence
+            assert reads == ["as"]
+
+    def test_skipped_where_nothing_can_be_read(self, monkeypatch):
+        monkeypatch.setattr(demand, "resource", None)
+        ExternalityGraph(SWAP, 0.5)
+        self.limit(monkeypatch, 1)  # one byte: refused wherever the size is read
+        monkeypatch.setattr(demand, "open", self.unreadable, raising=False)
+        ExternalityGraph(SWAP, 0.5)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/statm is Linux's")
+    def test_refuses_before_factoring(self, monkeypatch):
+        size = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        need = 8 * (2 * 300**2 + 64 * 300) + demand._BLAS_BUFFER_BYTES
+        self.limit(monkeypatch, size + need // 2)
+        with monkeypatch.context() as patch:
+            factored = []
+            patch.setattr(demand, "lu_factor", factored.append)
+            with pytest.raises(MemoryError, match=r"^Unable to allocate [0-9.]+ MiB to factor an "
+                                                  r"array with shape \(300, 300\) for 300 users: "
+                                                  r"the address-space limit leaves [0-9.]+ MiB$"):
+                ExternalityGraph(np.zeros((300, 300)), 0.0)
+            assert factored == []
+        self.limit(monkeypatch, size + 2 * need)  # room to spare as the process's size moves
+        ExternalityGraph(np.zeros((300, 300)), 0.0)
+
+
 class TestBoundRoutines:
     """demand binds scipy's compiled BLAS/LAPACK wrappers without scipy.linalg.
 
@@ -601,6 +652,20 @@ class TestClosedFormDemand:
             clamped = lcp_demand(graph, hbar, p)
             np.testing.assert_allclose(closed.x, clamped.x, atol=1e-10)
             assert np.all(clamped.partition == Segment.INTERIOR)
+
+    def test_equals_graph_solve_bit_for_bit(self):
+        # it solves in place on its own right-hand side: the bits of
+        # graph.solve on a copy, INTERIOR labels, the caller's prices unwritten
+        rng = np.random.default_rng(35)
+        for n in (1, 2, 5, 30, 130):
+            graph = random_externality(rng, n, target_alpha_rho=0.5)
+            hbar, p = rng.uniform(0.5, 1.0), random_prices(rng, n)
+            kept = p.copy()
+            profile = closed_form_demand(graph, hbar, p)
+            assert profile.x.tobytes() == graph.solve((1.0 + hbar) - p).tobytes()
+            assert profile.partition.dtype == np.int8
+            assert profile.partition.tobytes() == np.full(n, Segment.INTERIOR, np.int8).tobytes()
+            assert p.tobytes() == kept.tobytes()
 
 
 @pytest.fixture
@@ -1225,6 +1290,26 @@ class TestChecksEqualFrozenForms:
         frozen_kind, frozen_value = outcome(frozen_solve, np.ones(2))
         assert kind == frozen_kind
         assert value is frozen_value if kind == "ok" else value == frozen_value
+
+    @given(edge_arrays())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_closed_form_demand_finiteness(self, solved):
+        # closed_form_demand checks what the LAPACK solve returns, as graph.solve does
+        graph = ExternalityGraph(SWAP, 0.5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: solved)
+            kind, value = outcome(closed_form_demand, graph, 0.5, np.ones(2))
+            frozen_kind, frozen_value = outcome(graph.solve, np.ones(2))
+        assert kind == frozen_kind
+        assert value.x.tobytes() == solved.tobytes() if kind == "ok" else value == frozen_value
+
+    @pytest.mark.parametrize("x", [[0, 1], [-1, 0], [0, 2], [True, False], [],
+                                   np.array([0.5, 1.5], dtype=np.float32), [[0.5, -1.0]]])
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, -1.0, 1.0, math.nan, math.inf, -math.inf])
+    def test_profile_out_of_box_on_other_inputs(self, x, tol):
+        x = np.array(x)
+        profile = DemandProfile(x, np.zeros(x.shape, dtype=np.int8))
+        assert profile.out_of_box(tol) == bool(np.any(x < -tol) or np.any(x > 1.0 + tol))
 
     @given(edge_arrays(bounds=(1.0, -1e308)),  # 1e308 - (-1e308) overflows
            st.sampled_from([0.5, 0.75, 1e308, -1e308, math.inf, -math.inf, math.nan]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from chainsure import equilibrium, harness, market
+from chainsure import demand, equilibrium, harness, market
 from chainsure.demand import (
     ExternalityGraph,
     GaussSeidel,
@@ -763,6 +763,8 @@ class TestReportedNumbers:
             return s_p
 
         monkeypatch.setattr(equilibrium, "best_response_provider", provider_pass)
+        # the interior demand solves in place through lu_solve, not graph.solve
+        monkeypatch.setattr(demand, "lu_solve", counted("lu_solve", demand.lu_solve))
         monkeypatch.setattr(ExternalityGraph, "solve", counted("solve", ExternalityGraph.solve))
         for module in (market, equilibrium, harness):
             for name in ("attack_probability", "provider_profit", "insurer_profit"):
@@ -770,7 +772,7 @@ class TestReportedNumbers:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         row = harness.solve_row(config, graph, *harness.sweep_points(config)[0])
         assert row.converged
-        assert counts == {"solve": 1, "attack_probability": 1}
+        assert counts == {"lu_solve": 1, "attack_probability": 1}
 
 
 class TestInRangeConfigs:

@@ -213,6 +213,7 @@ class TestSharedWork:
     @staticmethod
     def clear_caches(monkeypatch):
         monkeypatch.setattr(harness, "_last_graph", None)
+        harness._start.cache_clear()
         risk._block_count.cache_clear()
         risk._model_survival.cache_clear()
 
@@ -233,9 +234,32 @@ class TestSharedWork:
         cold = []
         for point in sweep_points(cfg):
             self.clear_caches(monkeypatch)  # a fresh graph, with an empty memo
-            cold.append(solve_point(cfg, *point))
+            # and a fresh config, whose MarketParams no other point has used
+            cold.append(solve_point(ExperimentConfig.from_dict(self.GRID), *point))
         assert all(row.converged for row in cold)
         assert shared == cold
+
+    def test_points_reuse_the_configs_params_and_one_start(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(self.GRID)
+        solved = []
+        solve = harness.solve_stackelberg
+
+        def kept(params, graph, start, opts):
+            solved.append((params, start))
+            return solve(params, graph, start, opts)
+
+        def unused(*args):
+            raise AssertionError("a sweep point built its own MarketParams")
+
+        monkeypatch.setattr(harness, "solve_stackelberg", kept)
+        monkeypatch.setattr(ExperimentConfig, "market_params", unused)
+        self.clear_caches(monkeypatch)
+        run_sweep(cfg)
+        points = sweep_points(cfg)
+        assert len(solved) == len(points) == 48
+        for (params, _), (_, _, a, n_t) in zip(solved, points):
+            assert params is cfg._market[a, n_t]
+        assert len({id(start) for _, start in solved}) == 1
 
     def test_second_sweep_in_one_process_equals_the_first(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(self.GRID)
