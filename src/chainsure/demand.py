@@ -124,16 +124,18 @@ def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lu_solve(lu_and_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray,
-             trans: int = 0) -> np.ndarray:
+             trans: int = 0, check_finite: bool = True) -> np.ndarray:
     """Solve a x = b (trans=1: a^T x = b) from lu_factor(a), as scipy's
     lu_solve (LAPACK getrs).
 
     A writeable b may be overwritten: getrs solves in place when b is
     already a Fortran-contiguous float array. A read-only b is copied,
     since scipy's wrapper would write into it regardless of its flag.
+    As in scipy, check_finite=False skips the check that b holds no NaN
+    or inf, for a caller that has just made that check itself.
     """
     lu, piv = lu_and_piv
-    b = np.asarray_chkfinite(b)
+    b = np.asarray_chkfinite(b) if check_finite else np.asarray(b)
     x, info = dgetrs(lu, piv, b, trans=trans, overwrite_b=b.flags.writeable)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
@@ -301,9 +303,11 @@ class ExternalityGraph:
         """
         return self._solve_in_place(np.array(rhs, dtype=float), 1 if transpose else 0)
 
-    def _solve_in_place(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        """solve on a float array the caller owns, which it may overwrite."""
-        out = lu_solve(self._lu, rhs, trans)
+    def _solve_in_place(self, rhs: np.ndarray, trans: int = 0,
+                        check_finite: bool = True) -> np.ndarray:
+        """solve on a float array the caller owns, which it may overwrite;
+        check_finite=False for an rhs the caller has checked (lu_solve)."""
+        out = lu_solve(self._lu, rhs, trans, check_finite)
         if not np.logical_and.reduce(np.isfinite(out), axis=None):
             raise np.linalg.LinAlgError("demand system is numerically singular")
         return out
@@ -383,6 +387,18 @@ class DemandProfile:
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _from_solver(cls, x: np.ndarray, partition: np.ndarray) -> "DemandProfile":
+        """A profile on the float x and int8 labels a solver has just made
+        and holds no other reference to: both are set read-only in place,
+        not copied."""
+        x.setflags(write=False)
+        partition.setflags(write=False)
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "x", x)
+        object.__setattr__(profile, "partition", partition)
+        return profile
 
     @property
     def total(self) -> float:
@@ -490,11 +506,12 @@ def closed_form_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> D
 
     Every user is labelled interior, the branch it solves. No clamping:
     DemandProfile.out_of_box tells callers when that assumption fails.
-    The right-hand side is this call's own array, so it is solved in
-    place, with the bits graph.solve gives on a copy of it.
+    The right-hand side is this call's own array, checked finite as it
+    is made, so it is solved in place, with the bits graph.solve gives on
+    a copy of it, and not checked again.
     """
-    x = graph._solve_in_place(_demand_rhs(graph, hbar, p))
-    return DemandProfile(x, np.ones(graph.n_users, dtype=np.int8))  # Segment.INTERIOR
+    x = graph._solve_in_place(_demand_rhs(graph, hbar, p), check_finite=False)
+    return DemandProfile._from_solver(x, np.ones(graph.n_users, dtype=np.int8))  # Segment.INTERIOR
 
 
 class GaussSeidel:
@@ -502,25 +519,61 @@ class GaussSeidel:
 
     K = matrix, C-ordered with a positive diagonal, splits as D + L + U
     (diagonal, strictly lower, strictly upper); BLAS reads it through kt,
-    the Fortran-ordered view K.T, with trans=1. free_blocks maps a
-    diagonal block's first row to (mask bytes, free mask, K[free, free]
-    within that block) of its last clamped pass, gathered again only when a
-    pass's free rows differ. corrections counts the passes _clamped_block
-    runs after its first. inside is the last sweep's iterate where it is
-    known to lie strictly inside the box, lo < min and max < hi, else None.
-    BLAS flags are passed positionally, which skips f2py's keyword parsing.
+    the Fortran-ordered view K.T, with trans=1. A clamped pass holds some
+    rows of a diagonal block at a bound, and two maps keyed by the block's
+    first row carry what that held set gives. held_sets holds, newest
+    first, the last two held sets its passes built, each as (bytes of the
+    held masks, free mask, free_blocks' entry or None when no row is free,
+    held vector, (D + L) held, D held), reused whenever a pass holds the
+    same rows at the same bounds: two, so that a block whose prediction is
+    corrected the same way sweep after sweep reuses both passes.
+    free_blocks holds (mask bytes, free mask, K[free, free]) of its last
+    pass with a free row, gathered again only when its free rows differ.
+    corrections counts the passes _clamped_block runs after its first.
+    inside is the last sweep's iterate where it is known to lie strictly
+    inside the box, lo < min and max < hi, else None. BLAS flags are
+    passed positionally, which skips f2py's keyword parsing.
     """
 
-    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "free_blocks", "corrections", "inside")
+    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "held_sets", "free_blocks", "corrections",
+                 "inside")
 
     def __init__(self, matrix: np.ndarray, lo: float, hi: float):
         self.matrix, self.kt, self.diag = matrix, matrix.T, matrix.diagonal()
         self.lo, self.hi = lo, hi
-        self.free_blocks, self.corrections, self.inside = {}, 0, None
+        self.held_sets, self.free_blocks, self.corrections, self.inside = {}, {}, 0, None
 
     def state(self, x: np.ndarray) -> np.ndarray:
         """U x, the state a sweep from x reads besides its target."""
         return dtrmv(self.kt, x, 0, 1, 1, 1, 1) - x  # lower=1, trans=1, diag=1
+
+    def _held_set(self, kt: np.ndarray, start: int, diag: np.ndarray, at_lo: np.ndarray,
+                  at_hi: np.ndarray) -> tuple:
+        """held_sets' entry for the rows at_lo and at_hi hold in the block
+        from row start, whose K.T is kt and diagonal diag: a carried one
+        when those masks are its masks, else built and carried in place of
+        the older one."""
+        key = at_lo.tobytes() + at_hi.tobytes()  # one byte per row each, compared at C speed
+        carried = self.held_sets.get(start, ())
+        for entry in carried:
+            if entry[0] == key:
+                if entry[2] is not None:
+                    self.free_blocks[start] = entry[2]
+                return entry
+        lo, hi = self.lo, self.hi
+        free = ~(at_lo | at_hi)
+        held = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
+        gathered = None
+        if np.logical_or.reduce(free):
+            free_key = free.tobytes()
+            gathered = self.free_blocks.get(start)
+            if gathered is None or gathered[0] != free_key:
+                gathered = self.free_blocks[start] = (
+                    free_key, free, kt.T.compress(free, 0).compress(free, 1))
+            free = gathered[1]
+        entry = (key, free, gathered, held, dtrmv(kt, held, 0, 1, 0, 1), diag * held)  # trans=1
+        self.held_sets[start] = (entry,) + carried[:1]
+        return entry
 
     def _clamped_block(self, rows: np.ndarray, start: int, diag: np.ndarray,
                        rhs: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,28 +592,25 @@ class GaussSeidel:
         solved, unclamped), and a correction pass runs. The search starts
         after the settled rows, so a block runs at most as many corrections
         as it has rows, even where round-off or a NaN flips a settled row.
+        What a pass derives from its held set alone comes from _held_set.
         """
         lo, hi = self.lo, self.hi
         # BLAS reads it in place: a view when the block is all of K, else one
         # copy of at most SWEEP_BLOCK x SWEEP_BLOCK for every pass's kernels
         kt = np.asfortranarray(rows[:, start:start + diag.size].T)
-        block = kt.T
         at_lo, at_hi = guess <= lo, guess >= hi
         settled = 0
         while True:
-            free = ~(at_lo | at_hi)
-            solved = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-            if np.logical_or.reduce(free):
-                # rhs - L held, read before the free rows are written in
-                free_rhs = rhs - dtrmv(kt, solved, 0, 1, 0, 1) + diag * solved  # trans=1
-                key = free.tobytes()  # one byte per row, compared at C speed
-                entry = self.free_blocks.get(start)
-                if entry is None or entry[0] != key:
-                    entry = self.free_blocks[start] = (
-                        key, free, block.compress(free, 0).compress(free, 1))
-                solved[free] = dtrsv(entry[2].T, free_rhs[free], 1, 0, 0, 1)  # trans=1
+            _, free, gathered, held, lower_held, diag_held = self._held_set(
+                kt, start, diag, at_lo, at_hi)
+            solved = held.copy()
+            if gathered is not None:
+                # rhs - L held, from (D + L) held and D held
+                free_rhs = rhs - lower_held + diag_held
+                solved[free] = dtrsv(gathered[2].T, free_rhs[free], 1, 0, 0, 1)  # trans=1
             lower = dtrmv(kt, solved, 0, 1, 0, 1)  # trans=1
-            checked = np.where(free, solved, (rhs - lower + diag * solved) / diag)
+            # a held row's D x is D held; where no row is held, free is unread
+            checked = np.where(free, solved, (rhs - lower + diag_held) / diag)
             missed = np.minimum(np.maximum(checked[settled:], lo), hi) != solved[settled:]
             if not np.logical_or.reduce(missed):
                 return solved, lower
@@ -652,12 +702,12 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     b = _demand_rhs(graph, hbar, p)
     r = b - graph.row_sums
     if np.minimum.reduce(r) >= 0.0:
-        return DemandProfile(np.ones(graph.n_users), _segments(r))
+        return DemandProfile._from_solver(np.ones(graph.n_users), _segments(r))
     solver = GaussSeidel(graph.system_matrix, 0.0, 1.0)
     x, _, r, residual = solver.settle(b, solver.state(np.clip(b, 0.0, 1.0)), LCP_TOL,
                                       max(1, LCP_ITER_CAP // graph.n_users))
     if not residual < LCP_TOL:  # written so that NaN raises
         raise ConvergenceError("projected Gauss-Seidel hit its iteration cap",
                                last_iterate=x, residual=residual)
-    return DemandProfile(x, _segments(r))
+    return DemandProfile._from_solver(x, _segments(r))
 

@@ -88,6 +88,18 @@ class ProviderStrategy:
         p.setflags(write=False)
         object.__setattr__(self, "prices", p)
 
+    @classmethod
+    def _from_solver(cls, prices: np.ndarray, investment_ratio: float) -> "ProviderStrategy":
+        """A strategy on the finite float prices, inside the price box, and
+        the investment ratio in [1/2, 1) that a solver has just made and
+        holds no other reference to: the prices are set read-only in place,
+        not copied or checked again."""
+        prices.setflags(write=False)
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "prices", prices)
+        object.__setattr__(strategy, "investment_ratio", investment_ratio)
+        return strategy
+
     @property
     def mean_price(self) -> float:
         # np.mean's sum and division, without its wrapper
@@ -139,9 +151,10 @@ def insurer_profit_curve(params: MarketParams,
     The expected claim and the penalty's hbar factor depend on hbar only,
     and the premium curve on the risk model only, so they are set up once
     here rather than at every gamma a search tries. The returned function
-    also carries what went into it, for a caller that reports them:
-    .premium, the premium as a function of gamma, and .attack_probability,
-    the attack probability at s_p's investment ratio.
+    also carries what went into it, for a caller that reports or reads
+    them: .premium, the premium as a function of gamma (risk.premium_curve),
+    .attack_probability, the attack probability at s_p's investment ratio,
+    and the profit's constants .expected_claim, .cube and .beta.
     """
     hbar = s_p.investment_ratio
     attack = attack_probability(params.risk, hbar)
@@ -158,6 +171,7 @@ def insurer_profit_curve(params: MarketParams,
 
     profit.premium = premium_of
     profit.attack_probability = attack
+    profit.expected_claim, profit.cube, profit.beta = expected_claim, cube, beta
     return profit
 
 

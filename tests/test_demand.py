@@ -107,7 +107,7 @@ class TestExternalityGraph:
     def test_certificate_checks_its_residual(self, monkeypatch):
         # a positive x that does not solve A x = 1 certifies nothing: here
         # x = 1 gives A x = 1 - 1.5 < 0 on SWAP at alpha = 1.5
-        monkeypatch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: np.ones_like(b))
+        monkeypatch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0, check_finite=True: np.ones_like(b))
         with pytest.raises(ContractionViolation):
             ExternalityGraph(SWAP, 1.5)
 
@@ -150,7 +150,7 @@ class TestExternalityGraph:
 
     def test_failed_certificate_names_itself(self, monkeypatch):
         # a solve whose x and y both fail, at alpha * rho(G) = 0.5 < 1
-        monkeypatch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: -np.ones_like(b))
+        monkeypatch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0, check_finite=True: -np.ones_like(b))
         with pytest.raises(ConfigurationError) as info:
             ExternalityGraph(SWAP, 0.5)
         assert not isinstance(info.value, ContractionViolation)
@@ -700,6 +700,22 @@ class CountedGaussSeidel(GaussSeidel):
         return out
 
 
+class HeldSetCountingGaussSeidel(GaussSeidel):
+    """GaussSeidel that counts the passes whose held set it had carried."""
+
+    __slots__ = ("reused",)
+
+    def __init__(self, matrix, lo, hi):
+        super().__init__(matrix, lo, hi)
+        self.reused = 0
+
+    def _held_set(self, kt, start, diag, at_lo, at_hi):
+        carried = self.held_sets.get(start, ())
+        entry = super()._held_set(kt, start, diag, at_lo, at_hi)
+        self.reused += any(entry is kept for kept in carried)
+        return entry
+
+
 # K = Q, symmetric with a non-unit diagonal, and K = I - alpha G with a
 # nonsymmetric G. Each case runs one sweep over the box [0, 1] from x,
 # names the branch it takes and counts its correction passes. The sweep
@@ -1213,6 +1229,25 @@ class TestKernelsBitIdentical:
                 np.testing.assert_array_equal(block, matrix[np.ix_(free, free)])
         assert 1 < len(masks) < 40
 
+    @pytest.mark.parametrize("n, seed, symmetric", [
+        (30, 41, True), (30, 42, False), (SWEEP_BLOCK + 1, 43, True), (300, 44, False)])
+    def test_reused_held_sets_give_a_fresh_solvers_bytes(self, n, seed, symmetric):
+        # the target moves twice and comes back, so some held sets repeat
+        # across sweeps and others are built again; every sweep's (x, U x,
+        # residual) is the bytes of a fresh solver's sweep from the same state
+        matrix, target, x = sweep_problem(n, seed, symmetric)
+        targets = [target, target[::-1].copy(), target]
+        carried = HeldSetCountingGaussSeidel(matrix, 0.1, 0.9)
+        upper = carried.state(x)
+        for k in range(45):
+            t = targets[k // 15]
+            swept = carried.sweep(t, upper)
+            fresh = GaussSeidel(matrix, 0.1, 0.9).sweep(t, upper)
+            assert [a.tobytes() for a in swept] == [b.tobytes() for b in fresh]
+            upper = swept[1]
+        assert carried.reused > 0 and carried.corrections > 0
+        assert all(len(entries) <= 2 for entries in carried.held_sets.values())
+
     @given(n=st.integers(1, 60), seed=st.integers(0, 2**32),
            scale=st.sampled_from([0.0, -0.0, 1e-3, 0.5, 0.99]),
            zeros=st.sampled_from(["none", "all", "signed", "some"]))
@@ -1257,6 +1292,44 @@ class TestKernelsBitIdentical:
         assert quad.flags.c_contiguous and not quad.flags.writeable
 
 
+class TestHeldSetReuse:
+    """A clamped pass that reuses a carried held set computes what a fresh
+    solver computes, byte for byte, in the provider's own sweeps."""
+
+    @pytest.mark.parametrize("grid", [
+        # the n = 300 grid at price cap 0.9: three blocks, some corrected
+        {"n_users": [300], "alpha": [0.07 / 300], "attacker_resource": [50.0, 150.0],
+         "price_cap": 0.9, "seed": 0},
+        # tests/data/partly_capped.csv's grid: the same corrections sweep after sweep
+        {"n_users": [100], "alpha": [0.07 / 100], "attacker_resource": [50.0, 100.0, 150.0],
+         "price_cap": 0.9515, "seed": 0},
+    ], ids=["n300_cap0.9", "partly_capped"])
+    def test_every_provider_sweep_equals_a_fresh_solvers(self, grid, monkeypatch):
+        from chainsure import equilibrium, harness
+
+        made = []
+
+        class Checked(HeldSetCountingGaussSeidel):
+            __slots__ = ()
+
+            def __init__(self, matrix, lo, hi):
+                super().__init__(matrix, lo, hi)
+                made.append(self)
+
+            def sweep(self, target, upper):
+                swept = super().sweep(target, upper)
+                fresh = GaussSeidel(self.matrix, self.lo, self.hi).sweep(target, upper)
+                assert [a.tobytes() for a in swept] == [b.tobytes() for b in fresh]
+                return swept
+
+        config = harness.ExperimentConfig.from_dict(grid)
+        expected = harness.run_sweep(config)
+        monkeypatch.setattr(equilibrium, "GaussSeidel", Checked)
+        rows = harness.run_sweep(config)
+        assert rows == expected and all(row.converged for row in rows)
+        assert sum(s.reused for s in made) > 0 and sum(s.corrections for s in made) > 0
+
+
 def frozen_demand_rhs(graph, hbar, p):
     """demand._demand_rhs in its np.all form."""
     p = np.asarray(p, dtype=float)
@@ -1285,7 +1358,7 @@ class TestChecksEqualFrozenForms:
 
         with pytest.MonkeyPatch.context() as patch:
             # the check reads what the LAPACK solve returns
-            patch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: solved)
+            patch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0, check_finite=True: solved)
             kind, value = outcome(graph.solve, np.ones(2))
         frozen_kind, frozen_value = outcome(frozen_solve, np.ones(2))
         assert kind == frozen_kind
@@ -1297,7 +1370,7 @@ class TestChecksEqualFrozenForms:
         # closed_form_demand checks what the LAPACK solve returns, as graph.solve does
         graph = ExternalityGraph(SWAP, 0.5)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0: solved)
+            patch.setattr(demand, "lu_solve", lambda lu_and_piv, b, trans=0, check_finite=True: solved)
             kind, value = outcome(closed_form_demand, graph, 0.5, np.ones(2))
             frozen_kind, frozen_value = outcome(graph.solve, np.ones(2))
         assert kind == frozen_kind

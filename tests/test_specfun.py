@@ -11,6 +11,7 @@ from chainsure.risk import GRID_INTERVALS, _NODES, _WIDTH, survival_grid
 from chainsure.oracles import adaptive_simpson
 from chainsure.specfun import (
     _ERFC_FROM,
+    _STIRLING_FROM,
     _beta_contfrac,
     _log_gamma_ratio,
     reg_inc_beta,
@@ -271,22 +272,47 @@ class TestRegIncBeta:
 
     def test_continued_fraction_error_below_erfc_from(self):
         # below _ERFC_FROM the continued fraction stays, with the error the
-        # docstring states just below the switch: there the prefactor's
-        # lgamma difference sets it, about 1e-16 u ln u (1.1e-9 just below 1e6)
+        # docstring states just below the switch: the Stirling prefactor
+        # holds its digits, so the continued fraction's 1e-16 u sets it
+        # (9.6e-11 just below 1e6)
         mpmath = pytest.importorskip("mpmath")
         for u in (1e5, math.nextafter(_ERFC_FROM, 0.0)):
             w = math.nextafter((u + 1.0) / (u + 2.5), 0.0)
             with mpmath.workdps(50):
                 exact = 1 - mpmath.betainc(0.5, u, 0, 1 - mpmath.mpf(w), regularized=True)
-            assert math.isclose(reg_inc_beta(w, u, 0.5), float(exact),
-                                rel_tol=4e-16 * u * math.log(u))
+            assert math.isclose(reg_inc_beta(w, u, 0.5), float(exact), rel_tol=2e-16 * u + 2e-13)
+
+    @pytest.mark.parametrize("u", sorted(set(np.geomspace(10.0, 1e6, 21).tolist() + [
+        math.nextafter(_STIRLING_FROM, 0.0), _STIRLING_FROM, 700.0, 999.0, 1e3, 4.5e3, 9e5,
+        math.nextafter(_ERFC_FROM, 0.0)])))
+    def test_prefactor_below_erfc_from_against_mpmath(self, u):
+        # test_large_u_below_switch_against_mpmath's seven w below the
+        # continued fraction's range: the lgamma difference below
+        # _STIRLING_FROM and the Stirling one above it keep the prefactor
+        # right, so only the continued fraction's 1e-16 u growth is left
+        mpmath = pytest.importorskip("mpmath")
+        switch = (u + 1.0) / (u + 2.5)
+        ws = [math.nextafter(switch, 0.0), 1.0 - 10.0 / u, 1.0 - 30.0 / u]
+        ws += [math.exp(-y / (u - 0.25)) for y in (100.0, 300.0, 600.0, 700.0)]
+        checked = 0
+        for w in ws:
+            if not 0.0 < w < switch:  # 1 - 30 / u at u = 10, for one
+                continue
+            with mpmath.workdps(50 + int(u * -math.log(w) / math.log(10.0))):
+                exact = float(1 - mpmath.betainc(0.5, u, 0, 1 - mpmath.mpf(w), regularized=True))
+            if exact < np.finfo(float).tiny:  # the tail at small u is subnormal
+                continue
+            assert math.isclose(reg_inc_beta(w, u, 0.5), exact, rel_tol=2e-16 * u + 2e-13)
+            checked += 1
+        assert checked >= 4
 
     def test_bit_identical_to_abs_tests(self):
         # both sides of the symmetry switch w = (u + 1) / (u + v + 2), the
-        # exact endpoints, and the attack curve's v = 1/2
+        # exact endpoints, and the attack curve's v = 1/2, with u and v
+        # below _STIRLING_FROM, where the prefactor is the lgamma difference
         branches = set()
         for w in [0.0, 1e-12, 0.05, 0.3, 0.5, 0.75, 0.96, 1.0 - 1e-12, 1.0]:
-            for u in [0.1, 0.5, 1.0, 3.7, 7.5, 37.3, 1e3, 1e5]:
+            for u in [0.1, 0.5, 1.0, 3.7, 7.5, 37.3, 99.0]:
                 for v in [0.2, 0.5, 2.0, 11.0]:
                     branches.add(w < (u + 1.0) / (u + v + 2.0))
                     assert reg_inc_beta(w, u, v) == abs_test_reg_inc_beta(w, u, v)
