@@ -10,7 +10,7 @@ for all users saturated). Their verification oracle, exhaustive
 partition enumeration, lives in chainsure.oracles.
 
 Projected Gauss-Seidel is shared: GaussSeidel, one object per matrix
-and box, carries its clamped sweeps' free blocks and runs the one loop,
+and box, carries its clamped sweeps' held sets and runs the one loop,
 settle, with the one stopping rule, projected_norm. The clamped demand
 makes one on I - alpha G over [0, 1], the provider's best response one
 on its price curvature M + M^T over the price box. A sweep reads only
@@ -494,8 +494,15 @@ def _demand_rhs(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> np.ndarr
     p = np.asarray(p, dtype=float)
     if p.shape != (graph.n_users,):
         raise ValueError(f"price vector has shape {p.shape}, expected ({graph.n_users},)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = (1.0 + hbar) - p
+    base = 1.0 + hbar
+    # below half the largest float's spacing, 2^970, no finite p overflows
+    # against base, and an inf or NaN in p does not warn: errstate, whose
+    # entry costs more than the subtraction, is needed only past that
+    if -1e291 < base < 1e291:
+        b = base - p
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = base - p
     if not np.logical_and.reduce(np.isfinite(b)):
         raise ValueError(f"demand right-hand side (1 + hbar) - p is not finite (hbar = {hbar})")
     return b
@@ -520,28 +527,24 @@ class GaussSeidel:
     K = matrix, C-ordered with a positive diagonal, splits as D + L + U
     (diagonal, strictly lower, strictly upper); BLAS reads it through kt,
     the Fortran-ordered view K.T, with trans=1. A clamped pass holds some
-    rows of a diagonal block at a bound, and two maps keyed by the block's
-    first row carry what that held set gives. held_sets holds, newest
-    first, the last two held sets its passes built, each as (bytes of the
-    held masks, free mask, free_blocks' entry or None when no row is free,
-    held vector, (D + L) held, D held), reused whenever a pass holds the
-    same rows at the same bounds: two, so that a block whose prediction is
-    corrected the same way sweep after sweep reuses both passes.
-    free_blocks holds (mask bytes, free mask, K[free, free]) of its last
-    pass with a free row, gathered again only when its free rows differ.
-    corrections counts the passes _clamped_block runs after its first.
-    inside is the last sweep's iterate where it is known to lie strictly
-    inside the box, lo < min and max < hi, else None. BLAS flags are
-    passed positionally, which skips f2py's keyword parsing.
+    rows of a diagonal block at a bound. held_sets maps the block's first
+    row to the last two held sets its passes built, newest first, each as
+    (bytes of the held masks, free mask, K[free, free] within the block or
+    None when no row is free, held vector, (D + L) held, D held), reused
+    whenever a pass holds the same rows at the same bounds: two, so that a
+    block whose prediction is corrected the same way sweep after sweep
+    reuses both passes. corrections counts the passes _clamped_block runs
+    after its first. inside is the last sweep's iterate where it is known
+    to lie strictly inside the box, lo < min and max < hi, else None. BLAS
+    flags are passed positionally, which skips f2py's keyword parsing.
     """
 
-    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "held_sets", "free_blocks", "corrections",
-                 "inside")
+    __slots__ = ("matrix", "kt", "diag", "lo", "hi", "held_sets", "corrections", "inside")
 
     def __init__(self, matrix: np.ndarray, lo: float, hi: float):
         self.matrix, self.kt, self.diag = matrix, matrix.T, matrix.diagonal()
         self.lo, self.hi = lo, hi
-        self.held_sets, self.free_blocks, self.corrections, self.inside = {}, {}, 0, None
+        self.held_sets, self.corrections, self.inside = {}, 0, None
 
     def state(self, x: np.ndarray) -> np.ndarray:
         """U x, the state a sweep from x reads besides its target."""
@@ -557,21 +560,12 @@ class GaussSeidel:
         carried = self.held_sets.get(start, ())
         for entry in carried:
             if entry[0] == key:
-                if entry[2] is not None:
-                    self.free_blocks[start] = entry[2]
                 return entry
         lo, hi = self.lo, self.hi
         free = ~(at_lo | at_hi)
         held = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-        gathered = None
-        if np.logical_or.reduce(free):
-            free_key = free.tobytes()
-            gathered = self.free_blocks.get(start)
-            if gathered is None or gathered[0] != free_key:
-                gathered = self.free_blocks[start] = (
-                    free_key, free, kt.T.compress(free, 0).compress(free, 1))
-            free = gathered[1]
-        entry = (key, free, gathered, held, dtrmv(kt, held, 0, 1, 0, 1), diag * held)  # trans=1
+        block = kt.T.compress(free, 0).compress(free, 1) if np.logical_or.reduce(free) else None
+        entry = (key, free, block, held, dtrmv(kt, held, 0, 1, 0, 1), diag * held)  # trans=1
         self.held_sets[start] = (entry,) + carried[:1]
         return entry
 
@@ -601,13 +595,13 @@ class GaussSeidel:
         at_lo, at_hi = guess <= lo, guess >= hi
         settled = 0
         while True:
-            _, free, gathered, held, lower_held, diag_held = self._held_set(
+            _, free, block, held, lower_held, diag_held = self._held_set(
                 kt, start, diag, at_lo, at_hi)
             solved = held.copy()
-            if gathered is not None:
+            if block is not None:
                 # rhs - L held, from (D + L) held and D held
                 free_rhs = rhs - lower_held + diag_held
-                solved[free] = dtrsv(gathered[2].T, free_rhs[free], 1, 0, 0, 1)  # trans=1
+                solved[free] = dtrsv(block.T, free_rhs[free], 1, 0, 0, 1)  # trans=1
             lower = dtrmv(kt, solved, 0, 1, 0, 1)  # trans=1
             # a held row's D x is D held; where no row is held, free is unread
             checked = np.where(free, solved, (rhs - lower + diag_held) / diag)
@@ -630,7 +624,7 @@ class GaussSeidel:
         which rows clamp for _clamped_block, run on diagonal blocks of at
         most SWEEP_BLOCK rows, each once the rows before it are final. The
         result is the row-by-row sweep's up to round-off, and its bytes
-        depend on target and upper alone, not on the solver's free blocks.
+        depend on target and upper alone, not on the solver's held sets.
         inside is a kept x' whose min and max lie strictly inside the box;
         every other path sets None.
         """

@@ -35,7 +35,6 @@ from .market import (
     insurer_profit_curve,
     provider_profit_at,
 )
-from .risk import _WIDTH, DISTORTED_MASSES_KEPT
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 PROVIDER_ITER_CAP = 200
@@ -176,7 +175,7 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
             low, high = 1.0 - 1.0 / float(m_ones.min()), 1.0 - 1.0 / float(m_ones.max())
             raise ConvergenceError(f"provider best response hit its iteration cap, with alpha * "
                                    f"rho(G) in [{low:.6g}, {high:.6g}]", residual=residual,
-                                   last_iterate=ProviderStrategy(prices=prices, investment_ratio=hbar))
+                                   last_iterate=prices)
     # a resumed pass's sweep made these prices, finite, in the box, and
     # held only by the solver, which goes with this call
     return ProviderStrategy._from_solver(prices, hbar)
@@ -199,39 +198,10 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
 
     curve is insurer_profit_curve(params, s_p), for a caller that reads
     that curve too and has built it already; it is built here otherwise.
-
-    Each gamma is priced in one call, which reads the curve's constants,
-    its premium's survival table and its memo of distorted masses itself:
-    the same operations in the same order as the curve, into one buffer.
-    Every gamma tried lies in the bracket, so the premium's domain check
-    runs once, on the bracket's ends.
     """
     lo, hi = GAMMA_FLOOR, params.gamma_cap
-    profit_curve = curve or insurer_profit_curve(params, s_p)
+    profit = curve or insurer_profit_curve(params, s_p)
     tolerance = max(opts.br_tolerance, 4.0 * math.ulp(hi))
-    # written so that NaN fails
-    if not 1.0 <= lo <= hi < math.inf:
-        raise ValueError(f"premium coefficient must be >= 1 and finite, got [{lo}, {hi}]")
-    premium_of = profit_curve.premium
-    survival, masses, claim_scale = premium_of.survival, premium_of.masses, premium_of.claim_scale
-    expected_claim, cube, beta = profit_curve.expected_claim, profit_curve.cube, profit_curve.beta
-    powered = np.empty_like(survival)
-
-    def profit(gamma: float) -> float:
-        # risk.premium_curve's mass and memo policy, then the profit curve's terms
-        mass = masses.get(gamma)
-        if mass is None:
-            exponent = 1.0 / gamma
-            # survival ** exponent, which numpy takes as sqrt at 1/2
-            if exponent == 0.5:
-                np.sqrt(survival, out=powered)
-            else:
-                np.power(survival, exponent, out=powered)
-            mass = float(np.add.reduce(powered) * _WIDTH)
-            if len(masses) >= DISTORTED_MASSES_KEPT:
-                masses.clear()
-            masses[gamma] = mass
-        return claim_scale * mass - expected_claim - cube * (gamma - 1.0) * gamma**beta
 
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)

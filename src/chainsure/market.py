@@ -151,10 +151,9 @@ def insurer_profit_curve(params: MarketParams,
     The expected claim and the penalty's hbar factor depend on hbar only,
     and the premium curve on the risk model only, so they are set up once
     here rather than at every gamma a search tries. The returned function
-    also carries what went into it, for a caller that reports or reads
-    them: .premium, the premium as a function of gamma (risk.premium_curve),
-    .attack_probability, the attack probability at s_p's investment ratio,
-    and the profit's constants .expected_claim, .cube and .beta.
+    also carries what went into it, for a caller that reports them:
+    .premium, the premium as a function of gamma, and .attack_probability,
+    the attack probability at s_p's investment ratio.
     """
     hbar = s_p.investment_ratio
     attack = attack_probability(params.risk, hbar)
@@ -171,7 +170,6 @@ def insurer_profit_curve(params: MarketParams,
 
     profit.premium = premium_of
     profit.attack_probability = attack
-    profit.expected_claim, profit.cube, profit.beta = expected_claim, cube, beta
     return profit
 
 

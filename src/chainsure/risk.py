@@ -135,9 +135,7 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
     prices many gammas skips those lookups, and a gamma revisited on any
     model with the same block count is read back rather than recomputed.
     The masses are emptied when DISTORTED_MASSES_KEPT are held; a read-back
-    is the value once computed, so that policy changes no price. The
-    returned function carries them, for a search that reads them itself:
-    .survival, the read-only table, .masses, the memo, and .claim_scale.
+    is the value once computed, so that policy changes no price.
     """
     survival = _model_survival(model)
     masses = _block_count(model.blocks_per_period)[1]
@@ -156,7 +154,6 @@ def premium_curve(model: RiskModel) -> Callable[[float], float]:
             masses[gamma] = mass
         return claim_scale * mass
 
-    curve.survival, curve.masses, curve.claim_scale = survival, masses, claim_scale
     return curve
 
 

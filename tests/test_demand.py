@@ -830,13 +830,19 @@ class TestGaussSeidelSweep:
         matrix, target, x = sweep_problem(300, 43, symmetric)
         carried = GaussSeidel(matrix, 0.1, 0.9)
         upper = carried.state(x)
+        gathered = set()
         for _ in range(40):
             _, upper, _ = carried.sweep(target, upper)
-            for start, (_, free, block) in carried.free_blocks.items():
-                assert block.shape[0] <= SWEEP_BLOCK and block.shape == (free.sum(),) * 2
-                rows = slice(start, start + SWEEP_BLOCK)
-                np.testing.assert_array_equal(block, matrix[rows, rows][np.ix_(free, free)])
-        assert len(carried.free_blocks) > 1
+            for start, entries in carried.held_sets.items():
+                for _, free, block, *_ in entries:
+                    if block is None:
+                        assert not free.any()
+                        continue
+                    assert block.shape[0] <= SWEEP_BLOCK and block.shape == (free.sum(),) * 2
+                    rows = slice(start, start + SWEEP_BLOCK)
+                    np.testing.assert_array_equal(block, matrix[rows, rows][np.ix_(free, free)])
+                    gathered.add(start)
+        assert len(gathered) > 1
 
 
 def frozen_clamped_solve_kept(at_lo, at_hi, solved, unclamped, lo, hi):
@@ -1108,7 +1114,7 @@ class TestSweepReadsOnlyItsState:
     @settings(max_examples=60, derandomize=True, deadline=None)
     def test_history_changes_no_byte(self, n, seed, symmetric, box, warmup):
         # the worn solver first sweeps toward the reversed target, which
-        # leaves free blocks of its own, then both solvers sweep alike
+        # leaves held sets of its own, then both solvers sweep alike
         matrix, target, x = sweep_problem(n, seed, symmetric)
         worn = GaussSeidel(matrix, *box)
         upper = worn.state(x)
@@ -1197,37 +1203,36 @@ class TestKernelsBitIdentical:
         with_carry = regathering = (x, carried.state(x))
         for k in range(30):
             t = target if k < switch else second
-            before, corrections = carried.free_blocks.get(0), carried.corrections
+            before, corrections = carried.held_sets.get(0, ()), carried.corrections
             with_carry = carried.sweep(t, with_carry[1])
             regathering = GaussSeidel(matrix, lo, hi).sweep(t, regathering[1])
             assert all(np.array_equal(a, b) for a, b in zip(with_carry, regathering))
-            after = carried.free_blocks.get(0)
-            if after is None:
-                continue
-            _, free, block = after
-            np.testing.assert_array_equal(block, matrix[np.ix_(free, free)])
-            if after is not before:
-                # gathered in this sweep, so the mask is its last pass's,
-                # whose held rows are at a bound
-                new = with_carry[0]
-                assert np.all((new[~free] == lo) | (new[~free] == hi))
-            if (before is not None and carried.corrections == corrections
-                    and np.array_equal(before[1], free)):
-                assert block is before[2]  # gathered only when the free set moves
+            for entry in carried.held_sets.get(0, ()):
+                key, free, block, held = entry[:4]
+                at_lo, at_hi = np.frombuffer(key, dtype=bool).reshape(2, n)
+                np.testing.assert_array_equal(free, ~(at_lo | at_hi))
+                np.testing.assert_array_equal(held, np.where(at_lo, lo, np.where(at_hi, hi, 0.0)))
+                if free.any():
+                    np.testing.assert_array_equal(block, matrix[np.ix_(free, free)])
+                else:
+                    assert block is None
+                if carried.corrections == corrections:
+                    # one pass at most: gathered again only when its held set is new
+                    assert all(entry is old for old in before if old[0] == key)
 
     def test_free_set_change_regathers(self):
         matrix, target, x = sweep_problem(30, 42, symmetric=False)
         carried = GaussSeidel(matrix, 0.1, 0.9)
         upper = carried.state(x)
-        masks = []
+        built, changed = [], 0
         for _ in range(40):
             _, upper, _ = carried.sweep(target, upper)
-            entry = carried.free_blocks.get(0)
-            if entry is not None and (not masks or masks[-1] is not entry[1]):
-                _, free, block = entry
-                masks.append(free)
+            new = [e for e in carried.held_sets.get(0, ()) if not any(e is b for b in built)]
+            for _, free, block, *_ in new:
                 np.testing.assert_array_equal(block, matrix[np.ix_(free, free)])
-        assert 1 < len(masks) < 40
+            built += new
+            changed += bool(new)
+        assert 1 < changed < 40
 
     @pytest.mark.parametrize("n, seed, symmetric", [
         (30, 41, True), (30, 42, False), (SWEEP_BLOCK + 1, 43, True), (300, 44, False)])
@@ -1392,6 +1397,23 @@ class TestChecksEqualFrozenForms:
         graph = ExternalityGraph(np.zeros((n, n)), 0.0)
         kind, value = outcome(demand._demand_rhs, graph, hbar, prices)
         frozen_kind, frozen_value = outcome(frozen_demand_rhs, graph, hbar, prices)
+        assert kind == frozen_kind
+        if kind == "ok":
+            assert value.tobytes() == frozen_value.tobytes()
+        else:
+            assert value == frozen_value
+
+    @pytest.mark.parametrize("hbar", [0.75, math.nextafter(1e291, 0.0), -math.nextafter(1e291, 0.0),
+                                      1e291, 1e292, -1e292, math.inf, math.nan])
+    @pytest.mark.parametrize("price", [np.finfo(float).max, -np.finfo(float).max, 2.0**-1074,
+                                       math.inf, -math.inf, math.nan])
+    def test_demand_rhs_without_errstate_raises_no_float_error(self, hbar, price):
+        # with every float error raising, the base (1 + hbar) inside the
+        # bound that skips errstate meets the most extreme prices quietly
+        graph = ExternalityGraph(np.zeros((1, 1)), 0.0)
+        with np.errstate(all="raise"):
+            kind, value = outcome(demand._demand_rhs, graph, hbar, np.array([price]))
+        frozen_kind, frozen_value = outcome(frozen_demand_rhs, graph, hbar, np.array([price]))
         assert kind == frozen_kind
         if kind == "ok":
             assert value.tobytes() == frozen_value.tobytes()

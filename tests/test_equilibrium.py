@@ -4,10 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from chainsure import demand, equilibrium, harness, market, risk
+from chainsure import demand, equilibrium, harness, market
 from chainsure.demand import (
     ExternalityGraph,
     GaussSeidel,
@@ -21,7 +21,6 @@ from chainsure.equilibrium import (
 )
 from chainsure.errors import ConvergenceError
 from chainsure.market import (
-    GAMMA_FLOOR,
     HBAR_CEILING,
     PRICE_FLOOR,
     InsurerStrategy,
@@ -522,87 +521,6 @@ class TestInsurerBestResponse:
             assert abs(insurer_gradient(PARAMS, s_p, br)) < 1e-3
 
 
-def textbook_insurer(params, s_p, opts=OPTS):
-    """Golden section over the public insurer_profit_curve, each gamma
-    priced by calling the curve: the search as it ran before it read the
-    curve's parts itself. Returns gamma and the curve."""
-    curve = insurer_profit_curve(params, s_p)
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = GAMMA_FLOOR, params.gamma_cap
-    tolerance = max(opts.br_tolerance, 4.0 * math.ulp(hi))
-    a, b = lo, hi
-    c, d = b - golden * (b - a), a + golden * (b - a)
-    fc, fd = curve(c), curve(d)
-    while b - a > tolerance:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = curve(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = curve(d)
-    gamma = 0.5 * (a + b)
-    if curve(hi) >= curve(gamma):
-        gamma = hi
-    return gamma, curve
-
-
-class TestInsurerSearchBitIdentical:
-    """best_response_insurer prices each gamma itself, from the curve's
-    parts and the premium's memo: the same gamma, premium and profit as a
-    textbook golden section over insurer_profit_curve, with the memo of
-    distorted masses cold or filled by the other search."""
-
-    @pytest.fixture(autouse=True)
-    def empty_tables(self):
-        risk._block_count.cache_clear()
-        yield
-        risk._block_count.cache_clear()
-
-    @given(
-        hbar=st.floats(0.5, 1.0, exclude_max=True),
-        tx_per_block=st.integers(1, 400),
-        attacker_resource=st.floats(5.0, 500.0),
-        beta=st.floats(1.0, 20.0, exclude_min=True),
-        gamma_cap=st.sampled_from([2.0]) | st.floats(1.0 + 1e-6, 4.0),
-        blocks_per_period=st.sampled_from([2.0, 10.0, 37.5]),
-    )
-    @example(hbar=0.5, tx_per_block=100, attacker_resource=100.0, beta=10.0, gamma_cap=2.0,
-             blocks_per_period=10.0)
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    def test_equals_the_textbook_search(self, hbar, tx_per_block, attacker_resource, beta,
-                                        gamma_cap, blocks_per_period):
-        # gamma_cap = 2 prices the cap at the exponent 1/2, which ndarray ** takes as sqrt
-        params = MarketParams(RiskModel(blocks_per_period, tx_per_block, 10.0, 10.0),
-                              attacker_resource, beta, 1.0, gamma_cap)
-        s_p = ProviderStrategy(np.full(3, 0.5), hbar)
-        for searched_first in (True, False):
-            risk._block_count.cache_clear()
-            if searched_first:  # the search fills a cold memo, the textbook reads it
-                found = best_response_insurer(params, s_p, OPTS).gamma
-                curve = insurer_profit_curve(params, s_p)
-                numbers = (curve.premium(found), curve(found))
-                gamma, curve = textbook_insurer(params, s_p)
-            else:  # the textbook fills a cold memo, the search reads it
-                gamma, curve = textbook_insurer(params, s_p)
-                found = best_response_insurer(params, s_p, OPTS).gamma
-                numbers = (curve.premium(found), curve(found))
-            assert found == gamma
-            assert numbers == (curve.premium(gamma), curve(gamma))
-            if searched_first:
-                # every mass the search put in the memo is the curve's own formula's
-                survival = curve.premium.survival
-                for g, mass in curve.premium.masses.items():
-                    assert mass == float(np.add.reduce(survival ** (1.0 / g)) * risk._WIDTH)
-
-    def test_bracket_outside_the_premium_domain_raises(self):
-        params = MarketParams(RISK, 100.0, 10.0, 1.0, 2.0)
-        object.__setattr__(params, "gamma_cap", math.inf)
-        with pytest.raises(ValueError, match="premium coefficient"):
-            best_response_insurer(params, ProviderStrategy(np.full(2, 0.5), 0.9), OPTS)
-
-
 class TestSolverBuiltStrategies:
     """The solvers hand back their own arrays without copies: read-only,
     of the right dtype and shape, and aliased by nothing writable that the
@@ -634,13 +552,15 @@ class TestSolverBuiltStrategies:
     def test_non_finite_sweep_raises(self, monkeypatch):
         # a triangular solve that returns NaN makes every later iterate NaN,
         # which never passes the stopping test: the best response raises at
-        # its cap rather than returning a strategy, and the point fails
+        # its cap, naming the alpha * rho(G) bracket and carrying the NaN
+        # prices, rather than returning a strategy, and the point fails
         monkeypatch.setattr(equilibrium, "PROVIDER_ITER_CAP", 2)
         dtrsv = demand.dtrsv
         monkeypatch.setattr(demand, "dtrsv", lambda *args: np.full_like(dtrsv(*args), np.nan))
         graph = random_externality(np.random.default_rng(13), 6, target_alpha_rho=0.3)
-        with pytest.raises((ConvergenceError, ValueError)):
+        with pytest.raises(ConvergenceError, match="alpha \\* rho") as info:
             best_response_provider(PARAMS, graph, ProviderStrategy(np.full(6, 0.75), 0.75), OPTS)
+        assert info.value.last_iterate.shape == (6,) and np.isnan(info.value.last_iterate).all()
         monkeypatch.setattr(harness, "_last_graph", None)  # restored when the test ends
         config = harness.ExperimentConfig.from_dict({"n_users": [6], "seed": 2})
         assert not harness.solve_point(config, 6, 7e-4, 100.0, 100).converged

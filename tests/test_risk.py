@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chainsure import harness, risk
+from chainsure import market, risk
 from chainsure.harness import ExperimentConfig, run_sweep
 from chainsure.oracles import adaptive_simpson, expected_loss, reputation_penalty
 from chainsure.risk import (
@@ -284,19 +284,20 @@ class TestDistortedMassMemo:
         assert list(risk._block_count(37.3)[1]) == gammas[-3:]
 
     def test_bound_holds_over_a_long_sweep(self, monkeypatch):
-        # the insurer's search reads and fills the memo itself, so the gammas
-        # priced are read off the memo after each point
+        priced = set()
+        premium_curve_of = market.premium_curve
+
+        def recording(model):
+            curve = premium_curve_of(model)
+
+            def recorded(gamma):
+                priced.add(gamma)
+                return curve(gamma)
+            return recorded
+        monkeypatch.setattr(market, "premium_curve", recording)
         cfg = ExperimentConfig.from_dict({
             "n_users": [1], "attacker_resource": np.linspace(20.0, 200.0, 20).tolist(),
             "tx_per_block": list(range(50, 150)), "seed": 3})
-        priced = set()
-        solve_point = harness.solve_point
-
-        def recorded(*args):
-            row = solve_point(*args)
-            priced.update(risk._block_count(cfg.blocks_per_period)[1])
-            return row
-        monkeypatch.setattr(harness, "solve_point", recorded)
         rows = run_sweep(cfg)
         assert len(rows) == 2000 and all(row.converged for row in rows)
         # the 2000 points share one block count, so one table holds their
