@@ -222,7 +222,8 @@ class ExternalityGraph:
     balancing of A, which is an M-matrix exactly when A is: y = A^{-1} d
     must be positive with A y above d / 2. Where both fail, construction
     raises ContractionViolation if alpha * rho(G) >= 1, else a
-    ConfigurationError naming the failed certificate. alpha_rho is
+    ConfigurationError naming the failed certificate, as it does where
+    power iteration cannot compute alpha * rho(G). alpha_rho is
     otherwise computed only when read, by `check` and library users.
     Before A is made, a MemoryError refuses a graph whose factorization
     the process's address-space limit cannot hold (_check_address_space).
@@ -261,18 +262,22 @@ class ExternalityGraph:
         a.setflags(write=False)
         object.__setattr__(self, "system_matrix", a)
         try:
-            certified = self._certified()
-        except (ValueError, ArithmeticError):
+            failure, certified = None, self._certified()
+        except (ValueError, ArithmeticError) as exc:
+            failure, certified = exc, False
+        if not certified:
+            failed = "the LU of I - alpha G" if failure else "the certificate from the LU of I - alpha G"
+            try:
+                alpha_rho = self.alpha_rho
+            except ConvergenceError as exc:
+                raise ConfigurationError(f"{failed} failed; alpha * rho(G) could not be computed") from exc
             # an exactly singular A is itself alpha * rho(G) >= 1, which
             # power iteration may estimate a round-off below 1
-            if self.alpha_rho >= 1.0 - POWER_ITER_TOL:
-                raise ContractionViolation(self.alpha_rho) from None
-            raise
-        if not certified:
-            if self.alpha_rho >= 1.0 - POWER_ITER_TOL:
-                raise ContractionViolation(self.alpha_rho)
-            raise ConfigurationError(f"the certificate from the LU of I - alpha G failed for "
-                                     f"alpha * rho(G) = {self.alpha_rho:.6g} < 1")
+            if alpha_rho >= 1.0 - POWER_ITER_TOL:
+                raise ContractionViolation(alpha_rho)
+            if failure:
+                raise failure
+            raise ConfigurationError(f"{failed} failed for alpha * rho(G) = {alpha_rho:.6g} < 1")
 
     def _certified(self) -> bool:
         """Whether x = A^{-1} 1 certifies A, or failing that y = A^{-1} d.
@@ -322,7 +327,7 @@ class ExternalityGraph:
     @cached_property
     def row_sums(self) -> np.ndarray:
         """A 1 = (I - alpha G) 1: b - A 1 are the margins at x = 1."""
-        out = np.add.reduce(self.system_matrix, axis=1)
+        out = self.system_matrix.sum(axis=1)
         out.setflags(write=False)
         return out
 
@@ -333,11 +338,6 @@ class ExternalityGraph:
         scaled = np.subtract(0.0, self.system_matrix)
         np.fill_diagonal(scaled, 0.0)
         return spectral_radius(scaled)
-
-    @cached_property
-    def total_amplification(self) -> float:
-        """1^T (I - alpha G)^{-1} 1."""
-        return float(np.sum(self.ones_image))
 
     @cached_property
     def symmetric_influence(self) -> np.ndarray:
@@ -664,13 +664,13 @@ class GaussSeidel:
     def settle(self, target: np.ndarray, upper: np.ndarray, tolerance: float,
                cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Sweep from U x = upper (see state) until projected_norm is below
-        tolerance, at most cap >= 1 times; returns the last sweep's
-        (x, U x, residual) and that norm, without raising at the cap.
+        tolerance or not finite, at most cap >= 1 times; returns the last
+        sweep's (x, U x, residual) and that norm, without raising.
         """
         for _ in range(cap):
             x, upper, residual = self.sweep(target, upper)
             norm = self.projected_norm(x, residual)
-            if norm < tolerance:
+            if not tolerance <= norm < math.inf:  # below tolerance, NaN or inf
                 break
         return x, upper, residual, norm
 
@@ -701,7 +701,7 @@ def lcp_demand(graph: ExternalityGraph, hbar: float, p: np.ndarray) -> DemandPro
     x, _, r, residual = solver.settle(b, solver.state(np.clip(b, 0.0, 1.0)), LCP_TOL,
                                       max(1, LCP_ITER_CAP // graph.n_users))
     if not residual < LCP_TOL:  # written so that NaN raises
-        raise ConvergenceError("projected Gauss-Seidel hit its iteration cap",
-                               last_iterate=x, residual=residual)
+        failure = "hit its iteration cap" if residual < math.inf else "went non-finite"
+        raise ConvergenceError(f"projected Gauss-Seidel {failure}", last_iterate=x, residual=residual)
     return DemandProfile._from_solver(x, _segments(r))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -60,8 +60,8 @@ class EquilibriumReport:
     market.insurer_profit would, premium is the premium at the insurer's
     gamma and attack_probability the attack probability at the provider's
     investment ratio; each is computed once, at the returned strategies.
-    rounds counts the provider's ascent runs, both in one call (always 2);
-    a solve that fails raises, so a returned report has converged=True.
+    rounds (the provider's ascent runs, both in one call) and converged are
+    constants of the class, not fields: a solve that fails raises.
     """
 
     provider: ProviderStrategy
@@ -70,8 +70,8 @@ class EquilibriumReport:
     profits: tuple[float, float]
     premium: float
     attack_probability: float
-    rounds: int
-    converged: bool
+    rounds: ClassVar[int] = 2
+    converged: ClassVar[bool] = True
 
 
 def best_response_provider(params: MarketParams, graph: ExternalityGraph,
@@ -107,9 +107,9 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     The second resumes from the first's optimum and carried U p, bit for
     bit a restart from that optimum, and moves the prices only in about
     the tenth significant digit, which shows in the 12-digit sweep CSVs.
-    At either cap it raises ConvergenceError naming the Collatz-Wielandt
-    bracket 1 - 1/min(M1) <= alpha * rho(G) <= 1 - 1/max(M1), near 1
-    where the sweeps stall.
+    At either cap, or at once on a NaN or inf norm, it raises
+    ConvergenceError naming the Collatz-Wielandt bracket 1 - 1/min(M1)
+    <= alpha * rho(G) <= 1 - 1/max(M1), near 1 where the sweeps stall.
 
     The first price block depends only on the graph, the start, the price
     box and the tolerance. graph.memo keeps it for the first start the
@@ -169,11 +169,12 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
 
             # the fast path, unless the prices came from graph.memo unswept
             residual = solver.projected_norm(prices, grad)
-            if residual < tolerance:
+            if not tolerance <= residual < math.inf:  # below tolerance, NaN or inf
                 break
-        else:
+        if not residual < tolerance:
+            failure = "hit its iteration cap" if residual < math.inf else "went non-finite in a price sweep"
             low, high = 1.0 - 1.0 / float(m_ones.min()), 1.0 - 1.0 / float(m_ones.max())
-            raise ConvergenceError(f"provider best response hit its iteration cap, with alpha * "
+            raise ConvergenceError(f"provider best response {failure}, with alpha * "
                                    f"rho(G) in [{low:.6g}, {high:.6g}]", residual=residual,
                                    last_iterate=prices)
     # a resumed pass's sweep made these prices, finite, in the box, and
@@ -260,6 +261,4 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
         ),
         premium=premium,
         attack_probability=insurer_curve.attack_probability,
-        rounds=2,
-        converged=True,
     )

@@ -194,9 +194,9 @@ def solve_row(config: ExperimentConfig, graph: ExternalityGraph, n: int, alpha: 
     """Solve the market at one point on the given graph; solver errors propagate.
 
     The market parameters are the ones the config built when it was
-    checked, for a point of its own grid.
+    checked, so (a, n_t) must be a point of its own grid.
     """
-    params = config._market.get((a, n_t)) or config.market_params(a, n_t)
+    params = config._market[a, n_t]
     report = solve_stackelberg(params, graph, _start(n, config.price_cap), config.solve)
     hbar = report.provider.investment_ratio
     return SweepRow(

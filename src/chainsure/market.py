@@ -78,8 +78,8 @@ class ProviderStrategy:
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.prices, dtype=float)).copy()
-        # written so that NaN fails; np.all's reduction, without its wrapper
-        if not np.logical_and.reduce((p > 0) & (p < math.inf), axis=None):
+        # written so that NaN fails
+        if not np.all((p > 0) & (p < math.inf)):
             raise ValueError("prices must be strictly positive and finite")
         if not 0.5 <= self.investment_ratio < 1.0:
             raise ValueError(
@@ -175,8 +175,8 @@ def insurer_profit_curve(params: MarketParams,
 
 def check_existence(params: MarketParams, graph: ExternalityGraph) -> ThresholdCheck:
     """Leader equilibrium existence: attacker resource must dominate one
-    eighth of the total demand amplification."""
-    rhs = graph.total_amplification / 8.0
+    eighth of the total demand amplification, 1^T (I - alpha G)^{-1} 1."""
+    rhs = float(np.sum(graph.ones_image)) / 8.0
     return ThresholdCheck(holds=params.attacker_resource > rhs,
                           lhs=params.attacker_resource, rhs=rhs)
 
@@ -200,7 +200,7 @@ def validate_strategies(params: MarketParams, graph: ExternalityGraph,
         raise ValueError(
             f"price vector has shape {s_p.prices.shape}, expected ({graph.n_users},)"
         )
-    if np.logical_or.reduce(s_p.prices > params.price_cap + 1e-12):
+    if np.any(s_p.prices > params.price_cap + 1e-12):
         raise ValueError("a price exceeds the regulated cap")
     if s_i.gamma > params.gamma_cap + 1e-12:
         raise ValueError("gamma exceeds the regulated cap")

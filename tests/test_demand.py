@@ -104,6 +104,19 @@ class TestExternalityGraph:
         with pytest.raises(ContractionViolation):
             ExternalityGraph(np.array([[0.0, 5.0], [5.0, 0.0]]), 0.2)
 
+    @pytest.mark.parametrize("alpha, failed", [(1.0, "LU"), (1.5, "certificate from the LU")])
+    def test_unmeasured_radius_refused_as_configuration(self, monkeypatch, alpha, failed):
+        # two unit 2-cycles joined by one edge share their Perron root, where
+        # power iteration stalls: the graph is refused as a config all the same
+        monkeypatch.setattr(demand, "POWER_ITER_CAP", 50)
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0
+        w[0, 2] = 0.3
+        with pytest.raises(ConfigurationError, match=rf"^the {failed} of I - alpha G failed; "
+                                                     r"alpha \* rho\(G\) could not be computed") as info:
+            ExternalityGraph(w, alpha)
+        assert type(info.value) is ConfigurationError and type(info.value.__cause__) is ConvergenceError
+
     def test_certificate_checks_its_residual(self, monkeypatch):
         # a positive x that does not solve A x = 1 certifies nothing: here
         # x = 1 gives A x = 1 - 1.5 < 0 on SWAP at alpha = 1.5
@@ -1532,6 +1545,16 @@ class TestLcpDemand:
             lcp_demand(graph, 0.5, np.full(6, 1.2))
         assert info.value.residual > demand.LCP_TOL
         assert info.value.last_iterate.shape == (6,)
+
+    def test_non_finite_sweep_raises_at_once(self, monkeypatch):
+        # a triangular solve that returns NaN: it raises after one sweep, not at its cap
+        dtrsv, sweep, sweeps = demand.dtrsv, GaussSeidel.sweep, []
+        monkeypatch.setattr(demand, "dtrsv", lambda *args: np.full_like(dtrsv(*args), np.nan))
+        monkeypatch.setattr(GaussSeidel, "sweep", lambda *args: sweeps.append(1) or sweep(*args))
+        graph = random_externality(np.random.default_rng(41), 6, target_alpha_rho=0.5)
+        with pytest.raises(ConvergenceError, match="went non-finite") as info:
+            lcp_demand(graph, 0.5, np.full(6, 1.2))
+        assert len(sweeps) == 1 and math.isnan(info.value.residual)
 
 
 # dyadic weights and alpha, so that A 1 and the margins built on it are exact

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from chainsure.demand import (
     Segment,
 )
 from chainsure.equilibrium import (
+    EquilibriumReport,
     SolveOptions,
     best_response_insurer,
     best_response_provider,
@@ -550,20 +553,22 @@ class TestSolverBuiltStrategies:
             held += list(arrays)
 
     def test_non_finite_sweep_raises(self, monkeypatch):
-        # a triangular solve that returns NaN makes every later iterate NaN,
-        # which never passes the stopping test: the best response raises at
-        # its cap, naming the alpha * rho(G) bracket and carrying the NaN
-        # prices, rather than returning a strategy, and the point fails
-        monkeypatch.setattr(equilibrium, "PROVIDER_ITER_CAP", 2)
+        # a triangular solve that returns NaN makes every later iterate NaN:
+        # the best response raises at the first NaN norm, not at its caps,
+        # naming the alpha * rho(G) bracket and carrying the NaN prices,
+        # rather than returning a strategy, and the point fails
         dtrsv = demand.dtrsv
         monkeypatch.setattr(demand, "dtrsv", lambda *args: np.full_like(dtrsv(*args), np.nan))
         graph = random_externality(np.random.default_rng(13), 6, target_alpha_rho=0.3)
-        with pytest.raises(ConvergenceError, match="alpha \\* rho") as info:
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="went non-finite in a price sweep, "
+                                                   r"with alpha \* rho\(G\) in \[") as info:
             best_response_provider(PARAMS, graph, ProviderStrategy(np.full(6, 0.75), 0.75), OPTS)
         assert info.value.last_iterate.shape == (6,) and np.isnan(info.value.last_iterate).all()
         monkeypatch.setattr(harness, "_last_graph", None)  # restored when the test ends
         config = harness.ExperimentConfig.from_dict({"n_users": [6], "seed": 2})
         assert not harness.solve_point(config, 6, 7e-4, 100.0, 100).converged
+        assert time.perf_counter() - start < 0.5
 
     def test_public_constructors_copy_and_check(self):
         prices, x = np.array([0.5, 0.7]), np.array([0.2, 1.0])
@@ -715,7 +720,9 @@ class TestSolveStackelberg:
             params, start = with_price_cap(cap), ProviderStrategy(np.full(n, 0.5), 0.75)
             calls.clear()
             report = solve_stackelberg(params, graph, start, OPTS)
-            assert len(calls) == 1 and report.rounds == 2
+            assert len(calls) == 1 and report.rounds == 2 and report.converged is True
+        # constants of the class: a solve that fails raises, so no report sets them
+        assert not {f.name for f in dataclasses.fields(EquilibriumReport)} & {"rounds", "converged"}
 
     def test_demand_refresh_uses_clamped_solver_when_saturated(self):
         # strong externality at moderate prices saturates every user; the

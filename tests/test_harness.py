@@ -248,11 +248,7 @@ class TestSharedWork:
             solved.append((params, start))
             return solve(params, graph, start, opts)
 
-        def unused(*args):
-            raise AssertionError("a sweep point built its own MarketParams")
-
         monkeypatch.setattr(harness, "solve_stackelberg", kept)
-        monkeypatch.setattr(ExperimentConfig, "market_params", unused)
         self.clear_caches(monkeypatch)
         run_sweep(cfg)
         points = sweep_points(cfg)

@@ -1,11 +1,9 @@
 import math
-import types
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chainsure.demand import ExternalityGraph
 from chainsure.market import (
@@ -60,72 +58,32 @@ class TestTypes:
             MarketParams(RISK, 100.0, 10.0, 1.0, 1.0)
 
     def test_provider_validation(self):
-        with pytest.raises(ValueError):
-            ProviderStrategy(np.array([0.0, 0.5]), 0.7)
-        with pytest.raises(ValueError):
-            ProviderStrategy(np.array([0.5]), 0.4)
-        with pytest.raises(ValueError):
-            ProviderStrategy(np.array([0.5]), 1.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                ProviderStrategy(np.array([0.5, bad]), 0.7)
+        for bad in ([0.0, 0.5], [0.5, -1.0], [0.5, math.nan], [0.5, math.inf], [-math.inf]):
+            with pytest.raises(ValueError, match="prices must be strictly positive and finite"):
+                ProviderStrategy(np.array(bad), 0.7)
+        for bad in (0.4, 1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"investment ratio must lie in \[1/2, 1\), got {bad}"):
+                ProviderStrategy(np.array([0.5]), bad)
+
+    @given(edge_arrays(bounds=(0.0,)))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_provider_keeps_prices_and_np_mean(self, prices):
+        # any shape of positive finite prices, none at all included, is kept
+        # as a float copy; mean_price is np.mean's sum and division unwrapped
+        kind, s_p = outcome(ProviderStrategy, prices, 0.75)
+        if kind != "ok":
+            return
+        assert s_p.prices.tobytes() == prices.tobytes() and s_p.prices.shape == prices.shape
+        with warnings.catch_warnings():  # the mean of no prices is NaN, with a warning
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mean, expected = s_p.mean_price, float(np.mean(prices))
+        assert np.float64(mean).tobytes() == np.float64(expected).tobytes()
 
     def test_insurer_validation(self):
         for bad in (0.9, math.nan, math.inf):
             with pytest.raises(ValueError):
                 InsurerStrategy(bad)
         assert InsurerStrategy(1.0).gamma == 1.0  # break-even policy is expressible
-
-
-def frozen_provider_strategy(prices, investment_ratio):
-    """ProviderStrategy's checks and stored prices in their np.all form."""
-    p = np.atleast_1d(np.asarray(prices, dtype=float)).copy()
-    if not np.all((p > 0) & (p < math.inf)):
-        raise ValueError("prices must be strictly positive and finite")
-    if not 0.5 <= investment_ratio < 1.0:
-        raise ValueError(f"investment ratio must lie in [1/2, 1), got {investment_ratio}")
-    return p
-
-
-def frozen_validate_strategies(params, graph, s_p, s_i):
-    """validate_strategies in its np.any form."""
-    if s_p.prices.shape != (graph.n_users,):
-        raise ValueError(f"price vector has shape {s_p.prices.shape}, expected ({graph.n_users},)")
-    if np.any(s_p.prices > params.price_cap + 1e-12):
-        raise ValueError("a price exceeds the regulated cap")
-    if s_i.gamma > params.gamma_cap + 1e-12:
-        raise ValueError("gamma exceeds the regulated cap")
-
-
-class TestChecksEqualFrozenForms:
-    """The strategy checks, written as ufunc reductions, accept and reject
-    what their np.all / np.any forms did, with the same error."""
-
-    @given(edge_arrays(bounds=(0.0,)), st.sampled_from([0.75, 0.5, 0.4, 1.0, math.nan]))
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    def test_provider_strategy(self, prices, investment_ratio):
-        kind, value = outcome(ProviderStrategy, prices, investment_ratio)
-        frozen_kind, frozen_value = outcome(frozen_provider_strategy, prices, investment_ratio)
-        assert kind == frozen_kind
-        if kind != "ok":
-            assert value == frozen_value
-            return
-        assert value.prices.tobytes() == frozen_value.tobytes()
-        with warnings.catch_warnings():  # the mean of no prices is NaN, with a warning
-            warnings.simplefilter("ignore", RuntimeWarning)
-            mean, frozen_mean = value.mean_price, float(np.mean(frozen_value))
-        assert np.float64(mean).tobytes() == np.float64(frozen_mean).tobytes()
-
-    @given(edge_arrays(bounds=(PARAMS.price_cap + 1e-12,)),
-           st.sampled_from([1.5, PARAMS.gamma_cap + 1e-12, 2.5, math.nan]))
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    def test_validate_strategies(self, prices, gamma):
-        # a stand-in strategy, so that prices ProviderStrategy rejects reach the check
-        n = prices.shape[0] if prices.ndim == 1 and prices.size else 3
-        graph = ExternalityGraph(np.zeros((n, n)), 0.0)
-        s_p, s_i = types.SimpleNamespace(prices=prices), types.SimpleNamespace(gamma=gamma)
-        assert (outcome(validate_strategies, PARAMS, graph, s_p, s_i)
-                == outcome(frozen_validate_strategies, PARAMS, graph, s_p, s_i))
 
 
 class TestProfits:
@@ -145,14 +103,24 @@ class TestProfits:
         assert math.isclose(value, expected, abs_tol=1e-6)
 
     @pytest.mark.parametrize("prices, gamma, message", [
-        (np.full(2, 0.5), 1.5, "price vector has shape"),
+        (np.full(2, 0.5), 1.5, r"price vector has shape \(2,\), expected \(3,\)"),
+        (np.array([]), 1.5, r"price vector has shape \(0,\), expected \(3,\)"),
+        (np.full((1, 3), 0.5), 1.5, r"price vector has shape \(1, 3\), expected \(3,\)"),
         (np.array([0.5, 1.1, 0.5]), 1.5, "a price exceeds the regulated cap"),
+        (np.array([0.5, math.nextafter(1.0 + 1e-12, 2.0), 0.5]), 1.5,
+         "a price exceeds the regulated cap"),
         (np.full(3, 0.5), 2.5, "gamma exceeds the regulated cap"),
-    ], ids=["shape", "price_cap", "gamma_cap"])
+    ], ids=["shape", "empty", "2d", "price_cap", "price_cap_ulp", "gamma_cap"])
     def test_provider_profit_validates_strategies(self, prices, gamma, message):
         graph = ExternalityGraph(np.zeros((3, 3)), 0.0)
         with pytest.raises(ValueError, match=message):
             provider_profit(PARAMS, graph, ProviderStrategy(prices, 0.75), InsurerStrategy(gamma))
+
+    def test_caps_hold_to_their_margin(self):
+        # each cap is enforced with 1e-12 to spare
+        s_p = ProviderStrategy(np.full(3, PARAMS.price_cap + 1e-12), 0.75)
+        s_i = InsurerStrategy(PARAMS.gamma_cap + 1e-12)
+        assert validate_strategies(PARAMS, ExternalityGraph(np.zeros((3, 3)), 0.0), s_p, s_i) is None
 
     def test_provider_profit_termwise_oracle(self):
         rng = np.random.default_rng(12)
