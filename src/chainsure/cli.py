@@ -77,7 +77,7 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_solve(args) -> int:
     config = _load_config(args)
     n, alpha, a, n_t = sweep_points(config)[0]
-    row = solve_row(config, generate_instance(config, n, alpha), n, alpha, a, n_t)
+    row = solve_row(config, generate_instance(config, n, alpha), a, n_t)
     print(f"instance: n={n} alpha={alpha:g} attacker_resource={a:g} tx_per_block={n_t}")
     print(f"converged: {row.converged} after {row.rounds} provider passes")
     print(f"mean price       : {row.mean_price:.6f}")

@@ -75,7 +75,6 @@ class EquilibriumReport:
 
 
 def best_response_provider(params: MarketParams, graph: ExternalityGraph,
-                           start: ProviderStrategy,
                            opts: SolveOptions = SolveOptions()) -> ProviderStrategy:
     """Maximize the provider's profit over its price/investment box.
 
@@ -111,12 +110,12 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     ConvergenceError naming the Collatz-Wielandt bracket 1 - 1/min(M1)
     <= alpha * rho(G) <= 1 - 1/max(M1), near 1 where the sweeps stall.
 
-    The first price block depends only on the graph, the start, the price
-    box and the tolerance. graph.memo keeps it for the first start the
-    graph is solved from, which in a sweep is the start every point
-    shares, and a later call from that start resumes from its exact
-    (prices, U p, residual). A call from any other start runs cold and
-    keeps nothing.
+    The ascent starts from prices max(0.75 * price_cap, PRICE_FLOOR) and
+    hbar = 0.75, so its first price block depends only on the graph, the
+    price cap and the tolerance. graph.memo keeps the last such block, and
+    a later call with the same cap and tolerance, as every other point of
+    a sweep on the graph makes, resumes from its exact (prices, U p,
+    residual).
 
     Plain projected gradient ascent was rejected here: the hbar curvature
     dwarfs the price curvature and capped prices make coupled Newton steps
@@ -132,27 +131,25 @@ def best_response_provider(params: MarketParams, graph: ExternalityGraph,
     solver = GaussSeidel(graph.symmetric_influence, price_lo, price_hi)
     sweep_cap = 60 + 10 * n
 
-    prices = np.minimum(np.maximum(start.prices, price_lo), price_hi)
-    hbar = float(min(max(start.investment_ratio, 0.5), HBAR_CEILING))
+    hbar = 0.75
     tolerance = max(opts.br_tolerance, 16.0 * math.ulp(2.0 * float(m_ones.max())))
 
     # A price block maximizes (1 + hbar) p.M1 - p.Mp over the price box;
     # its residual is the price gradient (1 + hbar) M1 - Q p. The first
     # price block sees no point-specific input, so every point on this
-    # graph with the same start, box and tolerance shares it. The carried
-    # state is kept as it was returned: a residual recomputed at those
-    # prices could differ in round-off.
+    # graph with the same cap and tolerance shares it. The carried state is
+    # kept as it was returned: a residual recomputed at those prices could
+    # differ in round-off.
     target = (1.0 + hbar) * m_ones
-    key = (prices.tobytes(), hbar, price_lo, price_hi, tolerance)
-    # the graph's first start claims the entry; any other start runs cold
-    kept_key, state = graph.memo.setdefault("provider first price block", (key, None))
-    if kept_key != key or state is None:
+    key = (price_hi, tolerance)
+    kept = graph.memo.get("provider first price block")
+    if kept is None or kept[0] != key:
+        prices = np.full(n, max(0.75 * price_hi, price_lo))
         state = solver.settle(target, solver.state(prices), 0.25 * tolerance, sweep_cap)[:3]
-        if kept_key == key:
-            for array in state:
-                array.setflags(write=False)
-            graph.memo["provider first price block"] = (key, state)
-    prices, upper, grad = state
+        for array in state:
+            array.setflags(write=False)
+        kept = graph.memo["provider first price block"] = (key, state)
+    prices, upper, grad = kept[1]
 
     for resumed in (False, True):
         for passes in range(PROVIDER_ITER_CAP):
@@ -225,16 +222,14 @@ def best_response_insurer(params: MarketParams, s_p: ProviderStrategy,
 
 
 def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
-                      start_p: ProviderStrategy,
                       opts: SolveOptions = SolveOptions()) -> EquilibriumReport:
     """The provider's optimum, then the insurer's reply, then the demand.
 
     The provider's best response ignores gamma, so it is computed first,
-    by one best_response_provider call with no insurer start, and the
-    insurer replies to it; no outer iteration is needed. That call runs
-    the provider's ascent twice (see best_response_provider). The demand
-    comes from the closed form, falling back to the clamped solver when a
-    component leaves [0, 1].
+    by one best_response_provider call, and the insurer replies to it; no
+    outer iteration is needed. That call runs the provider's ascent twice
+    (see best_response_provider). The demand comes from the closed form,
+    falling back to the clamped solver when a component leaves [0, 1].
 
     The report's numbers are evaluated once each: the provider's profit
     reads the closed form's interior demand (the profit is defined on it
@@ -244,7 +239,7 @@ def solve_stackelberg(params: MarketParams, graph: ExternalityGraph,
 
     Raises ConvergenceError when a best response hits its iteration cap.
     """
-    s_p = best_response_provider(params, graph, start_p, opts)
+    s_p = best_response_provider(params, graph, opts)
     insurer_curve = insurer_profit_curve(params, s_p)
     s_i = best_response_insurer(params, s_p, opts, curve=insurer_curve)
     hbar, prices = s_p.investment_ratio, s_p.prices

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -24,7 +23,7 @@ import numpy.random  # numpy 2 loads it on first use: load it here, not in the f
 from .demand import ExternalityGraph
 from .equilibrium import SolveOptions, solve_stackelberg
 from .errors import ChainsureError, ConfigurationError, check_seed, is_integer, is_real
-from .market import MarketParams, ProviderStrategy, infrastructure_cost
+from .market import MarketParams, infrastructure_cost
 from .risk import RiskModel
 
 
@@ -106,9 +105,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer past
+        # Python's digit limit; RecursionError: nesting past the parser's depth
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError(f"config {path} must contain a JSON object")
@@ -182,26 +183,20 @@ def generate_instance(config: ExperimentConfig, n: int, alpha: float) -> Externa
     return ExternalityGraph(weights=weights, alpha=alpha)
 
 
-@functools.lru_cache(maxsize=8)
-def _start(n: int, price_cap: float) -> ProviderStrategy:
-    """The strategy every point of n users under price_cap starts from,
-    built once: a ProviderStrategy is immutable, so its points share it."""
-    return ProviderStrategy(prices=np.full(n, 0.75 * price_cap), investment_ratio=0.75)
-
-
-def solve_row(config: ExperimentConfig, graph: ExternalityGraph, n: int, alpha: float,
-              a: float, n_t: int) -> SweepRow:
+def solve_row(config: ExperimentConfig, graph: ExternalityGraph, a: float,
+              n_t: int) -> SweepRow:
     """Solve the market at one point on the given graph; solver errors propagate.
 
-    The market parameters are the ones the config built when it was
-    checked, so (a, n_t) must be a point of its own grid.
+    The row's n_users and alpha are the graph's own. The market parameters
+    are the ones the config built when it was checked, so (a, n_t) must be
+    a point of its own grid.
     """
     params = config._market[a, n_t]
-    report = solve_stackelberg(params, graph, _start(n, config.price_cap), config.solve)
+    report = solve_stackelberg(params, graph, config.solve)
     hbar = report.provider.investment_ratio
     return SweepRow(
-        n_users=n,
-        alpha=alpha,
+        n_users=graph.n_users,
+        alpha=graph.alpha,
         attacker_resource=a,
         tx_per_block=n_t,
         mean_price=report.provider.mean_price,
@@ -254,7 +249,7 @@ def solve_point(config: ExperimentConfig, n: int, alpha: float, a: float,
                 n_t: int) -> SweepRow:
     """Solve one sweep point; a solver error gives a failed row, not a failed sweep."""
     try:
-        return solve_row(config, _point_graph(config, n, alpha), n, alpha, a, n_t)
+        return solve_row(config, _point_graph(config, n, alpha), a, n_t)
     except SOLVER_ERRORS:
         return _failed_row(n, alpha, a, n_t)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from chainsure.demand import (
+    ExternalityGraph,
     Segment,
     closed_form_demand,
     lcp_demand,
@@ -38,6 +39,7 @@ from conftest import (
     fd_provider_gradient,
     nested_adaptive_premium,
     random_externality,
+    random_weights,
     richardson_difference,
 )
 
@@ -194,22 +196,22 @@ def test_criterion_7_convergence_and_uniqueness():
                           price_cap=1.0, gamma_cap=2.0)
     assert check_uniqueness(strong).holds
     rng = np.random.default_rng(707)
-    graph = random_externality(rng, 10, target_alpha_rho=0.4)
+    weights, alpha = random_weights(rng, 10, target_alpha_rho=0.4)
     opts = SolveOptions()
     finals = []
-    for _ in range(5):
-        start_p = ProviderStrategy(rng.uniform(0.05, 1.0, 10), float(rng.uniform(0.5, 0.999)))
-        # a gamma draw between provider starts keeps these five starts the
-        # ones the criterion has always been checked from
-        rng.uniform(1.0 + 1e-9, 2.0)
-        rep = solve_stackelberg(strong, graph, start_p, opts)
+    # each relabelling of the users sweeps their prices in another order,
+    # so the ascent takes another path to the equilibrium
+    for perm in [np.arange(10)] + [rng.permutation(10) for _ in range(4)]:
+        graph = ExternalityGraph(weights[np.ix_(perm, perm)], alpha)
+        rep = solve_stackelberg(strong, graph, opts)
         assert rep.converged
-        finals.append(np.concatenate([rep.provider.prices,
-                                      [rep.provider.investment_ratio, rep.insurer.gamma]]))
+        prices = np.empty(10)
+        prices[perm] = rep.provider.prices
+        finals.append(np.concatenate([prices, [rep.provider.investment_ratio, rep.insurer.gamma]]))
     stacked = np.stack(finals)
     spread = float(np.max(stacked.max(axis=0) - stacked.min(axis=0)))
     assert spread < 1e-4
-    report(7, f"5 random starts reach the same equilibrium (spread {spread:.2e})",
+    report(7, f"5 relabellings of the users reach the same equilibrium (spread {spread:.2e})",
            started, 120.0)
 
 
@@ -219,8 +221,7 @@ def _sweep_equilibria(config: ExperimentConfig, coords):
     for n, alpha, a, n_t in coords:
         graph = generate_instance(config, n, alpha)
         params = config.market_params(a, n_t)
-        start_p = ProviderStrategy(np.full(n, 0.75), 0.75)
-        rep = solve_stackelberg(params, graph, start_p, config.solve)
+        rep = solve_stackelberg(params, graph, config.solve)
         assert rep.converged, f"sweep point {(n, alpha, a, n_t)} did not converge"
         out[(n, alpha, a, n_t)] = rep
     return out

@@ -17,6 +17,8 @@ from chainsure.errors import ConfigurationError
 from conftest import child_env, read_csv
 
 NAN = float("nan")
+# the pinned grids: each config beside the CSV it reproduces
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -166,36 +168,26 @@ class TestSweep:
         # users left below saturation (total demand 99.68 to 99.998), so the
         # demand runs its sweeps to LCP_TOL, 16 of them, each holding the
         # saturated users at 1 in the clamped branch; no shipped row does
-        path = tmp_path / "clamped.json"
-        path.write_text(json.dumps({"n_users": [100], "alpha": [9.5e-5, 1e-4, 1.05e-4, 1.1e-4],
-                                    "seed": 0}))
         out_csv = tmp_path / "clamped.csv"
-        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 0
+        assert main(["sweep", "--config", str(DATA / "partly_clamped.json"),
+                     "--out", str(out_csv)]) == 0
         assert all(row.total_demand < row.n_users for row in read_csv(out_csv))
-        assert out_csv.read_bytes() == Path("tests/data/partly_clamped.csv").read_bytes()
+        assert out_csv.read_bytes() == (DATA / "partly_clamped.csv").read_bytes()
 
     def test_interior_grid_reproduces_its_pinned_bytes(self, tmp_path, capsys, monkeypatch):
         # risk_grid's shape: the tiny externality keeps every user interior,
         # so the closed-form demand and the insurer's golden section set the
         # rows (gamma* from 1.73 to 1.98) and the clamped demand never runs
-        path = tmp_path / "interior.json"
-        path.write_text(json.dumps({"n_users": [30], "alpha": [0.005 / 145], "price_cap": 1.2,
-                                    "attacker_resource": [56.0, 128.0],
-                                    "tx_per_block": list(range(50, 401, 25)), "seed": 0}))
         clamped = []
         monkeypatch.setattr(equilibrium, "lcp_demand", lambda *args: clamped.append(args))
         out_csv = tmp_path / "interior.csv"
-        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 0
+        assert main(["sweep", "--config", str(DATA / "interior.json"), "--out", str(out_csv)]) == 0
         assert clamped == [] and len(read_csv(out_csv)) == 30
-        assert out_csv.read_bytes() == Path("tests/data/interior.csv").read_bytes()
+        assert out_csv.read_bytes() == (DATA / "interior.csv").read_bytes()
 
     def test_partly_capped_grid_reproduces_its_pinned_bytes(self, tmp_path, capsys, monkeypatch):
         # the price cap at the median uncapped price: the provider's sweeps
         # hold some prices at the cap and correct their clamp predictions
-        path = tmp_path / "capped.json"
-        path.write_text(json.dumps({"n_users": [100], "alpha": [0.07 / 100],
-                                    "attacker_resource": [50.0, 75.0, 100.0, 125.0, 150.0],
-                                    "price_cap": 0.9515, "seed": 0}))
         blocks, block = [], demand.GaussSeidel._clamped_block
 
         def counted(solver, *args):
@@ -204,10 +196,11 @@ class TestSweep:
 
         monkeypatch.setattr(demand.GaussSeidel, "_clamped_block", counted)
         out_csv = tmp_path / "capped.csv"
-        assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 0
+        assert main(["sweep", "--config", str(DATA / "partly_capped.json"),
+                     "--out", str(out_csv)]) == 0
         assert all(row.mean_price < 0.9515 for row in read_csv(out_csv))
         assert blocks  # 68 clamped price blocks, with 67 corrections among them
-        assert out_csv.read_bytes() == Path("tests/data/partly_capped.csv").read_bytes()
+        assert out_csv.read_bytes() == (DATA / "partly_capped.csv").read_bytes()
 
     def test_nonconvergence_exits_1(self, tmp_path, capsys, monkeypatch):
         # one provider pass cannot absorb its own investment step; the
@@ -289,6 +282,23 @@ class TestConfigErrors:
         path.write_text("[1, 2]")
         assert main(["solve", "--config", str(path)]) == 2
         assert "must contain a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "check"])
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"n_users": [4]}',
+        b'{"n_users": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"seed": ' + b"9" * 5000 + b"}",
+    ], ids=["not_utf8", "nested_100000_deep", "integer_of_5000_digits"])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, command, content):
+        # a UnicodeDecodeError, a RecursionError in the parser and int()'s
+        # digit limit: each is the config file's fault, not the solver's
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = [command, "--config", str(path)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "rows.csv")]
+        assert main(argv) == 2
+        assert "configuration error: cannot read config" in capsys.readouterr().err
 
 
 class TestSingularBoundary:

@@ -29,7 +29,7 @@ from chainsure.demand import (
 )
 from chainsure.equilibrium import solve_stackelberg
 from chainsure.errors import ConfigurationError, ContractionViolation, ConvergenceError
-from chainsure.market import PRICE_FLOOR, MarketParams, ProviderStrategy
+from chainsure.market import PRICE_FLOOR, MarketParams
 from chainsure.oracles import brute_force_lcp
 from chainsure.risk import RiskModel
 from conftest import (
@@ -1635,7 +1635,7 @@ class TestSaturationTest:
         graph = random_externality(rng, 8, target_alpha_rho=0.35)
         params = MarketParams(risk=RiskModel(10.0, 100, 10.0, 10.0), attacker_resource=100.0,
                               beta=10.0, price_cap=1.0, gamma_cap=2.0)
-        report = solve_stackelberg(params, graph, ProviderStrategy(np.full(8, 0.75), 0.75))
+        report = solve_stackelberg(params, graph)
         assert np.all(report.demand.x == 1.0)
         assert list(graph.memo) == ["provider first price block"]
         assert "row_sums" in vars(graph)

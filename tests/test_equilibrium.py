@@ -91,8 +91,7 @@ class TestProviderBestResponse:
     def test_decoupled_prices_track_investment(self):
         # at alpha = 0 the stationary price is (1 + hbar)/2 per user
         graph = zero_graph(3)
-        start = ProviderStrategy(np.full(3, 0.2), 0.6)
-        br = best_response_provider(PARAMS, graph, start, OPTS)
+        br = best_response_provider(PARAMS, graph, OPTS)
         expected = (1.0 + br.investment_ratio) / 2.0
         np.testing.assert_allclose(br.prices, expected, atol=1e-7)
 
@@ -100,21 +99,20 @@ class TestProviderBestResponse:
         capped = MarketParams(risk=RISK, attacker_resource=100.0, beta=10.0,
                               price_cap=0.6, gamma_cap=2.0)
         graph = zero_graph(2)
-        br = best_response_provider(capped, graph, ProviderStrategy(np.full(2, 0.3), 0.6), OPTS)
+        br = best_response_provider(capped, graph, OPTS)
         np.testing.assert_allclose(br.prices, 0.6, atol=1e-12)
 
     def test_investment_stays_below_one(self):
         graph = zero_graph(2)
-        for start_h in (0.5, 0.75, 0.999):
-            br = best_response_provider(PARAMS, graph,
-                                        ProviderStrategy(np.full(2, 0.5), start_h), OPTS)
-            assert br.investment_ratio < 1.0
+        for attacker in (1e-8, 100.0, 1e5):
+            params = MarketParams(risk=RISK, attacker_resource=attacker, beta=10.0,
+                                  price_cap=1.0, gamma_cap=2.0)
+            assert best_response_provider(params, graph, OPTS).investment_ratio < 1.0
 
     def test_projected_gradient_small_at_solution(self):
         rng = np.random.default_rng(1)
         graph = random_externality(rng, 6, target_alpha_rho=0.5)
-        start = ProviderStrategy(rng.uniform(0.1, 1.0, 6), 0.7)
-        br = best_response_provider(PARAMS, graph, start, OPTS)
+        br = best_response_provider(PARAMS, graph, OPTS)
         grad = provider_gradient(PARAMS, graph, br, InsurerStrategy(1.5))
         interior = (br.prices > 1e-8) & (br.prices < PARAMS.price_cap - 1e-8)
         assert np.all(np.abs(grad[:6][interior]) < OPTS.br_tolerance)
@@ -126,7 +124,7 @@ class TestProviderBestResponse:
         np.fill_diagonal(w, 0.0)
         graph = ExternalityGraph(w, 0.02)
         s_i = InsurerStrategy(1.5)
-        br = best_response_provider(PARAMS, graph, ProviderStrategy(np.full(n, 0.5), 0.7), OPTS)
+        br = best_response_provider(PARAMS, graph, OPTS)
         # dense grid over (p1, p2, p3, hbar), 50 points per axis
         m = np.linalg.inv(graph.system_matrix)
         m_ones = m @ np.ones(n)
@@ -156,9 +154,8 @@ class TestProviderBestResponse:
     @pytest.mark.parametrize("tolerance", [1e-12, 1e-16, 1e-300])
     def test_tolerance_below_round_off_stops_at_it(self, tolerance):
         graph = random_externality(np.random.default_rng(2), 20, target_alpha_rho=0.35)
-        start = ProviderStrategy(np.full(20, 0.75), 0.75)
-        tight = best_response_provider(PARAMS, graph, start, SolveOptions(br_tolerance=tolerance))
-        loose = best_response_provider(PARAMS, graph, start, OPTS)
+        tight = best_response_provider(PARAMS, graph, SolveOptions(br_tolerance=tolerance))
+        loose = best_response_provider(PARAMS, graph, OPTS)
         grad = projected_price_gradient(PARAMS, graph, tight, InsurerStrategy(1.5))
         assert np.max(np.abs(grad)) < max(tolerance, price_round_off(graph))
         np.testing.assert_allclose(tight.prices, loose.prices, rtol=0, atol=1e-8)
@@ -170,7 +167,7 @@ class TestProviderBestResponse:
         params = MarketParams(risk=RISK, attacker_resource=attacker, beta=10.0,
                               price_cap=1.0, gamma_cap=2.0)
         graph = random_externality(np.random.default_rng(4), 6, target_alpha_rho=0.35)
-        br = best_response_provider(params, graph, ProviderStrategy(np.full(6, 0.75), 0.75), OPTS)
+        br = best_response_provider(params, graph, OPTS)
         assert br.investment_ratio == clamped_root(params, graph, br.prices)
 
     def test_iteration_cap_raises(self, monkeypatch):
@@ -178,7 +175,7 @@ class TestProviderBestResponse:
         graph = zero_graph(2)
         tight = SolveOptions(br_tolerance=1e-12)
         with pytest.raises(ConvergenceError) as info:
-            best_response_provider(PARAMS, graph, ProviderStrategy(np.full(2, 0.01), 0.99), tight)
+            best_response_provider(PARAMS, graph, tight)
         assert info.value.last_iterate is not None
 
     @pytest.mark.parametrize("alpha_rho", [0.0, 0.3, 0.9])
@@ -188,30 +185,30 @@ class TestProviderBestResponse:
         monkeypatch.setattr(equilibrium, "PROVIDER_ITER_CAP", 1)
         graph = random_externality(np.random.default_rng(13), 6, target_alpha_rho=alpha_rho)
         with pytest.raises(ConvergenceError, match="iteration cap") as info:
-            best_response_provider(PARAMS, graph, ProviderStrategy(np.full(6, 0.01), 0.99),
-                                   SolveOptions(br_tolerance=1e-12))
+            best_response_provider(PARAMS, graph, SolveOptions(br_tolerance=1e-12))
         bracket = re.search(r"alpha \* rho\(G\) in \[([^,]+), ([^\]]+)\]", str(info.value))
         low, high = map(float, bracket.groups())
         # each bound is printed to 6 significant digits
         assert low - 1e-6 <= graph.alpha_rho <= high + 1e-6
 
 
-def loop_best_response_provider(params, graph, start, opts=OPTS):
+def loop_best_response_provider(params, graph, opts=OPTS):
     """The provider's best response with the price block swept user by user.
 
     Oracle for best_response_provider's triangular sweeps: the same
-    block-coordinate ascent, with every price update taken in its own
-    Python step and the exact gradient from provider_gradient, run twice,
-    the second time from the first run's optimum. Returns the best
-    response and the number of price sweeps both runs took.
+    block-coordinate ascent from the same start, with every price update
+    taken in its own Python step and the exact gradient from
+    provider_gradient, run twice, the second time from the first run's
+    optimum. Returns the best response and the number of price sweeps
+    both runs took.
     """
     sweeps = 0
     n = graph.n_users
     lo, hi = PRICE_FLOOR, params.price_cap
     quad = graph.symmetric_influence
     diag = np.diagonal(quad)
-    prices = np.clip(start.prices.astype(float), lo, hi)
-    hbar = float(np.clip(start.investment_ratio, 0.5, HBAR_CEILING))
+    prices = np.full(n, max(0.75 * hi, lo))
+    hbar = 0.75
     box_lo = np.append(np.full(n, lo), 0.5)
     box_hi = np.append(np.full(n, hi), HBAR_CEILING)
     for _ in range(2):
@@ -267,10 +264,10 @@ class TestTriangularPriceSweep:
 
         monkeypatch.setattr(GaussSeidel, "sweep", counted_sweep)
 
-    def assert_matches_loop(self, params, graph, start):
+    def assert_matches_loop(self, params, graph):
         self.calls.update(sweeps=0, corrected=0)
-        fast = best_response_provider(params, graph, start, OPTS)
-        slow, sweeps = loop_best_response_provider(params, graph, start)
+        fast = best_response_provider(params, graph, OPTS)
+        slow, sweeps = loop_best_response_provider(params, graph)
         np.testing.assert_allclose(fast.prices, slow.prices, rtol=0.0, atol=1e-12)
         assert abs(fast.investment_ratio - slow.investment_ratio) <= 1e-12
         assert self.calls["sweeps"] == sweeps
@@ -278,30 +275,10 @@ class TestTriangularPriceSweep:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30])
     @pytest.mark.parametrize("seed", range(4))
-    def test_interior_starts(self, n, seed):
+    def test_random_graphs_and_caps(self, n, seed):
         rng = np.random.default_rng(100 * n + seed)
         graph = random_externality(rng, n, target_alpha_rho=float(rng.uniform(0.0, 0.9)))
-        start = ProviderStrategy(rng.uniform(0.1, 0.9, n), float(rng.uniform(0.5, 0.99)))
-        self.assert_matches_loop(PARAMS, graph, start)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 30])
-    def test_start_at_cap_with_interior_optimum(self, n):
-        # every price starts at a cap 1 % above the largest optimal price,
-        # and ends inside the box. The Jacobi update of a price near the
-        # cap stays below it, but its Gauss-Seidel update, which sees the
-        # lower new prices of the users before it, rises above the cap. The
-        # sweep predicts its clamps from that Gauss-Seidel update, the
-        # forward substitution, so the prediction holds and no correction
-        # pass runs, for one user as for many.
-        rng = np.random.default_rng(200 + n)
-        graph = random_externality(rng, n, target_alpha_rho=0.05)
-        uncapped = best_response_provider(with_price_cap(10.0), graph,
-                                          ProviderStrategy(np.full(n, 0.5), 0.75), OPTS)
-        params = with_price_cap(1.01 * float(uncapped.prices.max()))
-        start = ProviderStrategy(np.full(n, params.price_cap), 0.5)
-        fast = self.assert_matches_loop(params, graph, start)
-        assert np.all(fast.prices < params.price_cap)
-        assert self.calls["corrected"] == 0
+        self.assert_matches_loop(with_price_cap(float(rng.uniform(0.6, 1.5))), graph)
 
     @pytest.mark.parametrize("n", [2, 5, 30])
     def test_cap_binds_at_optimum(self, n):
@@ -314,10 +291,9 @@ class TestTriangularPriceSweep:
         # overshoots, and no sweep corrects; with more, sweeps do
         rng = np.random.default_rng(300 + n)
         graph = random_externality(rng, n, target_alpha_rho=0.8)
-        start = ProviderStrategy(np.full(n, 0.5), 0.75)
-        uncapped = best_response_provider(with_price_cap(10.0), graph, start, OPTS)
+        uncapped = best_response_provider(with_price_cap(10.0), graph, OPTS)
         params = with_price_cap(float(np.median(uncapped.prices)))
-        fast = self.assert_matches_loop(params, graph, start)
+        fast = self.assert_matches_loop(params, graph)
         at_cap = fast.prices == params.price_cap
         assert at_cap.any() and not at_cap.all()
         assert (self.calls["corrected"] == 0) == (at_cap.sum() == 1)
@@ -325,9 +301,8 @@ class TestTriangularPriceSweep:
     def test_sweep_holding_capped_prices_stays_in_blas(self):
         rng = np.random.default_rng(330)
         graph = random_externality(rng, 30, target_alpha_rho=0.8)
-        start = ProviderStrategy(np.full(30, 0.5), 0.75)
         params = with_price_cap(0.9)
-        optimum = best_response_provider(params, graph, start, OPTS)
+        optimum = best_response_provider(params, graph, OPTS)
         held = optimum.prices == params.price_cap
         assert 0 < held.sum() < 30
         prices = optimum.prices.copy()
@@ -346,11 +321,13 @@ class TestTriangularPriceSweep:
         np.testing.assert_allclose(swept, expected, rtol=0.0, atol=1e-14)
         assert np.array_equal(swept == params.price_cap, held)
 
-    def test_whole_box_at_cap(self):
+    @pytest.mark.parametrize("cap", [0.3, 1.2e-9])
+    def test_whole_box_at_cap(self, cap):
+        # below PRICE_FLOOR / 0.75 the start, 0.75 * cap, would lie under
+        # the floor, so the prices start at the floor
         graph = random_externality(np.random.default_rng(5), 5, target_alpha_rho=0.5)
-        params = with_price_cap(0.3)
-        fast = self.assert_matches_loop(params, graph, ProviderStrategy(np.full(5, 0.2), 0.6))
-        assert np.all(fast.prices == 0.3)
+        fast = self.assert_matches_loop(with_price_cap(cap), graph)
+        assert np.all(fast.prices == cap)
 
     def test_no_linear_solve(self, monkeypatch):
         # the convergence check reads the sweep's residual, not provider_gradient
@@ -365,18 +342,18 @@ class TestTriangularPriceSweep:
             return solve(self, *args, **kwargs)
 
         monkeypatch.setattr(ExternalityGraph, "solve", counted)
-        self.assert_matches_loop(PARAMS, graph, ProviderStrategy(np.full(12, 0.5), 0.75))
+        self.assert_matches_loop(PARAMS, graph)
         assert solves  # the oracle's provider_gradient solves
         solves.clear()
-        best_response_provider(PARAMS, graph, ProviderStrategy(np.full(12, 0.5), 0.75), OPTS)
+        best_response_provider(PARAMS, graph, OPTS)
         assert solves == []
 
 
 class TestSharedFirstBlock:
-    """The first price block runs once per graph, for the first start,
-    box and tolerance it is solved from; later calls from that start
-    resume from the exact state it returned, and calls from any other
-    start run cold."""
+    """The first price block depends only on the graph, the price cap and
+    the tolerance. graph.memo holds one such block, keyed on (price cap,
+    tolerance); a later call with that key resumes from the exact state
+    it returned, and a call with another key replaces it."""
 
     @pytest.fixture(autouse=True)
     def counts(self, monkeypatch):
@@ -393,56 +370,55 @@ class TestSharedFirstBlock:
         counted("sweep")
         counted("state")
 
-    def solve(self, params, graph, start, opts=OPTS):
+    def solve(self, params, graph, opts=OPTS):
         self.calls.update(sweeps=0, states=0)
-        return best_response_provider(params, graph, start, opts)
+        return best_response_provider(params, graph, opts)
 
     def test_second_call_resumes_from_the_kept_state(self):
         graph = random_externality(np.random.default_rng(7), 30, target_alpha_rho=0.8)
-        start = ProviderStrategy(np.full(30, 0.5), 0.75)
         params = with_price_cap(0.95)
-        cold = self.solve(params, graph, start)
+        cold = self.solve(params, graph)
         cold_sweeps = self.calls["sweeps"]
         assert self.calls["states"] == 1
         key, state = graph.memo["provider first price block"]
-        assert key[0] == start.prices.tobytes() and key[1] == start.investment_ratio
+        assert key == (0.95, OPTS.br_tolerance)
         assert not any(array.flags.writeable for array in state)
-        warm = self.solve(params, graph, start)
+        warm = self.solve(params, graph)
         assert self.calls["states"] == 0  # no state is recomputed
         assert 0 < self.calls["sweeps"] < cold_sweeps
         assert np.array_equal(warm.prices, cold.prices)
         assert warm.investment_ratio == cold.investment_ratio
 
-    @pytest.mark.parametrize("change", ["start_prices", "start_hbar", "price_cap", "tolerance"])
+    @pytest.mark.parametrize("change", ["price_cap", "tolerance"])
     def test_each_input_is_part_of_the_key(self, change):
         graph = random_externality(np.random.default_rng(8), 12, target_alpha_rho=0.5)
-        start = ProviderStrategy(np.full(12, 0.5), 0.75)
         params, opts = with_price_cap(0.95), OPTS
-        self.solve(params, graph, start, opts)
-        if change == "start_prices":
-            start = ProviderStrategy(np.full(12, 0.6), 0.75)
-        elif change == "start_hbar":
-            start = ProviderStrategy(np.full(12, 0.5), 0.8)
-        elif change == "price_cap":
-            params = with_price_cap(0.9)
+        first = self.solve(params, graph, opts)
+        if change == "price_cap":
+            other_params, other_opts = with_price_cap(0.9), opts
         else:
-            opts = SolveOptions(br_tolerance=1e-9)
-        self.solve(params, graph, start, opts)
+            other_params, other_opts = params, SolveOptions(br_tolerance=1e-9)
+        self.solve(other_params, graph, other_opts)
         assert self.calls["states"] == 1
+        # the new key replaced the entry, so the first key's block runs again
+        assert list(graph.memo) == ["provider first price block"]
+        assert graph.memo["provider first price block"][0] == (other_params.price_cap,
+                                                                other_opts.br_tolerance)
+        again = self.solve(params, graph, opts)
+        assert self.calls["states"] == 1
+        assert np.array_equal(again.prices, first.prices)
+        assert again.investment_ratio == first.investment_ratio
 
-    def test_a_sweep_keeps_the_shared_start_within_the_bound(self):
+    def test_a_sweep_keeps_one_entry(self):
         graph = random_externality(np.random.default_rng(9), 12, target_alpha_rho=0.5)
-        start = ProviderStrategy(np.full(12, 0.75), 0.75)
         for attacker in np.linspace(20.0, 200.0, 10):
             params = MarketParams(risk=RISK, attacker_resource=float(attacker), beta=10.0,
                                   price_cap=1.0, gamma_cap=2.0)
-            self.solve(params, graph, start)  # the shared first pass
+            self.solve(params, graph)
             assert self.calls["states"] == (1 if attacker == 20.0 else 0)
-            solve_stackelberg(params, graph, start, OPTS)
-            # the point's own second start ran cold and displaced nothing
+            solve_stackelberg(params, graph, OPTS)
             assert list(graph.memo) == ["provider first price block"]
-            key, _ = graph.memo["provider first price block"]
-            assert key[0] == start.prices.tobytes() and key[1] == start.investment_ratio
+            assert graph.memo["provider first price block"][0] == (1.0, OPTS.br_tolerance)
 
 
 class TestStoppingTestReadsInterior:
@@ -466,15 +442,13 @@ class TestStoppingTestReadsInterior:
         rng = np.random.default_rng(11)
         for n, cap in ((1, 1.0), (12, 1.0), (30, 0.95), (30, 0.6), (150, 0.9)):
             graph = random_externality(rng, n, target_alpha_rho=0.8)
-            start = ProviderStrategy(np.full(n, 0.5), 0.75)
             params = with_price_cap(cap)
-            first = best_response_provider(params, graph, start, OPTS)
+            best_response_provider(params, graph, OPTS)
             resumed = len(reads)
             # resumed from graph.memo: no sweep has run when the first pass
             # ends, so that pass's test cannot take the sweep's word
-            best_response_provider(params, graph, start, OPTS)
+            best_response_provider(params, graph, OPTS)
             assert reads[resumed] is False
-            best_response_provider(params, graph, first, OPTS)  # cold, from another start
         assert True in reads and False in reads
 
 
@@ -539,10 +513,9 @@ class TestSolverBuiltStrategies:
         config = harness.ExperimentConfig.from_dict(grid)
         n = config.n_users[0]
         graph = harness.generate_instance(config, n, config.alpha[0])
-        start = ProviderStrategy(np.full(n, 0.75 * config.price_cap), 0.75)
-        held = [start.prices]
+        held = []
         for _ in range(2):  # the second point resumes from graph.memo
-            report = solve_stackelberg(config.market_params(100.0, 100), graph, start, OPTS)
+            report = solve_stackelberg(config.market_params(100.0, 100), graph, OPTS)
             arrays = (report.provider.prices, report.demand.x, report.demand.partition)
             for array, dtype in zip(arrays, (np.float64, np.float64, np.int8)):
                 assert array.dtype == dtype and array.shape == (n,)
@@ -563,7 +536,7 @@ class TestSolverBuiltStrategies:
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="went non-finite in a price sweep, "
                                                    r"with alpha \* rho\(G\) in \[") as info:
-            best_response_provider(PARAMS, graph, ProviderStrategy(np.full(6, 0.75), 0.75), OPTS)
+            best_response_provider(PARAMS, graph, OPTS)
         assert info.value.last_iterate.shape == (6,) and np.isnan(info.value.last_iterate).all()
         monkeypatch.setattr(harness, "_last_graph", None)  # restored when the test ends
         config = harness.ExperimentConfig.from_dict({"n_users": [6], "seed": 2})
@@ -589,8 +562,7 @@ class TestSolveStackelberg:
         params = MarketParams(risk=risk, attacker_resource=100.0, beta=10.0,
                               price_cap=1.0, gamma_cap=2.0)
         graph = zero_graph(1)
-        report = solve_stackelberg(params, graph,
-                                   ProviderStrategy(np.array([0.3]), 0.6), OPTS)
+        report = solve_stackelberg(params, graph, OPTS)
         assert report.converged
         assert report.rounds <= 3
         expected_price = min((1.0 + report.provider.investment_ratio) / 2.0, 1.0)
@@ -602,8 +574,7 @@ class TestSolveStackelberg:
         # the root of n (1 + hbar)/2 + reward_scale = a / (1 - hbar)^2
         weights = np.random.default_rng(n).uniform(0.0, 10.0, (n, n))
         np.fill_diagonal(weights, 0.0)
-        report = solve_stackelberg(PARAMS, ExternalityGraph(weights, 0.0),
-                                   ProviderStrategy(np.full(n, 0.75), 0.75), OPTS)
+        report = solve_stackelberg(PARAMS, ExternalityGraph(weights, 0.0), OPTS)
 
         hbar = hbar_root(PARAMS, n / 2.0)
         assert report.provider.investment_ratio == pytest.approx(hbar, abs=1e-14)
@@ -623,8 +594,7 @@ class TestSolveStackelberg:
         hbar = hbar_root(params, float(w.sum()))
         prices = (1.0 + hbar) * (a_mat.T @ w)
         assert prices.max() < params.price_cap
-        start = ProviderStrategy(np.full(n, 0.75 * config.price_cap), 0.75)
-        report = solve_stackelberg(params, graph, start, config.solve)
+        report = solve_stackelberg(params, graph, config.solve)
         np.testing.assert_allclose(report.provider.prices, prices, rtol=0, atol=1e-8)
         assert report.provider.investment_ratio == pytest.approx(hbar, abs=1e-10)
 
@@ -638,9 +608,8 @@ class TestSolveStackelberg:
         perm = rng.permutation(n)
         relabelled = ExternalityGraph(weights[np.ix_(perm, perm)], alpha)
         params = with_price_cap(0.95)
-        start = ProviderStrategy(np.full(n, 0.75), 0.75)
-        first = solve_stackelberg(params, graph, start, OPTS)
-        second = solve_stackelberg(params, relabelled, start, OPTS)
+        first = solve_stackelberg(params, graph, OPTS)
+        second = solve_stackelberg(params, relabelled, OPTS)
         assert 0 < np.sum(first.provider.prices == 0.95) < n
         np.testing.assert_allclose(second.provider.prices, first.provider.prices[perm],
                                    rtol=0, atol=1e-9)
@@ -653,8 +622,7 @@ class TestSolveStackelberg:
     def test_defaults_converge(self):
         rng = np.random.default_rng(0)
         graph = random_externality(rng, 30, target_alpha_rho=0.3)
-        report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(30, 0.75), 0.75), OPTS)
+        report = solve_stackelberg(PARAMS, graph, OPTS)
         assert report.converged
         assert report.rounds <= 500
         # strategies inside their boxes
@@ -664,22 +632,22 @@ class TestSolveStackelberg:
         assert 1.0 < report.insurer.gamma <= PARAMS.gamma_cap
 
     def test_no_regret_at_equilibrium(self):
+        # the provider's strategy is stationary on its box (prices to the
+        # tolerance, hbar exactly), and the insurer's is its reply to it
         rng = np.random.default_rng(3)
         graph = random_externality(rng, 8, target_alpha_rho=0.4)
-        report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(8, 0.5), 0.8), OPTS)
+        report = solve_stackelberg(PARAMS, graph, OPTS)
         assert report.converged
-        again_p = best_response_provider(PARAMS, graph, report.provider, OPTS)
-        again_i = best_response_insurer(PARAMS, report.provider, OPTS)
-        assert float(np.max(np.abs(again_p.prices - report.provider.prices))) < 1e-6
-        assert abs(again_p.investment_ratio - report.provider.investment_ratio) < 1e-6
-        assert abs(again_i.gamma - report.insurer.gamma) < 1e-6
+        grad = projected_price_gradient(PARAMS, graph, report.provider, report.insurer)
+        assert np.max(np.abs(grad)) < OPTS.br_tolerance
+        s_p = report.provider
+        assert s_p.investment_ratio == clamped_root(PARAMS, graph, s_p.prices)
+        assert best_response_insurer(PARAMS, s_p, OPTS) == report.insurer
 
     def test_no_profitable_perturbation(self):
         rng = np.random.default_rng(5)
         graph = random_externality(rng, 5, target_alpha_rho=0.4)
-        report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(5, 0.5), 0.8), OPTS)
+        report = solve_stackelberg(PARAMS, graph, OPTS)
         base_p = provider_profit(PARAMS, graph, report.provider, report.insurer)
         base_i = insurer_profit(PARAMS, report.provider, report.insurer)
         worst_p, worst_i = 0.0, 0.0
@@ -696,9 +664,8 @@ class TestSolveStackelberg:
     def test_determinism(self):
         rng_a = np.random.default_rng(21)
         graph = random_externality(rng_a, 12, target_alpha_rho=0.5)
-        start_p = ProviderStrategy(np.full(12, 0.6), 0.8)
-        first = solve_stackelberg(PARAMS, graph, start_p, OPTS)
-        second = solve_stackelberg(PARAMS, graph, start_p, OPTS)
+        first = solve_stackelberg(PARAMS, graph, OPTS)
+        second = solve_stackelberg(PARAMS, graph, OPTS)
         assert np.array_equal(first.provider.prices, second.provider.prices)
         assert first.provider.investment_ratio == second.provider.investment_ratio
         assert first.insurer.gamma == second.insurer.gamma
@@ -717,9 +684,9 @@ class TestSolveStackelberg:
         rng = np.random.default_rng(12)
         for n, cap in ((1, 1.0), (12, 1.0), (30, 0.95), (150, 0.9)):
             graph = random_externality(rng, n, target_alpha_rho=0.6)
-            params, start = with_price_cap(cap), ProviderStrategy(np.full(n, 0.5), 0.75)
+            params = with_price_cap(cap)
             calls.clear()
-            report = solve_stackelberg(params, graph, start, OPTS)
+            report = solve_stackelberg(params, graph, OPTS)
             assert len(calls) == 1 and report.rounds == 2 and report.converged is True
         # constants of the class: a solve that fails raises, so no report sets them
         assert not {f.name for f in dataclasses.fields(EquilibriumReport)} & {"rounds", "converged"}
@@ -729,8 +696,7 @@ class TestSolveStackelberg:
         # reported demand must come from the clamped solver, inside the box
         rng = np.random.default_rng(31)
         graph = random_externality(rng, 20, target_alpha_rho=0.6)
-        report = solve_stackelberg(PARAMS, graph,
-                                   ProviderStrategy(np.full(20, 0.75), 0.75), OPTS)
+        report = solve_stackelberg(PARAMS, graph, OPTS)
         assert not report.demand.out_of_box()
         assert np.all(report.demand.x <= 1.0 + 1e-12)
         if np.all(report.demand.partition == Segment.SATURATED):
@@ -741,8 +707,8 @@ def same_bits(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def recorded_solve_row(config, graph, point):
-    """harness.solve_row at one point, with the report it read its row from."""
+def recorded_solve_row(config, graph, a, n_t):
+    """harness.solve_row at (a, n_t) on graph, with the report it read its row from."""
     reports = []
 
     def recorded(*args):
@@ -751,7 +717,7 @@ def recorded_solve_row(config, graph, point):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "solve_stackelberg", recorded)
-        row = harness.solve_row(config, graph, *point)
+        row = harness.solve_row(config, graph, a, n_t)
     return row, reports[0]
 
 
@@ -782,8 +748,8 @@ class TestReportedNumbers:
             "attacker_resource": [attacker_resource], "tx_per_block": [tx_per_block],
             "blocks_per_period": blocks_per_period, "seed": seed})
         graph = ExternalityGraph(weights, alpha)
-        point = harness.sweep_points(config)[0]
-        row, report = recorded_solve_row(config, graph, point)
+        row, report = recorded_solve_row(config, graph, attacker_resource, tx_per_block)
+        assert (row.n_users, row.alpha) == (n, alpha)
         params = config.market_params(attacker_resource, tx_per_block)
         s_p, s_i = report.provider, report.insurer
         hbar, prices = s_p.investment_ratio, s_p.prices
@@ -833,7 +799,7 @@ class TestReportedNumbers:
             for name in ("attack_probability", "provider_profit", "insurer_profit"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        row = harness.solve_row(config, graph, *harness.sweep_points(config)[0])
+        row = harness.solve_row(config, graph, 80.0, 150)
         assert row.converged
         assert counts == {"lu_solve": 1, "attack_probability": 1}
 
@@ -868,7 +834,7 @@ class TestInRangeConfigs:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(harness, "solve_stackelberg", recorded)
-            row = harness.solve_row(config, graph, *point)
+            row = harness.solve_row(config, graph, *point[2:])
         params = config.market_params(*point[2:])
         s_p, s_i = reports[0].provider, reports[0].insurer
         assert row.hbar_star == s_p.investment_ratio == clamped_root(params, graph, s_p.prices)

@@ -213,7 +213,6 @@ class TestSharedWork:
     @staticmethod
     def clear_caches(monkeypatch):
         monkeypatch.setattr(harness, "_last_graph", None)
-        harness._start.cache_clear()
         risk._block_count.cache_clear()
         risk._model_survival.cache_clear()
 
@@ -239,30 +238,29 @@ class TestSharedWork:
         assert all(row.converged for row in cold)
         assert shared == cold
 
-    def test_points_reuse_the_configs_params_and_one_start(self, monkeypatch):
+    def test_points_reuse_the_configs_params(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(self.GRID)
         solved = []
         solve = harness.solve_stackelberg
 
-        def kept(params, graph, start, opts):
-            solved.append((params, start))
-            return solve(params, graph, start, opts)
+        def kept(params, graph, opts):
+            solved.append(params)
+            return solve(params, graph, opts)
 
         monkeypatch.setattr(harness, "solve_stackelberg", kept)
         self.clear_caches(monkeypatch)
         run_sweep(cfg)
         points = sweep_points(cfg)
         assert len(solved) == len(points) == 48
-        for (params, _), (_, _, a, n_t) in zip(solved, points):
+        for params, (_, _, a, n_t) in zip(solved, points):
             assert params is cfg._market[a, n_t]
-        assert len({id(start) for _, start in solved}) == 1
 
     def test_second_sweep_in_one_process_equals_the_first(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(self.GRID)
         self.clear_caches(monkeypatch)
         assert run_sweep(cfg) == run_sweep(cfg)
 
-    def test_each_graph_keeps_one_first_block_for_the_shared_start(self, monkeypatch):
+    def test_each_graph_keeps_one_first_block(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(self.GRID)
         graphs = []
         generate = harness.generate_instance
@@ -275,11 +273,10 @@ class TestSharedWork:
         self.clear_caches(monkeypatch)
         run_sweep(cfg)
         assert len(graphs) == 2
-        start = np.full(30, 0.75 * cfg.price_cap)
         for graph in graphs:
             assert list(graph.memo) == ["provider first price block"]
             key, _ = graph.memo["provider first price block"]
-            assert key[:2] == (start.tobytes(), 0.75)
+            assert key == (cfg.price_cap, cfg.solve.br_tolerance)
 
     def test_block_counts_interleaved_in_one_process(self, monkeypatch):
         # a second block count's table is live while the first grid re-runs
